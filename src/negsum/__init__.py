@@ -28,6 +28,7 @@ from .model import (
     Classification,
     Negotiation,
     classify,
+    is_acyclic,
     negotiation_graph,
     validate,
 )
@@ -42,6 +43,7 @@ from .semantics import (
     initial_marking,
     make_marking,
     reachability,
+    start_marking,
     step,
 )
 from .state_elim import (
@@ -63,6 +65,7 @@ from .rules import (
     apply_merge,
     apply_shortcut,
     apply_useless_arc,
+    another_commits,
     commits_to,
     exclusive_access,
     is_useless_arc,
@@ -70,6 +73,7 @@ from .rules import (
     merge_partner,
     uniform_target,
     useless_arcs_at,
+    shortcut_candidates,
     shortcut_targets,
     reducible_outcomes,
     reducible_outcomes_k,

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from . import fileio
-from .errors import BudgetExceeded, NegsumError
+from .errors import NegsumError
 from .generator import expfam, generate_sound
 from .model import classify
 from .semantics import check_soundness, reachability
@@ -225,9 +225,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except BudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
     except NegsumError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -43,6 +43,12 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
         raise ParseError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _str(value, where: str) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{where} must be a string")
+    return value
+
+
 def _str_list(value, where: str) -> list[str]:
     if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
         raise ParseError(f"{where} must be a list of strings")
@@ -62,6 +68,8 @@ def loads(text: str) -> Negotiation:
             raise ParseError(f"missing top-level key {key!r}")
 
     agents = _str_list(doc["agents"], "agents")
+    initial = _str(doc["initial"], "initial")
+    final = _str(doc["final"], "final")
 
     states = None
     if "states" in doc:
@@ -83,7 +91,7 @@ def loads(text: str) -> Negotiation:
         for key in _ATOM_KEYS:
             if key not in entry:
                 raise ParseError(f"atom {entry.get('id')!r} missing key {key!r}")
-        aid = entry["id"]
+        aid = _str(entry["id"], "atom id")
         parties = tuple(_str_list(entry["parties"], f"atom {aid!r} parties"))
         names = []
         for res in entry["results"]:
@@ -92,7 +100,7 @@ def loads(text: str) -> Negotiation:
             _require_keys(res, _RESULT_KEYS, f"result of atom {aid!r}")
             if "name" not in res or "next" not in res:
                 raise ParseError(f"atom {aid!r}: result missing 'name' or 'next'")
-            rname = res["name"]
+            rname = _str(res["name"], f"atom {aid!r}: result name")
             names.append(rname)
             nxt = res["next"]
             if not isinstance(nxt, dict):
@@ -143,8 +151,8 @@ def loads(text: str) -> Negotiation:
     return validate(
         agents,
         atoms,
-        doc["initial"],
-        doc["final"],
+        initial,
+        final,
         transition,
         transformers=transformers,
         rels=rels,

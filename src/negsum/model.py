@@ -12,12 +12,14 @@ Validation enforces:
       reachability from the final atom on the negotiation graph.
 
 Validated negotiations are immutable by convention: every reduction rule
-produces a new value.
+produces a new value. That lets a diagram build its arc indexes
+(`arcs_into`, `committed_by`) lazily, once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 import networkx as nx
@@ -108,6 +110,38 @@ class Negotiation:
     def __post_init__(self):
         self._atom_order = {a: i for i, a in enumerate(self.atoms)}
         self._agent_order = {a: i for i, a in enumerate(self.agents)}
+
+    # -- arc indexes, built on first use -------------------------------------
+
+    @cached_property
+    def arcs_into(self) -> dict[tuple[str, str], tuple[Outcome, ...]]:
+        """(target, agent) -> the outcomes with an arc of that agent into
+        the target, in transition-table order."""
+        index: dict[tuple[str, str], list[Outcome]] = {}
+        for (atom, agent, result), targets in self.transition.items():
+            for t in targets:
+                index.setdefault((t, agent), []).append((atom, result))
+        return {key: tuple(outs) for key, outs in index.items()}
+
+    @cached_property
+    def committed_by(self) -> dict[str, frozenset[Outcome]]:
+        """target -> the outcomes that send some party only to the target."""
+        index: dict[str, set[Outcome]] = {}
+        for spec in self.atoms.values():
+            for r in spec.results:
+                for p in spec.parties:
+                    targets = self.transition[(spec.id, p, r)]
+                    if len(targets) == 1:
+                        (t,) = targets
+                        index.setdefault(t, set()).add((spec.id, r))
+        return {t: frozenset(outs) for t, outs in index.items()}
+
+    def drop_indexes(self) -> None:
+        """Free the arc indexes; the next lookup rebuilds them. A reduction
+        calls this on each diagram it moves past, so that a trace keeping
+        every intermediate diagram does not keep their indexes too."""
+        self.__dict__.pop("arcs_into", None)
+        self.__dict__.pop("committed_by", None)
 
     def __repr__(self):
         return (
@@ -218,14 +252,15 @@ def validate(
     # condition (3): forward-reachable from the initial atom and
     # backward-reachable from the final atom, on a best-effort graph so
     # this reports alongside any condition (1)/(2) findings
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(atom_map)
+    succ: dict[str, set[str]] = {aid: set() for aid in atom_map}
+    pred: dict[str, set[str]] = {aid: set() for aid in atom_map}
     for (aid, _agent, _r), targets in norm.items():
         for t in targets:
             if t in atom_map:
-                g.add_edge(aid, t)
-    fwd = nx.descendants(g, initial) | {initial}
-    bwd = nx.ancestors(g, final) | {final}
+                succ[aid].add(t)
+                pred[t].add(aid)
+    fwd = _closure(succ, initial)
+    bwd = _closure(pred, final)
     for aid in atom_map:
         if aid not in fwd or aid not in bwd:
             violations.append(
@@ -266,6 +301,39 @@ def validate(
     )
 
 
+def _closure(adjacency: dict[str, set[str]], start: str) -> set[str]:
+    """Atoms reachable from `start` (itself included) along `adjacency`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for nxt in adjacency[stack.pop()]:
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return seen
+
+
+def is_acyclic(neg: Negotiation) -> bool:
+    """No cycle in the negotiation graph (a self-loop is a cycle), by
+    Kahn's algorithm on the transition table."""
+    indegree = dict.fromkeys(neg.atoms, 0)
+    succ: dict[str, list[str]] = {a: [] for a in neg.atoms}
+    for (atom, _agent, _r), targets in neg.transition.items():
+        for t in targets:
+            succ[atom].append(t)
+            indegree[t] += 1
+    ready = [a for a, d in indegree.items() if d == 0]
+    removed = 0
+    while ready:
+        atom = ready.pop()
+        removed += 1
+        for t in succ[atom]:
+            indegree[t] -= 1
+            if indegree[t] == 0:
+                ready.append(t)
+    return removed == len(indegree)
+
+
 def classify(neg: Negotiation) -> Classification:
     """Determinism, weak determinism, and acyclicity of a valid negotiation."""
     det_agents = set(neg.agents)
@@ -286,7 +354,7 @@ def classify(neg: Negotiation) -> Classification:
             weakly = False
             break
 
-    acyclic = nx.is_directed_acyclic_graph(negotiation_graph(neg))
+    acyclic = is_acyclic(neg)
     return Classification(
         deterministic=deterministic,
         weakly_deterministic=weakly,

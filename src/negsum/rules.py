@@ -5,6 +5,11 @@ enumeration.
 Every application returns a fresh, re-validated Negotiation; inputs are
 never mutated, so traces can hold on to all intermediate diagrams.
 
+Guards read the diagram's arc indexes (`Negotiation.arcs_into`,
+`Negotiation.committed_by`) instead of scanning the transition table, and
+shortcut targets are sought only among the outcome's transition targets,
+so evaluating R(N) costs about the number of arcs.
+
 Fresh result naming: a merge of r1 and r2 produces "r1+r2", a shortcut of
 r with a target result r' produces "r>r'" (with a numeric suffix on
 collision). When a shortcut consumes the final atom, the fresh results
@@ -17,15 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-import networkx as nx
-
 from .errors import GuardFailed, ValidationError
 from .model import (
     AtomSpec,
     Negotiation,
     Outcome,
     classify,
-    negotiation_graph,
+    is_acyclic,
     validate,
 )
 from .transformers import concat_expr, star_expr, union_expr
@@ -71,14 +74,8 @@ def unconditionally_enables(neg: Negotiation, outcome: Outcome, n2: str) -> bool
 def exclusive_access(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     """`outcome` owns every arc into n2: each party port of n2 is fed by
     this outcome and by no other."""
-    n, r = outcome
-    for p in neg.parties(n2):
-        if (n, p, r) not in neg.transition or n2 not in neg.targets(n, p, r):
-            return False
-        for (m, q, s), targets in neg.transition.items():
-            if q == p and (m, s) != (n, r) and n2 in targets:
-                return False
-    return True
+    only = (outcome,)
+    return all(neg.arcs_into.get((n2, p)) == only for p in neg.parties(n2))
 
 
 def commits_to(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
@@ -86,6 +83,11 @@ def commits_to(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     return any(
         neg.targets(n, p, r) == frozenset([n2]) for p in neg.parties(n)
     )
+
+
+def another_commits(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
+    """Some outcome other than `outcome` commits to n2."""
+    return bool(neg.committed_by.get(n2, frozenset()) - {outcome})
 
 
 def uniform(neg: Negotiation, outcome: Outcome) -> bool:
@@ -119,12 +121,7 @@ def shortcut_guard(neg: Negotiation, outcome: Outcome, n2: str) -> GuardReport:
     if n2 != neg.final:
         if excl:
             return GuardReport(site, "shortcut", True, "exclusive access")
-        committed = any(
-            commits_to(neg, other, n2)
-            for other in neg.outcomes()
-            if other != outcome
-        )
-        if committed:
+        if another_commits(neg, outcome, n2):
             return GuardReport(site, "shortcut", True, "another outcome commits")
         return GuardReport(
             site, "shortcut", False,
@@ -290,9 +287,11 @@ def is_useless_arc(neg: Negotiation, arc, acyclic: Optional[bool] = None) -> boo
     if _useless_witness(neg, arc) is None:
         return False
     if acyclic is None:
-        acyclic = nx.is_directed_acyclic_graph(negotiation_graph(neg))
+        acyclic = is_acyclic(neg)
     if acyclic:
-        return any(a[3] == n2 and a != arc for a in neg.arcs())
+        # some other arc enters n2
+        into = (len(neg.arcs_into.get((n2, q), ())) for q in neg.parties(n2))
+        return sum(into) > 1
     try:
         _remove_arc(neg, arc)
     except ValidationError:
@@ -434,14 +433,26 @@ def iteration_applicable(neg: Negotiation, outcome: Outcome) -> bool:
     return all(neg.targets(n, p, r) == frozenset([n]) for p in neg.parties(n))
 
 
+def shortcut_candidates(neg: Negotiation, outcome: Outcome) -> list[str]:
+    """The atoms the shortcut guard can hold for, in declaration order.
+
+    The guard needs the outcome to send every party of the target to the
+    target alone, so the target is a transition target of the outcome."""
+    n, r = outcome
+    found = set()
+    for p in neg.parties(n):
+        found |= neg.targets(n, p, r)
+    found.discard(n)
+    return sorted(found, key=neg.atom_index)
+
+
 def shortcut_targets(neg: Negotiation, outcome: Outcome) -> list[str]:
     """Atoms the outcome may be shortcut with, in declaration order."""
-    n, _r = outcome
-    out = []
-    for n2 in neg.atoms:
-        if n2 != n and shortcut_guard(neg, outcome, n2).holds:
-            out.append(n2)
-    return out
+    return [
+        n2
+        for n2 in shortcut_candidates(neg, outcome)
+        if shortcut_guard(neg, outcome, n2).holds
+    ]
 
 
 def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] = None):
@@ -458,7 +469,7 @@ def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] 
 def reducible_outcomes(neg: Negotiation) -> set[Outcome]:
     """R(N): outcomes admitting the iteration or shortcut rule, having a
     merge partner, or participating in a useless arc."""
-    acyclic = nx.is_directed_acyclic_graph(negotiation_graph(neg))
+    acyclic = is_acyclic(neg)
     out = set()
     for o in neg.outcomes():
         if (

@@ -47,13 +47,13 @@ from .rules import (
     iteration_applicable,
     merge_partner,
     reducible_outcomes,
-    reducible_outcomes_k,
+    shortcut_candidates,
     shortcut_guard,
     uniform,
     uniform_target,
     useless_arcs_at,
 )
-from .semantics import make_marking, sorted_outcomes, step
+from .semantics import sorted_outcomes, start_marking, step
 from .transformers import TransformerExpr
 
 
@@ -94,6 +94,7 @@ class ReductionTrace:
     counters: dict[str, int] = field(default_factory=dict)
 
     def record(self, app: RuleApplication) -> Negotiation:
+        app.before.drop_indexes()
         self.applications.append(app)
         self.counters["total"] = self.counters.get("total", 0) + 1
         self.counters[app.kind] = self.counters.get(app.kind, 0) + 1
@@ -136,16 +137,12 @@ class ReductionTrace:
 # The index measure
 # ---------------------------------------------------------------------------
 
-def outcome_start_marking(neg: Negotiation, atom: str):
-    return make_marking(neg, {p: {atom} for p in neg.parties(atom)})
-
-
 def outcome_index(neg: Negotiation, outcome: Outcome, cap: int = 100_000):
     """Length of a longest maximal sequence launched by the outcome from
     the marking that holds exactly its parties, minus one; infinity when a
     reachable cycle pumps the sequences arbitrarily long."""
     n, r = outcome
-    start = step(neg, outcome_start_marking(neg, n), outcome)
+    start = step(neg, start_marking(neg, n), outcome)
     longest: dict = {}
     on_stack: set = set()
     nodes_seen = 0
@@ -226,9 +223,7 @@ def _first_d_shortcut(
             continue
         if require_non_uniform and uniform(neg, o):
             continue
-        for n2 in neg.atoms:
-            if n2 == o[0]:
-                continue
+        for n2 in shortcut_candidates(neg, o):
             if len(neg.results(n2)) > 1 and n2 != neg.final:
                 continue
             if shortcut_guard(neg, o, n2).holds:
@@ -386,9 +381,12 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
     cap = 2 * k_atoms**3 + k_atoms**2 + k_atoms * l_outcomes + l_outcomes
     trace = ReductionTrace(initial=neg)
     current = neg
+    # R(N) is computed once per diagram; each stage's pool and the
+    # invariant check (no outcome of a lower stage is reducible) read it
+    reducible = reducible_outcomes(current)
     for stage in range(1, len(neg.agents) + 1):
         while True:
-            pool = reducible_outcomes_k(current, stage)
+            pool = {o for o in reducible if len(current.parties(o[0])) == stage}
             if not pool:
                 break
             if trace.total >= cap:
@@ -424,9 +422,11 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
                             app.line = "d_shortcut"
             app.stage = stage
             current = trace.record(app)
+            reducible = reducible_outcomes(current)
             if check_invariants:
+                lower = {len(current.parties(o[0])) for o in reducible}
                 for j in range(1, stage):
-                    if reducible_outcomes_k(current, j):
+                    if j in lower:
                         raise AssertionError(
                             f"stage {stage} created a {j}-reducible outcome"
                         )
@@ -475,8 +475,8 @@ def run_acyclic_wd(neg: Negotiation, budget: int = 10_000) -> ReductionTrace:
             continue
         hit = None
         for o in current.outcomes():
-            for n2 in current.atoms:
-                if n2 != o[0] and shortcut_guard(current, o, n2).holds:
+            for n2 in shortcut_candidates(current, o):
+                if shortcut_guard(current, o, n2).holds:
                     hit = (o, n2)
                     break
             if hit:

@@ -19,9 +19,9 @@ from .model import AtomSpec, Negotiation, Outcome, negotiation_graph, validate
 from .semantics import (
     Marking,
     enabled,
-    make_marking,
     reachability,
     sorted_outcomes,
+    start_marking,
     step,
 )
 from .transformers import IDENTITY
@@ -43,10 +43,6 @@ class TargetReport:
     @property
     def unique(self) -> bool:
         return self.target is not None and self.conflict is None
-
-
-def start_marking(neg: Negotiation, atom: str) -> Marking:
-    return make_marking(neg, {p: {atom} for p in neg.parties(atom)})
 
 
 def _explore_targets(

@@ -97,6 +97,42 @@ def test_parse_rejects_rel_without_states():
         loads(json.dumps(doc))
 
 
+def _with_list_initial(doc):
+    doc["initial"] = [doc["initial"]]
+
+
+def _with_list_atom_id(doc):
+    doc["atoms"][0]["id"] = [doc["atoms"][0]["id"]]
+
+
+def _with_list_result_name(doc):
+    res = doc["atoms"][0]["results"][0]
+    res["name"] = [res["name"]]
+
+
+NON_STRING_PROBES = [_with_list_initial, _with_list_atom_id, _with_list_result_name]
+
+
+@pytest.mark.parametrize("probe", NON_STRING_PROBES)
+def test_parse_rejects_non_string_names(probe):
+    doc = json.loads(fixture_text("atomic"))
+    probe(doc)
+    with pytest.raises(ParseError) as err:
+        loads(json.dumps(doc))
+    assert "must be a string" in str(err.value)
+
+
+@pytest.mark.parametrize("probe", NON_STRING_PROBES)
+def test_cli_non_string_names_exit_2(tmp_path, capsys, probe):
+    doc = json.loads(fixture_text("fdm_acyclic"))
+    probe(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("validate", "check"):
+        assert main([command, str(bad)]) == 2
+        assert "must be a string" in capsys.readouterr().err
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(ParseError):
         loads("{not json")

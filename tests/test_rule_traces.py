@@ -107,6 +107,36 @@ def test_invariant_check_does_not_change_run_general():
         assert checked == unchecked, case
 
 
+def test_invariant_check_catches_a_lower_stage_reducible_outcome(monkeypatch):
+    """Make R(N) report a 1-party outcome right after the first stage-2
+    application: the check must raise, and without it the planted outcome
+    lies outside every later pool and changes nothing."""
+    import negsum.strategies as strategies
+
+    neg = load_fixture("running_multi")
+    reference = run_general(neg)
+    stages = [app.stage for app in reference.applications]
+    plant_at = stages.index(2) + 1  # R(N) calls: input first, then one per step
+    real = strategies.reducible_outcomes
+
+    def planted(current):
+        nonlocal calls
+        out = real(current)
+        if calls == plant_at:
+            parties = current.parties
+            out = out | {next(o for o in current.outcomes() if len(parties(o[0])) == 1)}
+        calls += 1
+        return out
+
+    monkeypatch.setattr(strategies, "reducible_outcomes", planted)
+    calls = 0
+    with pytest.raises(AssertionError, match="stage 2 created a 1-reducible outcome"):
+        run_general(neg)
+    calls = 0
+    unchecked = run_general(neg, check_invariants=False)
+    assert trace_text(unchecked) == trace_text(reference)
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_rule_traces.py --record")

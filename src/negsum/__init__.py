@@ -45,6 +45,7 @@ from .semantics import (
     reachability,
     start_marking,
     step,
+    successors,
 )
 from .state_elim import (
     LabeledRG,

@@ -12,12 +12,9 @@ from . import fileio
 from .errors import NegsumError
 from .generator import expfam, generate_sound
 from .model import classify
-from .semantics import check_soundness, reachability
+from .semantics import DEFAULT_CAP, check_soundness, reachability
 from .state_elim import summarize_by_states
-from .strategies import (
-    run_auto,
-    run_exponential_demo,
-)
+from .strategies import run_auto, run_exponential_demo
 from .structure import find_loops, fragment, synchronizers
 from .transformers import format_expr
 
@@ -26,18 +23,14 @@ EXIT_UNSOUND = 1
 EXIT_ERROR = 2
 
 
-def _load(path):
-    return fileio.load(path)
-
-
 def cmd_validate(args) -> int:
-    neg = _load(args.file)
+    neg = fileio.load(args.file)
     print(f"valid: {len(neg.agents)} agents, {len(neg.atoms)} atoms")
     return EXIT_OK
 
 
 def cmd_classify(args) -> int:
-    cls = classify(_load(args.file))
+    cls = classify(fileio.load(args.file))
     print(f"deterministic: {cls.deterministic}")
     print(f"weakly_deterministic: {cls.weakly_deterministic}")
     print(f"acyclic: {cls.acyclic}")
@@ -46,7 +39,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_reach(args) -> int:
-    neg = _load(args.file)
+    neg = fileio.load(args.file)
     graph = reachability(neg, cap=args.cap)
     if args.dot:
         print(fileio.reachability_dot(graph), end="")
@@ -58,7 +51,7 @@ def cmd_reach(args) -> int:
 
 
 def cmd_check(args) -> int:
-    neg = _load(args.file)
+    neg = fileio.load(args.file)
     verdict = check_soundness(neg, cap=args.cap)
     print(f"sound: {verdict.sound}")
     print(f"states: {verdict.state_count}")
@@ -76,7 +69,7 @@ def _print_summary(summary) -> None:
 
 
 def cmd_summarize(args) -> int:
-    neg = _load(args.file)
+    neg = fileio.load(args.file)
     if args.method == "states":
         outcome = summarize_by_states(neg, cap=args.cap)
         if not outcome.fully_reduced:
@@ -95,7 +88,7 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_reduce(args) -> int:
-    neg = _load(args.file)
+    neg = fileio.load(args.file)
     trace = run_auto(neg)
     if args.trace:
         with open(args.trace, "w", encoding="utf-8") as fh:
@@ -114,7 +107,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_diag(args) -> int:
-    neg = _load(args.file)
+    neg = fileio.load(args.file)
     if args.fragments:
         for atom in neg.atoms:
             frag = fragment(neg, atom)
@@ -148,9 +141,6 @@ def cmd_gen(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.family != "expfam":
-        print(f"unknown demo {args.family!r}", file=sys.stderr)
-        return EXIT_ERROR
     neg = expfam(args.k)
     trace = run_exponential_demo(neg, args.strategy)
     print(f"strategy: {args.strategy}")
@@ -177,19 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reach", help="explore the reachability graph")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("check", help="state-space soundness check")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("summarize", help="compute the summary transformers")
     p.add_argument("file")
     p.add_argument("--method", choices=["states", "reduce"], default="states")
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("reduce", help="run the reduction strategy")
@@ -225,10 +215,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NegsumError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as e:
+    except (NegsumError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -55,6 +55,18 @@ def _str_list(value, where: str) -> list[str]:
     return value
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list")
+    return value
+
+
+def _dict(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ParseError(f"{where} must be an object")
+    return value
+
+
 def loads(text: str) -> Negotiation:
     try:
         doc = json.loads(text)
@@ -73,18 +85,18 @@ def loads(text: str) -> Negotiation:
 
     states = None
     if "states" in doc:
-        if not isinstance(doc["states"], dict):
-            raise ParseError("states must be an object")
         states = {
-            a: tuple(_str_list(qs, f"states[{a!r}]")) for a, qs in doc["states"].items()
+            a: tuple(_str_list(qs, f"states[{a!r}]"))
+            for a, qs in _dict(doc["states"], "states").items()
         }
+        strangers = set(states) - set(agents)
+        if strangers:
+            raise ParseError(f"states lists non-agents {sorted(strangers)}")
 
     atoms: list[AtomSpec] = []
     transition: dict[tuple[str, str, str], list[str]] = {}
     rels: dict[Outcome, Rel] = {}
-    if not isinstance(doc["atoms"], list):
-        raise ParseError("atoms must be a list")
-    for entry in doc["atoms"]:
+    for entry in _list(doc["atoms"], "atoms"):
         if not isinstance(entry, dict):
             raise ParseError("each atom must be an object")
         _require_keys(entry, _ATOM_KEYS, f"atom {entry.get('id')!r}")
@@ -94,7 +106,7 @@ def loads(text: str) -> Negotiation:
         aid = _str(entry["id"], "atom id")
         parties = tuple(_str_list(entry["parties"], f"atom {aid!r} parties"))
         names = []
-        for res in entry["results"]:
+        for res in _list(entry["results"], f"atom {aid!r} results"):
             if not isinstance(res, dict):
                 raise ParseError(f"atom {aid!r}: each result must be an object")
             _require_keys(res, _RESULT_KEYS, f"result of atom {aid!r}")
@@ -102,9 +114,7 @@ def loads(text: str) -> Negotiation:
                 raise ParseError(f"atom {aid!r}: result missing 'name' or 'next'")
             rname = _str(res["name"], f"atom {aid!r}: result name")
             names.append(rname)
-            nxt = res["next"]
-            if not isinstance(nxt, dict):
-                raise ParseError(f"atom {aid!r} result {rname!r}: next must be an object")
+            nxt = _dict(res["next"], f"atom {aid!r} result {rname!r}: next")
             missing = set(parties) - set(nxt)
             extra = set(nxt) - set(parties)
             if missing:
@@ -125,7 +135,7 @@ def loads(text: str) -> Negotiation:
                         f"atom {aid!r} result {rname!r}: rel given without 'states'"
                     )
                 pairs = set()
-                for item in res["rel"]:
+                for item in _list(res["rel"], f"atom {aid!r} result {rname!r}: rel"):
                     if not (isinstance(item, list) and len(item) == 2):
                         raise ParseError(
                             f"atom {aid!r} result {rname!r}: rel entries must be pairs"
@@ -137,16 +147,23 @@ def loads(text: str) -> Negotiation:
                             f"atom {aid!r} result {rname!r}: rel assignment length "
                             f"does not match the party count"
                         )
+                    for p, q in zip(parties * 2, entry_states + exit_states):
+                        if p in states and q not in states[p]:
+                            raise ParseError(
+                                f"atom {aid!r} result {rname!r}: rel state {q!r} "
+                                f"is not a state of {p!r}"
+                            )
                     pairs.add((tuple(entry_states), tuple(exit_states)))
                 rels[(aid, rname)] = Rel(parties, frozenset(pairs))
         atoms.append(AtomSpec(aid, parties, tuple(names)))
 
     transformers = {}
-    for key, text in (doc.get("transformers") or {}).items():
+    custom = doc.get("transformers")
+    for key, text in _dict({} if custom is None else custom, "transformers").items():
         aid, _, rname = key.partition(".")
         if not rname:
             raise ParseError(f"transformers key {key!r} is not of the form atom.result")
-        transformers[(aid, rname)] = parse_expr(text)
+        transformers[(aid, rname)] = parse_expr(_str(text, f"transformers[{key!r}]"))
 
     return validate(
         agents,

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .model import AtomSpec, Negotiation, classify, validate
+from .model import AtomSpec, Negotiation, classify, edit, validate
 from .errors import ValidationError
 from .semantics import check_soundness
 
@@ -33,36 +33,25 @@ def _atomic(agents: tuple[str, ...]) -> Negotiation:
     )
 
 
-def _parts(neg: Negotiation):
-    atoms = list(neg.atoms.values())
-    transition = {k: set(v) for k, v in neg.transition.items()}
-    return atoms, transition
-
-
-def _rebuild(neg, atoms, transition, initial, final):
-    return validate(neg.agents, atoms, initial, final, transition)
-
-
 def _split_final(neg: Negotiation, counter: list[int]) -> Negotiation:
     """Inverse of the final-atom shortcut: push the final results onto a
     fresh final atom behind the old one."""
-    atoms, transition = _parts(neg)
+    e = edit(neg, transformers=False)
     old = neg.final
     fresh = f"a{counter[0]}"
     counter[0] += 1
     link = f"r{counter[1]}"
     counter[1] += 1
     results = neg.results(old)
-    atoms = [
-        AtomSpec(a.id, a.parties, (link,)) if a.id == old else a for a in atoms
-    ]
-    atoms.append(AtomSpec(fresh, neg.agents, results))
+    e.set_results(old, (link,))
+    e.atoms.append(AtomSpec(fresh, neg.agents, results))
     for p in neg.agents:
         for r in results:
-            del transition[(old, p, r)]
-            transition[(fresh, p, r)] = set()
-        transition[(old, p, link)] = {fresh}
-    return _rebuild(neg, atoms, transition, neg.initial, fresh)
+            del e.transition[(old, p, r)]
+            e.transition[(fresh, p, r)] = set()
+        e.transition[(old, p, link)] = {fresh}
+    e.final = fresh
+    return e.done()
 
 
 def _un_merge(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optional[Negotiation]:
@@ -71,21 +60,17 @@ def _un_merge(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optio
         return None
     spec = rng.choice(candidates)
     r = rng.choice(spec.results)
-    atoms, transition = _parts(neg)
+    e = edit(neg, transformers=False)
     r1 = f"r{counter[1]}"
     r2 = f"r{counter[1] + 1}"
     counter[1] += 2
     pos = spec.results.index(r)
-    new_results = spec.results[:pos] + (r1, r2) + spec.results[pos + 1 :]
-    atoms = [
-        AtomSpec(a.id, a.parties, new_results) if a.id == spec.id else a
-        for a in atoms
-    ]
+    e.set_results(spec.id, spec.results[:pos] + (r1, r2) + spec.results[pos + 1 :])
     for p in spec.parties:
-        targets = transition.pop((spec.id, p, r))
-        transition[(spec.id, p, r1)] = set(targets)
-        transition[(spec.id, p, r2)] = set(targets)
-    return _rebuild(neg, atoms, transition, neg.initial, neg.final)
+        targets = e.transition.pop((spec.id, p, r))
+        e.transition[(spec.id, p, r1)] = set(targets)
+        e.transition[(spec.id, p, r2)] = set(targets)
+    return e.done()
 
 
 def _un_shortcut(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optional[Negotiation]:
@@ -102,12 +87,12 @@ def _un_shortcut(neg: Negotiation, rng: random.Random, counter: list[int]) -> Op
     counter[0] += 1
     link = f"r{counter[1]}"
     counter[1] += 1
-    atoms, transition = _parts(neg)
-    atoms.append(AtomSpec(fresh, chosen, (link,)))
+    e = edit(neg, transformers=False)
+    e.atoms.append(AtomSpec(fresh, chosen, (link,)))
     for p in chosen:
-        transition[(fresh, p, link)] = set(neg.targets(n, p, r))
-        transition[(n, p, r)] = {fresh}
-    return _rebuild(neg, atoms, transition, neg.initial, neg.final)
+        e.transition[(fresh, p, link)] = set(neg.targets(n, p, r))
+        e.transition[(n, p, r)] = {fresh}
+    return e.done()
 
 
 def _un_iteration(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optional[Negotiation]:
@@ -117,14 +102,11 @@ def _un_iteration(neg: Negotiation, rng: random.Random, counter: list[int]) -> O
     spec = rng.choice(candidates)
     loop = f"r{counter[1]}"
     counter[1] += 1
-    atoms, transition = _parts(neg)
-    atoms = [
-        AtomSpec(a.id, a.parties, a.results + (loop,)) if a.id == spec.id else a
-        for a in atoms
-    ]
+    e = edit(neg, transformers=False)
+    e.set_results(spec.id, spec.results + (loop,))
     for p in spec.parties:
-        transition[(spec.id, p, loop)] = {spec.id}
-    return _rebuild(neg, atoms, transition, neg.initial, neg.final)
+        e.transition[(spec.id, p, loop)] = {spec.id}
+    return e.done()
 
 
 def generate_sound(
@@ -184,17 +166,12 @@ def mutate_unsound(
         if deletable and (not retargets or rng.random() < 0.7):
             n, r = rng.choice(deletable)
             spec = neg.atoms[n]
-            atoms, transition = _parts(neg)
-            atoms = [
-                AtomSpec(a.id, a.parties, tuple(x for x in a.results if x != r))
-                if a.id == n
-                else a
-                for a in atoms
-            ]
+            e = edit(neg, transformers=False)
+            e.set_results(n, tuple(x for x in spec.results if x != r))
             for p in spec.parties:
-                del transition[(n, p, r)]
+                del e.transition[(n, p, r)]
             try:
-                mutant = _rebuild(neg, atoms, transition, neg.initial, neg.final)
+                mutant = e.done()
             except ValidationError:
                 continue
         elif retargets:
@@ -207,10 +184,10 @@ def mutate_unsound(
             if not options:
                 continue
             new = rng.choice(options)
-            atoms, transition = _parts(neg)
-            transition[(n, p, r)] = (set(transition[(n, p, r)]) - {old}) | {new}
+            e = edit(neg, transformers=False)
+            e.transition[(n, p, r)] = (e.transition[(n, p, r)] - {old}) | {new}
             try:
-                mutant = _rebuild(neg, atoms, transition, neg.initial, neg.final)
+                mutant = e.done()
             except ValidationError:
                 continue
         if mutant is None:

@@ -13,7 +13,8 @@ Validation enforces:
 
 Validated negotiations are immutable by convention: every reduction rule
 produces a new value. That lets a diagram build its arc indexes
-(`arcs_into`, `committed_by`) lazily, once, on first use.
+(`arcs_into`, `committed_by`) and its move table (`moves`) lazily, once,
+on first use.
 """
 
 from __future__ import annotations
@@ -136,12 +137,33 @@ class Negotiation:
                         index.setdefault(t, set()).add((spec.id, r))
         return {t: frozenset(outs) for t, outs in index.items()}
 
+    @cached_property
+    def moves(self) -> dict[str, tuple[tuple[int, ...], tuple]]:
+        """atom -> the agent indexes of its parties, and for each result in
+        declaration order the parties' target tuples, sorted by atom index
+        as markings hold them: everything firing an outcome needs."""
+        order = self._atom_order.__getitem__
+        table = {}
+        for spec in self.atoms.values():
+            table[spec.id] = (
+                tuple(self._agent_order[p] for p in spec.parties),
+                tuple(
+                    tuple(
+                        tuple(sorted(self.transition[(spec.id, p, r)], key=order))
+                        for p in spec.parties
+                    )
+                    for r in spec.results
+                ),
+            )
+        return table
+
     def drop_indexes(self) -> None:
-        """Free the arc indexes; the next lookup rebuilds them. A reduction
-        calls this on each diagram it moves past, so that a trace keeping
-        every intermediate diagram does not keep their indexes too."""
-        self.__dict__.pop("arcs_into", None)
-        self.__dict__.pop("committed_by", None)
+        """Free the arc indexes and the move table; the next lookup rebuilds
+        them. A reduction calls this on each diagram it moves past, so that
+        a trace keeping every intermediate diagram does not keep their
+        indexes too."""
+        for name in ("arcs_into", "committed_by", "moves"):
+            self.__dict__.pop(name, None)
 
     def __repr__(self):
         return (
@@ -298,6 +320,56 @@ def validate(
         transformers=dict(transformers or {}),
         rels=rels,
         states=states,
+    )
+
+
+@dataclass
+class Edit:
+    """An editable copy of a diagram: its atoms in declaration order, its
+    transition table with mutable target sets, its transformers, and its
+    initial and final atoms. `done` re-validates the edited parts into a
+    new diagram carrying the original's relations and state space, and
+    drops the transformers of outcomes that no longer exist."""
+
+    base: Negotiation
+    atoms: list[AtomSpec]
+    transition: dict[tuple[str, str, str], set[str]]
+    transformers: dict[Outcome, TransformerExpr]
+    initial: str
+    final: str
+
+    def set_results(self, atom: str, results: tuple[str, ...]) -> None:
+        self.atoms = [
+            AtomSpec(a.id, a.parties, results) if a.id == atom else a
+            for a in self.atoms
+        ]
+
+    def done(self) -> Negotiation:
+        current = {(a.id, r) for a in self.atoms for r in a.results}
+        kept = {o: e for o, e in self.transformers.items() if o in current}
+        return validate(
+            self.base.agents,
+            self.atoms,
+            self.initial,
+            self.final,
+            self.transition,
+            transformers=kept,
+            rels=dict(self.base.rels),
+            states=self.base.states,
+        )
+
+
+def edit(neg: Negotiation, transformers: bool = True) -> Edit:
+    """Start editing a copy of the diagram. Every outcome's transformer is
+    copied explicitly, so rule outputs name them all; with
+    `transformers=False` the copy has none, as generated diagrams do."""
+    return Edit(
+        neg,
+        list(neg.atoms.values()),
+        {k: set(v) for k, v in neg.transition.items()},
+        {o: neg.transformer(o) for o in neg.outcomes()} if transformers else {},
+        neg.initial,
+        neg.final,
     )
 
 

@@ -23,14 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardFailed, ValidationError
-from .model import (
-    AtomSpec,
-    Negotiation,
-    Outcome,
-    classify,
-    is_acyclic,
-    validate,
-)
+from .model import Negotiation, Outcome, classify, edit, is_acyclic
 from .transformers import concat_expr, star_expr, union_expr
 
 
@@ -140,7 +133,7 @@ def shortcut_guard(neg: Negotiation, outcome: Outcome, n2: str) -> GuardReport:
 
 
 # ---------------------------------------------------------------------------
-# Rebuilding helpers
+# Rule applications
 # ---------------------------------------------------------------------------
 
 def _fresh_name(existing, base: str) -> str:
@@ -151,39 +144,6 @@ def _fresh_name(existing, base: str) -> str:
         i += 1
     return f"{base}_{i}"
 
-
-def _rebuild(
-    neg: Negotiation,
-    atoms: list[AtomSpec],
-    transition: dict,
-    transformers: dict,
-    initial: str,
-    final: str,
-) -> Negotiation:
-    current = {(a.id, r) for a in atoms for r in a.results}
-    kept = {o: e for o, e in transformers.items() if o in current}
-    return validate(
-        neg.agents,
-        atoms,
-        initial,
-        final,
-        transition,
-        transformers=kept,
-        rels=dict(neg.rels),
-        states=neg.states,
-    )
-
-
-def _copy_parts(neg: Negotiation):
-    atoms = list(neg.atoms.values())
-    transition = {k: set(v) for k, v in neg.transition.items()}
-    transformers = {o: neg.transformer(o) for o in neg.outcomes()}
-    return atoms, transition, transformers
-
-
-# ---------------------------------------------------------------------------
-# Rule applications
-# ---------------------------------------------------------------------------
 
 def apply_merge(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
     n1, r1 = o1
@@ -202,23 +162,14 @@ def apply_merge(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
     ):
         raise GuardFailed("the two results have different transition functions")
 
-    atoms, transition, transformers = _copy_parts(neg)
-    existing = set(spec.results)
-    fresh = _fresh_name(existing, f"{r1}+{r2}")
-    new_results = tuple(
-        fresh if r == r1 else r for r in spec.results if r != r2
-    )
-    atoms = [
-        AtomSpec(a.id, a.parties, new_results) if a.id == n1 else a for a in atoms
-    ]
+    e = edit(neg)
+    fresh = _fresh_name(set(spec.results), f"{r1}+{r2}")
+    e.set_results(n1, tuple(fresh if r == r1 else r for r in spec.results if r != r2))
     for p in spec.parties:
-        transition[(n1, p, fresh)] = set(neg.targets(n1, p, r1))
-        del transition[(n1, p, r1)]
-        del transition[(n1, p, r2)]
-    transformers[(n1, fresh)] = union_expr(
-        neg.transformer(o1), neg.transformer(o2)
-    )
-    after = _rebuild(neg, atoms, transition, transformers, neg.initial, neg.final)
+        e.transition[(n1, p, fresh)] = e.transition.pop((n1, p, r1))
+        del e.transition[(n1, p, r2)]
+    e.transformers[(n1, fresh)] = union_expr(neg.transformer(o1), neg.transformer(o2))
+    after = e.done()
     return RuleApplication(
         kind="merge",
         site=(o1, o2),
@@ -236,18 +187,15 @@ def apply_iteration(neg: Negotiation, outcome: Outcome) -> RuleApplication:
     if any(neg.targets(n, p, r) != frozenset([n]) for p in spec.parties):
         raise GuardFailed("the outcome is not a self-loop for every party")
 
-    atoms, transition, transformers = _copy_parts(neg)
+    e = edit(neg)
     star = star_expr(neg.transformer(outcome))
     new_results = tuple(x for x in spec.results if x != r)
-    atoms = [
-        AtomSpec(a.id, a.parties, new_results) if a.id == n else a for a in atoms
-    ]
+    e.set_results(n, new_results)
     for p in spec.parties:
-        del transition[(n, p, r)]
-    del transformers[outcome]
+        del e.transition[(n, p, r)]
     for r2 in new_results:
-        transformers[(n, r2)] = concat_expr(star, neg.transformer((n, r2)))
-    after = _rebuild(neg, atoms, transition, transformers, neg.initial, neg.final)
+        e.transformers[(n, r2)] = concat_expr(star, neg.transformer((n, r2)))
+    after = e.done()
     return RuleApplication(
         kind="iteration",
         site=(outcome,),
@@ -301,9 +249,9 @@ def is_useless_arc(neg: Negotiation, arc, acyclic: Optional[bool] = None) -> boo
 
 def _remove_arc(neg: Negotiation, arc) -> Negotiation:
     n, p, r, n2 = arc
-    atoms, transition, transformers = _copy_parts(neg)
-    transition[(n, p, r)] = set(neg.targets(n, p, r)) - {n2}
-    return _rebuild(neg, atoms, transition, transformers, neg.initial, neg.final)
+    e = edit(neg)
+    e.transition[(n, p, r)].discard(n2)
+    return e.done()
 
 
 def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
@@ -348,7 +296,7 @@ def apply_shortcut(
     # so exclusivity never makes it dead and it must stay
     removable = excl and n2 != neg.initial
 
-    atoms, transition, transformers = _copy_parts(neg)
+    e = edit(neg)
     spec = neg.atoms[n]
     existing = set(spec.results)
     fresh_map: dict[str, str] = {}
@@ -359,40 +307,35 @@ def apply_shortcut(
         fresh_map[r2] = fresh
 
     pos = spec.results.index(r)
-    new_results = (
+    e.set_results(
+        n,
         spec.results[:pos]
         + tuple(fresh_map[r2] for r2 in neg.results(n2))
-        + spec.results[pos + 1 :]
+        + spec.results[pos + 1 :],
     )
-    atoms = [
-        AtomSpec(a.id, a.parties, new_results) if a.id == n else a for a in atoms
-    ]
     inner = set(neg.parties(n2))
     for r2, fresh in fresh_map.items():
         for p in spec.parties:
             if p in inner:
-                transition[(n, p, fresh)] = set(neg.targets(n2, p, r2))
+                e.transition[(n, p, fresh)] = set(neg.targets(n2, p, r2))
             else:
-                transition[(n, p, fresh)] = set(neg.targets(n, p, r))
-        transformers[(n, fresh)] = concat_expr(
+                e.transition[(n, p, fresh)] = set(neg.targets(n, p, r))
+        e.transformers[(n, fresh)] = concat_expr(
             neg.transformer(outcome), neg.transformer((n2, r2))
         )
     for p in spec.parties:
-        del transition[(n, p, r)]
-    transformers.pop(outcome, None)
+        del e.transition[(n, p, r)]
 
     removed = []
     if removable:
         removed.append(n2)
-        atoms = [a for a in atoms if a.id != n2]
+        e.atoms = [a for a in e.atoms if a.id != n2]
         for p in neg.parties(n2):
             for r2 in neg.results(n2):
-                transition.pop((n2, p, r2), None)
-        for r2 in neg.results(n2):
-            transformers.pop((n2, r2), None)
-
-    final = n if (removing_final and removable) else neg.final
-    after = _rebuild(neg, atoms, transition, transformers, neg.initial, final)
+                e.transition.pop((n2, p, r2), None)
+        if removing_final:
+            e.final = n
+    after = e.done()
     return RuleApplication(
         kind="d_shortcut" if d_restricted else "shortcut",
         site=(outcome, n2),

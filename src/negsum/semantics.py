@@ -10,11 +10,13 @@ witness, reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
 from .errors import BudgetExceeded, NotEnabled
 from .model import Negotiation, Outcome
 
+# The one exploration budget: every walk over markings stores at most this
+# many distinct markings unless its caller passes another cap.
 DEFAULT_CAP = 1_000_000
 
 
@@ -56,37 +58,45 @@ def final_marking(neg: Negotiation) -> Marking:
 def enabled(neg: Negotiation, marking: Marking) -> list[str]:
     """Atoms enabled at the marking: every party is ready to engage in
     them. Returned in atom declaration order."""
+    ready = marking.ready
+    moves = neg.moves
+    found = {
+        aid
+        for atoms in ready
+        for aid in atoms
+        if all(aid in ready[i] for i in moves[aid][0])
+    }
+    return sorted(found, key=neg.atom_index)
+
+
+def successors(neg: Negotiation, marking: Marking) -> list[tuple[Outcome, Marking]]:
+    """Every fireable outcome with the marking it leads to, ordered by
+    (atom index, result index); this order fixes all exploration
+    tie-breaking. Parties move to their transition targets, all other
+    agents keep their sets (the frame property)."""
+    ready = marking.ready
     out = []
-    for aid, spec in neg.atoms.items():
-        if all(aid in marking.ready[neg.agent_index(p)] for p in spec.parties):
-            out.append(aid)
+    for aid in enabled(neg, marking):
+        parties, per_result = neg.moves[aid]
+        for r, targets in zip(neg.atoms[aid].results, per_result):
+            new_ready = list(ready)
+            for i, t in zip(parties, targets):
+                new_ready[i] = t
+            out.append(((aid, r), Marking(tuple(new_ready))))
     return out
 
 
 def step(neg: Negotiation, marking: Marking, outcome: Outcome) -> Marking:
-    """Fire one outcome: parties move to their transition targets, all
-    other agents keep their sets (the frame property)."""
+    """Fire one outcome, as `successors` does; raises NotEnabled unless
+    every party of the outcome's atom is ready for it."""
     atom, result = outcome
-    parties = neg.parties(atom)
-    if not all(atom in marking.ready[neg.agent_index(p)] for p in parties):
+    parties, per_result = neg.moves[atom]
+    if not all(atom in marking.ready[i] for i in parties):
         raise NotEnabled(outcome, marking)
     new_ready = list(marking.ready)
-    for p in parties:
-        idx = neg.agent_index(p)
-        new_ready[idx] = tuple(
-            sorted(neg.targets(atom, p, result), key=neg.atom_index)
-        )
+    for i, t in zip(parties, per_result[neg.result_index(atom, result)]):
+        new_ready[i] = t
     return Marking(tuple(new_ready))
-
-
-def sorted_outcomes(neg: Negotiation, marking: Marking) -> list[Outcome]:
-    """Outcomes fireable at the marking, ordered by (atom index, result
-    index); this order fixes all exploration tie-breaking."""
-    out = []
-    for aid in enabled(neg, marking):
-        for r in neg.results(aid):
-            out.append((aid, r))
-    return out
 
 
 @dataclass
@@ -101,25 +111,21 @@ class ReachabilityGraph:
         if not self.node_index:
             self.node_index = {m: i for i, m in enumerate(self.nodes)}
 
-    def successors(self, m: Marking) -> Iterator[tuple[Outcome, Marking]]:
-        for src, o, dst in self.edges:
-            if src == m:
-                yield o, dst
-
 
 def reachability(
     neg: Negotiation, cap: int = DEFAULT_CAP, _reverse_ties: bool = False
 ) -> ReachabilityGraph:
-    """Breadth-first closure of `step` from the initial marking.
+    """Breadth-first closure of `successors` from the initial marking.
 
-    Raises BudgetExceeded (with the partial graph attached) rather than
-    silently truncating: blowing up is a result, not a nuisance.
+    Stores at most `cap` markings and raises BudgetExceeded (with the
+    partial graph attached) on one more, rather than silently truncating:
+    blowing up is a result, not a nuisance.
     `_reverse_ties` flips the outcome order within each node; it exists so
     tests can confirm the explored graph does not depend on tie-breaking.
     """
-    if cap < 1:
-        raise ValueError("cap must be >= 1")
     x0 = initial_marking(neg)
+    if cap < 1:
+        raise BudgetExceeded(cap, ReachabilityGraph([], [], x0, None))
     nodes = [x0]
     index = {x0: 0}
     edges: list[tuple[Marking, Outcome, Marking]] = []
@@ -128,11 +134,10 @@ def reachability(
     while qpos < len(queue):
         m = queue[qpos]
         qpos += 1
-        outs = sorted_outcomes(neg, m)
+        outs = successors(neg, m)
         if _reverse_ties:
             outs.reverse()
-        for o in outs:
-            m2 = step(neg, m, o)
+        for o, m2 in outs:
             if m2 not in index:
                 if len(nodes) >= cap:
                     partial = ReachabilityGraph(nodes, edges, x0, None, index)

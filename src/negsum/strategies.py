@@ -53,7 +53,7 @@ from .rules import (
     uniform_target,
     useless_arcs_at,
 )
-from .semantics import sorted_outcomes, start_marking, step
+from .semantics import DEFAULT_CAP, Marking, start_marking, step, successors
 from .transformers import TransformerExpr
 
 
@@ -137,39 +137,43 @@ class ReductionTrace:
 # The index measure
 # ---------------------------------------------------------------------------
 
-def outcome_index(neg: Negotiation, outcome: Outcome, cap: int = 100_000):
+def outcome_index(neg: Negotiation, outcome: Outcome, cap: int = DEFAULT_CAP):
     """Length of a longest maximal sequence launched by the outcome from
     the marking that holds exactly its parties, minus one; infinity when a
-    reachable cycle pumps the sequences arbitrarily long."""
-    n, r = outcome
-    start = step(neg, start_marking(neg, n), outcome)
-    longest: dict = {}
-    on_stack: set = set()
-    nodes_seen = 0
+    reachable cycle pumps the sequences arbitrarily long.
 
-    def visit(m) -> float:
-        nonlocal nodes_seen
-        if m in longest:
-            return longest[m]
-        if m in on_stack:
-            return math.inf
-        nodes_seen += 1
-        if nodes_seen > cap:
-            raise BudgetExceeded(cap)
-        on_stack.add(m)
-        best = 0.0
-        for o in sorted_outcomes(neg, m):
-            sub = visit(step(neg, m, o))
-            best = max(best, 1 + sub)
-        on_stack.discard(m)
-        longest[m] = best
-        return best
+    A depth-first search with an explicit stack of (marking, successors
+    left, longest so far) frames: a successor on the stack closes a cycle.
+    """
+    start = step(neg, start_marking(neg, outcome[0]), outcome)
+    if cap < 1:
+        raise BudgetExceeded(cap)
+    longest: dict[Marking, int] = {}
+    on_stack = {start}
+    stack = [[start, iter(successors(neg, start)), 0]]
+    while stack:
+        frame = stack[-1]
+        for _o, m in frame[1]:
+            if m in on_stack:
+                return math.inf
+            if m in longest:
+                frame[2] = max(frame[2], 1 + longest[m])
+                continue
+            if len(longest) + len(stack) >= cap:
+                raise BudgetExceeded(cap)
+            on_stack.add(m)
+            stack.append([m, iter(successors(neg, m)), 0])
+            break
+        else:
+            stack.pop()
+            on_stack.discard(frame[0])
+            longest[frame[0]] = frame[2]
+            if stack:
+                stack[-1][2] = max(stack[-1][2], 1 + frame[2])
+    return longest[start]
 
-    depth = visit(start)
-    return math.inf if math.isinf(depth) else int(depth)
 
-
-def index(neg: Negotiation, cap: int = 100_000):
+def index(neg: Negotiation, cap: int = DEFAULT_CAP):
     """Sum of the indices of all non-final outcomes; the termination
     measure that merge and d-shortcut strictly decrease on acyclic
     diagrams."""

@@ -15,18 +15,17 @@ from typing import Optional
 import networkx as nx
 
 from .errors import BudgetExceeded
-from .model import AtomSpec, Negotiation, Outcome, negotiation_graph, validate
+from .model import AtomSpec, Edit, Negotiation, Outcome, negotiation_graph, validate
 from .semantics import (
+    DEFAULT_CAP,
     Marking,
-    enabled,
+    initial_marking,
     reachability,
-    sorted_outcomes,
     start_marking,
     step,
+    successors,
 )
 from .transformers import IDENTITY
-
-DEFAULT_CAP = 100_000
 
 
 @dataclass
@@ -56,24 +55,20 @@ def _explore_targets(
     only atoms with strictly fewer parties than the launch atom may follow
     the first outcome."""
     launch_parties = set(neg.parties(atom))
-    x_start = start_marking(neg, atom)
 
-    def moves(m: Marking) -> list[Outcome]:
-        outs = sorted_outcomes(neg, m)
+    def moves(m: Marking) -> list[tuple[Outcome, Marking]]:
+        outs = successors(neg, m)
         if strict:
             outs = [
-                o
-                for o in outs
-                if set(neg.parties(o[0])) < launch_parties
+                (o, m2) for o, m2 in outs if set(neg.parties(o[0])) < launch_parties
             ]
         return outs
 
+    x_start = start_marking(neg, atom)
     if first is not None:
         roots = [([first], step(neg, x_start, first))]
     else:
-        roots = [
-            ([(atom, r)], step(neg, x_start, (atom, r))) for r in neg.results(atom)
-        ]
+        roots = [([o], m) for o, m in successors(neg, x_start)]
 
     paths: dict[Marking, list[Outcome]] = {}
     fired: set[str] = {atom}
@@ -90,9 +85,9 @@ def _explore_targets(
         if not nxt:
             dead[m] = path
             continue
-        for o in reversed(nxt):
+        for o, m2 in reversed(nxt):
             fired.add(o[0])
-            stack.append((path + [o], step(neg, m, o)))
+            stack.append((path + [o], m2))
 
     explored = frozenset(fired)
     targets = sorted(dead, key=lambda m: str(m))
@@ -243,28 +238,18 @@ def k_fragment(neg: Negotiation, k: int, cap: int = DEFAULT_CAP) -> list[Fragmen
 
 def _rename_exit(frag: Fragment, new_name: str) -> Fragment:
     neg = frag.negotiation
-    mapping = {frag.exit_atom: new_name}
-    atoms = [
-        AtomSpec(mapping.get(a.id, a.id), a.parties, a.results)
-        for a in neg.atoms.values()
-    ]
-    transition = {
-        (mapping.get(n, n), p, r): {mapping.get(t, t) for t in targets}
-        for (n, p, r), targets in neg.transition.items()
-    }
-    transformers = {
-        (mapping.get(n, n), r): e for (n, r), e in neg.transformers.items()
-    }
-    built = validate(
-        neg.agents,
-        atoms,
+    rename = {frag.exit_atom: new_name}.get
+    built = Edit(
+        neg,
+        [AtomSpec(rename(a.id, a.id), a.parties, a.results) for a in neg.atoms.values()],
+        {
+            (rename(n, n), p, r): {rename(t, t) for t in targets}
+            for (n, p, r), targets in neg.transition.items()
+        },
+        {(rename(n, n), r): e for (n, r), e in neg.transformers.items()},
         neg.initial,
         new_name,
-        transition,
-        transformers=transformers,
-        rels=dict(neg.rels),
-        states=neg.states,
-    )
+    ).done()
     return Fragment(frag.atom, built, new_name, frag.report)
 
 
@@ -300,13 +285,11 @@ def find_loops(neg: Negotiation, cap: int = DEFAULT_CAP, limit: int = 10_000) ->
     """All simple cycles of the reachability graph, as replayable loops."""
     graph = reachability(neg, cap)
     g = nx.MultiDiGraph()
-    for src, o, dst in graph.edges:
-        g.add_edge(graph.node_index[src], graph.node_index[dst], outcome=o)
     edge_lookup: dict[tuple[int, int], list[Outcome]] = {}
     for src, o, dst in graph.edges:
-        edge_lookup.setdefault(
-            (graph.node_index[src], graph.node_index[dst]), []
-        ).append(o)
+        v, w = graph.node_index[src], graph.node_index[dst]
+        g.add_edge(v, w, outcome=o)
+        edge_lookup.setdefault((v, w), []).append(o)
     loops = []
     for cycle in nx.simple_cycles(g):
         if len(loops) >= limit:
@@ -381,47 +364,41 @@ def execute_path(
     given path of (atom, agent, result) triples: between path outcomes only
     atoms outside the path may fire. Returns None if the guided search
     fails (it cannot on sound deterministic diagrams)."""
+    if cap < 1:
+        raise BudgetExceeded(cap)
     path_atoms = {t[0] for t in path}
     allowed_outcomes = {(t[0], t[2]) for t in path}
 
-    def filler_moves(m: Marking) -> list[Outcome]:
-        # path atoms may only ever occur with their own path results
-        return [
-            o
-            for o in sorted_outcomes(neg, m)
-            if o[0] not in path_atoms or o in allowed_outcomes
-        ]
-
-    def bfs_to_enable(m: Marking, atom: str):
+    def fire_after_filler(m: Marking, outcome: Outcome):
+        """Breadth-first over filler moves to the first marking where the
+        outcome fires: the marking after it, and the moves to it."""
         seen = {m}
         queue = [(m, [])]
         qpos = 0
         while qpos < len(queue):
             cur, seq = queue[qpos]
             qpos += 1
-            if atom in enabled(neg, cur):
-                return cur, seq
-            if len(seen) > cap:
-                raise BudgetExceeded(cap)
-            for o in filler_moves(cur):
-                nxt = step(neg, cur, o)
+            outs = successors(neg, cur)
+            for o, nxt in outs:
+                if o == outcome:
+                    return nxt, seq + [o]
+            for o, nxt in outs:
+                # path atoms may only ever occur with their own path results
+                if o[0] in path_atoms and o not in allowed_outcomes:
+                    continue
                 if nxt not in seen:
+                    if len(seen) >= cap:
+                        raise BudgetExceeded(cap)
                     seen.add(nxt)
                     queue.append((nxt, seq + [o]))
         return None
 
-    from .semantics import initial_marking
-
     m = initial_marking(neg)
     run: list[Outcome] = []
     for atom, _agent, result in path:
-        found = bfs_to_enable(m, atom)
+        found = fire_after_filler(m, (atom, result))
         if found is None:
             return None
         m, seq = found
         run.extend(seq)
-        if (atom, result) not in allowed_outcomes:
-            return None
-        m = step(neg, m, (atom, result))
-        run.append((atom, result))
     return run

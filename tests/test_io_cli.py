@@ -110,19 +110,54 @@ def _with_list_result_name(doc):
     res["name"] = [res["name"]]
 
 
-NON_STRING_PROBES = [_with_list_initial, _with_list_atom_id, _with_list_result_name]
+def _with_transformers_list(doc):
+    doc["transformers"] = ["x"]
 
 
-@pytest.mark.parametrize("probe", NON_STRING_PROBES)
+def _with_non_string_transformer(doc):
+    doc["transformers"] = {"n0.st": 5}
+
+
+def _with_results_number(doc):
+    doc["atoms"][0]["results"] = 5
+
+
+def _with_rel_number(doc):
+    doc["atoms"][0]["results"][0]["rel"] = 5
+
+
+def _with_states_of_a_stranger(doc):
+    doc["states"]["X"] = ["t1"]
+
+
+def _with_rel_exit_outside_states(doc):
+    doc["atoms"][0]["results"][0]["rel"][0][1][0] = "nowhere"
+
+
+# malformed field -> a fragment of the ParseError message it must raise
+MALFORMED_PROBES = {
+    _with_list_initial: "must be a string",
+    _with_list_atom_id: "must be a string",
+    _with_list_result_name: "must be a string",
+    _with_transformers_list: "transformers must be an object",
+    _with_non_string_transformer: "must be a string",
+    _with_results_number: "results must be a list",
+    _with_rel_number: "rel must be a list",
+    _with_states_of_a_stranger: "states lists non-agents ['X']",
+    _with_rel_exit_outside_states: "rel state 'nowhere' is not a state of",
+}
+
+
+@pytest.mark.parametrize("probe", MALFORMED_PROBES)
 def test_parse_rejects_non_string_names(probe):
-    doc = json.loads(fixture_text("atomic"))
+    doc = json.loads(fixture_text("fdm_acyclic"))
     probe(doc)
     with pytest.raises(ParseError) as err:
         loads(json.dumps(doc))
-    assert "must be a string" in str(err.value)
+    assert MALFORMED_PROBES[probe] in str(err.value)
 
 
-@pytest.mark.parametrize("probe", NON_STRING_PROBES)
+@pytest.mark.parametrize("probe", MALFORMED_PROBES)
 def test_cli_non_string_names_exit_2(tmp_path, capsys, probe):
     doc = json.loads(fixture_text("fdm_acyclic"))
     probe(doc)
@@ -130,7 +165,7 @@ def test_cli_non_string_names_exit_2(tmp_path, capsys, probe):
     bad.write_text(json.dumps(doc), encoding="utf-8")
     for command in ("validate", "check"):
         assert main([command, str(bad)]) == 2
-        assert "must be a string" in capsys.readouterr().err
+        assert MALFORMED_PROBES[probe] in capsys.readouterr().err
 
 
 def test_parse_rejects_bad_json():
@@ -278,8 +313,9 @@ def test_cli_reach(tmp_path, capsys):
 
 def test_cli_reach_budget(tmp_path, capsys):
     ladder = write_fixture(tmp_path, "ladder")
-    assert main(["reach", ladder, "--cap", "2"]) == 2
-    assert "budget" in capsys.readouterr().err
+    for cap in ("2", "0"):
+        assert main(["reach", ladder, "--cap", cap]) == 2
+        assert "budget" in capsys.readouterr().err
 
 
 def test_cli_summarize_states(tmp_path, capsys):

@@ -18,7 +18,7 @@ from negsum import (
     CLASSIFICATIONS,
 )
 from negsum.generator import generate_sound
-from negsum.semantics import sorted_outcomes
+from negsum.semantics import successors
 
 from conftest import single_atom_negotiation
 
@@ -219,7 +219,7 @@ def test_livelock_reported_through_witness():
 def test_outcome_order_is_declaration_order():
     neg = load_fixture("fdm_acyclic")
     m = step(neg, initial_marking(neg), ("n0", "st"))
-    assert sorted_outcomes(neg, m)[:3] == [
+    assert [o for o, _ in successors(neg, m)][:3] == [
         ("n1", "yes"),
         ("n1", "no"),
         ("n1", "am"),

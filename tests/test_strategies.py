@@ -406,3 +406,33 @@ def test_outcome_index_budget():
     neg = load_fixture("running_multi")
     with _pytest.raises(BudgetExceeded):
         outcome_index(neg, ("n0", "a"), cap=2)
+
+
+def _one_agent_chain(length, loop_at_end=False):
+    """Atoms c0 .. c{length-1} in a line for one agent, then the final
+    atom; optionally the last chain atom gets a self-loop result."""
+    agents = ("p",)
+    ids = [f"c{i}" for i in range(length)] + ["nf"]
+    last = ("r", "again") if loop_at_end else ("r",)
+    atoms = [AtomSpec(a, agents, ("r",)) for a in ids[:-2]]
+    atoms += [AtomSpec(ids[-2], agents, last), AtomSpec("nf", agents, ("f",))]
+    transition = {(a, "p", "r"): {b} for a, b in zip(ids, ids[1:])}
+    transition[("nf", "p", "f")] = set()
+    if loop_at_end:
+        transition[(ids[-2], "p", "again")] = {ids[-2]}
+    return validate(agents, atoms, "c0", "nf", transition)
+
+
+def test_outcome_index_of_a_long_chain_does_not_overflow_the_stack():
+    from negsum import outcome_index
+
+    assert outcome_index(_one_agent_chain(50), ("c0", "r")) == 50
+    assert outcome_index(_one_agent_chain(1100), ("c0", "r")) == 1100
+
+
+def test_outcome_index_finds_a_cycle_at_the_end_of_a_long_chain():
+    import math
+
+    from negsum import outcome_index
+
+    assert math.isinf(outcome_index(_one_agent_chain(1100, True), ("c0", "r")))

@@ -150,6 +150,20 @@ def cmd_demo(args) -> int:
     return EXIT_OK
 
 
+def at_least(low: int):
+    """An argparse type: an integer no smaller than `low`. argparse turns a
+    smaller one into a usage error (exit 2)."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "integer"  # argparse names the type in its messages
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="negsum",
@@ -195,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a sound instance")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=at_least(0), required=True)
     p.add_argument("--agents", type=int, default=3)
     p.add_argument("--acyclic", action="store_true")
     p.add_argument("-o", "--output")
@@ -203,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="built-in demonstrations")
     p.add_argument("family", choices=["expfam"])
-    p.add_argument("--k", type=int, default=4)
+    p.add_argument("--k", type=at_least(1), default=4)
     p.add_argument("--strategy", choices=["initial", "alternating"], default="initial")
     p.set_defaults(func=cmd_demo)
 

@@ -118,6 +118,8 @@ def generate_sound(
 ) -> Negotiation:
     """Apply `steps` random inverse rules starting from an atomic
     negotiation over `num_agents` agents."""
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
     agents = tuple(f"p{i}" for i in range(1, num_agents + 1))
     neg = _atomic(agents)

@@ -15,6 +15,7 @@ returned instead of a summary.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,15 +23,14 @@ from .errors import GuardFailed
 from .model import Negotiation
 from .semantics import DEFAULT_CAP, Marking, ReachabilityGraph, reachability
 from .transformers import (
+    Kernel,
     Rel,
+    Rows,
     StateSpace,
     TransformerExpr,
-    concat,
+    bits,
     concat_expr,
-    eval_expr,
-    identity_rel,
     star_expr,
-    union,
     union_expr,
 )
 
@@ -228,36 +228,81 @@ def graph_denotation(
     g: LabeledRG, interp, space: StateSpace
 ) -> dict[str, Rel]:
     """Per final result, the union of path relations from the initial to
-    the final marking, computed by Kleene iteration on the finite relation
-    lattice. Independent of the elimination rules; used as their oracle
-    (and, on the unreduced graph, as the brute-force union over all large
-    steps)."""
-    edge_rels = [(e, eval_expr(e.expr, interp, space)) for e in g.edges]
-    reach: dict[int, Rel] = {g.x0: identity_rel()}
-    changed = True
-    while changed:
-        changed = False
-        for e, rel in edge_rels:
-            if e.src not in reach:
-                continue
-            add = concat(reach[e.src], rel, space)
-            if e.dst not in reach:
-                reach[e.dst] = add
-                changed = True
+    the final marking. Independent of the elimination rules; used as their
+    oracle (and, on the unreduced graph, as the brute-force union over all
+    large steps).
+
+    Semi-naive Kleene iteration: a worklist carries, per node, only what
+    the last visit added to its relation, and pushes that along the node's
+    out-edges. Each distinct edge label is evaluated once per call. A
+    node's relation is held over all agents of the edge labels as one
+    bitset of initial assignments per current assignment, so a push costs
+    one OR per successor of a newly reached assignment. Each result keeps
+    the parties of the edges on its paths, as the pairwise iteration this
+    replaced did.
+    """
+    k = Kernel(space)
+    memo: dict = {}
+    labels = {e.expr: k.eval(e.expr, interp, memo) for e in g.edges}
+    every = k.merged(*(r.parties for r in labels.values()))
+    n = k.size(every)
+    moves = {}  # label -> (successors of each assignment, party set)
+    for expr, r in labels.items():
+        moves[expr] = ([bits(row) for row in k.expand(r, every).rows], frozenset(r.parties))
+    out_edges: dict[int, list] = {}
+    for e in g.edges:
+        out_edges.setdefault(e.src, []).append((e.dst, *moves[e.expr]))
+
+    reach = {g.x0: [1 << s for s in range(n)]}  # node -> state -> initial states
+    parties = {g.x0: frozenset()}
+    delta = {g.x0: dict(enumerate(reach[g.x0]))}
+    work = deque([g.x0])
+    queued = {g.x0}
+    while work:
+        u = work.popleft()
+        queued.discard(u)
+        new = delta.pop(u, None)
+        for v, succ, pe in out_edges.get(u, ()):
+            grown = parties[u] | pe
+            if v not in reach:
+                reach[v], parties[v], changed = [0] * n, grown, True
             else:
-                merged = union(reach[e.dst], add, space)
-                if merged.pairs != reach[e.dst].pairs:
-                    reach[e.dst] = merged
-                    changed = True
-    out: dict[str, Rel] = {}
-    for e, rel in edge_rels:
+                changed = not grown <= parties[v]
+                parties[v] |= grown
+            if new:
+                col = reach[v]
+                for s, initial in new.items():
+                    for t in succ[s]:
+                        add = initial & ~col[t]
+                        if add:
+                            col[t] |= add
+                            dv = delta.setdefault(v, {})
+                            dv[t] = dv.get(t, 0) | add
+                            changed = True
+            if changed and v not in queued:
+                work.append(v)
+                queued.add(v)
+
+    cols: dict[str, list[int]] = {}
+    result_parties: dict[str, frozenset] = {}
+    for e in g.edges:
         if e.dst != g.xf or e.final_result is None or e.src not in reach:
             continue
-        add = concat(reach[e.src], rel, space)
-        if e.final_result in out:
-            out[e.final_result] = union(out[e.final_result], add, space)
-        else:
-            out[e.final_result] = add
+        succ, pe = moves[e.expr]
+        acc = cols.setdefault(e.final_result, [0] * n)
+        result_parties[e.final_result] = (
+            result_parties.get(e.final_result, frozenset()) | parties[e.src] | pe
+        )
+        for s, initial in enumerate(reach[e.src]):
+            for t in succ[s]:
+                acc[t] |= initial
+    out: dict[str, Rel] = {}
+    for r, col in cols.items():
+        rows = [0] * n
+        for t, initial in enumerate(col):
+            for i in bits(initial):
+                rows[i] |= 1 << t
+        out[r] = k.rel(k.restrict(Rows(every, rows), k.merged(result_parties[r])))
     return out
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import StateSpaceMismatch, UnboundAtomic, ParseError
 
@@ -289,122 +289,290 @@ def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:
     return Rel(parties, pairs)
 
 
-def _expand(rel: Rel, space: StateSpace, parties: tuple[str, ...]) -> Rel:
-    """Expand `rel` to the larger party tuple, threading absent agents
-    unchanged (the P-transformer law)."""
-    if rel.parties == parties:
-        return rel
-    missing = [a for a in parties if a not in rel.parties]
-    if set(rel.parties) - set(parties):
-        raise StateSpaceMismatch(f"cannot shrink {rel.parties} to {parties}")
-    pos = {a: i for i, a in enumerate(rel.parties)}
-    out = set()
-    for entry, exit_ in rel.pairs:
-        for extra in itertools.product(*(space[a] for a in missing)):
-            extra_map = dict(zip(missing, extra))
-            new_entry = tuple(
-                entry[pos[a]] if a in pos else extra_map[a] for a in parties
-            )
-            new_exit = tuple(
-                exit_[pos[a]] if a in pos else extra_map[a] for a in parties
-            )
-            out.add((new_entry, new_exit))
-    return Rel(parties, frozenset(out))
+# ---------------------------------------------------------------------------
+# The relation kernel
+# ---------------------------------------------------------------------------
+#
+# Inside the kernel a relation over a party tuple P is a list of Python
+# ints, one row per entry assignment. Assignments are numbered in mixed
+# radix over P's own party order, the last party varying fastest (the
+# order of itertools.product), and bit j of row i says that entry
+# assignment i may end in exit assignment j. Rows stay local to P: a
+# relation is expanded to a larger tuple only where an operation joins it
+# with one over other parties. The public functions convert at their
+# boundary, so `Rel` stays the value type.
 
 
-def _merged_parties(space: StateSpace, a: Rel, b: Rel) -> tuple[str, ...]:
-    combined = set(a.parties) | set(b.parties)
-    missing = combined - set(space)
-    if missing:
-        raise StateSpaceMismatch(f"agents {sorted(missing)} not in the state space")
-    return tuple(agent for agent in space if agent in combined)
+class Rows(NamedTuple):
+    """A relation in kernel form: `rows[i]` is the bitset of the exit
+    assignments of entry assignment `i` over `parties`."""
+
+    parties: tuple[str, ...]
+    rows: list[int]
+
+
+def bits(row: int) -> list[int]:
+    """The positions of the set bits of `row`, lowest first."""
+    out = []
+    while row:
+        low = row & -row
+        out.append(low.bit_length() - 1)
+        row ^= low
+    return out
+
+
+def _compose(a: list[int], b: list[int]) -> list[int]:
+    """Composition of two relations over the same parties: row i of the
+    result ORs the rows of `b` named by the bits of row i of `a`."""
+    out = []
+    for row in a:
+        acc = 0
+        while row:
+            low = row & -row
+            acc |= b[low.bit_length() - 1]
+            row ^= low
+        out.append(acc)
+    return out
+
+
+class Kernel:
+    """The bitset relation algebra over one state space, with the index
+    tables it builds on the way. Each public call makes its own, so no
+    table outlives the call."""
+
+    def __init__(self, space: StateSpace):
+        self.space = space
+        self._frames: dict = {}  # parties -> (assignments, assignment -> index)
+        self._lifts: dict = {}  # (parties, larger parties) -> (positions, offsets)
+
+    def _frame(self, parties: tuple[str, ...]):
+        hit = self._frames.get(parties)
+        if hit is None:
+            missing = [a for a in parties if a not in self.space]
+            if missing:
+                raise StateSpaceMismatch(
+                    f"agents {sorted(missing)} not in the state space"
+                )
+            assignments = list(itertools.product(*(self.space[a] for a in parties)))
+            index = {q: i for i, q in enumerate(assignments)}
+            hit = self._frames[parties] = (assignments, index)
+        return hit
+
+    def size(self, parties: tuple[str, ...]) -> int:
+        """The number of assignments of `parties`."""
+        return len(self._frame(parties)[0])
+
+    def rows(self, rel: Rel) -> Rows:
+        """`rel` in kernel form. A pair whose entry or exit is not an
+        assignment of `rel.parties` over the space (a state outside an
+        agent's list, or a tuple of the wrong length) raises
+        `StateSpaceMismatch`."""
+        index = self._frame(rel.parties)[1]
+        rows = [0] * len(index)
+        for pair in rel.pairs:
+            try:
+                rows[index[pair[0]]] |= 1 << index[pair[1]]
+            except KeyError:
+                raise StateSpaceMismatch(
+                    f"{pair} is not a pair of assignments of {rel.parties} "
+                    "in the state space"
+                ) from None
+        return Rows(rel.parties, rows)
+
+    def rel(self, r: Rows) -> Rel:
+        assignments = self._frame(r.parties)[0]
+        return Rel(
+            r.parties,
+            frozenset(
+                (assignments[i], assignments[j])
+                for i, row in enumerate(r.rows)
+                for j in bits(row)
+            ),
+        )
+
+    def merged(self, *parties: Iterable[str]) -> tuple[str, ...]:
+        """The joint party tuple, in the order of the space."""
+        combined = set().union(*parties)
+        missing = combined - set(self.space)
+        if missing:
+            raise StateSpaceMismatch(f"agents {sorted(missing)} not in the state space")
+        return tuple(agent for agent in self.space if agent in combined)
+
+    def _lift(self, small: tuple[str, ...], large: tuple[str, ...]):
+        """Where each assignment of `small` sits among those of `large`
+        when the other agents are in their first state, and the index
+        offset of each state of those other agents."""
+        key = (small, large)
+        hit = self._lifts.get(key)
+        if hit is None:
+            if not set(small) <= set(large):
+                raise StateSpaceMismatch(f"cannot shrink {small} to {large}")
+            self._frame(large)
+            stride, step = {}, 1
+            for agent in reversed(large):
+                stride[agent] = step
+                step *= len(self.space[agent])
+
+            def offsets(agents):
+                return [
+                    sum(d * stride[a] for d, a in zip(digits, agents))
+                    for digits in itertools.product(
+                        *(range(len(self.space[a])) for a in agents)
+                    )
+                ]
+
+            hit = self._lifts[key] = (
+                offsets(small),
+                offsets([a for a in large if a not in small]),
+            )
+        return hit
+
+    def expand(self, r: Rows, parties: tuple[str, ...]) -> Rows:
+        """`r` over the larger tuple `parties`: the agents `r` does not
+        name keep their state (the P-transformer law). Each row is lifted
+        once, then shifted by the offset of every state of those agents."""
+        if r.parties == parties:
+            return r
+        positions, offsets = self._lift(r.parties, parties)
+        out = [0] * self.size(parties)
+        for i, row in enumerate(r.rows):
+            lifted = 0
+            while row:
+                low = row & -row
+                lifted |= 1 << positions[low.bit_length() - 1]
+                row ^= low
+            base = positions[i]
+            for off in offsets:
+                out[base + off] = lifted << off
+        return Rows(parties, out)
+
+    def restrict(self, r: Rows, parties: tuple[str, ...]) -> Rows:
+        """The relation over the smaller tuple `parties` whose expansion
+        is `r`; `r` must leave every other agent unchanged."""
+        positions = self._lift(parties, r.parties)[0]
+        out = []
+        for p in positions:
+            row = r.rows[p]
+            out.append(sum(1 << j for j, q in enumerate(positions) if row >> q & 1))
+        return Rows(parties, out)
+
+    def concat(self, *rs: Rows) -> Rows:
+        """Relational composition of `rs` in order, over the joint
+        parties. It folds from the right, so each step walks the bits of
+        one factor, which is usually sparse, and not of the product so
+        far, which fills up."""
+        parties = self.merged(*(r.parties for r in rs))
+        rows = None
+        for r in reversed(rs):
+            e = self.expand(r, parties).rows
+            rows = e if rows is None else _compose(e, rows)
+        return Rows(parties, [1] if rows is None else rows)
+
+    def union(self, *rs: Rows) -> Rows:
+        if len(rs) == 1:
+            return rs[0]
+        parties = self.merged(*(r.parties for r in rs))
+        rows = list(self.expand(rs[0], parties).rows)
+        for r in rs[1:]:
+            for i, row in enumerate(self.expand(r, parties).rows):
+                rows[i] |= row
+        return Rows(parties, rows)
+
+    def star(self, r: Rows) -> Rows:
+        """Reflexive-transitive closure (Warshall), over the parties in
+        the order of the space. A closure that is the identity keeps the
+        relation's own party order when both orders list the same
+        assignments, as the fixpoint iteration this replaced did."""
+        parties = self.merged(r.parties)
+        rows = list(self.expand(r, parties).rows)
+        n = len(rows)
+        for k in range(n):
+            rk = rows[k]
+            if rk:
+                bit = 1 << k
+                for i in range(n):
+                    if rows[i] & bit:
+                        rows[i] |= rk
+        closure = [row | 1 << i for i, row in enumerate(rows)]
+        if parties != r.parties and all(row == 1 << i for i, row in enumerate(closure)):
+            if set(self._frame(parties)[0]) == set(self._frame(r.parties)[0]):
+                return Rows(r.parties, closure)
+        return Rows(parties, closure)
+
+    def equal(self, a: Rows, b: Rows) -> bool:
+        """Equality as global relations, decided over the joint parties
+        (expansion to more agents is injective)."""
+        parties = self.merged(a.parties, b.parties)
+        return self.expand(a, parties).rows == self.expand(b, parties).rows
+
+    def eval(self, expr: TransformerExpr, interp: Mapping[Tag, Rel], memo: dict) -> Rows:
+        """Structural fold of the expression, memoized in `memo`:
+        subexpressions repeat heavily in eliminator output."""
+        hit = memo.get(expr)
+        if hit is not None:
+            return hit
+        if isinstance(expr, Identity):
+            out = Rows((), [1])
+        elif isinstance(expr, Atomic):
+            try:
+                out = self.rows(interp[expr.tag])
+            except KeyError:
+                raise UnboundAtomic(expr.tag) from None
+        elif isinstance(expr, Concat):
+            out = self.concat(*(self.eval(p, interp, memo) for p in expr.parts))
+        elif isinstance(expr, Union):
+            out = self.union(*(self.eval(p, interp, memo) for p in expr.parts))
+        elif isinstance(expr, Star):
+            out = self.star(self.eval(expr.inner, interp, memo))
+        else:
+            raise TypeError(f"not an expression: {expr!r}")
+        memo[expr] = out
+        return out
 
 
 def concat(a: Rel, b: Rel, space: StateSpace) -> Rel:
     """Relational composition over the joint party set."""
-    parties = _merged_parties(space, a, b)
-    ea, eb = _expand(a, space, parties), _expand(b, space, parties)
-    by_entry: dict[Assignment, set[Assignment]] = {}
-    for q, q2 in eb.pairs:
-        by_entry.setdefault(q, set()).add(q2)
-    pairs = {
-        (q, q2)
-        for q, mid in ea.pairs
-        for q2 in by_entry.get(mid, ())
-    }
-    return Rel(parties, frozenset(pairs))
+    k = Kernel(space)
+    return k.rel(k.concat(k.rows(a), k.rows(b)))
 
 
 def union(a: Rel, b: Rel, space: StateSpace) -> Rel:
-    parties = _merged_parties(space, a, b)
-    ea, eb = _expand(a, space, parties), _expand(b, space, parties)
-    return Rel(parties, ea.pairs | eb.pairs)
+    k = Kernel(space)
+    return k.rel(k.union(k.rows(a), k.rows(b)))
 
 
 def star(a: Rel, space: StateSpace) -> Rel:
-    """Least fixpoint of r -> id ∪ (a ∘ r); terminates on the finite
-    relation lattice. Iterations are capped at the lattice height."""
-    parties = a.parties
-    ident = full_identity(space, parties) if parties else identity_rel()
-    size = 1
-    for p in parties:
-        size *= len(space[p])
-    cap = size * size + 1
-    current = ident
-    for _ in range(cap):
-        step = concat(a, current, space)
-        merged = union(ident, step, space)
-        if merged.pairs == current.pairs:
-            return current
-        current = merged
-    raise AssertionError("star fixpoint not reached within the lattice height bound")
+    """Reflexive-transitive closure: the least fixpoint of
+    r -> id ∪ (a ∘ r), computed directly by Warshall's algorithm, so no
+    iteration cap is needed."""
+    k = Kernel(space)
+    return k.rel(k.star(k.rows(a)))
 
 
 def globalize(rel: Rel, space: StateSpace) -> Rel:
     """Expand a local relation to the full agent set of the space."""
-    return _expand(rel, space, tuple(space))
+    k = Kernel(space)
+    return k.rel(k.expand(k.rows(rel), tuple(space)))
 
 
 def eval_expr(
-    expr: TransformerExpr,
-    interp: Mapping[Tag, Rel],
-    space: StateSpace,
-    _cache: dict | None = None,
+    expr: TransformerExpr, interp: Mapping[Tag, Rel], space: StateSpace
 ) -> Rel:
-    """Structural fold of the expression into a concrete relation.
-    Subexpressions repeat heavily in eliminator output, so results are
-    memoized per call."""
-    cache = {} if _cache is None else _cache
-    hit = cache.get(expr)
-    if hit is not None:
-        return hit
-    if isinstance(expr, Identity):
-        out = identity_rel()
-    elif isinstance(expr, Atomic):
-        try:
-            out = interp[expr.tag]
-        except KeyError:
-            raise UnboundAtomic(expr.tag) from None
-    elif isinstance(expr, Concat):
-        out = identity_rel()
-        for part in expr.parts:
-            out = concat(out, eval_expr(part, interp, space, cache), space)
-    elif isinstance(expr, Union):
-        rels = [eval_expr(p, interp, space, cache) for p in expr.parts]
-        out = rels[0]
-        for r in rels[1:]:
-            out = union(out, r, space)
-    elif isinstance(expr, Star):
-        out = star(eval_expr(expr.inner, interp, space, cache), space)
-    else:
-        raise TypeError(f"not an expression: {expr!r}")
-    cache[expr] = out
-    return out
+    """Structural fold of the expression into a concrete relation. Each
+    atom's relation is converted to kernel form once per call, the fold
+    stays in kernel form, and the result is converted back once. An
+    atomic expression evaluates to its interpretation itself."""
+    k = Kernel(space)
+    out = k.eval(expr, interp, {})
+    if isinstance(expr, Atomic):
+        return interp[expr.tag]
+    return k.rel(out)
 
 
 def rels_equal(a: Rel, b: Rel, space: StateSpace) -> bool:
-    """Denotational equality: compare after expansion to the full agent set."""
-    return globalize(a, space).pairs == globalize(b, space).pairs
+    """Denotational equality: equal once expanded to the full agent set."""
+    k = Kernel(space)
+    return k.equal(k.rows(a), k.rows(b))
 
 
 def expr_equal(
@@ -415,6 +583,8 @@ def expr_equal(
     """True iff the two expressions evaluate to the same relation under
     every provided interpretation. Evidence of equality, not a proof."""
     for space, interp in spaces:
-        if not rels_equal(eval_expr(a, interp, space), eval_expr(b, interp, space), space):
+        k = Kernel(space)
+        memo: dict = {}
+        if not k.equal(k.eval(a, interp, memo), k.eval(b, interp, memo)):
             return False
     return True

@@ -16,12 +16,15 @@ import pytest
 
 from negsum import (
     AtomSpec,
+    brute_force_summary,
     check_soundness,
     classify,
     eval_expr,
     generate_sound,
+    reachability,
     rels_equal,
     run_acyclic,
+    run_auto,
     run_general,
     run_one_agent,
     summarize_by_states,
@@ -120,8 +123,6 @@ def test_replications_of_random_diagrams(seed):
 
 @pytest.mark.parametrize("seed", range(30))
 def test_acyclic_generated_summaries_match_brute_force(seed):
-    from negsum import brute_force_summary
-
     neg = generate_sound(seed, steps=2 + seed % 6, num_agents=2 + seed % 3,
                          acyclic=True)
     trace = run_acyclic(neg)
@@ -135,6 +136,19 @@ def test_acyclic_generated_summaries_match_brute_force(seed):
         ), (seed, r)
 
 
+def assert_summaries_match_brute_force(neg, seed, summaries):
+    """Each named summary has the results of the brute-force union of all
+    large steps, and the same relation for each."""
+    space, interp = synthetic_interp(neg, seed)
+    oracle = brute_force_summary(neg, interp, space)
+    for engine, summary in summaries.items():
+        assert set(summary) == set(oracle), (seed, engine)
+        for r in oracle:
+            assert rels_equal(
+                eval_expr(summary[r], interp, space), oracle[r], space
+            ), (seed, engine, r)
+
+
 @pytest.mark.parametrize("seed", range(15))
 def test_cyclic_generated_summaries_match_state_elimination(seed):
     neg = generate_sound(seed, steps=3 + seed % 5, num_agents=2 + seed % 2,
@@ -144,14 +158,41 @@ def test_cyclic_generated_summaries_match_state_elimination(seed):
     trace = run_general(neg)
     assert trace.verdict == "summarized"
     elim = summarize_by_states(neg)
-    space, interp = synthetic_interp(neg, seed)
-    assert set(elim.summary) == set(trace.summary)
-    for r in elim.summary:
-        assert rels_equal(
-            eval_expr(trace.summary[r], interp, space),
-            eval_expr(elim.summary[r], interp, space),
-            space,
-        ), (seed, r)
+    assert_summaries_match_brute_force(
+        neg, seed, {"rules": trace.summary, "states": elim.summary}
+    )
+
+
+# (agents, inverse-rule steps, max atoms, acyclic): the shapes of the
+# benchmark's generated workload, up to 40 steps cyclic and 64 acyclic
+BENCH_SHAPES = (
+    (3, 24, 12, False),
+    (3, 40, 20, True),
+    (4, 32, 16, False),
+    (4, 48, 24, True),
+    (5, 32, 16, False),
+    (5, 40, 20, True),
+    (4, 40, 20, False),
+    (3, 64, 32, True),
+)
+# State elimination still scans every edge for every node (seed 0 of the
+# fourth shape has 339 markings and takes seconds), so it joins the check
+# only up to this size; the rule engine and the oracle check every case.
+ELIMINATION_MARKINGS = 200
+
+
+@pytest.mark.parametrize(
+    "shape,seed", [(i, seed) for i in range(len(BENCH_SHAPES)) for seed in range(2)]
+)
+def test_benchmark_shaped_summaries_match_brute_force(shape, seed):
+    agents, steps, max_atoms, acyclic = BENCH_SHAPES[shape]
+    neg = generate_sound(seed, steps, agents, acyclic, max_atoms=max_atoms)
+    trace = run_auto(neg)
+    assert trace.verdict == "summarized", (shape, seed, trace.reason)
+    summaries = {"rules": trace.summary}
+    if len(reachability(neg).nodes) <= ELIMINATION_MARKINGS:
+        summaries["states"] = summarize_by_states(neg).summary
+    assert_summaries_match_brute_force(neg, seed, summaries)
 
 
 def random_deterministic(seed: int, n_agents: int = 2, n_inner: int = 4):

@@ -212,6 +212,11 @@ def test_generate_zero_steps_is_atomic():
     assert neg.is_atomic()
 
 
+def test_generate_rejects_negative_steps():
+    with pytest.raises(ValueError, match="steps"):
+        generate_sound(1, steps=-1)
+
+
 def test_generate_is_deterministic_in_the_seed():
     assert dumps(generate_sound(9, 6)) == dumps(generate_sound(9, 6))
 
@@ -372,6 +377,25 @@ def test_cli_demo(capsys):
     assert main(["demo", "expfam", "--k", "4", "--strategy", "alternating"]) == 0
     out = capsys.readouterr().out
     assert "applications: 21" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "expfam", "--k", "0"],
+        ["demo", "expfam", "--k", "-3"],
+        ["gen", "--seed", "1", "--steps", "-1"],
+    ],
+)
+def test_cli_rejects_out_of_range_counts(capsys, argv):
+    """Out-of-range counts are usage errors (exit 2), not a traceback with
+    exit 1, the "unsound" code, and not a silently shrunk diagram."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "must be at least" in captured.err
+    assert captured.out == ""
 
 
 def test_cli_missing_file(capsys):

@@ -16,6 +16,7 @@ from negsum import (
     StateSpaceMismatch,
     UnboundAtomic,
     Union,
+    brute_force_summary,
     concat,
     concat_expr,
     eval_expr,
@@ -31,6 +32,9 @@ from negsum import (
     union,
     union_expr,
 )
+from negsum.transformers import Identity, Kernel
+
+from conftest import single_atom_negotiation
 
 SPACE = {"x": ("0", "1"), "y": ("0", "1"), "z": ("0", "1")}
 
@@ -60,6 +64,201 @@ def brute_star(a: Rel, space) -> Rel:
         if nxt.pairs == acc.pairs:
             return acc
         acc = nxt
+
+
+# ---------------------------------------------------------------------------
+# Reference: the pair-set algebra the bitset kernel replaced, kept verbatim
+# so that the kernel can be compared with it value for value (`parties`
+# and `pairs`), not only denotationally.
+# ---------------------------------------------------------------------------
+
+def ref_expand(rel: Rel, space, parties) -> Rel:
+    if rel.parties == parties:
+        return rel
+    missing = [a for a in parties if a not in rel.parties]
+    if set(rel.parties) - set(parties):
+        raise StateSpaceMismatch(f"cannot shrink {rel.parties} to {parties}")
+    pos = {a: i for i, a in enumerate(rel.parties)}
+    out = set()
+    for entry, exit_ in rel.pairs:
+        for extra in itertools.product(*(space[a] for a in missing)):
+            extra_map = dict(zip(missing, extra))
+            new_entry = tuple(
+                entry[pos[a]] if a in pos else extra_map[a] for a in parties
+            )
+            new_exit = tuple(
+                exit_[pos[a]] if a in pos else extra_map[a] for a in parties
+            )
+            out.add((new_entry, new_exit))
+    return Rel(parties, frozenset(out))
+
+
+def ref_merged_parties(space, a: Rel, b: Rel):
+    combined = set(a.parties) | set(b.parties)
+    missing = combined - set(space)
+    if missing:
+        raise StateSpaceMismatch(f"agents {sorted(missing)} not in the state space")
+    return tuple(agent for agent in space if agent in combined)
+
+
+def ref_concat(a: Rel, b: Rel, space) -> Rel:
+    parties = ref_merged_parties(space, a, b)
+    ea, eb = ref_expand(a, space, parties), ref_expand(b, space, parties)
+    by_entry = {}
+    for q, q2 in eb.pairs:
+        by_entry.setdefault(q, set()).add(q2)
+    pairs = {(q, q2) for q, mid in ea.pairs for q2 in by_entry.get(mid, ())}
+    return Rel(parties, frozenset(pairs))
+
+
+def ref_union(a: Rel, b: Rel, space) -> Rel:
+    parties = ref_merged_parties(space, a, b)
+    ea, eb = ref_expand(a, space, parties), ref_expand(b, space, parties)
+    return Rel(parties, ea.pairs | eb.pairs)
+
+
+def ref_star(a: Rel, space) -> Rel:
+    parties = a.parties
+    ident = full_identity(space, parties) if parties else identity_rel()
+    size = 1
+    for p in parties:
+        size *= len(space[p])
+    current = ident
+    for _ in range(size * size + 1):
+        merged = ref_union(ident, ref_concat(a, current, space), space)
+        if merged.pairs == current.pairs:
+            return current
+        current = merged
+    raise AssertionError("star fixpoint not reached within the lattice height bound")
+
+
+def ref_eval(expr, interp, space) -> Rel:
+    if isinstance(expr, Identity):
+        return identity_rel()
+    if isinstance(expr, Atomic):
+        return interp[expr.tag]
+    if isinstance(expr, Concat):
+        out = identity_rel()
+        for part in expr.parts:
+            out = ref_concat(out, ref_eval(part, interp, space), space)
+        return out
+    if isinstance(expr, Union):
+        rels = [ref_eval(p, interp, space) for p in expr.parts]
+        out = rels[0]
+        for r in rels[1:]:
+            out = ref_union(out, r, space)
+        return out
+    return ref_star(ref_eval(expr.inner, interp, space), space)
+
+
+# Spaces of one to three agents with one to three states each (agents with
+# the same number of states share their state names), party tuples in any
+# order, including the empty one, and arbitrary relations over them,
+# including empty ones.
+
+AGENTS = ("x", "y", "z")
+
+
+@st.composite
+def spaces(draw):
+    agents = draw(st.lists(st.sampled_from(AGENTS), min_size=1, max_size=3, unique=True))
+    return {a: tuple(str(i) for i in range(draw(st.integers(1, 3)))) for a in agents}
+
+
+@st.composite
+def relations_over(draw, space):
+    parties = tuple(draw(st.permutations(list(space)))[: draw(st.integers(0, len(space)))])
+    domain = list(itertools.product(*(space[a] for a in parties)))
+    n = len(domain)
+    mask = draw(st.integers(0, (1 << n * n) - 1))  # bit i*n+j: pair (i, j)
+    return Rel(
+        parties,
+        frozenset(
+            (domain[i], domain[j]) for i in range(n) for j in range(n) if mask >> (i * n + j) & 1
+        ),
+    )
+
+
+@st.composite
+def space_and_relations(draw, count):
+    space = draw(spaces())
+    return space, [draw(relations_over(space)) for _ in range(count)]
+
+
+def same(got: Rel, want: Rel):
+    assert (got.parties, got.pairs) == (want.parties, want.pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(space_and_relations(2))
+def test_kernel_matches_the_pair_set_reference(case):
+    space, (a, b) = case
+    same(concat(a, b, space), ref_concat(a, b, space))
+    same(union(a, b, space), ref_union(a, b, space))
+    same(star(a, space), ref_star(a, space))
+    same(globalize(a, space), ref_expand(a, space, tuple(space)))
+    assert rels_equal(a, b, space) == (
+        ref_expand(a, space, tuple(space)).pairs == ref_expand(b, space, tuple(space)).pairs
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(space_and_relations(1), st.data())
+def test_kernel_expand_matches_the_reference(case, data):
+    space, (a,) = case
+    rest = [p for p in space if p not in a.parties]
+    larger = data.draw(st.permutations(list(a.parties) + rest[: data.draw(st.integers(0, len(rest)))]))
+    k = Kernel(space)
+    same(k.rel(k.expand(k.rows(a), tuple(larger))), ref_expand(a, space, tuple(larger)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(space_and_relations(3), st.data())
+def test_eval_expr_matches_the_reference(case, data):
+    space, rels = case
+    leaves = [Atomic(("n", str(i))) for i in range(3)] + [IDENTITY]
+    exprs = st.recursive(
+        st.sampled_from(leaves),
+        lambda inner: st.one_of(
+            st.lists(inner, min_size=2, max_size=3).map(lambda ps: concat_expr(*ps)),
+            st.lists(inner, min_size=2, max_size=3).map(lambda ps: union_expr(*ps)),
+            inner.map(star_expr),
+        ),
+        max_leaves=6,
+    )
+    expr = data.draw(exprs)
+    interp = {("n", str(i)): r for i, r in enumerate(rels)}
+    same(eval_expr(expr, interp, space), ref_eval(expr, interp, space))
+
+
+def test_kernel_handles_the_empty_party_tuple():
+    space = {"x": ("0", "1")}
+    unit = identity_rel()
+    empty = Rel((), frozenset())
+    for a in (unit, empty):
+        for b in (unit, empty, COPY_X, FLIP_Z):
+            sp = SPACE if b.parties else space
+            same(concat(a, b, sp), ref_concat(a, b, sp))
+            same(concat(b, a, sp), ref_concat(b, a, sp))
+            same(union(a, b, sp), ref_union(a, b, sp))
+        same(star(a, space), ref_star(a, space))
+        same(globalize(a, space), ref_expand(a, space, ("x",)))
+    assert rels_equal(unit, full_identity(space, ("x",)), space)
+    assert not rels_equal(empty, unit, space)
+
+
+def test_star_keeps_a_non_space_order_only_where_the_reference_did():
+    """The fixpoint iteration returned its first guess, the identity in the
+    relation's own party order, when the closure was the identity and both
+    orders listed the same assignments; otherwise the space order."""
+    same_states = {"x": ("0", "1"), "y": ("0", "1")}
+    mixed = {"x": ("0", "1"), "y": ("0", "1", "2")}
+    for space in (same_states, mixed):
+        for pairs in ([], [(("0", "0"), ("1", "0"))]):
+            a = rel(("y", "x"), pairs)
+            same(star(a, space), ref_star(a, space))
+    assert star(rel(("y", "x"), []), same_states).parties == ("y", "x")
+    assert star(rel(("y", "x"), []), mixed).parties == ("x", "y")
 
 
 # a handful of interesting 1- and 2-party relations over bits
@@ -203,10 +402,47 @@ def test_frame_law_globalize_restrict(a):
     assert back == set(a.pairs)
 
 
+# Relations that do not fit SPACE: an agent outside it, a state outside
+# an agent's list (as entry, as exit, and on both sides), and assignments
+# of the wrong length.
+MISFITS = {
+    "agent": rel(("nope",), [(("0",), ("0",))]),
+    "state": rel(("x",), [(("9",), ("9",))]),
+    "entry state": rel(("x", "y"), [(("0", "9"), ("0", "0"))]),
+    "exit state": rel(("x",), [(("0",), ("2",))]),
+    "long entry": rel(("x",), [(("0", "1"), ("0",))]),
+    "short exit": rel(("x", "y"), [(("0", "1"), ("0",))]),
+}
+
+# every entry point of the kernel, fed one bad relation
+ENTRY_POINTS = {
+    "concat": lambda bad: concat(COPY_X, bad, SPACE),
+    "concat left": lambda bad: concat(bad, COPY_X, SPACE),
+    "union": lambda bad: union(COPY_X, bad, SPACE),
+    "star": lambda bad: star(bad, SPACE),
+    "globalize": lambda bad: globalize(bad, SPACE),
+    "rels_equal": lambda bad: rels_equal(bad, COPY_X, SPACE),
+    "eval_expr": lambda bad: eval_expr(Atomic(("n", "a")), {("n", "a"): bad}, SPACE),
+    "eval_expr star": lambda bad: eval_expr(
+        star_expr(Atomic(("n", "a"))), {("n", "a"): bad}, SPACE
+    ),
+    "expr_equal": lambda bad: expr_equal(
+        Atomic(("n", "a")), Atomic(("n", "a")), [(SPACE, {("n", "a"): bad})]
+    ),
+    "brute_force_summary": lambda bad: brute_force_summary(
+        single_atom_negotiation(), {("n0", "r"): bad}, SPACE
+    ),
+}
+
+
 def test_state_space_mismatch():
-    other = Rel(("nope",), frozenset({(("0",), ("0",))}))
-    with pytest.raises(StateSpaceMismatch):
-        concat(COPY_X, other, SPACE)
+    """Every entry point of the kernel rejects a relation that does not fit
+    the state space, instead of dropping or carrying the bad pairs."""
+    for where, call in ENTRY_POINTS.items():
+        for what, bad in MISFITS.items():
+            with pytest.raises(StateSpaceMismatch):
+                call(bad)
+                pytest.fail(f"{where} accepted a relation with a bad {what}")
 
 
 # ---------------------------------------------------------------------------

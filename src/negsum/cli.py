@@ -1,12 +1,15 @@
 """Command-line front end.
 
 Exit codes: 0 = sound / ok, 1 = unsound, 2 = error or exploration budget.
+Exit code 1 means "unsound" and nothing else: an unexpected exception is
+reported as an internal error, with its traceback, and exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from . import fileio
 from .errors import NegsumError
@@ -21,6 +24,8 @@ from .transformers import format_expr
 EXIT_OK = 0
 EXIT_UNSOUND = 1
 EXIT_ERROR = 2
+# the exit code of each reduction verdict
+VERDICT_EXIT = {"summarized": EXIT_OK, "unsound": EXIT_UNSOUND, "unknown": EXIT_ERROR}
 
 
 def cmd_validate(args) -> int:
@@ -82,9 +87,9 @@ def cmd_summarize(args) -> int:
     if trace.verdict == "summarized":
         _print_summary(trace.summary)
         print(f"applications: {trace.total}")
-        return EXIT_OK
-    print(f"verdict: {trace.verdict} ({trace.reason})")
-    return EXIT_UNSOUND if trace.verdict == "unsound" else EXIT_ERROR
+    else:
+        print(f"verdict: {trace.verdict} ({trace.reason})")
+    return VERDICT_EXIT[trace.verdict]
 
 
 def cmd_reduce(args) -> int:
@@ -97,13 +102,7 @@ def cmd_reduce(args) -> int:
     print(f"applications: {trace.total}")
     if trace.summary is not None:
         _print_summary(trace.summary)
-    return (
-        EXIT_OK
-        if trace.verdict == "summarized"
-        else EXIT_UNSOUND
-        if trace.verdict == "unsound"
-        else EXIT_ERROR
-    )
+    return VERDICT_EXIT[trace.verdict]
 
 
 def cmd_diag(args) -> int:
@@ -231,6 +230,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except (NegsumError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception as e:  # a defect, never a verdict
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        traceback.print_exc()
         return EXIT_ERROR
 
 

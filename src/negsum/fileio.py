@@ -72,6 +72,8 @@ def loads(text: str) -> Negotiation:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
     _require_keys(doc, _TOP_KEYS, "top level")

@@ -21,12 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional
 
 from .errors import ValidationError
 from .transformers import Atomic, Rel, StateSpace, TransformerExpr
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Outcome = tuple[str, str]  # (atom id, result name)
 Arc = tuple[str, str, str, str]  # (atom, agent, result, target atom)
@@ -175,6 +176,10 @@ class Negotiation:
 def negotiation_graph(neg: Negotiation) -> nx.MultiDiGraph:
     """The graph of the negotiation: atoms as vertices, one edge per arc,
     labeled with (agent, result)."""
+    # imported here: networkx takes most of the package's import time, and
+    # only this graph, `find_loops` and `syntactic_cycles` need it
+    import networkx as nx
+
     g = nx.MultiDiGraph()
     g.add_nodes_from(neg.atoms)
     for atom, agent, result, target in neg.arcs():

@@ -19,6 +19,15 @@
   results on the initial atom, and the alternating order that finishes
   within 5k+1 applications.
 
+Each of the first four is a tuple of `(line, select)` steps in priority
+order, run by one driver, `_reduce`. `select(neg, outcomes)` looks at the
+candidate outcomes in outcome order and returns the applied
+`RuleApplication`, or None; the first step that applies a rule wins and
+its `line` is recorded on the application. The candidates are R(N) in
+`run_acyclic` and `run_one_agent`, R(N) cut to the current stage in
+`run_general`, and every outcome in `run_acyclic_wd`. Beyond steps and
+candidates, the strategies differ only in what they do at their bound.
+
 The atom order used for backward outcomes defaults to declaration order;
 all remaining ties break lexicographically by (atom index, result index),
 so traces are reproducible.
@@ -28,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -66,9 +75,6 @@ class OutcomeOrder:
 
     def __post_init__(self):
         self._index = {a: i for i, a in enumerate(self.atoms)}
-
-    def atom_key(self, atom: str) -> int:
-        return self._index[atom]
 
     def outcome_key(self, neg: Negotiation, outcome: Outcome, target: str):
         n, r = outcome
@@ -189,70 +195,137 @@ def index(neg: Negotiation, cap: int = DEFAULT_CAP):
 
 
 # ---------------------------------------------------------------------------
-# Deterministic selection helpers
+# Priority steps and the one driver
 # ---------------------------------------------------------------------------
 
-def _first_merge(neg: Negotiation, outcomes=None) -> Optional[tuple[Outcome, Outcome]]:
-    pool = set(outcomes) if outcomes is not None else None
-    for n, spec in neg.atoms.items():
-        if n == neg.final:
-            continue
-        for i, r1 in enumerate(spec.results):
-            if pool is not None and (n, r1) not in pool:
-                continue
-            partner = merge_partner(neg, (n, r1))
-            if partner is not None and spec.results.index(partner) > i:
-                return ((n, r1), (n, partner))
-            if partner is not None and spec.results.index(partner) < i:
-                return ((n, partner), (n, r1))
+# select(neg, candidate outcomes in outcome order) -> the applied rule or None
+Select = Callable[[Negotiation, Sequence[Outcome]], Optional[RuleApplication]]
+Step = tuple[str, Select]  # (line recorded on the application, select)
+
+
+def _merge(neg: Negotiation, outcomes: Sequence[Outcome]):
+    for n, r in outcomes:
+        partner = merge_partner(neg, (n, r))
+        if partner is not None:
+            pair = sorted((r, partner), key=neg.atoms[n].results.index)
+            return apply_merge(neg, (n, pair[0]), (n, pair[1]))
     return None
 
 
-def _first_iteration(neg: Negotiation, outcomes=None) -> Optional[Outcome]:
-    pool = set(outcomes) if outcomes is not None else None
-    for o in neg.outcomes():
-        if pool is not None and o not in pool:
-            continue
+def _iteration(neg: Negotiation, outcomes: Sequence[Outcome]):
+    for o in outcomes:
         if iteration_applicable(neg, o):
-            return o
+            return apply_iteration(neg, o)
     return None
 
 
-def _first_d_shortcut(
-    neg: Negotiation, outcomes=None, require_non_uniform: bool = False
-) -> Optional[tuple[Outcome, str]]:
-    pool = set(outcomes) if outcomes is not None else None
-    for o in neg.outcomes():
-        if pool is not None and o not in pool:
-            continue
-        if require_non_uniform and uniform(neg, o):
-            continue
+def _shortcut(neg: Negotiation, outcomes: Sequence[Outcome], d_restricted=False):
+    """The first guarded shortcut; a d-shortcut skips targets with more
+    than one result, except the final atom."""
+    for o in outcomes:
         for n2 in shortcut_candidates(neg, o):
-            if len(neg.results(n2)) > 1 and n2 != neg.final:
+            if d_restricted and n2 != neg.final and len(neg.results(n2)) > 1:
                 continue
             if shortcut_guard(neg, o, n2).holds:
-                return (o, n2)
+                apply = apply_d_shortcut if d_restricted else apply_shortcut
+                return apply(neg, o, n2)
     return None
 
 
-def _minimal_backward_shortcut(
-    neg: Negotiation, order: OutcomeOrder, outcomes=None
-) -> Optional[tuple[Outcome, str]]:
-    pool = set(outcomes) if outcomes is not None else None
-    best = None
-    best_key = None
-    for o in neg.outcomes():
-        if pool is not None and o not in pool:
-            continue
-        target = uniform_target(neg, o)
-        if target is None or not order.is_backward(neg, o[0], target):
-            continue
-        if not shortcut_guard(neg, o, target).holds:
-            continue
-        key = order.outcome_key(neg, o, target)
-        if best_key is None or key < best_key:
-            best, best_key = (o, target), key
-    return best
+def _d_shortcut(neg: Negotiation, outcomes: Sequence[Outcome]):
+    return _shortcut(neg, outcomes, d_restricted=True)
+
+
+def _d_shortcut_non_uniform(neg: Negotiation, outcomes: Sequence[Outcome]):
+    return _d_shortcut(neg, [o for o in outcomes if not uniform(neg, o)])
+
+
+def _useless_arc(neg: Negotiation, outcomes: Sequence[Outcome]):
+    for o in outcomes:
+        hits = useless_arcs_at(neg, o, acyclic=True)
+        if hits:
+            return apply_useless_arc(neg, hits[0])
+    return None
+
+
+def _backward_shortcut(order: OutcomeOrder, increasing: bool = False) -> Select:
+    """Shortcut at the backward uniform outcome that is minimal in
+    `order`. With `increasing`, assert that the (target, source) keys of
+    successive selections strictly increase: `run_one_agent`'s
+    termination argument."""
+    last = None
+
+    def select(neg: Negotiation, outcomes: Sequence[Outcome]):
+        nonlocal last
+        hits = [
+            (order.outcome_key(neg, o, target), o, target)
+            for o in outcomes
+            if (target := uniform_target(neg, o)) is not None
+            and order.is_backward(neg, o[0], target)
+            and shortcut_guard(neg, o, target).holds
+        ]
+        if not hits:
+            return None
+        key, o, target = min(hits)
+        if increasing:
+            if last is not None and key[:2] <= last:
+                raise AssertionError(
+                    "backward shortcuts must strictly increase in the outcome order"
+                )
+            last = key[:2]
+        return apply_shortcut(neg, o, target)
+
+    return select
+
+
+def _reduce(
+    trace: ReductionTrace,
+    neg: Negotiation,
+    steps: Sequence[Step],
+    candidates: Callable[[Negotiation], Sequence[Outcome]],
+    bound: int,
+    stage: Optional[int] = None,
+) -> tuple[Negotiation, Optional[str]]:
+    """While `candidates(current)` is non-empty, apply the first step in
+    priority order whose select applies a rule, and record it. Returns the
+    last diagram and why the loop stopped: None (no candidates left),
+    "bound" (`trace.total` reached `bound` first) or "guard-exhausted" (no
+    step applies)."""
+    current = neg
+    while outcomes := candidates(current):
+        if trace.total >= bound:
+            return current, "bound"
+        for line, select in steps:
+            app = select(current, outcomes)
+            if app is not None:
+                break
+        else:
+            return current, "guard-exhausted"
+        app.line, app.stage = line, stage
+        current = trace.record(app)
+    return current, None
+
+
+def _reducible(neg: Negotiation) -> list[Outcome]:
+    """R(N) in outcome order."""
+    pool = reducible_outcomes(neg)
+    return [o for o in neg.outcomes() if o in pool]
+
+
+def _every_outcome(neg: Negotiation) -> list[Outcome]:
+    return list(neg.outcomes())
+
+
+def _run_bounded(neg: Negotiation, steps: Sequence[Step], bound: int, overflow: str):
+    """Reduce R(N) until it is empty; no applicable step means "unsound",
+    and passing the bound breaks the strategy's own theorem."""
+    trace = ReductionTrace(initial=neg)
+    current, stop = _reduce(trace, neg, steps, _reducible, bound)
+    if stop == "bound":
+        raise AssertionError(overflow)
+    if stop is not None:
+        trace.verdict, trace.reason = "unsound", stop
+    return trace.finish(current)
 
 
 # ---------------------------------------------------------------------------
@@ -265,29 +338,12 @@ def run_acyclic(neg: Negotiation) -> ReductionTrace:
     deterministic acyclic input it reaches an atomic diagram."""
     if not classify(neg).acyclic:
         raise NotAcyclic("run_acyclic requires an acyclic negotiation")
-    bound = len(neg.atoms) * neg.num_outcomes()
-    trace = ReductionTrace(initial=neg)
-    current = neg
-    while reducible_outcomes(current):
-        if trace.total >= bound:
-            raise AssertionError(
-                "merge/d-shortcut sequence exceeded the K*L bound on an "
-                "acyclic diagram"
-            )
-        pair = _first_merge(current)
-        if pair is not None:
-            app = apply_merge(current, *pair)
-            app.line = "merge"
-        else:
-            hit = _first_d_shortcut(current)
-            if hit is None:
-                trace.verdict = "unsound"
-                trace.reason = "guard-exhausted"
-                return trace.finish(current)
-            app = apply_d_shortcut(current, *hit)
-            app.line = "d_shortcut"
-        current = trace.record(app)
-    return trace.finish(current)
+    return _run_bounded(
+        neg,
+        (("merge", _merge), ("d_shortcut", _d_shortcut)),
+        len(neg.atoms) * neg.num_outcomes(),
+        "merge/d-shortcut sequence exceeded the K*L bound on an acyclic diagram",
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -313,55 +369,19 @@ def run_one_agent(
     is always "summarized"; the application count stays within
     2K^3 + K^2 + L."""
     if not (len(neg.agents) == 1 or is_replication(neg)):
-        raise NotOneAgentOrReplication(
-            "run_one_agent requires a single agent or a replication"
-        )
+        raise NotOneAgentOrReplication("run_one_agent requires a single agent or a replication")
     if not classify(neg).deterministic:
         raise NotOneAgentOrReplication("run_one_agent requires determinism")
-    if order is None:
-        order = declaration_order(neg)
+    backward = _backward_shortcut(order or declaration_order(neg), increasing=True)
+    steps = (
+        ("merge", _merge),
+        ("iteration", _iteration),
+        ("backward_shortcut", backward),
+        ("d_shortcut", _d_shortcut),
+    )
     k, l = len(neg.atoms), neg.num_outcomes()
     bound = 2 * k**3 + k**2 + l
-    trace = ReductionTrace(initial=neg)
-    current = neg
-    last_backward_key = None
-    while reducible_outcomes(current):
-        if trace.total >= bound:
-            raise AssertionError(
-                "one-agent reduction exceeded the 2K^3+K^2+L bound"
-            )
-        pair = _first_merge(current)
-        if pair is not None:
-            app = apply_merge(current, *pair)
-            app.line = "merge"
-        else:
-            site = _first_iteration(current)
-            if site is not None:
-                app = apply_iteration(current, site)
-                app.line = "iteration"
-            else:
-                hit = _minimal_backward_shortcut(current, order)
-                if hit is not None:
-                    o, target = hit
-                    key = order.outcome_key(current, o, target)[:2]
-                    if last_backward_key is not None and key <= last_backward_key:
-                        raise AssertionError(
-                            "backward shortcuts must strictly increase in the "
-                            "outcome order"
-                        )
-                    last_backward_key = key
-                    app = apply_shortcut(current, o, target)
-                    app.line = "backward_shortcut"
-                else:
-                    hit = _first_d_shortcut(current)
-                    if hit is None:
-                        trace.verdict = "unsound"
-                        trace.reason = "guard-exhausted"
-                        return trace.finish(current)
-                    app = apply_d_shortcut(current, *hit)
-                    app.line = "d_shortcut"
-        current = trace.record(app)
-    return trace.finish(current)
+    return _run_bounded(neg, steps, bound, "one-agent reduction exceeded the 2K^3+K^2+L bound")
 
 
 # ---------------------------------------------------------------------------
@@ -380,64 +400,41 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
     """
     if not classify(neg).deterministic:
         raise NotDeterministic("run_general requires a deterministic negotiation")
-    order = declaration_order(neg)
     k_atoms, l_outcomes = len(neg.atoms), neg.num_outcomes()
     cap = 2 * k_atoms**3 + k_atoms**2 + k_atoms * l_outcomes + l_outcomes
+    steps = (
+        ("merge", _merge),
+        ("iteration", _iteration),
+        ("d_shortcut_non_uniform", _d_shortcut_non_uniform),
+        ("backward_shortcut", _backward_shortcut(declaration_order(neg))),
+        ("d_shortcut", _d_shortcut),
+    )
     trace = ReductionTrace(initial=neg)
-    current = neg
     # R(N) is computed once per diagram; each stage's pool and the
     # invariant check (no outcome of a lower stage is reducible) read it
-    reducible = reducible_outcomes(current)
-    for stage in range(1, len(neg.agents) + 1):
-        while True:
-            pool = {o for o in reducible if len(current.parties(o[0])) == stage}
-            if not pool:
-                break
-            if trace.total >= cap:
-                trace.verdict = "unsound"
-                trace.reason = "counter-exceeded"
-                return trace.finish(current)
-            pair = _first_merge(current, pool)
-            if pair is not None:
-                app = apply_merge(current, *pair)
-                app.line = "merge"
-            else:
-                site = _first_iteration(current, pool)
-                if site is not None:
-                    app = apply_iteration(current, site)
-                    app.line = "iteration"
-                else:
-                    hit = _first_d_shortcut(current, pool, require_non_uniform=True)
-                    if hit is not None:
-                        app = apply_d_shortcut(current, *hit)
-                        app.line = "d_shortcut_non_uniform"
-                    else:
-                        hit = _minimal_backward_shortcut(current, order, pool)
-                        if hit is not None:
-                            app = apply_shortcut(current, *hit)
-                            app.line = "backward_shortcut"
-                        else:
-                            hit = _first_d_shortcut(current, pool)
-                            if hit is None:
-                                trace.verdict = "unsound"
-                                trace.reason = "guard-exhausted"
-                                return trace.finish(current)
-                            app = apply_d_shortcut(current, *hit)
-                            app.line = "d_shortcut"
-            app.stage = stage
-            current = trace.record(app)
-            reducible = reducible_outcomes(current)
+    seen, reducible = neg, reducible_outcomes(neg)
+
+    def pool(current: Negotiation) -> list[Outcome]:
+        nonlocal seen, reducible
+        if current is not seen:
+            seen, reducible = current, reducible_outcomes(current)
             if check_invariants:
-                lower = {len(current.parties(o[0])) for o in reducible}
-                for j in range(1, stage):
-                    if j in lower:
-                        raise AssertionError(
-                            f"stage {stage} created a {j}-reducible outcome"
-                        )
+                lowest = min((len(current.parties(o[0])) for o in reducible), default=stage)
+                if lowest < stage:
+                    raise AssertionError(f"stage {stage} created a {lowest}-reducible outcome")
+        return [
+            o for o in current.outcomes()
+            if o in reducible and len(current.parties(o[0])) == stage
+        ]
+
+    current = neg
+    for stage in range(1, len(neg.agents) + 1):
+        current, stop = _reduce(trace, current, steps, pool, cap, stage)
+        if stop is not None:
+            trace.verdict = "unsound"
+            trace.reason = "counter-exceeded" if stop == "bound" else stop
+            return trace.finish(current)
         trace.stage_snapshots[stage] = current
-    if not current.is_atomic():
-        trace.verdict = "unsound"
-        trace.reason = "residual-non-atomic"
     return trace.finish(current)
 
 
@@ -453,45 +450,12 @@ def run_acyclic_wd(neg: Negotiation, budget: int = 10_000) -> ReductionTrace:
     cls = classify(neg)
     if not cls.acyclic:
         raise NotAcyclic("run_acyclic_wd requires an acyclic negotiation")
+    steps = (("merge", _merge), ("useless_arc", _useless_arc), ("shortcut", _shortcut))
     trace = ReductionTrace(initial=neg)
-    current = neg
-    while True:
-        if trace.total >= budget:
-            trace.verdict = "unknown"
-            trace.reason = "budget-exhausted"
-            return trace.finish(current)
-        pair = _first_merge(current)
-        if pair is not None:
-            app = apply_merge(current, *pair)
-            app.line = "merge"
-            current = trace.record(app)
-            continue
-        arc = None
-        for o in current.outcomes():
-            hits = useless_arcs_at(current, o, acyclic=True)
-            if hits:
-                arc = hits[0]
-                break
-        if arc is not None:
-            app = apply_useless_arc(current, arc)
-            app.line = "useless_arc"
-            current = trace.record(app)
-            continue
-        hit = None
-        for o in current.outcomes():
-            for n2 in shortcut_candidates(current, o):
-                if shortcut_guard(current, o, n2).holds:
-                    hit = (o, n2)
-                    break
-            if hit:
-                break
-        if hit is not None:
-            app = apply_shortcut(current, *hit)
-            app.line = "shortcut"
-            current = trace.record(app)
-            continue
-        break
-    if not current.is_atomic() and not cls.weakly_deterministic:
+    current, stop = _reduce(trace, neg, steps, _every_outcome, budget)
+    if stop == "bound":
+        trace.verdict, trace.reason = "unknown", "budget-exhausted"
+    elif not current.is_atomic() and not cls.weakly_deterministic:
         trace.verdict = "unknown"
         trace.reason = "irreducible-outside-completeness-class"
     return trace.finish(current)
@@ -535,51 +499,31 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
         nonlocal current
         app.line = strategy
         current = trace.record(app)
-        peak = trace.counters["peak_initial_results"]
-        trace.counters["peak_initial_results"] = max(
-            peak, len(current.results(current.initial))
-        )
+        peak = max(trace.counters["peak_initial_results"], len(current.results(current.initial)))
+        trace.counters["peak_initial_results"] = peak
 
-    def results_towards(atom: str) -> list[str]:
-        agent = current.parties(atom)[0]
-        return [
-            r
-            for r in current.results("n0")
-            if current.targets("n0", agent, r) == frozenset([atom])
-        ]
-
-    def drain_branch(i: int):
-        # diamond arms, then the join, one shortcut per pointing result
-        for arm in (f"b{i}a", f"b{i}b"):
-            for r in results_towards(arm):
-                do(apply_shortcut(current, ("n0", r), arm))
-        for r in results_towards(f"b{i}j"):
-            do(apply_shortcut(current, ("n0", r), f"b{i}j"))
+    def shortcut_into(*atoms: str):
+        # per atom in turn, one shortcut per result of n0 pointing at it
+        for atom in atoms:
+            agent, only = current.parties(atom)[0], frozenset([atom])
+            towards = [r for r in current.results("n0") if current.targets("n0", agent, r) == only]
+            for r in towards:
+                do(apply_shortcut(current, ("n0", r), atom))
 
     def merge_all():
-        while True:
-            pair = _first_merge(current)
-            if pair is None:
-                break
-            do(apply_merge(current, *pair))
+        while (app := _merge(current, _every_outcome(current))) is not None:
+            do(app)
 
     def alternating_branch(i: int):
-        root = f"b{i}"
-        for r in results_towards(root):
-            do(apply_shortcut(current, ("n0", r), root))
-        for arm in (f"b{i}a", f"b{i}b"):
-            for r in results_towards(arm):
-                do(apply_shortcut(current, ("n0", r), arm))
+        shortcut_into(f"b{i}", f"b{i}a", f"b{i}b")
         merge_all()
-        for r in results_towards(f"b{i}j"):
-            do(apply_shortcut(current, ("n0", r), f"b{i}j"))
+        shortcut_into(f"b{i}j")
 
     if strategy == "initial":
+        shortcut_into(*(f"b{i}" for i in range(1, k)))
         for i in range(1, k):
-            for r in results_towards(f"b{i}"):
-                do(apply_shortcut(current, ("n0", r), f"b{i}"))
-        for i in range(1, k):
-            drain_branch(i)
+            # diamond arms, then the join
+            shortcut_into(f"b{i}a", f"b{i}b", f"b{i}j")
         merge_all()
         alternating_branch(k)
     else:

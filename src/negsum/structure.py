@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-import networkx as nx
-
 from .errors import BudgetExceeded
 from .model import AtomSpec, Edit, Negotiation, Outcome, negotiation_graph, validate
 from .semantics import (
@@ -283,6 +281,8 @@ class Loop:
 
 def find_loops(neg: Negotiation, cap: int = DEFAULT_CAP, limit: int = 10_000) -> list[Loop]:
     """All simple cycles of the reachability graph, as replayable loops."""
+    import networkx as nx  # here, not at the top: see `negotiation_graph`
+
     graph = reachability(neg, cap)
     g = nx.MultiDiGraph()
     edge_lookup: dict[tuple[int, int], list[Outcome]] = {}
@@ -344,6 +344,8 @@ def dominating_atom(neg: Negotiation, cycle: list[str]) -> Optional[str]:
 
 
 def syntactic_cycles(neg: Negotiation, limit: int = 10_000) -> list[list[str]]:
+    import networkx as nx  # here, not at the top: see `negotiation_graph`
+
     g = negotiation_graph(neg)
     out = []
     for cycle in nx.simple_cycles(g):

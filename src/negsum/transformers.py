@@ -237,7 +237,10 @@ class _ExprParser:
 
 def parse_expr(text: str) -> TransformerExpr:
     parser = _ExprParser(_tokenize(text))
-    expr = parser.parse_expr()
+    try:
+        expr = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
     if parser.peek() is not None:
         raise ParseError(f"trailing input at token {parser.peek()!r}")
     return expr

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import negsum
 
 from negsum import (
     ParseError,
@@ -18,6 +24,7 @@ from negsum import (
     mutate_unsound,
     reachability,
 )
+from negsum import cli
 from negsum.cli import main
 from negsum.fileio import dumps, loads
 from negsum.fixtures import fixture_text
@@ -171,6 +178,37 @@ def test_cli_non_string_names_exit_2(tmp_path, capsys, probe):
 def test_parse_rejects_bad_json():
     with pytest.raises(ParseError):
         loads("{not json")
+
+
+# Texts nested deeper than Python's recursion limit. They are written out
+# directly, because json.dumps would recurse on them too.
+def _agents_nested_100000_deep():
+    return '{"agents": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
+def _transformer_in_5000_parentheses():
+    doc = json.loads(fixture_text("fdm_acyclic"))
+    text = json.dumps(doc)[:-1]
+    expr = "(" * 5000 + "n0.st" + ")" * 5000
+    return text + ', "transformers": {"n0.st": "' + expr + '"}}'
+
+
+DEEP_TEXTS = [_agents_nested_100000_deep, _transformer_in_5000_parentheses]
+
+
+@pytest.mark.parametrize("make", DEEP_TEXTS)
+def test_parse_rejects_deep_nesting(make):
+    with pytest.raises(ParseError, match="nested too deeply"):
+        loads(make())
+
+
+@pytest.mark.parametrize("make", DEEP_TEXTS)
+def test_cli_deep_nesting_exits_2(tmp_path, capsys, make):
+    bad = tmp_path / "deep.json"
+    bad.write_text(make(), encoding="utf-8")
+    assert main(["validate", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nested too deeply" in err
 
 
 def test_composite_transformers_round_trip():
@@ -401,6 +439,36 @@ def test_cli_rejects_out_of_range_counts(capsys, argv):
 def test_cli_missing_file(capsys):
     assert main(["check", "/nonexistent/never.json"]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("error", [AssertionError("bound passed"), KeyError("x"), RecursionError()])
+def test_cli_internal_error_exits_2(fdm_file, capsys, monkeypatch, error):
+    """An unexpected exception is a defect, not a verdict: an
+    `internal error:` line, the traceback, and exit 2, never 1, the
+    "unsound" code."""
+
+    def broken(neg):
+        raise error
+
+    monkeypatch.setattr(cli, "run_auto", broken)
+    assert main(["reduce", fdm_file]) == 2
+    captured = capsys.readouterr()
+    first, rest = captured.err.split("\n", 1)
+    assert first == f"internal error: {type(error).__name__}: {error}"
+    assert rest.startswith("Traceback") and "in broken" in rest
+    assert captured.out == ""
+
+
+def test_cli_import_leaves_networkx_out():
+    """networkx is imported only by the functions that need it, so a CLI
+    process does not pay for it."""
+    src = str(Path(negsum.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, negsum.cli; print(sorted(m for m in sys.modules if 'networkx' in m))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out == "[]\n"
 
 
 def test_cli_summarize_reduce_within_bound(tmp_path, capsys):

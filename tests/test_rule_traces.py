@@ -7,6 +7,11 @@ of each generated diagram. The expected values are sha256 digests kept
 in `rule_traces.json`, recorded before the guards were indexed; a faster
 engine must reproduce them byte for byte.
 
+`rule_steps.json` pins, per case, the `(kind, line, stage)` of every
+application of `run_auto`: which strategy branch chose each step and in
+which stage, which the trace lines above do not show. It was recorded
+before the strategies were rewritten as one priority-step driver.
+
 Re-record (only for an intended change of the traces) with
 `PYTHONPATH=src python tests/test_rule_traces.py --record`.
 """
@@ -35,6 +40,7 @@ from negsum import (
 )
 
 EXPECTED_PATH = Path(__file__).with_name("rule_traces.json")
+STEPS_PATH = Path(__file__).with_name("rule_steps.json")
 
 
 def _generated_shapes():
@@ -80,22 +86,41 @@ def run_auto_text(neg) -> str:
         return f"raises {type(e).__name__}\n"
 
 
+def run_auto_steps(neg) -> str:
+    """One `kind line stage` line per application of `run_auto`."""
+    try:
+        trace = run_auto(neg)
+    except NegsumError as e:
+        return f"raises {type(e).__name__}\n"
+    return "".join(
+        f"{app.kind} {app.line} {app.stage}\n" for app in trace.applications
+    )
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def expected():
-    return json.loads(EXPECTED_PATH.read_text(encoding="utf-8"))
+@lru_cache(maxsize=None)
+def expected(path=EXPECTED_PATH):
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_case_set_matches_the_recording():
     assert list(build_cases()) == list(expected())
+    assert list(build_cases()) == list(expected(STEPS_PATH))
 
 
 @pytest.mark.parametrize("case", list(build_cases()))
 def test_run_auto_trace_is_unchanged(case):
     neg = build_cases()[case]
     assert digest(run_auto_text(neg)) == expected()[case]
+
+
+@pytest.mark.parametrize("case", list(build_cases()))
+def test_run_auto_lines_and_stages_are_unchanged(case):
+    neg = build_cases()[case]
+    assert digest(run_auto_steps(neg)) == expected(STEPS_PATH)[case]
 
 
 def test_invariant_check_does_not_change_run_general():
@@ -140,6 +165,7 @@ def test_invariant_check_catches_a_lower_stage_reducible_outcome(monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_rule_traces.py --record")
-    table = {case: digest(run_auto_text(neg)) for case, neg in build_cases().items()}
-    EXPECTED_PATH.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
-    print(f"recorded {len(table)} cases to {EXPECTED_PATH}")
+    for path, text_of in ((EXPECTED_PATH, run_auto_text), (STEPS_PATH, run_auto_steps)):
+        table = {case: digest(text_of(neg)) for case, neg in build_cases().items()}
+        path.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+        print(f"recorded {len(table)} cases to {path}")

@@ -36,7 +36,7 @@ def _atomic(agents: tuple[str, ...]) -> Negotiation:
 def _split_final(neg: Negotiation, counter: list[int]) -> Negotiation:
     """Inverse of the final-atom shortcut: push the final results onto a
     fresh final atom behind the old one."""
-    e = edit(neg, transformers=False)
+    e = edit(neg)
     old = neg.final
     fresh = f"a{counter[0]}"
     counter[0] += 1
@@ -60,7 +60,7 @@ def _un_merge(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optio
         return None
     spec = rng.choice(candidates)
     r = rng.choice(spec.results)
-    e = edit(neg, transformers=False)
+    e = edit(neg)
     r1 = f"r{counter[1]}"
     r2 = f"r{counter[1] + 1}"
     counter[1] += 2
@@ -87,7 +87,7 @@ def _un_shortcut(neg: Negotiation, rng: random.Random, counter: list[int]) -> Op
     counter[0] += 1
     link = f"r{counter[1]}"
     counter[1] += 1
-    e = edit(neg, transformers=False)
+    e = edit(neg)
     e.atoms.append(AtomSpec(fresh, chosen, (link,)))
     for p in chosen:
         e.transition[(fresh, p, link)] = set(neg.targets(n, p, r))
@@ -102,7 +102,7 @@ def _un_iteration(neg: Negotiation, rng: random.Random, counter: list[int]) -> O
     spec = rng.choice(candidates)
     loop = f"r{counter[1]}"
     counter[1] += 1
-    e = edit(neg, transformers=False)
+    e = edit(neg)
     e.set_results(spec.id, spec.results + (loop,))
     for p in spec.parties:
         e.transition[(spec.id, p, loop)] = {spec.id}
@@ -168,7 +168,7 @@ def mutate_unsound(
         if deletable and (not retargets or rng.random() < 0.7):
             n, r = rng.choice(deletable)
             spec = neg.atoms[n]
-            e = edit(neg, transformers=False)
+            e = edit(neg)
             e.set_results(n, tuple(x for x in spec.results if x != r))
             for p in spec.parties:
                 del e.transition[(n, p, r)]
@@ -186,7 +186,7 @@ def mutate_unsound(
             if not options:
                 continue
             new = rng.choice(options)
-            e = edit(neg, transformers=False)
+            e = edit(neg)
             e.transition[(n, p, r)] = (e.transition[(n, p, r)] - {old}) | {new}
             try:
                 mutant = e.done()

@@ -12,9 +12,17 @@ Validation enforces:
       reachability from the final atom on the negotiation graph.
 
 Validated negotiations are immutable by convention: every reduction rule
-produces a new value. That lets a diagram build its arc indexes
-(`arcs_into`, `committed_by`) and its move table (`moves`) lazily, once,
-on first use.
+produces a new value. That lets a diagram build its indexes lazily, once,
+on first use: the arc indexes (`arcs_into`, `committed_by`), the move
+table (`moves`), the merge groups (`merge_group`) and the transformers by
+outcome (`named_transformers`).
+
+Rule outputs are built by `rewrite`, without re-validation: the rules map
+negotiations to negotiations, so their outputs are valid by construction.
+`rewrite` carries forward every index the input diagram has built and
+replaces only the entries of the atoms the rule changed, so one
+application costs about the size of its site. The loader and the
+generator still go through `validate`.
 """
 
 from __future__ import annotations
@@ -113,7 +121,7 @@ class Negotiation:
         self._atom_order = {a: i for i, a in enumerate(self.atoms)}
         self._agent_order = {a: i for i, a in enumerate(self.agents)}
 
-    # -- arc indexes, built on first use -------------------------------------
+    # -- indexes, built on first use -----------------------------------------
 
     @cached_property
     def arcs_into(self) -> dict[tuple[str, str], tuple[Outcome, ...]]:
@@ -143,27 +151,55 @@ class Negotiation:
         """atom -> the agent indexes of its parties, and for each result in
         declaration order the parties' target tuples, sorted by atom index
         as markings hold them: everything firing an outcome needs."""
+        return {spec.id: self._moves_of(spec) for spec in self.atoms.values()}
+
+    def _moves_of(self, spec: AtomSpec) -> tuple[tuple[int, ...], tuple]:
         order = self._atom_order.__getitem__
-        table = {}
-        for spec in self.atoms.values():
-            table[spec.id] = (
-                tuple(self._agent_order[p] for p in spec.parties),
+        return (
+            tuple(self._agent_order[p] for p in spec.parties),
+            tuple(
                 tuple(
-                    tuple(
-                        tuple(sorted(self.transition[(spec.id, p, r)], key=order))
-                        for p in spec.parties
-                    )
-                    for r in spec.results
-                ),
-            )
-        return table
+                    tuple(sorted(self.transition[(spec.id, p, r)], key=order))
+                    for p in spec.parties
+                )
+                for r in spec.results
+            ),
+        )
+
+    @cached_property
+    def merge_groups(self) -> dict[str, dict[str, tuple[str, ...]]]:
+        """atom -> result -> the atom's results whose target set equals the
+        result's for every party, in declaration order. Filled one atom at
+        a time by `merge_group`."""
+        return {}
+
+    def merge_group(self, atom: str, result: str) -> tuple[str, ...]:
+        """The results of `atom` that send every party where `result` does,
+        `result` included, in declaration order: its merge partners."""
+        groups = self.merge_groups.get(atom)
+        if groups is None:
+            spec = self.atoms[atom]
+            by_targets: dict[tuple[frozenset[str], ...], list[str]] = {}
+            for r in spec.results:
+                key = tuple(self.transition[(atom, p, r)] for p in spec.parties)
+                by_targets.setdefault(key, []).append(r)
+            groups = {r: tuple(same) for same in by_targets.values() for r in same}
+            self.merge_groups[atom] = groups
+        return groups[result]
+
+    @cached_property
+    def named_transformers(self) -> dict[Outcome, TransformerExpr]:
+        """Every outcome's transformer, the default `Atomic` ones included.
+        A rule output's `transformers` is this dict already."""
+        return {o: self.transformer(o) for o in self.outcomes()}
 
     def drop_indexes(self) -> None:
-        """Free the arc indexes and the move table; the next lookup rebuilds
-        them. A reduction calls this on each diagram it moves past, so that
-        a trace keeping every intermediate diagram does not keep their
-        indexes too."""
-        for name in ("arcs_into", "committed_by", "moves"):
+        """Free the indexes; the next lookup rebuilds them. A reduction
+        calls this on each diagram it moves past, so that a trace keeping
+        every intermediate diagram does not keep their indexes too."""
+        for name in (
+            "arcs_into", "committed_by", "moves", "merge_groups", "named_transformers"
+        ):
             self.__dict__.pop(name, None)
 
     def __repr__(self):
@@ -276,24 +312,9 @@ def validate(
     for key in sorted(extra):
         violations.append(f"transition defined outside the diagram's triples: {key}")
 
-    # condition (3): forward-reachable from the initial atom and
-    # backward-reachable from the final atom, on a best-effort graph so
-    # this reports alongside any condition (1)/(2) findings
-    succ: dict[str, set[str]] = {aid: set() for aid in atom_map}
-    pred: dict[str, set[str]] = {aid: set() for aid in atom_map}
-    for (aid, _agent, _r), targets in norm.items():
-        for t in targets:
-            if t in atom_map:
-                succ[aid].add(t)
-                pred[t].add(aid)
-    fwd = _closure(succ, initial)
-    bwd = _closure(pred, final)
-    for aid in atom_map:
-        if aid not in fwd or aid not in bwd:
-            violations.append(
-                f"MissingPath: condition (3) fails at {aid!r}: not on a path from "
-                f"{initial!r} to {final!r}"
-            )
+    # condition (3), on a best-effort graph so this reports alongside any
+    # condition (1)/(2) findings
+    violations += missing_paths(atom_map, initial, final, norm)
 
     # sanity of attached concrete data
     rels = dict(rels or {})
@@ -311,7 +332,11 @@ def validate(
                 f"relation for {(aid, r)} is over {rel.parties}, expected "
                 f"{atom_map[aid].parties}"
             )
-        elif states is not None and not rel.is_left_total(states):
+        elif (
+            states is not None
+            and all(p in states for p in rel.parties)  # else reported above
+            and not rel.is_left_total(states)
+        ):
             violations.append(f"relation for {(aid, r)} is not left-total")
 
     if violations:
@@ -326,6 +351,141 @@ def validate(
         rels=rels,
         states=states,
     )
+
+
+def missing_paths(
+    atoms: Iterable[str],
+    initial: str,
+    final: str,
+    transition: dict[tuple[str, str, str], frozenset[str]],
+) -> list[str]:
+    """Condition (3): one violation for each atom that is not both
+    forward-reachable from the initial atom and backward-reachable from
+    the final atom. Targets outside `atoms` are ignored."""
+    succ: dict[str, set[str]] = {aid: set() for aid in atoms}
+    pred: dict[str, set[str]] = {aid: set() for aid in atoms}
+    for (aid, _agent, _r), targets in transition.items():
+        for t in targets:
+            if t in succ:
+                succ[aid].add(t)
+                pred[t].add(aid)
+    fwd = _closure(succ, initial)
+    bwd = _closure(pred, final)
+    return [
+        f"MissingPath: condition (3) fails at {aid!r}: not on a path from "
+        f"{initial!r} to {final!r}"
+        for aid in succ
+        if aid not in fwd or aid not in bwd
+    ]
+
+
+def rewrite(
+    neg: Negotiation,
+    spec: AtomSpec,
+    targets: dict[tuple[str, str], frozenset[str]],
+    transformers: dict[str, TransformerExpr],
+    removed: Optional[str] = None,
+) -> Negotiation:
+    """`neg` with one atom rewritten by a reduction rule, not re-validated.
+
+    The atom `spec.id` takes the results of `spec`, in place. Its triples
+    map to `targets` ((party, result) -> target set), and its results keep
+    their transformers except those given in `transformers` (result ->
+    expression). The atom `removed`, if given, is dropped; when it is the
+    final atom, `spec.id` becomes final. Every index `neg` has built is
+    carried forward, with the entries of these two atoms replaced.
+    """
+    n = spec.id
+    changed = (n,) if removed is None else (n, removed)
+    atoms = dict(neg.atoms)
+    transition = dict(neg.transition)
+    named = dict(neg.named_transformers)
+    old_triples: dict[tuple[str, str, str], frozenset[str]] = {}
+    old_named = {}
+    for a in changed:
+        old = neg.atoms[a]
+        for p in old.parties:
+            for r in old.results:
+                old_triples[(a, p, r)] = transition.pop((a, p, r))
+        for r in old.results:
+            old_named[(a, r)] = named.pop((a, r))
+    atoms[n] = spec
+    if removed is not None:
+        del atoms[removed]
+    new_triples = {}
+    for p in spec.parties:
+        for r in spec.results:
+            new_triples[(n, p, r)] = transition[(n, p, r)] = targets[(p, r)]
+    for r in spec.results:
+        named[(n, r)] = transformers[r] if r in transformers else old_named[(n, r)]
+    after = Negotiation(
+        agents=neg.agents,
+        atoms=atoms,
+        initial=neg.initial,
+        final=n if removed == neg.final else neg.final,
+        transition=transition,
+        transformers=named,
+        rels=neg.rels,
+        states=neg.states,
+    )
+    _carry_indexes(neg, after, changed, old_triples, new_triples)
+    return after
+
+
+def _carry_indexes(
+    before: Negotiation,
+    after: Negotiation,
+    changed: tuple[str, ...],
+    old_triples: dict[tuple[str, str, str], frozenset[str]],
+    new_triples: dict[tuple[str, str, str], frozenset[str]],
+) -> None:
+    """Give `after` each index `before` has built, updated from the
+    changed atoms' triples alone. `rewrite` appends the new triples to the
+    transition table, so appending their outcomes to `arcs_into` keeps it
+    in transition-table order, as a fresh build has it."""
+    built, carried = before.__dict__, after.__dict__
+    carried["named_transformers"] = after.transformers
+    if "arcs_into" in built:
+        into = dict(built["arcs_into"])
+        for key in {(t, p) for (_a, p, _r), ts in old_triples.items() for t in ts}:
+            kept = tuple(o for o in into[key] if o[0] not in changed)
+            if kept:
+                into[key] = kept
+            else:
+                del into[key]
+        for (a, p, r), ts in new_triples.items():
+            for t in ts:
+                into[(t, p)] = into.get((t, p), ()) + ((a, r),)
+        carried["arcs_into"] = into
+    if "committed_by" in built:
+        committed = dict(built["committed_by"])
+        dropped: dict[str, set[Outcome]] = {}
+        added: dict[str, set[Outcome]] = {}
+        for triples, delta in ((old_triples, dropped), (new_triples, added)):
+            for (a, _p, r), ts in triples.items():
+                if len(ts) == 1:
+                    (t,) = ts
+                    delta.setdefault(t, set()).add((a, r))
+        for t in dropped.keys() | added.keys():
+            outs = committed.get(t, frozenset()) - dropped.get(t, set())
+            outs |= added.get(t, set())
+            if outs:
+                committed[t] = outs
+            else:
+                committed.pop(t, None)
+        carried["committed_by"] = committed
+    if "moves" in built:
+        moves = dict(built["moves"])
+        for a in changed:
+            del moves[a]
+            if a in after.atoms:
+                moves[a] = after._moves_of(after.atoms[a])
+        carried["moves"] = moves
+    if "merge_groups" in built:
+        groups = dict(built["merge_groups"])
+        for a in changed:
+            groups.pop(a, None)
+        carried["merge_groups"] = groups
 
 
 @dataclass
@@ -364,15 +524,13 @@ class Edit:
         )
 
 
-def edit(neg: Negotiation, transformers: bool = True) -> Edit:
-    """Start editing a copy of the diagram. Every outcome's transformer is
-    copied explicitly, so rule outputs name them all; with
-    `transformers=False` the copy has none, as generated diagrams do."""
+def edit(neg: Negotiation) -> Edit:
+    """Start editing a copy of the diagram, with its transformers."""
     return Edit(
         neg,
         list(neg.atoms.values()),
         {k: set(v) for k, v in neg.transition.items()},
-        {o: neg.transformer(o) for o in neg.outcomes()} if transformers else {},
+        dict(neg.transformers),
         neg.initial,
         neg.final,
     )

@@ -2,13 +2,21 @@
 iteration, useless arc, shortcut), their guards, and reducible-outcome
 enumeration.
 
-Every application returns a fresh, re-validated Negotiation; inputs are
-never mutated, so traces can hold on to all intermediate diagrams.
+Every application returns a fresh Negotiation built by `model.rewrite`;
+inputs are never mutated, so traces can hold on to all intermediate
+diagrams. Rule outputs are valid by construction and are not
+re-validated, except for the path condition that is the useless-arc
+guard. Each output carries its input's indexes forward, with only the
+changed atoms' entries replaced, and records those atoms in
+`RuleApplication.changed`.
 
-Guards read the diagram's arc indexes (`Negotiation.arcs_into`,
-`Negotiation.committed_by`) instead of scanning the transition table, and
-shortcut targets are sought only among the outcome's transition targets,
-so evaluating R(N) costs about the number of arcs.
+Guards read the diagram's indexes (`Negotiation.arcs_into`,
+`Negotiation.committed_by`, `Negotiation.merge_group`) instead of
+scanning the transition table, and shortcut targets are sought only
+among the outcome's transition targets. A reduction keeps R(N) in a
+`Reducible`, which after each application re-evaluates only the outcomes
+whose guards can have changed (`dirty_outcomes`), so an application
+costs about the size of its site, not of the diagram.
 
 Fresh result naming: a merge of r1 and r2 produces "r1+r2", a shortcut of
 r with a target result r' produces "r>r'" (with a numeric suffix on
@@ -23,7 +31,15 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import GuardFailed, ValidationError
-from .model import Negotiation, Outcome, classify, edit, is_acyclic
+from .model import (
+    AtomSpec,
+    Negotiation,
+    Outcome,
+    classify,
+    is_acyclic,
+    missing_paths,
+    rewrite,
+)
 from .transformers import concat_expr, star_expr, union_expr
 
 
@@ -34,6 +50,9 @@ class RuleApplication:
     produced: dict  # fresh results, removed atoms/results
     before: Negotiation
     after: Negotiation
+    # the atoms the rule changed: the site atom, then the removed atom if
+    # any; when the final atom moves, these are the new and the old one
+    changed: tuple[str, ...]
     stage: Optional[int] = None  # set by staged strategies
     line: Optional[str] = None  # which strategy branch selected this step
 
@@ -162,20 +181,24 @@ def apply_merge(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
     ):
         raise GuardFailed("the two results have different transition functions")
 
-    e = edit(neg)
     fresh = _fresh_name(set(spec.results), f"{r1}+{r2}")
-    e.set_results(n1, tuple(fresh if r == r1 else r for r in spec.results if r != r2))
-    for p in spec.parties:
-        e.transition[(n1, p, fresh)] = e.transition.pop((n1, p, r1))
-        del e.transition[(n1, p, r2)]
-    e.transformers[(n1, fresh)] = union_expr(neg.transformer(o1), neg.transformer(o2))
-    after = e.done()
+    renamed = {r: fresh if r == r1 else r for r in spec.results if r != r2}
+    targets = {
+        (p, new): neg.targets(n1, p, r) for r, new in renamed.items() for p in spec.parties
+    }
+    after = rewrite(
+        neg,
+        AtomSpec(n1, spec.parties, tuple(renamed.values())),
+        targets,
+        {fresh: union_expr(neg.transformer(o1), neg.transformer(o2))},
+    )
     return RuleApplication(
         kind="merge",
         site=(o1, o2),
         produced={"fresh_results": [(n1, fresh)], "removed_atoms": []},
         before=neg,
         after=after,
+        changed=(n1,),
     )
 
 
@@ -187,21 +210,21 @@ def apply_iteration(neg: Negotiation, outcome: Outcome) -> RuleApplication:
     if any(neg.targets(n, p, r) != frozenset([n]) for p in spec.parties):
         raise GuardFailed("the outcome is not a self-loop for every party")
 
-    e = edit(neg)
     star = star_expr(neg.transformer(outcome))
     new_results = tuple(x for x in spec.results if x != r)
-    e.set_results(n, new_results)
-    for p in spec.parties:
-        del e.transition[(n, p, r)]
-    for r2 in new_results:
-        e.transformers[(n, r2)] = concat_expr(star, neg.transformer((n, r2)))
-    after = e.done()
+    after = rewrite(
+        neg,
+        AtomSpec(n, spec.parties, new_results),
+        {(p, r2): neg.targets(n, p, r2) for r2 in new_results for p in spec.parties},
+        {r2: concat_expr(star, neg.transformer((n, r2))) for r2 in new_results},
+    )
     return RuleApplication(
         kind="iteration",
         site=(outcome,),
         produced={"fresh_results": [], "removed_atoms": []},
         before=neg,
         after=after,
+        changed=(n,),
     )
 
 
@@ -248,10 +271,18 @@ def is_useless_arc(neg: Negotiation, arc, acyclic: Optional[bool] = None) -> boo
 
 
 def _remove_arc(neg: Negotiation, arc) -> Negotiation:
+    """The diagram without the arc. Raises ValidationError when some atom
+    is then on no path from the initial to the final atom (condition
+    (3)): that check is the useless-arc guard on cyclic diagrams."""
     n, p, r, n2 = arc
-    e = edit(neg)
-    e.transition[(n, p, r)].discard(n2)
-    return e.done()
+    spec = neg.atoms[n]
+    targets = {(q, x): neg.targets(n, q, x) for x in spec.results for q in spec.parties}
+    targets[(p, r)] = targets[(p, r)] - {n2}
+    after = rewrite(neg, spec, targets, {})
+    stranded = missing_paths(after.atoms, after.initial, after.final, after.transition)
+    if stranded:
+        raise ValidationError(stranded)
+    return after
 
 
 def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
@@ -272,6 +303,7 @@ def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
         produced={"fresh_results": [], "removed_atoms": []},
         before=neg,
         after=after,
+        changed=(n,),
     )
 
 
@@ -296,7 +328,6 @@ def apply_shortcut(
     # so exclusivity never makes it dead and it must stay
     removable = excl and n2 != neg.initial
 
-    e = edit(neg)
     spec = neg.atoms[n]
     existing = set(spec.results)
     fresh_map: dict[str, str] = {}
@@ -307,35 +338,27 @@ def apply_shortcut(
         fresh_map[r2] = fresh
 
     pos = spec.results.index(r)
-    e.set_results(
-        n,
-        spec.results[:pos]
-        + tuple(fresh_map[r2] for r2 in neg.results(n2))
-        + spec.results[pos + 1 :],
-    )
+    results = spec.results[:pos] + tuple(fresh_map.values()) + spec.results[pos + 1 :]
+    kept = [x for x in spec.results if x != r]
+    targets = {(p, x): neg.targets(n, p, x) for x in kept for p in spec.parties}
+    transformers = {}
     inner = set(neg.parties(n2))
     for r2, fresh in fresh_map.items():
         for p in spec.parties:
-            if p in inner:
-                e.transition[(n, p, fresh)] = set(neg.targets(n2, p, r2))
-            else:
-                e.transition[(n, p, fresh)] = set(neg.targets(n, p, r))
-        e.transformers[(n, fresh)] = concat_expr(
+            source = (n2, p, r2) if p in inner else (n, p, r)
+            targets[(p, fresh)] = neg.targets(*source)
+        transformers[fresh] = concat_expr(
             neg.transformer(outcome), neg.transformer((n2, r2))
         )
-    for p in spec.parties:
-        del e.transition[(n, p, r)]
 
-    removed = []
-    if removable:
-        removed.append(n2)
-        e.atoms = [a for a in e.atoms if a.id != n2]
-        for p in neg.parties(n2):
-            for r2 in neg.results(n2):
-                e.transition.pop((n2, p, r2), None)
-        if removing_final:
-            e.final = n
-    after = e.done()
+    removed = [n2] if removable else []
+    after = rewrite(
+        neg,
+        AtomSpec(n, spec.parties, results),
+        targets,
+        transformers,
+        removed=n2 if removable else None,
+    )
     return RuleApplication(
         kind="d_shortcut" if d_restricted else "shortcut",
         site=(outcome, n2),
@@ -345,6 +368,7 @@ def apply_shortcut(
         },
         before=neg,
         after=after,
+        changed=(n, *removed),
     )
 
 
@@ -361,14 +385,10 @@ def merge_partner(neg: Negotiation, outcome: Outcome) -> Optional[str]:
     n, r = outcome
     if n == neg.final:
         return None
-    for r2 in neg.results(n):
-        if r2 == r:
-            continue
-        if all(
-            neg.targets(n, p, r) == neg.targets(n, p, r2) for p in neg.parties(n)
-        ):
-            return r2
-    return None
+    group = neg.merge_group(n, r)
+    if len(group) == 1:
+        return None
+    return group[1] if group[0] == r else group[0]
 
 
 def iteration_applicable(neg: Negotiation, outcome: Outcome) -> bool:
@@ -409,20 +429,126 @@ def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] 
     return arcs
 
 
+def is_reducible(neg: Negotiation, outcome: Outcome, acyclic: bool) -> bool:
+    """Whether the outcome is in R(N): it admits the iteration or shortcut
+    rule, has a merge partner, or has a useless arc. `acyclic` is whether
+    the diagram is, which the useless-arc guard reads."""
+    n, r = outcome
+    return (
+        iteration_applicable(neg, outcome)
+        or merge_partner(neg, outcome) is not None
+        or any(
+            shortcut_guard(neg, outcome, n2).holds
+            for n2 in shortcut_candidates(neg, outcome)
+        )
+        or any(
+            is_useless_arc(neg, (n, p, r, n2), acyclic=acyclic)
+            for p in neg.parties(n)
+            for n2 in neg.targets(n, p, r)
+        )
+    )
+
+
 def reducible_outcomes(neg: Negotiation) -> set[Outcome]:
-    """R(N): outcomes admitting the iteration or shortcut rule, having a
-    merge partner, or participating in a useless arc."""
+    """R(N), evaluated on every outcome."""
     acyclic = is_acyclic(neg)
-    out = set()
-    for o in neg.outcomes():
-        if (
-            iteration_applicable(neg, o)
-            or merge_partner(neg, o) is not None
-            or shortcut_targets(neg, o)
-            or useless_arcs_at(neg, o, acyclic=acyclic)
-        ):
-            out.add(o)
-    return out
+    return {o for o in neg.outcomes() if is_reducible(neg, o, acyclic)}
+
+
+def _arrivals(neg: Negotiation, t: str) -> tuple:
+    """What the guards of an outcome with an arc into `t` read of the
+    other arcs into `t`: the outcome that owns every arc into it, if any
+    (exclusive access); the outcomes that commit to it, when there are
+    fewer than two (another outcome commits); and whether two or more
+    arcs enter it (the useless-arc guard on acyclic diagrams)."""
+    into = [neg.arcs_into.get((t, q), ()) for q in neg.parties(t)]
+    first = into[0]
+    owner = first[0] if len(first) == 1 and all(x == first for x in into) else None
+    committed = neg.committed_by.get(t, frozenset())
+    return owner, committed if len(committed) < 2 else None, sum(map(len, into)) > 1
+
+
+def dirty_outcomes(app: RuleApplication) -> set[Outcome]:
+    """The outcomes of `app.after` whose membership in R(N) the application
+    can have changed: those of the changed atoms, and every outcome with an
+    arc into an atom that a changed atom targets before or after the rule,
+    if what the guards read of that atom's incoming arcs (`_arrivals`)
+    changed, or if it is the new final atom.
+
+    Every other outcome keeps its own transitions and results, and what
+    the guards read of the arcs into its targets, which is all
+    `is_reducible` reads of it, except for the useless-arc guard on a
+    cyclic diagram (see `Reducible`). It reads `before`'s arc indexes,
+    so a reduction calls it before it frees them."""
+    before, after = app.before, app.after
+    dirty: set[Outcome] = set()
+    hit: set[str] = set()
+    for a in app.changed:
+        for neg in (before, after):
+            if a in neg.atoms:
+                for r in neg.results(a):
+                    for p in neg.parties(a):
+                        hit |= neg.targets(a, p, r)
+        if a in after.atoms:
+            dirty.update((a, r) for r in after.results(a))
+    moved = {after.final} - {before.final}
+    for t in hit | moved:
+        if t not in after.atoms:
+            continue
+        if t in moved or _arrivals(before, t) != _arrivals(after, t):
+            for q in after.parties(t):
+                dirty.update(after.arcs_into.get((t, q), ()))
+    return dirty
+
+
+class Reducible:
+    """R(N) of the current diagram of a reduction, kept up to date across
+    its rule applications: computed in full on the input, then re-evaluated
+    on `dirty_outcomes` after each application.
+
+    On a cyclic diagram the useless-arc guard checks the path condition on
+    the whole diagram, so any application can change it. That guard holds
+    only at an outcome with a fork (a party sent to two or more atoms), so
+    while the diagram is cyclic every such outcome is re-evaluated too.
+    Acyclicity is read by that guard alone, so `acyclic` is recomputed
+    only while the diagram is cyclic and has a fork. Rules never make an
+    acyclic diagram cyclic (`preserves_class`), and a diagram without
+    forks never gets one, because every target set a rule creates is
+    copied or cut from an existing one.
+    """
+
+    def __init__(self, neg: Negotiation):
+        self.neg = neg
+        self.outcomes = reducible_outcomes(neg)
+        self.acyclic = is_acyclic(neg)
+        self.forks = {
+            (a, r) for (a, _p, r), ts in neg.transition.items() if len(ts) > 1
+        }
+        self.evaluated = neg.num_outcomes()  # outcomes whose reducibility was computed
+
+    def advance(self, app: RuleApplication) -> None:
+        """Move to `app.after`, which must follow the current diagram."""
+        before, after = app.before, app.after
+        for a in app.changed:
+            for r in before.results(a):
+                self.outcomes.discard((a, r))
+                self.forks.discard((a, r))
+        dirty = dirty_outcomes(app)
+        for a in app.changed:
+            if a in after.atoms:
+                for r in after.results(a):
+                    if any(len(after.targets(a, p, r)) > 1 for p in after.parties(a)):
+                        self.forks.add((a, r))
+        if not self.acyclic and self.forks:
+            self.acyclic = is_acyclic(after)
+            dirty |= self.forks
+        for o in dirty:
+            if is_reducible(after, o, self.acyclic):
+                self.outcomes.add(o)
+            else:
+                self.outcomes.discard(o)
+        self.evaluated += len(dirty)
+        self.neg = after
 
 
 def reducible_outcomes_k(neg: Negotiation, k: int) -> set[Outcome]:

@@ -27,6 +27,9 @@ its `line` is recorded on the application. The candidates are R(N) in
 `run_acyclic` and `run_one_agent`, R(N) cut to the current stage in
 `run_general`, and every outcome in `run_acyclic_wd`. Beyond steps and
 candidates, the strategies differ only in what they do at their bound.
+R(N) is computed in full on the input only: the trace keeps it up to date
+(`rules.Reducible`) as it records each application, and counts the
+outcomes it evaluated in `counters["outcomes_evaluated"]`.
 
 The atom order used for backward outcomes defaults to declaration order;
 all remaining ties break lexicographically by (atom index, result index),
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -47,6 +50,7 @@ from .errors import (
 )
 from .model import Negotiation, Outcome, classify
 from .rules import (
+    Reducible,
     RuleApplication,
     apply_d_shortcut,
     apply_iteration,
@@ -55,7 +59,6 @@ from .rules import (
     apply_useless_arc,
     iteration_applicable,
     merge_partner,
-    reducible_outcomes,
     shortcut_candidates,
     shortcut_guard,
     uniform,
@@ -98,12 +101,23 @@ class ReductionTrace:
     summary: Optional[dict[str, TransformerExpr]] = None
     stage_snapshots: dict[int, Negotiation] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
+    # R(N) of the current diagram, for the strategies that read it
+    reducible: Optional[Reducible] = None
+
+    def track_reducible(self) -> Reducible:
+        """Compute R(N) of the input, and keep it up to date from here on."""
+        self.reducible = Reducible(self.initial)
+        self.counters["outcomes_evaluated"] = self.reducible.evaluated
+        return self.reducible
 
     def record(self, app: RuleApplication) -> Negotiation:
-        app.before.drop_indexes()
         self.applications.append(app)
         self.counters["total"] = self.counters.get("total", 0) + 1
         self.counters[app.kind] = self.counters.get(app.kind, 0) + 1
+        if self.reducible is not None:
+            self.reducible.advance(app)  # reads `before`'s arc indexes
+            self.counters["outcomes_evaluated"] = self.reducible.evaluated
+        app.before.drop_indexes()
         return app.after
 
     @property
@@ -306,10 +320,10 @@ def _reduce(
     return current, None
 
 
-def _reducible(neg: Negotiation) -> list[Outcome]:
-    """R(N) in outcome order."""
-    pool = reducible_outcomes(neg)
-    return [o for o in neg.outcomes() if o in pool]
+def _in_order(neg: Negotiation, outcomes: Iterable[Outcome]) -> list[Outcome]:
+    """The outcomes in outcome order: by atom index, then result index."""
+    atom_index, result_index = neg.atom_index, neg.result_index
+    return sorted(outcomes, key=lambda o: (atom_index(o[0]), result_index(*o)))
 
 
 def _every_outcome(neg: Negotiation) -> list[Outcome]:
@@ -320,7 +334,10 @@ def _run_bounded(neg: Negotiation, steps: Sequence[Step], bound: int, overflow: 
     """Reduce R(N) until it is empty; no applicable step means "unsound",
     and passing the bound breaks the strategy's own theorem."""
     trace = ReductionTrace(initial=neg)
-    current, stop = _reduce(trace, neg, steps, _reducible, bound)
+    reducible = trace.track_reducible()
+    current, stop = _reduce(
+        trace, neg, steps, lambda current: _in_order(current, reducible.outcomes), bound
+    )
     if stop == "bound":
         raise AssertionError(overflow)
     if stop is not None:
@@ -410,22 +427,22 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
         ("d_shortcut", _d_shortcut),
     )
     trace = ReductionTrace(initial=neg)
-    # R(N) is computed once per diagram; each stage's pool and the
-    # invariant check (no outcome of a lower stage is reducible) read it
-    seen, reducible = neg, reducible_outcomes(neg)
+    # each stage's pool and the invariant check (no outcome of a lower
+    # stage is reducible) read the R(N) that the trace keeps up to date
+    reducible = trace.track_reducible()
+    checked = neg
 
     def pool(current: Negotiation) -> list[Outcome]:
-        nonlocal seen, reducible
-        if current is not seen:
-            seen, reducible = current, reducible_outcomes(current)
-            if check_invariants:
-                lowest = min((len(current.parties(o[0])) for o in reducible), default=stage)
-                if lowest < stage:
-                    raise AssertionError(f"stage {stage} created a {lowest}-reducible outcome")
-        return [
-            o for o in current.outcomes()
-            if o in reducible and len(current.parties(o[0])) == stage
-        ]
+        nonlocal checked
+        by_parties: dict[int, list[Outcome]] = {}
+        for o in reducible.outcomes:
+            by_parties.setdefault(len(current.parties(o[0])), []).append(o)
+        if check_invariants and current is not checked:
+            checked = current
+            lowest = min(by_parties, default=stage)
+            if lowest < stage:
+                raise AssertionError(f"stage {stage} created a {lowest}-reducible outcome")
+        return _in_order(current, by_parties.get(stage, ()))
 
     current = neg
     for stage in range(1, len(neg.agents) + 1):

@@ -1,4 +1,5 @@
-"""The indexed guards agree with the full-table scans they replace.
+"""The indexed guards agree with the full-table scans they replace, and
+the incremental rule engine agrees with a full recomputation.
 
 The reference functions below are the scanning definitions of
 `exclusive_access`, the "another outcome commits" bullet, the shortcut
@@ -7,10 +8,19 @@ acyclicity. Each indexed version is compared with its reference for
 every outcome and atom of the fixtures, of generated diagrams (cyclic
 and acyclic), of unsound mutants, and of every intermediate diagram
 their reductions pass through.
+
+Rule outputs are built without validation, with their input's indexes
+carried forward, and a reduction keeps R(N) up to date from each
+application's site. For every application of `run_auto` and
+`run_general` on the golden-trace cases, and for every rule instance on
+their inputs, the maintained R(N) must equal `reducible_outcomes` of the
+output, the carried indexes must equal a fresh build, and the output
+must come back equal from `validate`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from functools import lru_cache
 
@@ -18,10 +28,13 @@ import networkx as nx
 import pytest
 
 from negsum import (
+    AtomSpec,
     GuardReport,
     NegsumError,
+    classify,
     ValidationError,
     another_commits,
+    apply_useless_arc,
     commits_to,
     exclusive_access,
     fixture_names,
@@ -30,14 +43,21 @@ from negsum import (
     is_useless_arc,
     load_fixture,
     mutate_unsound,
+    expfam,
     negotiation_graph,
+    reducible_outcomes,
     run_auto,
+    run_general,
     shortcut_guard,
     shortcut_targets,
     unconditionally_enables,
     validate,
 )
-from negsum.rules import _useless_witness
+from negsum.rules import Reducible, _useless_witness, dirty_outcomes
+from negsum.strategies import ReductionTrace
+
+from conftest import all_rule_applications
+from test_rule_traces import build_cases
 
 # ---------------------------------------------------------------------------
 # Reference definitions: scans of the whole transition table / outcome set
@@ -267,3 +287,235 @@ def test_trace_keeps_no_index_of_superseded_diagrams():
     before = trace.applications[-1].before
     o = next(before.outcomes())
     assert shortcut_targets(before, o) == shortcut_targets_ref(before, o)
+
+
+# ---------------------------------------------------------------------------
+# The incremental engine against a full recomputation
+# ---------------------------------------------------------------------------
+
+INDEXES = ("arcs_into", "committed_by", "moves")
+
+
+def check_output(app):
+    """The rule output is what `validate` makes of its parts, and every
+    index it carries equals a fresh build."""
+    after = app.after
+    rebuilt = validate(
+        after.agents,
+        after.atoms.values(),
+        after.initial,
+        after.final,
+        after.transition,
+        transformers=after.transformers,
+        rels=after.rels,
+        states=after.states,
+    )
+    assert rebuilt == after, app
+    assert list(rebuilt.atoms) == list(after.atoms), app
+    assert set(after.transformers) == set(after.outcomes()), app
+    carried = vars(after)
+    fresh = dataclasses.replace(after)  # same parts, no index built yet
+    for name in INDEXES:
+        if name in carried:
+            assert carried[name] == getattr(fresh, name), (app, name)
+    for atom, groups in carried.get("merge_groups", {}).items():
+        for r in after.results(atom):
+            assert groups[r] == fresh.merge_group(atom, r), (app, atom, r)
+    assert set(app.changed) >= {app.site[0][0]}, app
+
+
+@pytest.fixture
+def checked_steps(monkeypatch):
+    """Check every application a strategy records, and the R(N) it
+    maintains after it; returns the list of (application, the names of
+    the indexes its output carried when checked)."""
+    checked = []
+    real = ReductionTrace.record
+
+    def record(self, app):
+        carried = set(vars(app.after))
+        check_output(app)
+        out = real(self, app)
+        if self.reducible is not None:
+            expected = reducible_outcomes(dataclasses.replace(app.after))
+            assert self.reducible.outcomes == expected, app
+        checked.append((app, carried))
+        return out
+
+    monkeypatch.setattr(ReductionTrace, "record", record)
+    return checked
+
+
+def test_carried_indexes_cover_what_the_strategies_read(checked_steps):
+    """The checks below compare carried indexes, so they must be there."""
+    trace = run_auto(load_fixture("running_multi"))
+    assert checked_steps
+    for _app, carried in checked_steps:
+        assert {"arcs_into", "committed_by", "merge_groups"} <= carried
+    evaluated = trace.counters["outcomes_evaluated"]
+    assert evaluated < trace.total * trace.initial.num_outcomes()
+
+
+@pytest.mark.parametrize("case", list(build_cases()))
+def test_maintained_reducible_outcomes_match_full_recomputation(case, checked_steps):
+    neg = build_cases()[case]
+    runs = []
+    try:
+        runs.append(run_auto(neg))
+    except NegsumError:
+        pass
+    if classify(neg).deterministic:
+        runs.append(run_general(neg, check_invariants=True))
+        runs.append(run_general(neg, check_invariants=False))
+    assert len(checked_steps) == sum(t.total for t in runs)
+
+
+def advance_and_compare(neg, app):
+    """R(N) of `neg`, advanced by `app`: it must equal a full
+    recomputation on the output."""
+    maintained = Reducible(neg)
+    maintained.advance(app)
+    assert maintained.outcomes == reducible_outcomes(dataclasses.replace(app.after)), app
+    return maintained
+
+
+def test_every_rule_instance_updates_reducible_outcomes_exactly():
+    """Every rule instance, so that useless arcs and shortcuts that move
+    the final atom are covered where no strategy picks them."""
+    kinds = set()
+    final_moves = 0
+    for _case, neg in build_cases().items():
+        for kind, _site, thunk in all_rule_applications(neg):
+            app = thunk()
+            check_output(app)
+            advance_and_compare(neg, app)
+            kinds.add(kind)
+            final_moves += app.after.final != neg.final
+    assert kinds == {"merge", "iteration", "useless_arc", "shortcut"}
+    assert final_moves
+
+
+def forked(neg, rng, forks=3):
+    """A non-deterministic copy of the diagram: some party of an outcome
+    is also sent to a second atom, while another party still goes to the
+    first one only, so the new arc matches the useless-arc pattern."""
+    transition = {k: set(v) for k, v in neg.transition.items()}
+    sites = [
+        (n, p, q, r, next(iter(neg.targets(n, p, r))))
+        for n, r in neg.outcomes()
+        for p in neg.parties(n)
+        for q in neg.parties(n)
+        if p != q and len(neg.targets(n, p, r)) == 1
+        and neg.targets(n, p, r) == neg.targets(n, q, r)
+    ]
+    for n, p, q, r, n1 in rng.sample(sites, min(forks, len(sites))):
+        extra = [
+            t for t in neg.atoms
+            if t not in (n1, neg.initial) and {p, q} <= set(neg.parties(t))
+        ]
+        if extra:
+            transition[(n, p, r)].add(rng.choice(extra))
+    return validate(neg.agents, neg.atoms.values(), neg.initial, neg.final, transition)
+
+
+@lru_cache(maxsize=None)
+def forked_cyclic_diagrams():
+    out = []
+    for seed in range(40):
+        base = generate_sound(seed, 3 + seed % 4, num_agents=2 + seed % 2, acyclic=False)
+        neg = forked(base, random.Random(seed))
+        if not is_acyclic(neg) and any(len(t) > 1 for t in neg.transition.values()):
+            out.append((seed, neg))
+    return out
+
+
+def test_random_rule_sequences_on_cyclic_forked_diagrams():
+    """On cyclic diagrams the useless-arc guard reads the whole diagram:
+    one maintained R(N) follows random rule sequences exactly, through
+    the step where the diagram becomes acyclic."""
+    kinds = set()
+    flips = 0
+    for seed, neg in forked_cyclic_diagrams():
+        rng = random.Random(seed)
+        maintained = Reducible(neg)
+        current = neg
+        for _ in range(12):
+            instances = all_rule_applications(current)
+            if not instances:
+                break
+            kind, site, thunk = rng.choice(instances)
+            app = thunk()
+            check_output(app)
+            maintained.advance(app)
+            expected = reducible_outcomes(dataclasses.replace(app.after))
+            assert maintained.outcomes == expected, (seed, kind, site)
+            if maintained.forks:
+                assert maintained.acyclic == is_acyclic(app.after)
+            kinds.add(kind)
+            flips += is_acyclic(app.after) and not is_acyclic(current)
+            current = app.after
+    assert len(forked_cyclic_diagrams()) >= 20
+    assert "useless_arc" in kinds and flips
+
+
+def two_agent_diagram(spec):
+    """Agents A and B in every atom; `spec` maps atom -> result -> agent
+    -> targets, initial atom n0 and final atom nf."""
+    agents = ("A", "B")
+    atoms = [AtomSpec(a, agents, tuple(results)) for a, results in spec.items()]
+    transition = {
+        (a, p, r): set(nxt.get(p, ()))
+        for a, results in spec.items()
+        for r, nxt in results.items()
+        for p in agents
+    }
+    return validate(agents, atoms, "n0", "nf", transition)
+
+
+def test_far_removal_makes_a_cyclic_useless_arc_essential():
+    """Removing n0 -> m leaves m reachable only through n2, so k -> n2
+    becomes the only way into the n2/m cycle: (k, s) leaves R(N), though
+    nothing next to it changed. Only the fork rule re-evaluates it."""
+    neg = two_agent_diagram({
+        "n0": {"r": {"A": ["k", "m"], "B": ["k"]}},
+        "k": {"s": {"A": ["j", "n2"], "B": ["j"]}},
+        "j": {"t": {"A": ["nf"], "B": ["nf"]}},
+        "n2": {"u": {"A": ["m"], "B": ["m"]}},
+        "m": {"v": {"A": ["nf"], "B": ["nf"]}, "w": {"A": ["n2"], "B": ["n2"]}},
+        "nf": {"f": {}},
+    })
+    assert not is_acyclic(neg)
+    assert ("k", "s") in reducible_outcomes(neg)
+    app = apply_useless_arc(neg, ("n0", "A", "r", "m"))
+    assert ("k", "s") not in dirty_outcomes(app)
+    assert ("k", "s") not in advance_and_compare(neg, app).outcomes
+
+
+def test_second_to_last_arc_into_an_atom_stops_being_useless():
+    """On an acyclic diagram the useless-arc guard needs another arc into
+    the target: when x's arc into t goes, y's arc is the last one."""
+    neg = two_agent_diagram({
+        "n0": {"r": {"A": ["x"], "B": ["x"]}, "s": {"A": ["y"], "B": ["y"]}},
+        "x": {"r": {"A": ["j", "t"], "B": ["j"]}},
+        "y": {"r": {"A": ["j", "t"], "B": ["j"]}},
+        "j": {"r": {"A": ["nf"], "B": ["nf"]}},
+        "t": {"r": {"A": ["nf"], "B": ["nf"]}},
+        "nf": {"f": {}},
+    })
+    assert ("y", "r") in reducible_outcomes(neg)
+    app = apply_useless_arc(neg, ("x", "A", "r", "t"))
+    assert ("y", "r") in dirty_outcomes(app)
+    assert ("y", "r") not in advance_and_compare(neg, app).outcomes
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_outcomes_evaluated_per_application_stays_flat(k):
+    """R(N) is re-evaluated at each application's site, so the outcomes
+    evaluated per application do not grow with the diagram."""
+
+    def per_application(k):
+        trace = run_auto(expfam(k))
+        return trace.counters["outcomes_evaluated"] / trace.total
+
+    base = per_application(8)
+    assert base / 2 <= per_application(k) <= 2 * base

@@ -133,32 +133,32 @@ def test_invariant_check_does_not_change_run_general():
 
 
 def test_invariant_check_catches_a_lower_stage_reducible_outcome(monkeypatch):
-    """Make R(N) report a 1-party outcome right after the first stage-2
-    application: the check must raise, and without it the planted outcome
-    lies outside every later pool and changes nothing."""
-    import negsum.strategies as strategies
+    """Make the maintained R(N) report a 1-party outcome right after the
+    first stage-2 application: the check must raise, and without it the
+    planted outcome lies outside every later pool and changes nothing."""
+    from negsum.rules import Reducible
 
     neg = load_fixture("running_multi")
     reference = run_general(neg)
     stages = [app.stage for app in reference.applications]
-    plant_at = stages.index(2) + 1  # R(N) calls: input first, then one per step
-    real = strategies.reducible_outcomes
+    plant_at = stages.index(2)  # R(N) updates: one per recorded application
+    real = Reducible.advance
 
-    def planted(current):
+    def planted(self, app):
         nonlocal calls
-        out = real(current)
+        real(self, app)
         if calls == plant_at:
-            parties = current.parties
-            out = out | {next(o for o in current.outcomes() if len(parties(o[0])) == 1)}
+            parties = self.neg.parties
+            self.outcomes.add(next(o for o in self.neg.outcomes() if len(parties(o[0])) == 1))
         calls += 1
-        return out
 
-    monkeypatch.setattr(strategies, "reducible_outcomes", planted)
+    monkeypatch.setattr(Reducible, "advance", planted)
     calls = 0
     with pytest.raises(AssertionError, match="stage 2 created a 1-reducible outcome"):
         run_general(neg)
     calls = 0
     unchecked = run_general(neg, check_invariants=False)
+    assert calls == len(reference.applications)
     assert trace_text(unchecked) == trace_text(reference)
 
 

@@ -14,15 +14,15 @@ Validation enforces:
 Validated negotiations are immutable by convention: every reduction rule
 produces a new value. That lets a diagram build its indexes lazily, once,
 on first use: the arc indexes (`arcs_into`, `committed_by`), the move
-table (`moves`), the merge groups (`merge_group`) and the transformers by
-outcome (`named_transformers`).
+table (`moves`), the merge groups (`merge_group`), the transformers by
+outcome (`named_transformers`) and the classification (`classify`).
 
 Rule outputs are built by `rewrite`, without re-validation: the rules map
 negotiations to negotiations, so their outputs are valid by construction.
-`rewrite` carries forward every index the input diagram has built and
-replaces only the entries of the atoms the rule changed, so one
-application costs about the size of its site. The loader and the
-generator still go through `validate`.
+`rewrite` carries forward every index the input diagram has built, but
+not its classification, and replaces only the entries of the atoms the
+rule changed, so one application costs about the size of its site. The
+loader and the generator still go through `validate`.
 """
 
 from __future__ import annotations
@@ -186,6 +186,12 @@ class Negotiation:
             groups = {r: tuple(same) for same in by_targets.values() for r in same}
             self.merge_groups[atom] = groups
         return groups[result]
+
+    @cached_property
+    def classification(self) -> Classification:
+        """What `classify` answers, computed on first use. A rule output
+        starts without it: a rule can change the class."""
+        return _classify(self)
 
     @cached_property
     def named_transformers(self) -> dict[Outcome, TransformerExpr]:
@@ -570,7 +576,12 @@ def is_acyclic(neg: Negotiation) -> bool:
 
 
 def classify(neg: Negotiation) -> Classification:
-    """Determinism, weak determinism, and acyclicity of a valid negotiation."""
+    """Determinism, weak determinism, and acyclicity of a valid negotiation,
+    computed once per diagram."""
+    return neg.classification
+
+
+def _classify(neg: Negotiation) -> Classification:
     det_agents = set(neg.agents)
     for (atom, agent, _r), targets in neg.transition.items():
         if atom != neg.final and len(targets) != 1 and agent in det_agents:

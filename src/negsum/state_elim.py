@@ -4,20 +4,31 @@ Each reachability edge starts out labeled with the atomic transformer of
 its outcome. Three reduction rules (merge parallel edges, remove a
 self-loop by starring it onto the outgoing edges, bypass a node with
 shortcut edges) are applied in phases until only the initial and final
-markings remain; the surviving edge labels are the summary expressions.
+markings remain; the surviving edge labels are the summary expressions
+(Brzozowski & McCluskey's state elimination).
 
 Edges into the final marking carry their final result as a tag, so the
 output maps each final result to one expression even when the final atom
 has several results. On diagrams where some marking cannot reach the
 final marking the graph does not reduce completely; the residual graph is
 returned instead of a summary.
+
+The graph indexes its edges per node (proper out-edges, proper in-edges,
+self-loops), each in edge-creation order, counts the edges of each
+(source, target) pair, and keeps the set of pairs that gained a parallel
+edge. A phase merges those dirty pairs in sorted order, removes
+self-loops in node order, and then bypasses the interior node of least
+fill (in-degree times out-degree, ties broken by the marking's text, then
+the node number), taken from a heap with lazy deletion. So one step
+costs about the degree of its site, not the size of the edge list.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import GuardFailed
 from .model import Negotiation
@@ -43,46 +54,116 @@ class LEdge:
     final_result: Optional[str] = None
 
 
-@dataclass
+_NONE: dict = {}  # the edges of a node that has none; never written to
+
+
 class LabeledRG:
-    markings: list[Marking]
-    alive: set[int]
-    edges: list[LEdge]
-    x0: int
-    xf: Optional[int]
+    """A labeled reachability graph under elimination.
+
+    Every edge gets an id from a counter when it is added, so id order is
+    creation order, the order in which `edges` lists the live edges.
+    `_out`, `_in` and `_loops` map a node to its proper out-edges, proper
+    in-edges and self-loops, each as {id: edge}; `_pairs` counts the edges
+    of each (source, target) pair. A node or pair with no edge is absent.
+    `dirty` holds every pair with two or more edges not into the final
+    marking, and possibly pairs that have fewer by now."""
+
+    def __init__(
+        self,
+        markings: list[Marking],
+        alive: set[int],
+        edges: Iterable[LEdge],
+        x0: int,
+        xf: Optional[int],
+    ):
+        self.markings = markings
+        self.alive = alive
+        self.x0 = x0
+        self.xf = xf
+        self.dirty: set[tuple[int, int]] = set()
+        self._live: dict[int, LEdge] = {}
+        self._out: dict[int, dict[int, LEdge]] = {}
+        self._in: dict[int, dict[int, LEdge]] = {}
+        self._loops: dict[int, dict[int, LEdge]] = {}
+        self._pairs: dict[tuple[int, int], int] = {}
+        self._next_id = 0
+        for e in edges:
+            self.add(e)
+
+    @property
+    def edges(self) -> list[LEdge]:
+        return list(self._live.values())
 
     def in_edges(self, v: int) -> list[LEdge]:
-        return [e for e in self.edges if e.dst == v and e.src != v]
+        return list(self._in.get(v, _NONE).values())
 
     def out_edges(self, v: int) -> list[LEdge]:
-        return [e for e in self.edges if e.src == v and e.dst != v]
+        return list(self._out.get(v, _NONE).values())
 
     def self_loops(self, v: int) -> list[LEdge]:
-        return [e for e in self.edges if e.src == v and e.dst == v]
+        return list(self._loops.get(v, _NONE).values())
+
+    def fill(self, v: int) -> int:
+        """The number of shortcut edges that eliminating v adds."""
+        return len(self._in.get(v, _NONE)) * len(self._out.get(v, _NONE))
 
     def node_key(self, v: int) -> str:
         return str(self.markings[v])
 
+    def add(self, e: LEdge) -> None:
+        eid = self._next_id
+        self._next_id = eid + 1
+        self._live[eid] = e
+        for index, v in self._places(e):
+            at = index.get(v)
+            if at is None:
+                index[v] = {eid: e}
+            else:
+                at[eid] = e
+        pair = (e.src, e.dst)
+        count = self._pairs[pair] = self._pairs.get(pair, 0) + 1
+        if count > 1 and e.dst != self.xf:
+            self.dirty.add(pair)
+
+    def _remove(self, eids: Iterable[int]) -> None:
+        for eid in list(eids):
+            e = self._live.pop(eid)
+            for index, v in self._places(e):
+                at = index[v]
+                del at[eid]
+                if not at:
+                    del index[v]
+            pair = (e.src, e.dst)
+            count = self._pairs.pop(pair) - 1
+            if count:
+                self._pairs[pair] = count
+
+    def _places(self, e: LEdge) -> tuple:
+        """The (index, node) places that list e."""
+        if e.src == e.dst:
+            return ((self._loops, e.src),)
+        return (self._out, e.src), (self._in, e.dst)
+
 
 def labeled_rg(neg: Negotiation, graph: ReachabilityGraph) -> LabeledRG:
-    xf = graph.node_index.get(graph.final) if graph.final is not None else None
-    edges = []
-    for src, (aid, r), dst in graph.edges:
-        edges.append(
-            LEdge(
-                graph.node_index[src],
-                neg.transformer((aid, r)),
-                graph.node_index[dst],
-                final_result=r if aid == neg.final else None,
-            )
-        )
-    return LabeledRG(
-        markings=list(graph.nodes),
-        alive=set(range(len(graph.nodes))),
-        edges=edges,
-        x0=graph.node_index[graph.initial],
-        xf=xf,
-    )
+    n = len(graph.nodes)
+    return LabeledRG(list(graph.nodes), set(range(n)), *_labeled_edges(neg, graph))
+
+
+def _labeled_edges(
+    neg: Negotiation, graph: ReachabilityGraph
+) -> tuple[list[LEdge], int, Optional[int]]:
+    """The reachability edges labeled with their outcomes' transformers,
+    the initial marking's index and the final marking's (None when it is
+    not reachable)."""
+    index = graph.node_index
+    edges = [
+        LEdge(index[src], neg.transformer((aid, r)), index[dst],
+              final_result=r if aid == neg.final else None)
+        for src, (aid, r), dst in graph.edges
+    ]
+    xf = index.get(graph.final) if graph.final is not None else None
+    return edges, index[graph.initial], xf
 
 
 # ---------------------------------------------------------------------------
@@ -95,29 +176,30 @@ def elim_parallel(g: LabeledRG, v1: int, v2: int) -> None:
     are never merged."""
     if v2 == g.xf:
         raise GuardFailed("parallel edges into the final marking are kept apart")
-    parallel = [e for e in g.edges if e.src == v1 and e.dst == v2]
-    if len(parallel) < 2:
+    if g._pairs.get((v1, v2), 0) < 2:
         raise GuardFailed(f"fewer than two edges from {v1} to {v2}")
-    merged = LEdge(v1, union_expr(*(e.expr for e in parallel)), v2)
-    g.edges = [e for e in g.edges if not (e.src == v1 and e.dst == v2)]
-    g.edges.append(merged)
+    at = g._loops[v1] if v1 == v2 else g._out[v1]
+    parallel = {eid: e for eid, e in at.items() if e.dst == v2}
+    merged = LEdge(v1, union_expr(*(e.expr for e in parallel.values())), v2)
+    g._remove(parallel)
+    g.add(merged)
 
 
 def elim_selfloop(g: LabeledRG, v: int) -> None:
     """Prefix every proper out-edge of v with the starred self-loop, then
     drop the self-loop."""
-    loops = g.self_loops(v)
+    loops = g._loops.get(v, _NONE)
     if not loops:
         raise GuardFailed(f"no self-loop at node {v}")
     if len(loops) > 1:
         raise GuardFailed(
             f"{len(loops)} parallel self-loops at node {v}; merge them first"
         )
-    star = star_expr(loops[0].expr)
-    for e in g.edges:
-        if e.src == v and e.dst != v:
-            e.expr = concat_expr(star, e.expr)
-    g.edges.remove(loops[0])
+    (loop,) = loops.values()
+    star = star_expr(loop.expr)
+    for e in g._out.get(v, _NONE).values():
+        e.expr = concat_expr(star, e.expr)
+    g._remove(loops)
 
 
 def elim_node(g: LabeledRG, v: int) -> None:
@@ -128,33 +210,26 @@ def elim_node(g: LabeledRG, v: int) -> None:
         raise GuardFailed("cannot eliminate the initial or final marking")
     if v not in g.alive:
         raise GuardFailed(f"node {v} was already removed")
-    if g.self_loops(v):
+    if v in g._loops:
         raise GuardFailed(f"node {v} still has a self-loop")
-    outs = g.out_edges(v)
+    outs = g._out.get(v, _NONE)
     if not outs:
         raise GuardFailed(f"node {v} has no successor")
-    ins = g.in_edges(v)
+    ins = g._in.get(v, _NONE)
     new_edges = [
         LEdge(ei.src, concat_expr(ei.expr, eo.expr), eo.dst, eo.final_result)
-        for ei in ins
-        for eo in outs
+        for ei in ins.values()
+        for eo in outs.values()
     ]
-    g.edges = [e for e in g.edges if e.src != v and e.dst != v] + new_edges
+    g._remove([*ins, *outs])
+    for e in new_edges:
+        g.add(e)
     g.alive.discard(v)
 
 
 # ---------------------------------------------------------------------------
 # The phase strategy
 # ---------------------------------------------------------------------------
-
-def _parallel_sites(g: LabeledRG):
-    seen: dict[tuple[int, int], int] = {}
-    for e in g.edges:
-        if e.dst == g.xf:
-            continue
-        seen[(e.src, e.dst)] = seen.get((e.src, e.dst), 0) + 1
-    return sorted(k for k, count in seen.items() if count > 1)
-
 
 @dataclass
 class SummaryResult:
@@ -171,33 +246,41 @@ def reduce_labeled_rg(g: LabeledRG, on_step=None) -> SummaryResult:
         if on_step is not None:
             on_step(g, kind, site)
 
+    # min-fill heap of (fill, marking text, node); an entry is stale once
+    # its node is gone or its fill changed, and every node whose degrees
+    # change is pushed again
+    keys = {v: g.node_key(v) for v in g.alive}
+    heap = [(g.fill(v), keys[v], v) for v in g.alive if v not in (g.x0, g.xf)]
+    heapq.heapify(heap)
+
+    def push(nodes):
+        for u in nodes:
+            if u in g.alive and u != g.x0 and u != g.xf:
+                heapq.heappush(heap, (g.fill(u), keys[u], u))
+
     while True:
-        while True:
-            sites = _parallel_sites(g)
-            if not sites:
-                break
-            for v1, v2 in sites:
+        sites = sorted(g.dirty)
+        g.dirty.clear()
+        for v1, v2 in sites:
+            if g._pairs.get((v1, v2), 0) > 1:
                 elim_parallel(g, v1, v2)
                 done("parallel", (v1, v2))
-        for v in sorted(g.alive):
-            if g.self_loops(v):
-                elim_selfloop(g, v)
-                done("selfloop", v)
-        if _parallel_sites(g):
-            continue  # a starred rewrite may have created new parallels
+                push((v1, v2))
+        # starring a loop adds no edge, so it makes no new parallel pair
+        for v in sorted(g._loops):
+            elim_selfloop(g, v)
+            done("selfloop", v)
 
-        interior = [v for v in g.alive if v not in (g.x0, g.xf)]
-        if not interior:
-            break
-        candidates = [v for v in interior if g.out_edges(v)]
-        if not candidates:
-            break  # dead-end nodes: the graph cannot reduce further
-        v = min(
-            candidates,
-            key=lambda v: (len(g.in_edges(v)) * len(g.out_edges(v)), g.node_key(v)),
-        )
+        while heap:
+            fill, _key, v = heapq.heappop(heap)
+            if v in g.alive and fill == g.fill(v) and v in g._out:
+                break
+        else:
+            break  # no interior node has a successor: the graph cannot reduce further
+        neighbours = {e.src for e in g.in_edges(v)} | {e.dst for e in g.out_edges(v)}
         elim_node(g, v)
         done("node", v)
+        push(neighbours)
 
     leftover = g.alive - {g.x0} - ({g.xf} if g.xf is not None else set())
     if leftover or g.xf is None:
@@ -241,23 +324,29 @@ def graph_denotation(
     the parties of the edges on its paths, as the pairwise iteration this
     replaced did.
     """
+    return _denotation(g.edges, g.x0, g.xf, interp, space)
+
+
+def _denotation(
+    edges: list[LEdge], x0: int, xf: Optional[int], interp, space: StateSpace
+) -> dict[str, Rel]:
     k = Kernel(space)
     memo: dict = {}
-    labels = {e.expr: k.eval(e.expr, interp, memo) for e in g.edges}
+    labels = {e.expr: k.eval(e.expr, interp, memo) for e in edges}
     every = k.merged(*(r.parties for r in labels.values()))
     n = k.size(every)
     moves = {}  # label -> (successors of each assignment, party set)
     for expr, r in labels.items():
         moves[expr] = ([bits(row) for row in k.expand(r, every).rows], frozenset(r.parties))
     out_edges: dict[int, list] = {}
-    for e in g.edges:
+    for e in edges:
         out_edges.setdefault(e.src, []).append((e.dst, *moves[e.expr]))
 
-    reach = {g.x0: [1 << s for s in range(n)]}  # node -> state -> initial states
-    parties = {g.x0: frozenset()}
-    delta = {g.x0: dict(enumerate(reach[g.x0]))}
-    work = deque([g.x0])
-    queued = {g.x0}
+    reach = {x0: [1 << s for s in range(n)]}  # node -> state -> initial states
+    parties = {x0: frozenset()}
+    delta = {x0: dict(enumerate(reach[x0]))}
+    work = deque([x0])
+    queued = {x0}
     while work:
         u = work.popleft()
         queued.discard(u)
@@ -285,8 +374,8 @@ def graph_denotation(
 
     cols: dict[str, list[int]] = {}
     result_parties: dict[str, frozenset] = {}
-    for e in g.edges:
-        if e.dst != g.xf or e.final_result is None or e.src not in reach:
+    for e in edges:
+        if e.dst != xf or e.final_result is None or e.src not in reach:
             continue
         succ, pe = moves[e.expr]
         acc = cols.setdefault(e.final_result, [0] * n)
@@ -312,4 +401,5 @@ def brute_force_summary(
     """Union of the transformers of all large steps, per final result,
     straight off the reachability graph."""
     graph = reachability(neg, cap)
-    return graph_denotation(labeled_rg(neg, graph), interp, space)
+    # the oracle reads only the edges: no elimination indexes are built
+    return _denotation(*_labeled_edges(neg, graph), interp, space)

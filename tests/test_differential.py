@@ -21,7 +21,6 @@ from negsum import (
     classify,
     eval_expr,
     generate_sound,
-    reachability,
     rels_equal,
     run_acyclic,
     run_auto,
@@ -175,10 +174,6 @@ BENCH_SHAPES = (
     (4, 40, 20, False),
     (3, 64, 32, True),
 )
-# State elimination still scans every edge for every node (seed 0 of the
-# fourth shape has 339 markings and takes seconds), so it joins the check
-# only up to this size; the rule engine and the oracle check every case.
-ELIMINATION_MARKINGS = 200
 
 
 @pytest.mark.parametrize(
@@ -189,9 +184,7 @@ def test_benchmark_shaped_summaries_match_brute_force(shape, seed):
     neg = generate_sound(seed, steps, agents, acyclic, max_atoms=max_atoms)
     trace = run_auto(neg)
     assert trace.verdict == "summarized", (shape, seed, trace.reason)
-    summaries = {"rules": trace.summary}
-    if len(reachability(neg).nodes) <= ELIMINATION_MARKINGS:
-        summaries["states"] = summarize_by_states(neg).summary
+    summaries = {"rules": trace.summary, "states": summarize_by_states(neg).summary}
     assert_summaries_match_brute_force(neg, seed, summaries)
 
 

@@ -3,19 +3,25 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+import negsum.model
 from negsum import (
     CLASSIFICATIONS,
     AtomSpec,
+    NotDeterministic,
     ValidationError,
     classify,
+    expfam,
     fixture_names,
+    generate_sound,
     load_fixture,
     negotiation_graph,
+    run_auto,
     validate,
 )
 from negsum.fileio import dumps, loads
+from negsum.model import edit
 
-from conftest import single_atom_negotiation
+from conftest import all_rule_applications, single_atom_negotiation
 
 
 @pytest.mark.parametrize("name", fixture_names())
@@ -50,6 +56,41 @@ def test_single_atom_negotiation():
     assert neg.initial == neg.final == "n0"
     cls = classify(neg)
     assert cls.deterministic and cls.weakly_deterministic and cls.acyclic
+
+
+def test_run_auto_classifies_its_input_once(monkeypatch):
+    real, classified = negsum.model._classify, []
+
+    def counting(neg):
+        classified.append(neg)
+        return real(neg)
+
+    monkeypatch.setattr(negsum.model, "_classify", counting)
+    inputs = [load_fixture(name) for name in fixture_names()]
+    inputs += [expfam(8), generate_sound(3, 24, 3, False), generate_sound(3, 40, 3, True)]
+    for neg in inputs:
+        classified.clear()
+        try:
+            run_auto(neg)
+        except NotDeterministic:
+            pass
+        assert len(classified) == 1 and classified[0] is neg, neg
+
+
+def test_rule_outputs_are_classified_afresh():
+    # a rule can change the class (a useless-arc removal can make a cyclic
+    # diagram acyclic), so `rewrite` must not carry the classification
+    changed = 0
+    for name in fixture_names():
+        neg = load_fixture(name)
+        before = classify(neg)
+        for kind, site, apply in all_rule_applications(neg):
+            after = apply().after
+            assert "classification" not in vars(after), (name, kind, site)
+            fresh = classify(after)
+            assert fresh == classify(edit(after).done()), (name, kind, site)
+            changed += fresh != before
+    assert changed
 
 
 def test_initial_distinct_from_final_when_larger():

@@ -1,0 +1,58 @@
+#!/usr/bin/env python3
+"""Print the marking exploration rate of `reachability` on `expfam(k)`.
+
+    python3 scripts/markings_rate.py [k ...]      (default: 6 7)
+
+For each k it prints the number of markings and edges of the reachability
+graph, the process CPU time of one `reachability` call and the markings
+explored per CPU second. Each figure is the median of three calls, each
+on a freshly built diagram, so the per-diagram index that exploration
+builds on first use is paid in every call. Each call starts after a full
+garbage collection, with no earlier graph alive, so the collections that
+fall due inside it depend on its own allocations alone. Standard library
+only; negsum is loaded from the `src/` directory next to this script.
+"""
+
+from __future__ import annotations
+
+import gc
+import pathlib
+import statistics
+import sys
+import time
+
+sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+
+from negsum import expfam, reachability  # noqa: E402
+
+REPEATS = 3
+
+
+def measure(k: int) -> tuple[int, int, float]:
+    """(markings, edges, median CPU seconds) of `reachability(expfam(k))`."""
+    times = []
+    for _ in range(REPEATS):
+        neg = expfam(k)
+        gc.collect()
+        t0 = time.process_time()
+        graph = reachability(neg)
+        times.append(time.process_time() - t0)
+        markings, edges = len(graph.nodes), len(graph.edges)
+        del graph, neg
+    return markings, edges, statistics.median(times)
+
+
+def main(argv: list[str]) -> int:
+    ks = [int(a) for a in argv] or [6, 7]
+    for k in ks:
+        markings, edges, seconds = measure(k)
+        rate = markings / seconds if seconds else float("inf")
+        print(
+            f"expfam({k}): markings {markings} edges {edges} "
+            f"reachability_s {seconds:.4f} markings_per_s {rate:.0f}"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

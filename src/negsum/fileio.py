@@ -278,16 +278,16 @@ def negotiation_dot(neg: Negotiation) -> str:
 def reachability_dot(graph: ReachabilityGraph) -> str:
     lines = ["digraph reachability {", "  rankdir=TB;"]
     for i, m in enumerate(graph.nodes):
-        shape = "doublecircle" if m == graph.final else "circle"
+        shape = "doublecircle" if i == graph.final_index else "circle"
         lines.append(
             f"  {_dot_quote(f'x{i}')} [shape={shape}, label={_dot_quote(str(m))}];"
         )
-    for src, (aid, r), dst in graph.edges:
-        i, j = graph.node_index[src], graph.node_index[dst]
-        lines.append(
-            f"  {_dot_quote(f'x{i}')} -> {_dot_quote(f'x{j}')} "
-            f"[label={_dot_quote(f'{aid}.{r}')}];"
-        )
+    for i, out in enumerate(graph.succ):
+        for (aid, r), j in out:
+            lines.append(
+                f"  {_dot_quote(f'x{i}')} -> {_dot_quote(f'x{j}')} "
+                f"[label={_dot_quote(f'{aid}.{r}')}];"
+            )
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -13,16 +13,20 @@ Validation enforces:
 
 Validated negotiations are immutable by convention: every reduction rule
 produces a new value. That lets a diagram build its indexes lazily, once,
-on first use: the arc indexes (`arcs_into`, `committed_by`), the move
-table (`moves`), the merge groups (`merge_group`), the transformers by
-outcome (`named_transformers`) and the classification (`classify`).
+on first use: the arc indexes (`arcs_into`, `committed_by`), the
+compiled marking tables (`marking_kernel`), the merge groups
+(`merge_group`), the transformers by outcome (`named_transformers`) and
+the classification (`classify`).
 
 Rule outputs are built by `rewrite`, without re-validation: the rules map
 negotiations to negotiations, so their outputs are valid by construction.
-`rewrite` carries forward every index the input diagram has built, but
-not its classification, and replaces only the entries of the atoms the
-rule changed, so one application costs about the size of its site. The
-loader and the generator still go through `validate`.
+`rewrite` carries forward the arc indexes, the merge groups and the
+transformers the input diagram has built, replacing only the entries of
+the atoms the rule changed, so one application costs about the size of
+its site. It carries neither the classification, since a rule can change
+the class, nor the marking tables, since removing an atom shifts the bit
+of every atom after it. The loader and the generator still go through
+`validate`.
 """
 
 from __future__ import annotations
@@ -36,6 +40,8 @@ from .transformers import Atomic, Rel, StateSpace, TransformerExpr
 
 if TYPE_CHECKING:
     import networkx as nx
+
+    from .semantics import MarkingKernel
 
 Outcome = tuple[str, str]  # (atom id, result name)
 Arc = tuple[str, str, str, str]  # (atom, agent, result, target atom)
@@ -147,24 +153,13 @@ class Negotiation:
         return {t: frozenset(outs) for t, outs in index.items()}
 
     @cached_property
-    def moves(self) -> dict[str, tuple[tuple[int, ...], tuple]]:
-        """atom -> the agent indexes of its parties, and for each result in
-        declaration order the parties' target tuples, sorted by atom index
-        as markings hold them: everything firing an outcome needs."""
-        return {spec.id: self._moves_of(spec) for spec in self.atoms.values()}
+    def marking_kernel(self) -> MarkingKernel:
+        """The diagram compiled into the integer tables every walk over
+        markings runs on (`semantics.MarkingKernel`). A rule output starts
+        without it: removing an atom shifts the bit of every later atom."""
+        from .semantics import MarkingKernel  # semantics imports this module
 
-    def _moves_of(self, spec: AtomSpec) -> tuple[tuple[int, ...], tuple]:
-        order = self._atom_order.__getitem__
-        return (
-            tuple(self._agent_order[p] for p in spec.parties),
-            tuple(
-                tuple(
-                    tuple(sorted(self.transition[(spec.id, p, r)], key=order))
-                    for p in spec.parties
-                )
-                for r in spec.results
-            ),
-        )
+        return MarkingKernel(self)
 
     @cached_property
     def merge_groups(self) -> dict[str, dict[str, tuple[str, ...]]]:
@@ -204,7 +199,11 @@ class Negotiation:
         calls this on each diagram it moves past, so that a trace keeping
         every intermediate diagram does not keep their indexes too."""
         for name in (
-            "arcs_into", "committed_by", "moves", "merge_groups", "named_transformers"
+            "arcs_into",
+            "committed_by",
+            "marking_kernel",
+            "merge_groups",
+            "named_transformers",
         ):
             self.__dict__.pop(name, None)
 
@@ -398,8 +397,9 @@ def rewrite(
     map to `targets` ((party, result) -> target set), and its results keep
     their transformers except those given in `transformers` (result ->
     expression). The atom `removed`, if given, is dropped; when it is the
-    final atom, `spec.id` becomes final. Every index `neg` has built is
-    carried forward, with the entries of these two atoms replaced.
+    final atom, `spec.id` becomes final. The arc indexes, merge groups and
+    transformers `neg` has built are carried forward, with the entries of
+    these two atoms replaced; the output builds its other indexes afresh.
     """
     n = spec.id
     changed = (n,) if removed is None else (n, removed)
@@ -445,7 +445,7 @@ def _carry_indexes(
     old_triples: dict[tuple[str, str, str], frozenset[str]],
     new_triples: dict[tuple[str, str, str], frozenset[str]],
 ) -> None:
-    """Give `after` each index `before` has built, updated from the
+    """Give `after` each carried index `before` has built, updated from the
     changed atoms' triples alone. `rewrite` appends the new triples to the
     transition table, so appending their outcomes to `arcs_into` keeps it
     in transition-table order, as a fresh build has it."""
@@ -480,13 +480,6 @@ def _carry_indexes(
             else:
                 committed.pop(t, None)
         carried["committed_by"] = committed
-    if "moves" in built:
-        moves = dict(built["moves"])
-        for a in changed:
-            del moves[a]
-            if a in after.atoms:
-                moves[a] = after._moves_of(after.atoms[a])
-        carried["moves"] = moves
     if "merge_groups" in built:
         groups = dict(built["merge_groups"])
         for a in changed:

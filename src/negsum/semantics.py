@@ -5,15 +5,25 @@ The reachability graph is the ground truth the reduction machinery is
 tested against. Exploration is breadth-first with outcomes ordered by
 (atom index, result index), which makes node and edge order, and every
 witness, reproducible.
+
+Every walk over markings runs on a diagram compiled once into integer
+tables (`MarkingKernel`, built on first use as `Negotiation.marking_kernel`).
+A marking is one int: agent i's ready set occupies bits [i·K, (i+1)·K),
+one bit per atom in atom-index order, K being the number of atoms. The
+`Marking` dataclass is what the public API shows; it is decoded from the
+int only where a caller asks for it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .errors import BudgetExceeded, NotEnabled
 from .model import Negotiation, Outcome
+from .transformers import bits
 
 # The one exploration budget: every walk over markings stores at most this
 # many distinct markings unless its caller passes another cap.
@@ -55,18 +65,112 @@ def final_marking(neg: Negotiation) -> Marking:
     return Marking(tuple(() for _ in neg.agents))
 
 
+class MarkingKernel:
+    """A diagram compiled for walks over int-encoded markings.
+
+    Atom a (by atom index) has a `need` mask, its own bit in every party's
+    field, and a `keep` mask that clears the parties' fields; each of its
+    results has a `put` mask, the parties' targets. The atom is enabled at
+    m iff `m & need == need`, and firing a result gives `(m & keep) | put`.
+    The final marking is 0.
+    """
+
+    def __init__(self, neg: Negotiation):
+        k = len(neg.atoms)
+        self.atoms: tuple[str, ...] = tuple(neg.atoms)
+        self.field = (1 << k) - 1
+        self.shifts = tuple(i * k for i in range(len(neg.agents)))
+        shift_of = dict(zip(neg.agents, self.shifts))
+        self._index = {atom: a for a, atom in enumerate(self.atoms)}
+        everything = (1 << (k * len(neg.agents))) - 1
+        self.need: list[int] = []
+        self.keep: list[int] = []
+        # per atom, per result in declaration order: (outcome, put mask)
+        self.fires: list[tuple[tuple[Outcome, int], ...]] = []
+        self._results: list[dict[str, int]] = []
+        for a, spec in enumerate(neg.atoms.values()):
+            shifts = [shift_of[p] for p in spec.parties]
+            self.need.append(sum(1 << (sh + a) for sh in shifts))
+            self.keep.append(everything ^ sum(self.field << sh for sh in shifts))
+            self.fires.append(tuple(
+                (
+                    (spec.id, r),
+                    sum(
+                        1 << (shift_of[p] + self._index[t])
+                        for p in spec.parties
+                        for t in neg.transition[(spec.id, p, r)]
+                    ),
+                )
+                for r in spec.results
+            ))
+            self._results.append({r: j for j, r in enumerate(spec.results)})
+        self.initial = self.start(neg.initial)
+        self._names: dict[int, tuple[str, ...]] = {}  # field -> its atom ids
+
+    def start(self, atom: str) -> int:
+        """Exactly the atom's parties, each ready for the atom alone."""
+        return self.need[self._index[atom]]
+
+    def encode(self, marking: Marking) -> int:
+        """The int of a `Marking` of this diagram."""
+        index = self._index
+        return sum(
+            1 << (sh + index[a])
+            for sh, ready in zip(self.shifts, marking.ready)
+            for a in ready
+        )
+
+    def decode(self, m: int) -> Marking:
+        """The `Marking` of an int; each agent's ready tuple is built once
+        per distinct field value and then shared."""
+        field, names = self.field, self._names
+        ready = []
+        for sh in self.shifts:
+            f = (m >> sh) & field
+            ids = names.get(f)
+            if ids is None:
+                ids = names[f] = tuple(self.atoms[a] for a in bits(f))
+            ready.append(ids)
+        return Marking(tuple(ready))
+
+    def successors(self, m: int) -> list[tuple[Outcome, int]]:
+        """Every fireable outcome with the marking it leads to, ordered by
+        (atom index, result index). The candidates are the atoms some agent
+        is ready for: the set bits of the union of the agent fields."""
+        u = 0
+        for sh in self.shifts:
+            u |= m >> sh
+        u &= self.field
+        need, keep, fires = self.need, self.keep, self.fires
+        out = []
+        while u:
+            low = u & -u
+            u ^= low
+            a = low.bit_length() - 1
+            if m & need[a] == need[a]:
+                base = m & keep[a]
+                for o, put in fires[a]:
+                    out.append((o, base | put))
+        return out
+
+    def fire(self, m: int, outcome: Outcome) -> int:
+        """The marking after the outcome; NotEnabled unless every party of
+        its atom is ready for it."""
+        atom, result = outcome
+        a = self._index[atom]
+        need = self.need[a]
+        if m & need != need:
+            raise NotEnabled(outcome, self.decode(m))
+        return (m & self.keep[a]) | self.fires[a][self._results[a][result]][1]
+
+
 def enabled(neg: Negotiation, marking: Marking) -> list[str]:
     """Atoms enabled at the marking: every party is ready to engage in
     them. Returned in atom declaration order."""
-    ready = marking.ready
-    moves = neg.moves
-    found = {
-        aid
-        for atoms in ready
-        for aid in atoms
-        if all(aid in ready[i] for i in moves[aid][0])
-    }
-    return sorted(found, key=neg.atom_index)
+    kernel = neg.marking_kernel
+    outs = kernel.successors(kernel.encode(marking))
+    # every atom has a result, so each enabled atom heads some outcome
+    return list(dict.fromkeys(o[0] for o, _m in outs))
 
 
 def successors(neg: Negotiation, marking: Marking) -> list[tuple[Outcome, Marking]]:
@@ -74,48 +178,103 @@ def successors(neg: Negotiation, marking: Marking) -> list[tuple[Outcome, Markin
     (atom index, result index); this order fixes all exploration
     tie-breaking. Parties move to their transition targets, all other
     agents keep their sets (the frame property)."""
-    ready = marking.ready
-    out = []
-    for aid in enabled(neg, marking):
-        parties, per_result = neg.moves[aid]
-        for r, targets in zip(neg.atoms[aid].results, per_result):
-            new_ready = list(ready)
-            for i, t in zip(parties, targets):
-                new_ready[i] = t
-            out.append(((aid, r), Marking(tuple(new_ready))))
-    return out
+    kernel = neg.marking_kernel
+    return [
+        (o, kernel.decode(m2)) for o, m2 in kernel.successors(kernel.encode(marking))
+    ]
 
 
 def step(neg: Negotiation, marking: Marking, outcome: Outcome) -> Marking:
     """Fire one outcome, as `successors` does; raises NotEnabled unless
     every party of the outcome's atom is ready for it."""
-    atom, result = outcome
-    parties, per_result = neg.moves[atom]
-    if not all(atom in marking.ready[i] for i in parties):
-        raise NotEnabled(outcome, marking)
-    new_ready = list(marking.ready)
-    for i, t in zip(parties, per_result[neg.result_index(atom, result)]):
-        new_ready[i] = t
-    return Marking(tuple(new_ready))
+    kernel = neg.marking_kernel
+    return kernel.decode(kernel.fire(kernel.encode(marking), outcome))
+
+
+class _Decoded(Sequence):
+    """A list of known length, built on first access to its items."""
+
+    def __init__(self, length: int, build):
+        self._length = length
+        self._build = build
+        self._items = None
+
+    @property
+    def items(self) -> list:
+        if self._items is None:
+            self._items = self._build()
+        return self._items
+
+    def __len__(self):
+        return self._length
+
+    def __getitem__(self, i):
+        return self.items[i]
+
+    def __iter__(self):
+        return iter(self.items)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
 
 
 @dataclass
 class ReachabilityGraph:
-    nodes: list[Marking]
-    edges: list[tuple[Marking, Outcome, Marking]]
-    initial: Marking
-    final: Optional[Marking]  # present iff the all-empty marking is reachable
-    node_index: dict[Marking, int] = field(default_factory=dict)
+    """The explored graph, int-indexed: node i is the marking `codes[i]`
+    (node 0 is the initial marking, in BFS order), and `succ[i]` lists its
+    edges as (outcome, j) in exploration order. `nodes`, `node_index` and
+    `edges` show the same graph with `Marking`s, decoded on first use."""
 
-    def __post_init__(self):
-        if not self.node_index:
-            self.node_index = {m: i for i, m in enumerate(self.nodes)}
+    kernel: MarkingKernel
+    codes: list[int]
+    succ: list[tuple[tuple[Outcome, int], ...]]
+    final_index: Optional[int]  # the all-empty marking's node, if reached
+
+    @property
+    def initial(self) -> Marking:
+        return self.kernel.decode(self.kernel.initial)
+
+    @property
+    def final(self) -> Optional[Marking]:
+        if self.final_index is None:
+            return None
+        return self.kernel.decode(self.codes[self.final_index])
+
+    # the views' build functions hold the graph's parts, not the graph, so
+    # that a graph is freed by reference counting, with no cycle
+    @cached_property
+    def nodes(self) -> Sequence[Marking]:
+        codes, decode = self.codes, self.kernel.decode
+        return _Decoded(len(codes), lambda: [decode(m) for m in codes])
+
+    @cached_property
+    def node_index(self) -> dict[Marking, int]:
+        return {m: i for i, m in enumerate(self.nodes)}
+
+    @cached_property
+    def edges(self) -> Sequence[tuple[Marking, Outcome, Marking]]:
+        nodes, succ = self.nodes, self.succ
+
+        def build():
+            markings = nodes.items
+            return [
+                (markings[i], o, markings[j])
+                for i, out in enumerate(succ)
+                for o, j in out
+            ]
+
+        return _Decoded(sum(map(len, succ)), build)
 
 
 def reachability(
     neg: Negotiation, cap: int = DEFAULT_CAP, _reverse_ties: bool = False
 ) -> ReachabilityGraph:
-    """Breadth-first closure of `successors` from the initial marking.
+    """Breadth-first closure of the successor function from the initial
+    marking.
 
     Stores at most `cap` markings and raises BudgetExceeded (with the
     partial graph attached) on one more, rather than silently truncating:
@@ -123,31 +282,34 @@ def reachability(
     `_reverse_ties` flips the outcome order within each node; it exists so
     tests can confirm the explored graph does not depend on tie-breaking.
     """
-    x0 = initial_marking(neg)
+    kernel = neg.marking_kernel
+    codes: list[int] = []
+    succ: list[tuple[tuple[Outcome, int], ...]] = []
     if cap < 1:
-        raise BudgetExceeded(cap, ReachabilityGraph([], [], x0, None))
-    nodes = [x0]
-    index = {x0: 0}
-    edges: list[tuple[Marking, Outcome, Marking]] = []
-    queue = [x0]
-    qpos = 0
-    while qpos < len(queue):
-        m = queue[qpos]
-        qpos += 1
-        outs = successors(neg, m)
+        raise BudgetExceeded(cap, ReachabilityGraph(kernel, codes, succ, None))
+    codes.append(kernel.initial)
+    index = {kernel.initial: 0}
+    successors = kernel.successors
+    for m in codes:  # grows while it is walked: the BFS queue
+        out: list[tuple[Outcome, int]] = []
+        outs = successors(m)
         if _reverse_ties:
             outs.reverse()
         for o, m2 in outs:
-            if m2 not in index:
-                if len(nodes) >= cap:
-                    partial = ReachabilityGraph(nodes, edges, x0, None, index)
+            j = index.get(m2)
+            if j is None:
+                if len(codes) >= cap:
+                    succ.append(tuple(out))
+                    succ.extend(() for _ in range(len(codes) - len(succ)))
+                    partial = ReachabilityGraph(kernel, codes, succ, None)
                     raise BudgetExceeded(cap, partial)
-                index[m2] = len(nodes)
-                nodes.append(m2)
-                queue.append(m2)
-            edges.append((m, o, m2))
-    xf = final_marking(neg)
-    return ReachabilityGraph(nodes, edges, x0, xf if xf in index else None, index)
+                j = index[m2] = len(codes)
+                codes.append(m2)
+            out.append((o, j))
+        # tuples, not lists: the collector stops tracking a tuple of ints
+        # and untracked tuples, so its full passes skip the edges
+        succ.append(tuple(out))
+    return ReachabilityGraph(kernel, codes, succ, index.get(0))
 
 
 def classify_marking(neg: Negotiation, marking: Marking) -> str:
@@ -170,38 +332,33 @@ class SoundnessVerdict:
         return self.sound
 
 
-def shortest_witness(graph: ReachabilityGraph, targets: set[Marking]) -> Optional[list[Outcome]]:
+def shortest_witness(
+    graph: ReachabilityGraph, targets: Sequence[int]
+) -> Optional[list[Outcome]]:
     """Lexicographically least shortest occurrence sequence from the
-    initial marking to any marking in `targets`.
+    initial marking to any node i with `targets[i]` true.
 
     Because exploration ordered outcomes by (atom index, result index) and
     edges are replayed in that order here, plain BFS with first-discovery
     parents yields the lex-least shortest path.
     """
-    if not targets:
-        return None
-    parent: dict[Marking, tuple[Marking, Outcome]] = {}
-    seen = {graph.initial}
-    queue = [graph.initial]
-    qpos = 0
-    adjacency: dict[Marking, list[tuple[Outcome, Marking]]] = {}
-    for src, o, dst in graph.edges:
-        adjacency.setdefault(src, []).append((o, dst))
-    while qpos < len(queue):
-        m = queue[qpos]
-        qpos += 1
-        if m in targets:
+    n = len(graph.codes)
+    parent: list[Optional[tuple[int, Outcome]]] = [None] * n
+    seen = bytearray(n)
+    seen[0] = 1
+    queue = [0]
+    for i in queue:
+        if targets[i]:
             path = []
-            cur = m
-            while cur in parent:
-                cur, o = parent[cur]
+            while parent[i] is not None:
+                i, o = parent[i]
                 path.append(o)
             return list(reversed(path))
-        for o, dst in adjacency.get(m, ()):
-            if dst not in seen:
-                seen.add(dst)
-                parent[dst] = (m, o)
-                queue.append(dst)
+        for o, j in graph.succ[i]:
+            if not seen[j]:
+                seen[j] = 1
+                parent[j] = (i, o)
+                queue.append(j)
     return None
 
 
@@ -214,28 +371,27 @@ def check_soundness(neg: Negotiation, cap: int = DEFAULT_CAP) -> SoundnessVerdic
     unreachable.
     """
     graph = reachability(neg, cap)
-    fired = {o[0] for _, o, _ in graph.edges}
+    n = len(graph.codes)
+    fired = {o[0] for out in graph.succ for o, _j in out}
     dead = frozenset(neg.atoms) - fired
 
-    xf = final_marking(neg)
-    can_reach: set[Marking] = set()
-    if graph.final is not None:
-        preds: dict[Marking, list[Marking]] = {}
-        for src, _o, dst in graph.edges:
-            preds.setdefault(dst, []).append(src)
-        stack = [xf]
-        can_reach.add(xf)
+    stuck = bytearray(b"\x01") * n  # cleared for every node that reaches nf
+    if graph.final_index is not None:
+        preds: list[list[int]] = [[] for _ in range(n)]
+        for i, out in enumerate(graph.succ):
+            for _o, j in out:
+                preds[j].append(i)
+        stuck[graph.final_index] = 0
+        stack = [graph.final_index]
         while stack:
-            m = stack.pop()
-            for p in preds.get(m, ()):
-                if p not in can_reach:
-                    can_reach.add(p)
+            for p in preds[stack.pop()]:
+                if stuck[p]:
+                    stuck[p] = 0
                     stack.append(p)
-    stuck = {m for m in graph.nodes if m not in can_reach}
-    witness = shortest_witness(graph, stuck)
+    witness = shortest_witness(graph, stuck) if 1 in stuck else None
     return SoundnessVerdict(
         sound=not dead and witness is None,
         dead_atoms=dead,
         stuck_witness=witness,
-        state_count=len(graph.nodes),
+        state_count=n,
     )

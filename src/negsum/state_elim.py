@@ -146,7 +146,7 @@ class LabeledRG:
 
 
 def labeled_rg(neg: Negotiation, graph: ReachabilityGraph) -> LabeledRG:
-    n = len(graph.nodes)
+    n = len(graph.codes)
     return LabeledRG(list(graph.nodes), set(range(n)), *_labeled_edges(neg, graph))
 
 
@@ -154,16 +154,15 @@ def _labeled_edges(
     neg: Negotiation, graph: ReachabilityGraph
 ) -> tuple[list[LEdge], int, Optional[int]]:
     """The reachability edges labeled with their outcomes' transformers,
-    the initial marking's index and the final marking's (None when it is
-    not reachable)."""
-    index = graph.node_index
+    the initial marking's index (node 0) and the final marking's (None
+    when it is not reachable)."""
+    final = neg.final
     edges = [
-        LEdge(index[src], neg.transformer((aid, r)), index[dst],
-              final_result=r if aid == neg.final else None)
-        for src, (aid, r), dst in graph.edges
+        LEdge(i, neg.transformer(o), j, final_result=o[1] if o[0] == final else None)
+        for i, out in enumerate(graph.succ)
+        for o, j in out
     ]
-    xf = index.get(graph.final) if graph.final is not None else None
-    return edges, index[graph.initial], xf
+    return edges, 0, graph.final_index
 
 
 # ---------------------------------------------------------------------------

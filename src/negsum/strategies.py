@@ -65,7 +65,7 @@ from .rules import (
     uniform_target,
     useless_arcs_at,
 )
-from .semantics import DEFAULT_CAP, Marking, start_marking, step, successors
+from .semantics import DEFAULT_CAP
 from .transformers import TransformerExpr
 
 
@@ -165,12 +165,13 @@ def outcome_index(neg: Negotiation, outcome: Outcome, cap: int = DEFAULT_CAP):
     A depth-first search with an explicit stack of (marking, successors
     left, longest so far) frames: a successor on the stack closes a cycle.
     """
-    start = step(neg, start_marking(neg, outcome[0]), outcome)
+    kernel = neg.marking_kernel
+    start = kernel.fire(kernel.start(outcome[0]), outcome)
     if cap < 1:
         raise BudgetExceeded(cap)
-    longest: dict[Marking, int] = {}
+    longest: dict[int, int] = {}
     on_stack = {start}
-    stack = [[start, iter(successors(neg, start)), 0]]
+    stack = [[start, iter(kernel.successors(start)), 0]]
     while stack:
         frame = stack[-1]
         for _o, m in frame[1]:
@@ -182,7 +183,7 @@ def outcome_index(neg: Negotiation, outcome: Outcome, cap: int = DEFAULT_CAP):
             if len(longest) + len(stack) >= cap:
                 raise BudgetExceeded(cap)
             on_stack.add(m)
-            stack.append([m, iter(successors(neg, m)), 0])
+            stack.append([m, iter(kernel.successors(m)), 0])
             break
         else:
             stack.pop()

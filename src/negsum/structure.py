@@ -14,15 +14,7 @@ from typing import Optional
 
 from .errors import BudgetExceeded
 from .model import AtomSpec, Edit, Negotiation, Outcome, negotiation_graph, validate
-from .semantics import (
-    DEFAULT_CAP,
-    Marking,
-    initial_marking,
-    reachability,
-    start_marking,
-    step,
-    successors,
-)
+from .semantics import DEFAULT_CAP, Marking, reachability, step
 from .transformers import IDENTITY
 
 
@@ -52,25 +44,26 @@ def _explore_targets(
     """Walk all sequences from the atom's start marking. In strict mode
     only atoms with strictly fewer parties than the launch atom may follow
     the first outcome."""
+    kernel = neg.marking_kernel
     launch_parties = set(neg.parties(atom))
 
-    def moves(m: Marking) -> list[tuple[Outcome, Marking]]:
-        outs = successors(neg, m)
+    def moves(m: int) -> list[tuple[Outcome, int]]:
+        outs = kernel.successors(m)
         if strict:
             outs = [
                 (o, m2) for o, m2 in outs if set(neg.parties(o[0])) < launch_parties
             ]
         return outs
 
-    x_start = start_marking(neg, atom)
+    x_start = kernel.start(atom)
     if first is not None:
-        roots = [([first], step(neg, x_start, first))]
+        roots = [([first], kernel.fire(x_start, first))]
     else:
-        roots = [([o], m) for o, m in successors(neg, x_start)]
+        roots = [([o], m) for o, m in kernel.successors(x_start)]
 
-    paths: dict[Marking, list[Outcome]] = {}
+    paths: dict[int, list[Outcome]] = {}
     fired: set[str] = {atom}
-    dead: dict[Marking, list[Outcome]] = {}
+    dead: dict[int, list[Outcome]] = {}
     stack = list(reversed(roots))
     while stack:
         path, m = stack.pop()
@@ -88,9 +81,9 @@ def _explore_targets(
             stack.append((path + [o], m2))
 
     explored = frozenset(fired)
-    targets = sorted(dead, key=lambda m: str(m))
+    targets = sorted(dead, key=lambda m: str(kernel.decode(m)))
     if len(dead) == 1:
-        return TargetReport(atom, targets[0], explored_atoms=explored)
+        return TargetReport(atom, kernel.decode(targets[0]), explored_atoms=explored)
     if not dead:
         # every branch loops forever: no maximal sequence exists
         return TargetReport(atom, None, explored_atoms=explored)
@@ -286,10 +279,10 @@ def find_loops(neg: Negotiation, cap: int = DEFAULT_CAP, limit: int = 10_000) ->
     graph = reachability(neg, cap)
     g = nx.MultiDiGraph()
     edge_lookup: dict[tuple[int, int], list[Outcome]] = {}
-    for src, o, dst in graph.edges:
-        v, w = graph.node_index[src], graph.node_index[dst]
-        g.add_edge(v, w, outcome=o)
-        edge_lookup.setdefault((v, w), []).append(o)
+    for v, out in enumerate(graph.succ):
+        for o, w in out:
+            g.add_edge(v, w, outcome=o)
+            edge_lookup.setdefault((v, w), []).append(o)
     loops = []
     for cycle in nx.simple_cycles(g):
         if len(loops) >= limit:
@@ -305,7 +298,7 @@ def find_loops(neg: Negotiation, cap: int = DEFAULT_CAP, limit: int = 10_000) ->
             outcomes.append(sorted(options)[0])
         if not ok:
             continue
-        loop = Loop(outcomes, graph.nodes[cycle[0]]).bind(neg)
+        loop = Loop(outcomes, graph.kernel.decode(graph.codes[cycle[0]])).bind(neg)
         loops.append(loop)
     return loops
 
@@ -368,10 +361,11 @@ def execute_path(
     fails (it cannot on sound deterministic diagrams)."""
     if cap < 1:
         raise BudgetExceeded(cap)
+    kernel = neg.marking_kernel
     path_atoms = {t[0] for t in path}
     allowed_outcomes = {(t[0], t[2]) for t in path}
 
-    def fire_after_filler(m: Marking, outcome: Outcome):
+    def fire_after_filler(m: int, outcome: Outcome):
         """Breadth-first over filler moves to the first marking where the
         outcome fires: the marking after it, and the moves to it."""
         seen = {m}
@@ -380,7 +374,7 @@ def execute_path(
         while qpos < len(queue):
             cur, seq = queue[qpos]
             qpos += 1
-            outs = successors(neg, cur)
+            outs = kernel.successors(cur)
             for o, nxt in outs:
                 if o == outcome:
                     return nxt, seq + [o]
@@ -395,7 +389,7 @@ def execute_path(
                     queue.append((nxt, seq + [o]))
         return None
 
-    m = initial_marking(neg)
+    m = kernel.initial
     run: list[Outcome] = []
     for atom, _agent, result in path:
         found = fire_after_filler(m, (atom, result))

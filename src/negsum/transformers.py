@@ -131,25 +131,42 @@ def star_expr(inner: TransformerExpr) -> TransformerExpr:
 #   factor := ATOM | "(" EXPR ")" | factor "*"
 
 def format_expr(e: TransformerExpr) -> str:
+    """The expression as text, unfolded into a tree. A summary is a DAG
+    that shares subterms, so each distinct node is printed once per call
+    and its text reused (memoised on the node's id: the whole DAG is alive
+    for the call)."""
+    memo: dict[int, str] = {}
+
+    def fmt(e: TransformerExpr) -> str:
+        text = memo.get(id(e))
+        if text is None:
+            text = memo[id(e)] = _format_node(e, fmt)
+        return text
+
+    return fmt(e)
+
+
+def _format_node(e: TransformerExpr, fmt) -> str:
+    """One node's text, its parts printed by `fmt`."""
     if isinstance(e, Identity):
         return "id"
     if isinstance(e, Atomic):
         return f"{e.tag[0]}.{e.tag[1]}"
     if isinstance(e, Star):
-        body = format_expr(e.inner)
+        body = fmt(e.inner)
         if not isinstance(e.inner, Atomic):
             body = f"({body})"
         return body + "*"
     if isinstance(e, Concat):
         out = []
         for p in e.parts:
-            s = format_expr(p)
+            s = fmt(p)
             if isinstance(p, Union):
                 s = f"({s})"
             out.append(s)
         return "·".join(out)
     if isinstance(e, Union):
-        return " ∪ ".join(sorted(format_expr(p) for p in e.parts))
+        return " ∪ ".join(sorted(fmt(p) for p in e.parts))
     raise TypeError(f"not an expression: {e!r}")
 
 

@@ -212,8 +212,8 @@ def test_benchmark_shape_reduces_as_the_reference(shape, seed):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_random_deterministic_reduces_as_the_reference(seed):
-    # every seed here gives an unsound diagram, so each graph stops with a
-    # residual, compared in full
+    # the draws mix sound and unsound diagrams; a graph that stops with a
+    # residual is compared in full
     neg = random_deterministic(seed, n_agents=2 + seed % 2, n_inner=3 + seed % 3)
     if neg is None:
         pytest.skip("no valid sample for this seed")

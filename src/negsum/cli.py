@@ -8,6 +8,7 @@ reported as an internal error, with its traceback, and exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -163,7 +164,12 @@ def at_least(low: int):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later
+    one: `main` pays for the argparse tree once per process, not once per
+    call. Parsing leaves the parser unchanged, since every call gets a new
+    namespace, and each `cmd_*` looks up the engines at call time."""
     parser = argparse.ArgumentParser(
         prog="negsum",
         description="Analyze negotiation diagrams: soundness, summaries, reduction",
@@ -209,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a sound instance")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--steps", type=at_least(0), required=True)
-    p.add_argument("--agents", type=int, default=3)
+    p.add_argument("--agents", type=at_least(1), default=3)
     p.add_argument("--acyclic", action="store_true")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_gen)
@@ -224,8 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (NegsumError, OSError) as e:

@@ -37,34 +37,73 @@ _ATOM_KEYS = {"id", "parties", "results"}
 _RESULT_KEYS = {"name", "next", "rel"}
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise ParseError(f"unknown keys {sorted(unknown)} in {where}")
+# Every check below tests first and builds its message only when the test
+# fails: `where` is a `str.format` template filled in with `args`, so a
+# file that loads formats no text.
+
+def _require_keys(obj: dict, allowed: set[str], where: str, *args):
+    if not obj.keys() <= allowed:
+        unknown = set(obj) - allowed
+        raise ParseError(f"unknown keys {sorted(unknown)} in {where.format(*args)}")
 
 
-def _str(value, where: str) -> str:
+def _str(value, where: str, *args) -> str:
     if not isinstance(value, str):
-        raise ParseError(f"{where} must be a string")
+        raise ParseError(f"{where.format(*args)} must be a string")
     return value
 
 
-def _str_list(value, where: str) -> list[str]:
-    if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-        raise ParseError(f"{where} must be a list of strings")
-    return value
+def _str_list(value, where: str, *args) -> list[str]:
+    if isinstance(value, list):
+        for x in value:
+            if not isinstance(x, str):
+                break
+        else:
+            return value
+    raise ParseError(f"{where.format(*args)} must be a list of strings")
 
 
-def _list(value, where: str) -> list:
+def _list(value, where: str, *args) -> list:
     if not isinstance(value, list):
-        raise ParseError(f"{where} must be a list")
+        raise ParseError(f"{where.format(*args)} must be a list")
     return value
 
 
-def _dict(value, where: str) -> dict:
+def _dict(value, where: str, *args) -> dict:
     if not isinstance(value, dict):
-        raise ParseError(f"{where} must be an object")
+        raise ParseError(f"{where.format(*args)} must be an object")
     return value
+
+
+def _fits(assignment, party_states: list) -> bool:
+    """Whether a `rel` assignment is a list of one state of each party:
+    `party_states` holds each party's states as a set, or None when
+    `states` does not list the party."""
+    if not isinstance(assignment, list) or len(assignment) != len(party_states):
+        return False
+    for q, allowed in zip(assignment, party_states):
+        if not isinstance(q, str) or (allowed is not None and q not in allowed):
+            return False
+    return True
+
+
+def _bad_rel_pair(item: list, aid: str, rname: str, parties: tuple, party_states: list):
+    """Raise the error of a `rel` pair that does not fit: the first failing
+    check of the entry types, the exit types, the lengths, then the states."""
+    entry_states = _str_list(item[0], "rel entry")
+    exit_states = _str_list(item[1], "rel exit")
+    if len(entry_states) != len(parties) or len(exit_states) != len(parties):
+        raise ParseError(
+            f"atom {aid!r} result {rname!r}: rel assignment length "
+            f"does not match the party count"
+        )
+    for assignment in (entry_states, exit_states):
+        for p, allowed, q in zip(parties, party_states, assignment):
+            if allowed is not None and q not in allowed:
+                raise ParseError(
+                    f"atom {aid!r} result {rname!r}: rel state {q!r} "
+                    f"is not a state of {p!r}"
+                )
 
 
 def loads(text: str) -> Negotiation:
@@ -88,7 +127,7 @@ def loads(text: str) -> Negotiation:
     states = None
     if "states" in doc:
         states = {
-            a: tuple(_str_list(qs, f"states[{a!r}]"))
+            a: tuple(_str_list(qs, "states[{!r}]", a))
             for a, qs in _dict(doc["states"], "states").items()
         }
         strangers = set(states) - set(agents)
@@ -101,60 +140,61 @@ def loads(text: str) -> Negotiation:
     for entry in _list(doc["atoms"], "atoms"):
         if not isinstance(entry, dict):
             raise ParseError("each atom must be an object")
-        _require_keys(entry, _ATOM_KEYS, f"atom {entry.get('id')!r}")
-        for key in _ATOM_KEYS:
-            if key not in entry:
-                raise ParseError(f"atom {entry.get('id')!r} missing key {key!r}")
+        if entry.keys() != _ATOM_KEYS:
+            _require_keys(entry, _ATOM_KEYS, "atom {!r}", entry.get("id"))
+            for key in _ATOM_KEYS:
+                if key not in entry:
+                    raise ParseError(f"atom {entry.get('id')!r} missing key {key!r}")
         aid = _str(entry["id"], "atom id")
-        parties = tuple(_str_list(entry["parties"], f"atom {aid!r} parties"))
+        parties = tuple(_str_list(entry["parties"], "atom {!r} parties", aid))
+        party_set = set(parties)
+        # each party's states as a set, or None when `states` omits the
+        # party; built at the atom's first `rel`
+        party_states = None
         names = []
-        for res in _list(entry["results"], f"atom {aid!r} results"):
+        for res in _list(entry["results"], "atom {!r} results", aid):
             if not isinstance(res, dict):
                 raise ParseError(f"atom {aid!r}: each result must be an object")
-            _require_keys(res, _RESULT_KEYS, f"result of atom {aid!r}")
+            _require_keys(res, _RESULT_KEYS, "result of atom {!r}", aid)
             if "name" not in res or "next" not in res:
                 raise ParseError(f"atom {aid!r}: result missing 'name' or 'next'")
-            rname = _str(res["name"], f"atom {aid!r}: result name")
+            rname = _str(res["name"], "atom {!r}: result name", aid)
             names.append(rname)
-            nxt = _dict(res["next"], f"atom {aid!r} result {rname!r}: next")
-            missing = set(parties) - set(nxt)
-            extra = set(nxt) - set(parties)
-            if missing:
-                raise ParseError(
-                    f"atom {aid!r} result {rname!r}: next omits parties {sorted(missing)}"
-                )
-            if extra:
+            nxt = _dict(res["next"], "atom {!r} result {!r}: next", aid, rname)
+            if nxt.keys() != party_set:
+                missing = party_set - set(nxt)
+                extra = set(nxt) - party_set
+                if missing:
+                    raise ParseError(
+                        f"atom {aid!r} result {rname!r}: next omits parties {sorted(missing)}"
+                    )
                 raise ParseError(
                     f"atom {aid!r} result {rname!r}: next lists non-parties {sorted(extra)}"
                 )
             for p in parties:
                 transition[(aid, p, rname)] = _str_list(
-                    nxt[p], f"next[{p!r}] of {aid!r}.{rname!r}"
+                    nxt[p], "next[{!r}] of {!r}.{!r}", p, aid, rname
                 )
             if "rel" in res:
                 if states is None:
                     raise ParseError(
                         f"atom {aid!r} result {rname!r}: rel given without 'states'"
                     )
+                if party_states is None:
+                    party_states = [
+                        frozenset(states[p]) if p in states else None for p in parties
+                    ]
                 pairs = set()
-                for item in _list(res["rel"], f"atom {aid!r} result {rname!r}: rel"):
+                for item in _list(res["rel"], "atom {!r} result {!r}: rel", aid, rname):
                     if not (isinstance(item, list) and len(item) == 2):
                         raise ParseError(
                             f"atom {aid!r} result {rname!r}: rel entries must be pairs"
                         )
-                    entry_states = _str_list(item[0], "rel entry")
-                    exit_states = _str_list(item[1], "rel exit")
-                    if len(entry_states) != len(parties) or len(exit_states) != len(parties):
-                        raise ParseError(
-                            f"atom {aid!r} result {rname!r}: rel assignment length "
-                            f"does not match the party count"
-                        )
-                    for p, q in zip(parties * 2, entry_states + exit_states):
-                        if p in states and q not in states[p]:
-                            raise ParseError(
-                                f"atom {aid!r} result {rname!r}: rel state {q!r} "
-                                f"is not a state of {p!r}"
-                            )
+                    entry_states, exit_states = item
+                    if not (
+                        _fits(entry_states, party_states) and _fits(exit_states, party_states)
+                    ):
+                        _bad_rel_pair(item, aid, rname, parties, party_states)
                     pairs.add((tuple(entry_states), tuple(exit_states)))
                 rels[(aid, rname)] = Rel(parties, frozenset(pairs))
         atoms.append(AtomSpec(aid, parties, tuple(names)))
@@ -165,7 +205,7 @@ def loads(text: str) -> Negotiation:
         aid, _, rname = key.partition(".")
         if not rname:
             raise ParseError(f"transformers key {key!r} is not of the form atom.result")
-        transformers[(aid, rname)] = parse_expr(_str(text, f"transformers[{key!r}]"))
+        transformers[(aid, rname)] = parse_expr(_str(text, "transformers[{!r}]", key))
 
     return validate(
         agents,

@@ -120,6 +120,8 @@ def generate_sound(
     negotiation over `num_agents` agents."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
+    if num_agents < 1:
+        raise ValueError(f"num_agents must be >= 1, got {num_agents}")
     rng = random.Random(seed)
     agents = tuple(f"p{i}" for i in range(1, num_agents + 1))
     neg = _atomic(agents)

@@ -151,14 +151,20 @@ def labeled_rg(neg: Negotiation, graph: ReachabilityGraph) -> LabeledRG:
 
 
 def _labeled_edges(
-    neg: Negotiation, graph: ReachabilityGraph
+    neg: Negotiation, graph: ReachabilityGraph, shared: bool = False
 ) -> tuple[list[LEdge], int, Optional[int]]:
     """The reachability edges labeled with their outcomes' transformers,
     the initial marking's index (node 0) and the final marking's (None
-    when it is not reachable)."""
+    when it is not reachable). With `shared`, all edges of an outcome
+    share one label object. Without it, each edge gets an object of its
+    own: state elimination builds its summaries from these objects, and
+    the size of a summary's shared structure counts them."""
     final = neg.final
+    label = neg.transformer
+    if shared:
+        label = {o: neg.transformer(o) for o in neg.outcomes()}.__getitem__
     edges = [
-        LEdge(i, neg.transformer(o), j, final_result=o[1] if o[0] == final else None)
+        LEdge(i, label(o), j, final_result=o[1] if o[0] == final else None)
         for i, out in enumerate(graph.succ)
         for o, j in out
     ]
@@ -401,4 +407,4 @@ def brute_force_summary(
     straight off the reachability graph."""
     graph = reachability(neg, cap)
     # the oracle reads only the edges: no elimination indexes are built
-    return _denotation(*_labeled_edges(neg, graph), interp, space)
+    return _denotation(*_labeled_edges(neg, graph, shared=True), interp, space)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import random
@@ -255,6 +256,12 @@ def test_generate_rejects_negative_steps():
         generate_sound(1, steps=-1)
 
 
+@pytest.mark.parametrize("agents", [0, -2])
+def test_generate_rejects_fewer_than_one_agent(agents):
+    with pytest.raises(ValueError, match="num_agents"):
+        generate_sound(1, steps=3, num_agents=agents)
+
+
 def test_generate_is_deterministic_in_the_seed():
     assert dumps(generate_sound(9, 6)) == dumps(generate_sound(9, 6))
 
@@ -423,6 +430,8 @@ def test_cli_demo(capsys):
         ["demo", "expfam", "--k", "0"],
         ["demo", "expfam", "--k", "-3"],
         ["gen", "--seed", "1", "--steps", "-1"],
+        ["gen", "--seed", "1", "--steps", "3", "--agents", "0"],
+        ["gen", "--seed", "1", "--steps", "3", "--agents", "-2"],
     ],
 )
 def test_cli_rejects_out_of_range_counts(capsys, argv):
@@ -434,6 +443,74 @@ def test_cli_rejects_out_of_range_counts(capsys, argv):
     captured = capsys.readouterr()
     assert "must be at least" in captured.err
     assert captured.out == ""
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+def test_cli_builds_its_parser_once(fdm_file, capsys, monkeypatch):
+    main(["validate", fdm_file])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    commands = [["validate"], ["classify"], ["check"], ["reach", "--dot"], ["diag", "--loops"]]
+    for i in range(20):
+        command, *options = commands[i % len(commands)]
+        assert main([command, fdm_file, *options]) == 0
+    assert len(built) <= 1
+
+
+def test_cli_reach_after_reach_dot(tmp_path, capsys):
+    ladder = write_fixture(tmp_path, "ladder")
+    assert main(["reach", ladder, "--dot"]) == 0
+    assert "digraph reachability" in capsys.readouterr().out
+    assert main(["reach", ladder]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("nodes: 7\n") and "digraph" not in out
+
+
+def test_cli_summarize_after_reduce_method_uses_states(tmp_path, capsys):
+    ladder = write_fixture(tmp_path, "ladder")
+    assert main(["summarize", ladder, "--method", "states"]) == 0
+    states = capsys.readouterr().out
+    assert main(["summarize", ladder, "--method", "reduce"]) == 0
+    assert "applications:" in capsys.readouterr().out
+    assert main(["summarize", ladder]) == 0
+    assert capsys.readouterr().out == states
+
+
+def test_cli_valid_call_after_usage_error(fdm_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "expfam", "--k", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["validate", fdm_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("valid: ") and captured.err == ""
+
+
+def _help_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["summarize", "--help"]])
+def test_cli_help_matches_a_fresh_parser(fdm_file, capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    main(["summarize", fdm_file, "--method", "reduce"])
+    capsys.readouterr()
+    shared = _help_text(main, argv, capsys)
+    fresh = _help_text(cli.build_parser.__wrapped__().parse_args, argv, capsys)
+    assert shared == fresh
+    assert shared.startswith("usage: negsum")
 
 
 def test_cli_missing_file(capsys):

@@ -12,6 +12,7 @@ from negsum import (
     elim_parallel,
     elim_selfloop,
     eval_expr,
+    expfam,
     graph_denotation,
     labeled_rg,
     load_fixture,
@@ -22,7 +23,7 @@ from negsum import (
     union_expr,
     validate,
 )
-from negsum.state_elim import LEdge, LabeledRG, reduce_labeled_rg
+from negsum.state_elim import LEdge, LabeledRG, _labeled_edges, reduce_labeled_rg
 
 from conftest import interp_for, single_atom_negotiation
 
@@ -199,6 +200,21 @@ def test_summary_eval_matches_brute_force(name):
     assert set(result.summary) == set(oracle)
     for r, expr in result.summary.items():
         assert rels_equal(eval_expr(expr, interp, space), oracle[r], space)
+
+
+def test_oracle_edges_share_one_label_per_outcome():
+    """The brute-force oracle labels every edge of an outcome with one
+    object; elimination gives each edge its own, since its summary is built
+    from them and the benchmark counts that summary's distinct objects."""
+    neg = expfam(3)
+    graph = reachability(neg)
+    shared, _, _ = _labeled_edges(neg, graph, shared=True)
+    own, _, _ = _labeled_edges(neg, graph)
+    assert [(e.src, e.expr, e.dst, e.final_result) for e in shared] == [
+        (e.src, e.expr, e.dst, e.final_result) for e in own
+    ]
+    assert len({id(e.expr) for e in shared}) == neg.num_outcomes() == 17
+    assert len({id(e.expr) for e in own}) == len(own)
 
 
 @pytest.mark.parametrize("name", ["fdm_acyclic", "ladder", "fdm_cyclic"])

@@ -186,19 +186,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reach", help="explore the reachability graph")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=at_least(1), default=DEFAULT_CAP)
     p.add_argument("--dot", action="store_true")
     p.set_defaults(func=cmd_reach)
 
     p = sub.add_parser("check", help="state-space soundness check")
     p.add_argument("file")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=at_least(1), default=DEFAULT_CAP)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("summarize", help="compute the summary transformers")
     p.add_argument("file")
     p.add_argument("--method", choices=["states", "reduce"], default="states")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=at_least(1), default=DEFAULT_CAP)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("reduce", help="run the reduction strategy")

@@ -13,27 +13,31 @@ Validation enforces:
 
 Validated negotiations are immutable by convention: every reduction rule
 produces a new value. That lets a diagram build its indexes lazily, once,
-on first use: the arc indexes (`arcs_into`, `committed_by`), the
-compiled marking tables (`marking_kernel`), the merge groups
-(`merge_group`), the transformers by outcome (`named_transformers`) and
-the classification (`classify`).
+on first use: the arc indexes (`arcs_into`, `arrivals`, `commitments`),
+where each outcome sends its parties (`sends`), the compiled marking
+tables (`marking_kernel`), the merge groups (`merge_group`), the
+transformers by outcome (`named_transformers`) and the classification
+(`classify`).
 
 Rule outputs are built by `rewrite`, without re-validation: the rules map
 negotiations to negotiations, so their outputs are valid by construction.
-`rewrite` carries forward the arc indexes, the merge groups and the
-transformers the input diagram has built, replacing only the entries of
-the atoms the rule changed, so one application costs about the size of
-its site. It carries neither the classification, since a rule can change
-the class, nor the marking tables, since removing an atom shifts the bit
-of every atom after it. The loader and the generator still go through
-`validate`.
+The site of a rule application is the set of outcomes it removes and
+adds, and `rewrite` writes only those: it copies the input's tables,
+deletes the removed outcomes' triples and transformers, appends the added
+ones', and takes over every index the input has built, updated from the
+removed and added outcomes alone, so one application costs about the
+size of its site; the input builds its indexes again if it is asked. It
+takes neither the classification, since a rule can change the class, nor
+the marking tables, since removing an atom shifts the bit of every atom
+after it. The loader and the generator still go through `validate`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
 
 from .errors import ValidationError
 from .transformers import Atomic, Rel, StateSpace, TransformerExpr
@@ -54,6 +58,45 @@ class AtomSpec:
     id: str
     parties: tuple[str, ...]
     results: tuple[str, ...]
+
+
+Targets = tuple[frozenset[str], ...]  # an outcome's target sets, one per party
+
+
+class Sends(NamedTuple):
+    """Where one outcome sends the parties of its atom."""
+
+    # the atoms other than its own that it sends some party to, in
+    # declaration order
+    others: tuple[str, ...]
+    # atom -> how many parties it sends to that atom
+    arcs: dict[str, int]
+    # atom -> how many parties it sends to that atom and nowhere else
+    alone: dict[str, int]
+
+
+class Change(NamedTuple):
+    """What one rule application changed in a diagram (`rewrite`)."""
+
+    # the outcomes it took out, those of a removed atom included, and the
+    # outcomes it put in, each with its target sets; an outcome whose
+    # triples change (a useless arc) is in both
+    removed: dict[Outcome, Targets]
+    added: dict[Outcome, Targets]
+    # atom -> the arcs into it put in minus those taken out (0 for an atom
+    # that lost and gained as many)
+    arrivals: dict[str, int]
+    # atom -> the outcomes committing to it put in minus those taken out
+    commitments: dict[str, int]
+
+
+class MergeGroups(NamedTuple):
+    """One atom's results grouped by what they do: `keys` maps each result
+    to its target sets, and `members` maps target sets to the results
+    with exactly those, in declaration order."""
+
+    keys: dict[str, Targets]
+    members: dict[Targets, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -130,27 +173,35 @@ class Negotiation:
     # -- indexes, built on first use -----------------------------------------
 
     @cached_property
-    def arcs_into(self) -> dict[tuple[str, str], tuple[Outcome, ...]]:
+    def arcs_into(self) -> dict[tuple[str, str], set[Outcome]]:
         """(target, agent) -> the outcomes with an arc of that agent into
-        the target, in transition-table order."""
-        index: dict[tuple[str, str], list[Outcome]] = {}
+        the target."""
+        index: dict[tuple[str, str], set[Outcome]] = {}
         for (atom, agent, result), targets in self.transition.items():
             for t in targets:
-                index.setdefault((t, agent), []).append((atom, result))
-        return {key: tuple(outs) for key, outs in index.items()}
+                index.setdefault((t, agent), set()).add((atom, result))
+        return index
 
     @cached_property
-    def committed_by(self) -> dict[str, frozenset[Outcome]]:
-        """target -> the outcomes that send some party only to the target."""
-        index: dict[str, set[Outcome]] = {}
+    def arrivals(self) -> dict[str, int]:
+        """target -> the number of arcs into it."""
+        index: dict[str, int] = {}
+        for targets in self.transition.values():
+            for t in targets:
+                index[t] = index.get(t, 0) + 1
+        return index
+
+    @cached_property
+    def commitments(self) -> dict[str, int]:
+        """target -> the number of outcomes that send some party only to
+        the target (that commit to it)."""
+        index: dict[str, int] = {}
         for spec in self.atoms.values():
             for r in spec.results:
-                for p in spec.parties:
-                    targets = self.transition[(spec.id, p, r)]
-                    if len(targets) == 1:
-                        (t,) = targets
-                        index.setdefault(t, set()).add((spec.id, r))
-        return {t: frozenset(outs) for t, outs in index.items()}
+                targets = [self.transition[(spec.id, p, r)] for p in spec.parties]
+                for t in commit_targets(targets):
+                    index[t] = index.get(t, 0) + 1
+        return index
 
     @cached_property
     def marking_kernel(self) -> MarkingKernel:
@@ -162,25 +213,62 @@ class Negotiation:
         return MarkingKernel(self)
 
     @cached_property
-    def merge_groups(self) -> dict[str, dict[str, tuple[str, ...]]]:
-        """atom -> result -> the atom's results whose target set equals the
-        result's for every party, in declaration order. Filled one atom at
-        a time by `merge_group`."""
+    def merge_groups(self) -> dict[str, MergeGroups]:
+        """atom -> its results grouped by target sets. Filled one atom at a
+        time by `atom_groups`."""
         return {}
 
     def merge_group(self, atom: str, result: str) -> tuple[str, ...]:
         """The results of `atom` that send every party where `result` does,
         `result` included, in declaration order: its merge partners."""
+        keys, members = self.atom_groups(atom)
+        return members[keys[result]]
+
+    def atom_groups(self, atom: str) -> MergeGroups:
+        """The results of `atom` grouped by target sets."""
         groups = self.merge_groups.get(atom)
         if groups is None:
             spec = self.atoms[atom]
-            by_targets: dict[tuple[frozenset[str], ...], list[str]] = {}
-            for r in spec.results:
-                key = tuple(self.transition[(atom, p, r)] for p in spec.parties)
-                by_targets.setdefault(key, []).append(r)
-            groups = {r: tuple(same) for same in by_targets.values() for r in same}
+            keys = {
+                r: tuple([self.transition[(atom, p, r)] for p in spec.parties])
+                for r in spec.results
+            }
+            members: dict[tuple[frozenset[str], ...], list[str]] = {}
+            for r, key in keys.items():
+                members.setdefault(key, []).append(r)
+            groups = MergeGroups(keys, {key: tuple(rs) for key, rs in members.items()})
             self.merge_groups[atom] = groups
-        return groups[result]
+        return groups
+
+    @cached_property
+    def sending(self) -> dict[Outcome, Sends]:
+        """outcome -> where it sends its parties. Filled one outcome at a
+        time by `sends`."""
+        return {}
+
+    def sends(self, outcome: Outcome) -> Sends:
+        """Where the outcome sends its parties (`Sends`)."""
+        found = self.sending.get(outcome)
+        if found is None:
+            n, r = outcome
+            alone: dict[str, int] = {}
+            arcs = alone  # the same counts while each party goes to one atom
+            for p in self.atoms[n].parties:
+                ts = self.transition[(n, p, r)]
+                if len(ts) == 1:
+                    (t,) = ts
+                    alone[t] = alone.get(t, 0) + 1
+                    if arcs is not alone:
+                        arcs[t] = arcs.get(t, 0) + 1
+                elif ts:
+                    if arcs is alone:
+                        arcs = alone.copy()
+                    for t in ts:
+                        arcs[t] = arcs.get(t, 0) + 1
+            others = sorted(arcs.keys() - {n}, key=self._atom_order.__getitem__)
+            found = Sends(tuple(others), arcs, alone)
+            self.sending[outcome] = found
+        return found
 
     @cached_property
     def classification(self) -> Classification:
@@ -200,10 +288,12 @@ class Negotiation:
         every intermediate diagram does not keep their indexes too."""
         for name in (
             "arcs_into",
-            "committed_by",
+            "arrivals",
+            "commitments",
             "marking_kernel",
             "merge_groups",
             "named_transformers",
+            "sending",
         ):
             self.__dict__.pop(name, None)
 
@@ -387,43 +477,49 @@ def missing_paths(
 def rewrite(
     neg: Negotiation,
     spec: AtomSpec,
-    targets: dict[tuple[str, str], frozenset[str]],
+    dropped: tuple[str, ...],
+    added: dict[str, Targets],
     transformers: dict[str, TransformerExpr],
     removed: Optional[str] = None,
-) -> Negotiation:
-    """`neg` with one atom rewritten by a reduction rule, not re-validated.
+) -> tuple[Negotiation, Change]:
+    """`neg` with the outcomes of one rule application replaced, not
+    re-validated; returned with what changed (`Change`).
 
-    The atom `spec.id` takes the results of `spec`, in place. Its triples
-    map to `targets` ((party, result) -> target set), and its results keep
-    their transformers except those given in `transformers` (result ->
-    expression). The atom `removed`, if given, is dropped; when it is the
-    final atom, `spec.id` becomes final. The arc indexes, merge groups and
-    transformers `neg` has built are carried forward, with the entries of
-    these two atoms replaced; the output builds its other indexes afresh.
-    """
+    The atom `spec.id` takes the results of `spec`: it loses the results
+    in `dropped`, with their triples and transformers, and gains those
+    that `added` maps to their target sets (one per party of `spec`, in
+    order). A result both dropped and added stays, with new triples.
+    `transformers` (result -> expression) gives every added result its
+    transformer, and any kept result a new one. The atom `removed`, if
+    given, is dropped with its outcomes; when it is the final atom,
+    `spec.id` becomes final.
+
+    Only these outcomes are written: the tables are copied as they are,
+    and the indexes `neg` has built (`arcs_into`, `arrivals`,
+    `commitments`, merge groups, `sending`) are handed over to the output
+    and updated there from the lost and gained outcomes alone; `neg`
+    builds them afresh if it is asked again. The new triples go at the end
+    of the transition table."""
     n = spec.id
-    changed = (n,) if removed is None else (n, removed)
-    atoms = dict(neg.atoms)
-    transition = dict(neg.transition)
-    named = dict(neg.named_transformers)
-    old_triples: dict[tuple[str, str, str], frozenset[str]] = {}
-    old_named = {}
-    for a in changed:
-        old = neg.atoms[a]
-        for p in old.parties:
-            for r in old.results:
-                old_triples[(a, p, r)] = transition.pop((a, p, r))
-        for r in old.results:
-            old_named[(a, r)] = named.pop((a, r))
+    atoms = neg.atoms.copy()
+    transition = neg.transition.copy()
+    named = neg.named_transformers.copy()
+    old: dict[Outcome, Targets] = {}
+    for a, results in ((n, dropped), (removed, neg.results(removed) if removed else ())):
+        parties = neg.parties(a) if results else ()
+        for r in results:
+            old[(a, r)] = tuple([transition.pop((a, p, r)) for p in parties])
+            del named[(a, r)]
     atoms[n] = spec
     if removed is not None:
         del atoms[removed]
-    new_triples = {}
-    for p in spec.parties:
-        for r in spec.results:
-            new_triples[(n, p, r)] = transition[(n, p, r)] = targets[(p, r)]
-    for r in spec.results:
-        named[(n, r)] = transformers[r] if r in transformers else old_named[(n, r)]
+    new: dict[Outcome, Targets] = {}
+    for r, targets in added.items():
+        for p, ts in zip(spec.parties, targets):
+            transition[(n, p, r)] = ts
+        new[(n, r)] = targets
+    for r, expr in transformers.items():
+        named[(n, r)] = expr
     after = Negotiation(
         agents=neg.agents,
         atoms=atoms,
@@ -434,57 +530,99 @@ def rewrite(
         rels=neg.rels,
         states=neg.states,
     )
-    _carry_indexes(neg, after, changed, old_triples, new_triples)
-    return after
+    change = _count_change(old, new)
+    _carry_indexes(neg, after, n, removed, change)
+    return after, change
+
+
+def _count_change(old: dict[Outcome, Targets], new: dict[Outcome, Targets]) -> Change:
+    """The `Change` of an application that took out `old` and put in
+    `new`."""
+    arrivals: dict[str, int] = {}
+    commitments: dict[str, int] = {}
+    for side, outcomes in ((-1, old), (1, new)):
+        for targets in outcomes.values():
+            for ts in targets:
+                for t in ts:
+                    arrivals[t] = arrivals.get(t, 0) + side
+            for t in commit_targets(targets):
+                commitments[t] = commitments.get(t, 0) + side
+    return Change(old, new, arrivals, commitments)
 
 
 def _carry_indexes(
     before: Negotiation,
     after: Negotiation,
-    changed: tuple[str, ...],
-    old_triples: dict[tuple[str, str, str], frozenset[str]],
-    new_triples: dict[tuple[str, str, str], frozenset[str]],
+    n: str,
+    removed: Optional[str],
+    change: Change,
 ) -> None:
-    """Give `after` each carried index `before` has built, updated from the
-    changed atoms' triples alone. `rewrite` appends the new triples to the
-    transition table, so appending their outcomes to `arcs_into` keeps it
-    in transition-table order, as a fresh build has it."""
+    """Hand each index `before` has built over to `after`, updated in place
+    from the `change` alone. `before` keeps none of them, and builds them
+    afresh if it is asked again. `n` is the rewritten atom and `removed`
+    the atom dropped, if any."""
     built, carried = before.__dict__, after.__dict__
     carried["named_transformers"] = after.transformers
-    if "arcs_into" in built:
-        into = dict(built["arcs_into"])
-        for key in {(t, p) for (_a, p, _r), ts in old_triples.items() for t in ts}:
-            kept = tuple(o for o in into[key] if o[0] not in changed)
-            if kept:
-                into[key] = kept
-            else:
-                del into[key]
-        for (a, p, r), ts in new_triples.items():
-            for t in ts:
-                into[(t, p)] = into.get((t, p), ()) + ((a, r),)
+    old, new = change.removed, change.added
+    into = built.pop("arcs_into", None)
+    if into is not None:
+        for o, targets in old.items():
+            for p, ts in zip(before.parties(o[0]), targets):
+                for t in ts:
+                    outs = into[(t, p)]
+                    outs.discard(o)
+                    if not outs:
+                        del into[(t, p)]
+        for o, targets in new.items():
+            for p, ts in zip(after.parties(n), targets):
+                for t in ts:
+                    into.setdefault((t, p), set()).add(o)
         carried["arcs_into"] = into
-    if "committed_by" in built:
-        committed = dict(built["committed_by"])
-        dropped: dict[str, set[Outcome]] = {}
-        added: dict[str, set[Outcome]] = {}
-        for triples, delta in ((old_triples, dropped), (new_triples, added)):
-            for (a, _p, r), ts in triples.items():
-                if len(ts) == 1:
-                    (t,) = ts
-                    delta.setdefault(t, set()).add((a, r))
-        for t in dropped.keys() | added.keys():
-            outs = committed.get(t, frozenset()) - dropped.get(t, set())
-            outs |= added.get(t, set())
-            if outs:
-                committed[t] = outs
-            else:
-                committed.pop(t, None)
-        carried["committed_by"] = committed
-    if "merge_groups" in built:
-        groups = dict(built["merge_groups"])
-        for a in changed:
-            groups.pop(a, None)
+    for name, delta in (("arrivals", change.arrivals), ("commitments", change.commitments)):
+        counts = built.pop(name, None)
+        if counts is not None:
+            for t, d in delta.items():
+                counts[t] = counts.get(t, 0) + d
+                if not counts[t]:
+                    del counts[t]
+            carried[name] = counts
+    groups = built.pop("merge_groups", None)
+    if groups is not None:
+        groups.pop(removed, None)
+        if n in groups:
+            keys, members = groups[n]
+            for (a, r), key in old.items():
+                if a == n:
+                    del keys[r]
+                    rest = _without(members[key], r)
+                    if rest:
+                        members[key] = rest
+                    else:
+                        del members[key]
+            position = after.atoms[n].results.index
+            for (_a, r), key in new.items():
+                keys[r] = key
+                group = members.get(key, ())
+                i = bisect(group, position(r), key=position)
+                members[key] = group[:i] + (r,) + group[i:]
         carried["merge_groups"] = groups
+    sending = built.pop("sending", None)
+    if sending is not None:
+        for o in old:
+            sending.pop(o, None)
+        carried["sending"] = sending
+
+
+def commit_targets(targets: Iterable[frozenset[str]]) -> set[str]:
+    """The atoms an outcome with these target sets commits to: those it
+    sends some party to and nowhere else."""
+    return {t for ts in targets if len(ts) == 1 for t in ts}
+
+
+def _without(items: tuple, item) -> tuple:
+    """`items` without its one occurrence of `item`."""
+    i = items.index(item)
+    return items[:i] + items[i + 1 :]
 
 
 @dataclass
@@ -583,10 +721,12 @@ def _classify(neg: Negotiation) -> Classification:
     deterministic = det_agents == set(neg.agents)
 
     weakly = True
-    for (atom, _agent, _r), targets in neg.transition.items():
+    for (atom, agent, _r), targets in neg.transition.items():
         if atom == neg.final:
             continue
-        if not any(
+        # every target has the agent itself as a party, so a deterministic
+        # agent settles the triple without trying the others
+        if agent not in det_agents and not any(
             b in det_agents and all(b in neg.parties(t) for t in targets)
             for b in neg.agents
         ):

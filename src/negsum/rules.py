@@ -3,20 +3,25 @@ iteration, useless arc, shortcut), their guards, and reducible-outcome
 enumeration.
 
 Every application returns a fresh Negotiation built by `model.rewrite`;
-inputs are never mutated, so traces can hold on to all intermediate
+inputs keep their value, so traces can hold on to all intermediate
 diagrams. Rule outputs are valid by construction and are not
 re-validated, except for the path condition that is the useless-arc
-guard. Each output carries its input's indexes forward, with only the
-changed atoms' entries replaced, and records those atoms in
-`RuleApplication.changed`.
+guard. The site of an application is the set of outcomes it removes and
+adds: a rule hands `rewrite` only those, and the output takes over the
+indexes its input has built, updated from them alone (the input builds
+them again if asked). `RuleApplication.change` records them with their
+target sets, and the arcs into and commitments to each atom they reach.
 
 Guards read the diagram's indexes (`Negotiation.arcs_into`,
-`Negotiation.committed_by`, `Negotiation.merge_group`) instead of
-scanning the transition table, and shortcut targets are sought only
-among the outcome's transition targets. A reduction keeps R(N) in a
-`Reducible`, which after each application re-evaluates only the outcomes
-whose guards can have changed (`dirty_outcomes`), so an application
-costs about the size of its site, not of the diagram.
+`Negotiation.arrivals`, `Negotiation.commitments`,
+`Negotiation.merge_group`, `Negotiation.sends`) instead of scanning the
+transition table, and shortcut targets are sought only among the
+outcome's transition targets. A reduction keeps R(N) in a `Reducible`,
+which after each application re-evaluates only the outcomes whose guards
+can have changed (`dirty_outcomes`), starting from the targets of the
+removed and added outcomes, and keeps R(N) in outcome order
+(`OrderedOutcomes`), so an application costs about the size of its site,
+not of the diagram.
 
 Fresh result naming: a merge of r1 and r2 produces "r1+r2", a shortcut of
 r with a target result r' produces "r>r'" (with a numeric suffix on
@@ -27,20 +32,24 @@ checked by final-result name.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Optional
+from heapq import merge
+from typing import Iterator, Optional
 
 from .errors import GuardFailed, ValidationError
 from .model import (
     AtomSpec,
+    Change,
     Negotiation,
     Outcome,
+    Targets,
     classify,
     is_acyclic,
     missing_paths,
     rewrite,
 )
-from .transformers import concat_expr, star_expr, union_expr
+from .transformers import TransformerExpr, concat_expr, star_expr, union_expr
 
 
 @dataclass
@@ -53,6 +62,9 @@ class RuleApplication:
     # the atoms the rule changed: the site atom, then the removed atom if
     # any; when the final atom moves, these are the new and the old one
     changed: tuple[str, ...]
+    # what the rule changed: the outcomes it removed and added, and the
+    # arcs into and the commitments to each atom it reaches
+    change: Change
     stage: Optional[int] = None  # set by staged strategies
     line: Optional[str] = None  # which strategy branch selected this step
 
@@ -76,18 +88,16 @@ def unconditionally_enables(neg: Negotiation, outcome: Outcome, n2: str) -> bool
     """After `outcome`, the atom `n2` is enabled and stays enabled until it
     occurs: all of n2's parties are parties of the outcome's atom and are
     sent exactly to n2."""
-    n, r = outcome
-    parties_n2 = neg.parties(n2)
-    if not set(parties_n2) <= set(neg.parties(n)):
-        return False
-    return all(neg.targets(n, p, r) == frozenset([n2]) for p in parties_n2)
+    # every party sent to n2 alone is a party of n2
+    return neg.sends(outcome).alone.get(n2, 0) == len(neg.parties(n2))
 
 
 def exclusive_access(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     """`outcome` owns every arc into n2: each party port of n2 is fed by
     this outcome and by no other."""
-    only = (outcome,)
-    return all(neg.arcs_into.get((n2, p)) == only for p in neg.parties(n2))
+    # the outcome sends each party of n2 to n2, and no other arc enters it
+    parties = len(neg.parties(n2))
+    return neg.sends(outcome).arcs.get(n2, 0) == parties == neg.arrivals.get(n2, 0)
 
 
 def commits_to(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
@@ -99,7 +109,8 @@ def commits_to(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
 
 def another_commits(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     """Some outcome other than `outcome` commits to n2."""
-    return bool(neg.committed_by.get(n2, frozenset()) - {outcome})
+    itself = n2 in neg.sends(outcome).alone
+    return neg.commitments.get(n2, 0) > itself
 
 
 def uniform(neg: Negotiation, outcome: Outcome) -> bool:
@@ -164,6 +175,38 @@ def _fresh_name(existing, base: str) -> str:
     return f"{base}_{i}"
 
 
+def _replace(results: tuple[str, ...], r: str, new: tuple[str, ...] = ()) -> tuple:
+    """`results` with `r` replaced by `new`, in its place."""
+    i = results.index(r)
+    return results[:i] + new + results[i + 1 :]
+
+
+def _rewritten(
+    neg: Negotiation,
+    kind: str,
+    site: tuple,
+    produced: dict,
+    spec: AtomSpec,
+    dropped: tuple[str, ...],
+    added: dict[str, Targets],
+    transformers: dict[str, TransformerExpr],
+    removed: Optional[str] = None,
+) -> RuleApplication:
+    """The application that rewrites `neg` by `model.rewrite` (which see
+    for the arguments), with the outcomes it removes and adds."""
+    n = spec.id
+    after, change = rewrite(neg, spec, dropped, added, transformers, removed)
+    return RuleApplication(
+        kind=kind,
+        site=site,
+        produced=produced,
+        before=neg,
+        after=after,
+        changed=(n,) if removed is None else (n, removed),
+        change=change,
+    )
+
+
 def apply_merge(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
     n1, r1 = o1
     n2, r2 = o2
@@ -176,29 +219,20 @@ def apply_merge(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
     spec = neg.atoms[n1]
     if r1 not in spec.results or r2 not in spec.results:
         raise GuardFailed(f"unknown result on atom {n1!r}")
-    if any(
-        neg.targets(n1, p, r1) != neg.targets(n1, p, r2) for p in spec.parties
-    ):
+    targets = tuple(neg.targets(n1, p, r1) for p in spec.parties)
+    if targets != tuple(neg.targets(n1, p, r2) for p in spec.parties):
         raise GuardFailed("the two results have different transition functions")
 
     fresh = _fresh_name(set(spec.results), f"{r1}+{r2}")
-    renamed = {r: fresh if r == r1 else r for r in spec.results if r != r2}
-    targets = {
-        (p, new): neg.targets(n1, p, r) for r, new in renamed.items() for p in spec.parties
-    }
-    after = rewrite(
+    return _rewritten(
         neg,
-        AtomSpec(n1, spec.parties, tuple(renamed.values())),
-        targets,
+        "merge",
+        (o1, o2),
+        {"fresh_results": [(n1, fresh)], "removed_atoms": []},
+        AtomSpec(n1, spec.parties, _replace(_replace(spec.results, r2), r1, (fresh,))),
+        (r1, r2),
+        {fresh: targets},
         {fresh: union_expr(neg.transformer(o1), neg.transformer(o2))},
-    )
-    return RuleApplication(
-        kind="merge",
-        site=(o1, o2),
-        produced={"fresh_results": [(n1, fresh)], "removed_atoms": []},
-        before=neg,
-        after=after,
-        changed=(n1,),
     )
 
 
@@ -211,20 +245,16 @@ def apply_iteration(neg: Negotiation, outcome: Outcome) -> RuleApplication:
         raise GuardFailed("the outcome is not a self-loop for every party")
 
     star = star_expr(neg.transformer(outcome))
-    new_results = tuple(x for x in spec.results if x != r)
-    after = rewrite(
+    new_results = _replace(spec.results, r)
+    return _rewritten(
         neg,
+        "iteration",
+        (outcome,),
+        {"fresh_results": [], "removed_atoms": []},
         AtomSpec(n, spec.parties, new_results),
-        {(p, r2): neg.targets(n, p, r2) for r2 in new_results for p in spec.parties},
+        (r,),
+        {},
         {r2: concat_expr(star, neg.transformer((n, r2))) for r2 in new_results},
-    )
-    return RuleApplication(
-        kind="iteration",
-        site=(outcome,),
-        produced={"fresh_results": [], "removed_atoms": []},
-        before=neg,
-        after=after,
-        changed=(n,),
     )
 
 
@@ -260,29 +290,18 @@ def is_useless_arc(neg: Negotiation, arc, acyclic: Optional[bool] = None) -> boo
     if acyclic is None:
         acyclic = is_acyclic(neg)
     if acyclic:
-        # some other arc enters n2
-        into = (len(neg.arcs_into.get((n2, q), ())) for q in neg.parties(n2))
-        return sum(into) > 1
-    try:
-        _remove_arc(neg, arc)
-    except ValidationError:
-        return False
-    return True
+        return neg.arrivals[n2] > 1  # some other arc enters n2
+    return not _stranded_without(neg, arc)
 
 
-def _remove_arc(neg: Negotiation, arc) -> Negotiation:
-    """The diagram without the arc. Raises ValidationError when some atom
-    is then on no path from the initial to the final atom (condition
-    (3)): that check is the useless-arc guard on cyclic diagrams."""
+def _stranded_without(neg: Negotiation, arc) -> list[str]:
+    """Condition (3) on the diagram without the arc: one violation per
+    atom then on no path from the initial to the final atom. That check is
+    the useless-arc guard on cyclic diagrams."""
     n, p, r, n2 = arc
-    spec = neg.atoms[n]
-    targets = {(q, x): neg.targets(n, q, x) for x in spec.results for q in spec.parties}
-    targets[(p, r)] = targets[(p, r)] - {n2}
-    after = rewrite(neg, spec, targets, {})
-    stranded = missing_paths(after.atoms, after.initial, after.final, after.transition)
-    if stranded:
-        raise ValidationError(stranded)
-    return after
+    transition = neg.transition.copy()
+    transition[(n, p, r)] = transition[(n, p, r)] - {n2}
+    return missing_paths(neg.atoms, neg.initial, neg.final, transition)
 
 
 def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
@@ -291,19 +310,26 @@ def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
         raise GuardFailed(f"no such arc: {arc}")
     if _useless_witness(neg, arc) is None:
         raise GuardFailed(f"arc {arc} does not match the useless-arc pattern")
-    try:
-        after = _remove_arc(neg, arc)
-    except ValidationError as e:
+    stranded = _stranded_without(neg, arc)
+    if stranded:
         raise GuardFailed(
-            f"WouldBreakPathCondition: removing {arc} leaves an invalid diagram: {e}"
-        ) from None
-    return RuleApplication(
-        kind="useless_arc",
-        site=(arc,),
-        produced={"fresh_results": [], "removed_atoms": []},
-        before=neg,
-        after=after,
-        changed=(n,),
+            f"WouldBreakPathCondition: removing {arc} leaves an invalid diagram: "
+            f"{ValidationError(stranded)}"
+        )
+    spec = neg.atoms[n]
+    targets = tuple(
+        neg.targets(n, q, r) - {n2} if q == p else neg.targets(n, q, r)
+        for q in spec.parties
+    )
+    return _rewritten(
+        neg,
+        "useless_arc",
+        (arc,),
+        {"fresh_results": [], "removed_atoms": []},
+        spec,
+        (r,),
+        {r: targets},
+        {r: neg.transformer((n, r))},
     )
 
 
@@ -337,38 +363,32 @@ def apply_shortcut(
         existing.add(fresh)
         fresh_map[r2] = fresh
 
-    pos = spec.results.index(r)
-    results = spec.results[:pos] + tuple(fresh_map.values()) + spec.results[pos + 1 :]
-    kept = [x for x in spec.results if x != r]
-    targets = {(p, x): neg.targets(n, p, x) for x in kept for p in spec.parties}
-    transformers = {}
     inner = set(neg.parties(n2))
-    for r2, fresh in fresh_map.items():
-        for p in spec.parties:
-            source = (n2, p, r2) if p in inner else (n, p, r)
-            targets[(p, fresh)] = neg.targets(*source)
-        transformers[fresh] = concat_expr(
-            neg.transformer(outcome), neg.transformer((n2, r2))
+    added = {
+        fresh: tuple(
+            neg.targets(n2, p, r2) if p in inner else neg.targets(n, p, r)
+            for p in spec.parties
         )
-
+        for r2, fresh in fresh_map.items()
+    }
+    transformers = {
+        fresh: concat_expr(neg.transformer(outcome), neg.transformer((n2, r2)))
+        for r2, fresh in fresh_map.items()
+    }
     removed = [n2] if removable else []
-    after = rewrite(
+    return _rewritten(
         neg,
-        AtomSpec(n, spec.parties, results),
-        targets,
-        transformers,
-        removed=n2 if removable else None,
-    )
-    return RuleApplication(
-        kind="d_shortcut" if d_restricted else "shortcut",
-        site=(outcome, n2),
-        produced={
+        "d_shortcut" if d_restricted else "shortcut",
+        (outcome, n2),
+        {
             "fresh_results": [(n, f) for f in fresh_map.values()],
             "removed_atoms": removed,
         },
-        before=neg,
-        after=after,
-        changed=(n, *removed),
+        AtomSpec(n, spec.parties, _replace(spec.results, r, tuple(fresh_map.values()))),
+        (r,),
+        added,
+        transformers,
+        removed=n2 if removable else None,
     )
 
 
@@ -396,17 +416,13 @@ def iteration_applicable(neg: Negotiation, outcome: Outcome) -> bool:
     return all(neg.targets(n, p, r) == frozenset([n]) for p in neg.parties(n))
 
 
-def shortcut_candidates(neg: Negotiation, outcome: Outcome) -> list[str]:
+def shortcut_candidates(neg: Negotiation, outcome: Outcome) -> tuple[str, ...]:
     """The atoms the shortcut guard can hold for, in declaration order.
 
     The guard needs the outcome to send every party of the target to the
-    target alone, so the target is a transition target of the outcome."""
-    n, r = outcome
-    found = set()
-    for p in neg.parties(n):
-        found |= neg.targets(n, p, r)
-    found.discard(n)
-    return sorted(found, key=neg.atom_index)
+    target alone, so the target is a transition target of the outcome,
+    other than its own atom."""
+    return neg.sends(outcome).others
 
 
 def shortcut_targets(neg: Negotiation, outcome: Outcome) -> list[str]:
@@ -430,13 +446,19 @@ def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] 
 
 
 def is_reducible(neg: Negotiation, outcome: Outcome, acyclic: bool) -> bool:
-    """Whether the outcome is in R(N): it admits the iteration or shortcut
-    rule, has a merge partner, or has a useless arc. `acyclic` is whether
+    """Whether the outcome is in R(N): it has a merge partner, admits the
+    iteration or shortcut rule, or has a useless arc. `acyclic` is whether
     the diagram is, which the useless-arc guard reads."""
+    return merge_partner(neg, outcome) is not None or _reducible_unmerged(
+        neg, outcome, acyclic
+    )
+
+
+def _reducible_unmerged(neg: Negotiation, outcome: Outcome, acyclic: bool) -> bool:
+    """`is_reducible` by the rules other than merge."""
     n, r = outcome
     return (
         iteration_applicable(neg, outcome)
-        or merge_partner(neg, outcome) is not None
         or any(
             shortcut_guard(neg, outcome, n2).holds
             for n2 in shortcut_candidates(neg, outcome)
@@ -455,56 +477,160 @@ def reducible_outcomes(neg: Negotiation) -> set[Outcome]:
     return {o for o in neg.outcomes() if is_reducible(neg, o, acyclic)}
 
 
-def _arrivals(neg: Negotiation, t: str) -> tuple:
-    """What the guards of an outcome with an arc into `t` read of the
-    other arcs into `t`: the outcome that owns every arc into it, if any
-    (exclusive access); the outcomes that commit to it, when there are
-    fewer than two (another outcome commits); and whether two or more
-    arcs enter it (the useless-arc guard on acyclic diagrams)."""
-    into = [neg.arcs_into.get((t, q), ()) for q in neg.parties(t)]
-    first = into[0]
-    owner = first[0] if len(first) == 1 and all(x == first for x in into) else None
-    committed = neg.committed_by.get(t, frozenset())
-    return owner, committed if len(committed) < 2 else None, sum(map(len, into)) > 1
+def _arrivals(neg: Negotiation, t: str, arcs: int = 0, commits: int = 0) -> tuple:
+    """What the guards of an outcome with an arc into `t` read of the other
+    arcs into `t`: whether they are one per party of `t` (exclusive access,
+    for an outcome that sends every party of `t` there), whether two or
+    more enter `t` (the useless-arc guard on acyclic diagrams), and whether
+    two or more outcomes commit to `t` (another outcome commits, asked of
+    an outcome that sends every party of `t` there alone, so commits to it
+    itself). `arcs` and `commits` are added to the numbers of arcs into
+    `t` and of outcomes committing to it, to read them as they were before
+    an application."""
+    count = neg.arrivals.get(t, 0) + arcs
+    committed = neg.commitments.get(t, 0) + commits
+    return count == len(neg.parties(t)), count > 1, committed > 1
 
 
 def dirty_outcomes(app: RuleApplication) -> set[Outcome]:
     """The outcomes of `app.after` whose membership in R(N) the application
-    can have changed: those of the changed atoms, and every outcome with an
-    arc into an atom that a changed atom targets before or after the rule,
-    if what the guards read of that atom's incoming arcs (`_arrivals`)
-    changed, or if it is the new final atom.
+    can have changed: the added outcomes; the kept results of the site
+    atom that share target sets with a removed or added result, or that
+    become or stop being its only result; and, at each atom that a removed
+    or added outcome targets, the outcomes with an arc into it whose
+    guards read something of its incoming arcs that changed (`_arrivals`),
+    or all of them if it is the new final atom.
 
-    Every other outcome keeps its own transitions and results, and what
-    the guards read of the arcs into its targets, which is all
-    `is_reducible` reads of it, except for the useless-arc guard on a
-    cyclic diagram (see `Reducible`). It reads `before`'s arc indexes,
-    so a reduction calls it before it frees them."""
+    Every other outcome keeps its own transitions, its merge partners,
+    whether it is its atom's only result, and what the guards read of the
+    arcs into its targets, which is all `is_reducible` reads of it, except
+    for the useless-arc guard on a cyclic diagram (see `Reducible`).
+    `_arrivals` is compared only at an atom that gains or loses arcs, or
+    outcomes committing to it (`app.change`). It reads `app.after` and the
+    change alone, since `app.before` has handed its indexes over to
+    `app.after`."""
     before, after = app.before, app.after
-    dirty: set[Outcome] = set()
-    hit: set[str] = set()
-    for a in app.changed:
-        for neg in (before, after):
-            if a in neg.atoms:
-                for r in neg.results(a):
-                    for p in neg.parties(a):
-                        hit |= neg.targets(a, p, r)
-        if a in after.atoms:
-            dirty.update((a, r) for r in after.results(a))
-    moved = {after.final} - {before.final}
-    for t in hit | moved:
-        if t not in after.atoms:
+    n = app.changed[0]
+    dirty = set(app.change.added)
+    if n != after.final:
+        members = after.atom_groups(n).members
+        for (a, _r), key in app.change.removed.items():
+            if a == n:
+                dirty.update((n, m) for m in members.get(key, ()))
+        for key in app.change.added.values():
+            dirty.update((n, m) for m in members[key])
+    for results in (before.results(n), after.results(n)):
+        if len(results) == 1 and results[0] in after.results(n):
+            dirty.add((n, results[0]))
+    moved = after.final if after.final != before.final else None
+    arcs, commits = app.change.arrivals, app.change.commitments
+    for t in arcs.keys() | commits.keys():
+        if t == moved or t not in after.atoms or not (arcs.get(t) or commits.get(t)):
             continue
-        if t in moved or _arrivals(before, t) != _arrivals(after, t):
+        one_each, *rest = _arrivals(after, t)
+        then_one_each, *then_rest = _arrivals(after, t, -arcs.get(t, 0), -commits.get(t, 0))
+        if rest != then_rest:  # matters to outcomes with an arc into any port
             for q in after.parties(t):
                 dirty.update(after.arcs_into.get((t, q), ()))
+        elif one_each != then_one_each:
+            # matters to an outcome sending every party of t there, which
+            # has an arc into each of its ports
+            dirty.update(after.arcs_into.get((t, after.parties(t)[0]), ()))
+    if moved is not None:
+        for q in after.parties(moved):
+            dirty.update(after.arcs_into.get((moved, q), ()))
     return dirty
+
+
+class OrderedOutcomes:
+    """A set of outcomes of the current diagram of a reduction that also
+    keeps them in outcome order (by atom, then by result, each in
+    declaration order), bucketed by the party count of their atom. It
+    changes only through `add` and `discard`, which keep the order.
+
+    Rules only remove atoms, and put the results they add where the
+    results they remove were, so outcome order never moves a member: an
+    added member finds its place among its atom's members by bisection.
+    Atoms keep their rank in the reduction's input. `neg` must be the
+    diagram whose outcomes are added; `Reducible` moves it along."""
+
+    def __init__(self, neg: Negotiation):
+        self.neg = neg
+        self.rank = neg.atom_index
+        self._set: set[Outcome] = set()
+        self._members: dict[str, list[str]] = {}  # atom -> results, in order
+        self._atoms: dict[int, list[str]] = {}  # party count -> atoms, in order
+
+    def __contains__(self, outcome: Outcome) -> bool:
+        return outcome in self._set
+
+    def __len__(self) -> int:
+        return len(self._set)
+
+    def __iter__(self) -> Iterator[Outcome]:
+        return iter(self._set)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, OrderedOutcomes):
+            other = other._set
+        return self._set == other
+
+    def add(self, outcome: Outcome) -> None:
+        if outcome in self._set:
+            return
+        self._set.add(outcome)
+        a, r = outcome
+        members = self._members.get(a)
+        if members is None:
+            self._members[a] = [r]
+            bucket = self._atoms.setdefault(len(self.neg.parties(a)), [])
+            insort(bucket, a, key=self.rank)
+        else:
+            insort(members, r, key=self.neg.results(a).index)
+
+    def discard(self, outcome: Outcome) -> None:
+        if outcome not in self._set:
+            return
+        self._set.discard(outcome)
+        a, r = outcome
+        members = self._members[a]
+        members.remove(r)
+        if not members:
+            del self._members[a]
+            k = len(self.neg.parties(a))
+            bucket = self._atoms[k]
+            del bucket[bisect_left(bucket, self.rank(a), key=self.rank)]
+            if not bucket:
+                del self._atoms[k]
+
+    def in_order(self, parties: Optional[int] = None) -> Iterator[Outcome]:
+        """The members in outcome order; only those whose atom has
+        `parties` parties, if given."""
+        if parties is None:
+            atoms = merge(*self._atoms.values(), key=self.rank)
+        else:
+            atoms = self._atoms.get(parties, ())
+        for a in atoms:
+            for r in self._members[a]:
+                yield a, r
+
+    def has(self, parties: int) -> bool:
+        """Whether some member's atom has `parties` parties."""
+        return parties in self._atoms
+
+    def lowest(self) -> Optional[int]:
+        """The fewest parties of a member's atom; None when empty."""
+        return min(self._atoms, default=None)
 
 
 class Reducible:
     """R(N) of the current diagram of a reduction, kept up to date across
     its rule applications: computed in full on the input, then re-evaluated
-    on `dirty_outcomes` after each application.
+    on `dirty_outcomes` after each application. `outcomes` holds R(N) and
+    `mergeable` the outcomes with a merge partner, which are in R(N) too,
+    each in outcome order (`OrderedOutcomes`). Whether an outcome has a
+    merge partner depends on its atom alone, so the dirty outcomes cover
+    `mergeable` as well.
 
     On a cyclic diagram the useless-arc guard checks the path condition on
     the whole diagram, so any application can change it. That guard holds
@@ -519,36 +645,51 @@ class Reducible:
 
     def __init__(self, neg: Negotiation):
         self.neg = neg
-        self.outcomes = reducible_outcomes(neg)
         self.acyclic = is_acyclic(neg)
-        self.forks = {
+        self.outcomes = OrderedOutcomes(neg)
+        self.mergeable = OrderedOutcomes(neg)
+        reducible = reducible_outcomes(neg)
+        for index in ("arcs_into", "arrivals", "commitments"):
+            getattr(neg, index)  # built here, so that every output carries it
+        for o in neg.outcomes():  # in outcome order, so each add appends
+            if o in reducible:
+                self.outcomes.add(o)
+                if merge_partner(neg, o) is not None:
+                    self.mergeable.add(o)
+        # read only while the diagram is cyclic, which it never becomes again
+        self.forks = set() if self.acyclic else {
             (a, r) for (a, _p, r), ts in neg.transition.items() if len(ts) > 1
         }
         self.evaluated = neg.num_outcomes()  # outcomes whose reducibility was computed
 
+    def _evaluate(self, neg: Negotiation, o: Outcome) -> None:
+        mergeable = merge_partner(neg, o) is not None
+        reducible = mergeable or _reducible_unmerged(neg, o, self.acyclic)
+        for members, holds in ((self.outcomes, reducible), (self.mergeable, mergeable)):
+            if holds:
+                members.add(o)
+            else:
+                members.discard(o)
+
     def advance(self, app: RuleApplication) -> None:
         """Move to `app.after`, which must follow the current diagram."""
-        before, after = app.before, app.after
-        for a in app.changed:
-            for r in before.results(a):
-                self.outcomes.discard((a, r))
-                self.forks.discard((a, r))
+        after = app.after
+        for o in app.change.removed:
+            self.outcomes.discard(o)
+            self.mergeable.discard(o)
+        self.neg = self.outcomes.neg = self.mergeable.neg = after
         dirty = dirty_outcomes(app)
-        for a in app.changed:
-            if a in after.atoms:
-                for r in after.results(a):
-                    if any(len(after.targets(a, p, r)) > 1 for p in after.parties(a)):
-                        self.forks.add((a, r))
-        if not self.acyclic and self.forks:
-            self.acyclic = is_acyclic(after)
-            dirty |= self.forks
+        if not self.acyclic:
+            self.forks.difference_update(app.change.removed)
+            for o, targets in app.change.added.items():
+                if any(len(ts) > 1 for ts in targets):
+                    self.forks.add(o)
+            if self.forks:
+                self.acyclic = is_acyclic(after)
+                dirty |= self.forks
         for o in dirty:
-            if is_reducible(after, o, self.acyclic):
-                self.outcomes.add(o)
-            else:
-                self.outcomes.discard(o)
+            self._evaluate(after, o)
         self.evaluated += len(dirty)
-        self.neg = after
 
 
 def reducible_outcomes_k(neg: Negotiation, k: int) -> set[Outcome]:

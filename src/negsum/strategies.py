@@ -25,11 +25,16 @@ candidate outcomes in outcome order and returns the applied
 `RuleApplication`, or None; the first step that applies a rule wins and
 its `line` is recorded on the application. The candidates are R(N) in
 `run_acyclic` and `run_one_agent`, R(N) cut to the current stage in
-`run_general`, and every outcome in `run_acyclic_wd`. Beyond steps and
-candidates, the strategies differ only in what they do at their bound.
-R(N) is computed in full on the input only: the trace keeps it up to date
-(`rules.Reducible`) as it records each application, and counts the
-outcomes it evaluated in `counters["outcomes_evaluated"]`.
+`run_general` (both a `Pool`), and every outcome in `run_acyclic_wd`
+(`EveryOutcome`); a merge step reads only the mergeable candidates.
+Beyond steps and candidates, the strategies differ only in what they do
+at their bound. R(N) is computed in full on the input only: the trace
+keeps it up to date (`rules.Reducible`) as it records each application,
+re-evaluating the outcomes at the application's site (the outcomes the
+rule removed and added, and those whose guards read them), and counts
+the outcomes it evaluated in `counters["outcomes_evaluated"]`. R(N) is
+kept in outcome order, bucketed by the party count of each outcome's
+atom, so no step sorts it or scans it for a stage.
 
 The atom order used for backward outcomes defaults to declaration order;
 all remaining ties break lexicographically by (atom index, result index),
@@ -40,7 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import (
     BudgetExceeded,
@@ -115,9 +120,9 @@ class ReductionTrace:
         self.counters["total"] = self.counters.get("total", 0) + 1
         self.counters[app.kind] = self.counters.get(app.kind, 0) + 1
         if self.reducible is not None:
-            self.reducible.advance(app)  # reads `before`'s arc indexes
+            self.reducible.advance(app)
             self.counters["outcomes_evaluated"] = self.reducible.evaluated
-        app.before.drop_indexes()
+        app.before.drop_indexes()  # what `app.after` did not take over
         return app.after
 
     @property
@@ -213,33 +218,72 @@ def index(neg: Negotiation, cap: int = DEFAULT_CAP):
 # Priority steps and the one driver
 # ---------------------------------------------------------------------------
 
-# select(neg, candidate outcomes in outcome order) -> the applied rule or None
-Select = Callable[[Negotiation, Sequence[Outcome]], Optional[RuleApplication]]
+class Pool:
+    """The candidates of a step in `run_acyclic`, `run_one_agent` and
+    `run_general`: R(N), or the part of it whose atoms have `parties`
+    parties, read in outcome order from the `Reducible` that keeps it."""
+
+    def __init__(self, reducible: Reducible, parties: Optional[int] = None):
+        self.reducible, self.parties = reducible, parties
+
+    def __iter__(self) -> Iterator[Outcome]:
+        return self.reducible.outcomes.in_order(self.parties)
+
+    def __bool__(self) -> bool:
+        if self.parties is None:
+            return bool(self.reducible.outcomes)
+        return self.reducible.outcomes.has(self.parties)
+
+    def mergeable(self) -> Iterator[Outcome]:
+        """The candidates with a merge partner, in outcome order."""
+        return self.reducible.mergeable.in_order(self.parties)
+
+
+class EveryOutcome:
+    """The candidates of a step in `run_acyclic_wd`: every outcome, in
+    outcome order."""
+
+    def __init__(self, neg: Negotiation):
+        self.neg = neg
+
+    def __iter__(self) -> Iterator[Outcome]:
+        return self.neg.outcomes()
+
+    def __bool__(self) -> bool:
+        return True
+
+    def mergeable(self) -> Iterator[Outcome]:
+        return (o for o in self.neg.outcomes() if merge_partner(self.neg, o) is not None)
+
+
+Candidates = Union[Pool, EveryOutcome]
+# select(neg, the candidates) -> the applied rule or None
+Select = Callable[[Negotiation, Candidates], Optional[RuleApplication]]
 Step = tuple[str, Select]  # (line recorded on the application, select)
 
 
-def _merge(neg: Negotiation, outcomes: Sequence[Outcome]):
-    for n, r in outcomes:
-        partner = merge_partner(neg, (n, r))
-        if partner is not None:
-            pair = sorted((r, partner), key=neg.atoms[n].results.index)
-            return apply_merge(neg, (n, pair[0]), (n, pair[1]))
+def _merge(neg: Negotiation, outcomes: Candidates):
+    """Merge the first mergeable candidate with its first partner."""
+    for n, r in outcomes.mergeable():
+        pair = sorted((r, merge_partner(neg, (n, r))), key=neg.atoms[n].results.index)
+        return apply_merge(neg, (n, pair[0]), (n, pair[1]))
     return None
 
 
-def _iteration(neg: Negotiation, outcomes: Sequence[Outcome]):
+def _iteration(neg: Negotiation, outcomes: Iterable[Outcome]):
     for o in outcomes:
         if iteration_applicable(neg, o):
             return apply_iteration(neg, o)
     return None
 
 
-def _shortcut(neg: Negotiation, outcomes: Sequence[Outcome], d_restricted=False):
+def _shortcut(neg: Negotiation, outcomes: Iterable[Outcome], d_restricted=False):
     """The first guarded shortcut; a d-shortcut skips targets with more
     than one result, except the final atom."""
+    atoms, final = neg.atoms, neg.final
     for o in outcomes:
         for n2 in shortcut_candidates(neg, o):
-            if d_restricted and n2 != neg.final and len(neg.results(n2)) > 1:
+            if d_restricted and n2 != final and len(atoms[n2].results) > 1:
                 continue
             if shortcut_guard(neg, o, n2).holds:
                 apply = apply_d_shortcut if d_restricted else apply_shortcut
@@ -247,15 +291,15 @@ def _shortcut(neg: Negotiation, outcomes: Sequence[Outcome], d_restricted=False)
     return None
 
 
-def _d_shortcut(neg: Negotiation, outcomes: Sequence[Outcome]):
+def _d_shortcut(neg: Negotiation, outcomes: Iterable[Outcome]):
     return _shortcut(neg, outcomes, d_restricted=True)
 
 
-def _d_shortcut_non_uniform(neg: Negotiation, outcomes: Sequence[Outcome]):
-    return _d_shortcut(neg, [o for o in outcomes if not uniform(neg, o)])
+def _d_shortcut_non_uniform(neg: Negotiation, outcomes: Iterable[Outcome]):
+    return _d_shortcut(neg, (o for o in outcomes if not uniform(neg, o)))
 
 
-def _useless_arc(neg: Negotiation, outcomes: Sequence[Outcome]):
+def _useless_arc(neg: Negotiation, outcomes: Iterable[Outcome]):
     for o in outcomes:
         hits = useless_arcs_at(neg, o, acyclic=True)
         if hits:
@@ -270,7 +314,7 @@ def _backward_shortcut(order: OutcomeOrder, increasing: bool = False) -> Select:
     termination argument."""
     last = None
 
-    def select(neg: Negotiation, outcomes: Sequence[Outcome]):
+    def select(neg: Negotiation, outcomes: Iterable[Outcome]):
         nonlocal last
         hits = [
             (order.outcome_key(neg, o, target), o, target)
@@ -297,7 +341,7 @@ def _reduce(
     trace: ReductionTrace,
     neg: Negotiation,
     steps: Sequence[Step],
-    candidates: Callable[[Negotiation], Sequence[Outcome]],
+    candidates: Callable[[Negotiation], Candidates],
     bound: int,
     stage: Optional[int] = None,
 ) -> tuple[Negotiation, Optional[str]]:
@@ -321,24 +365,12 @@ def _reduce(
     return current, None
 
 
-def _in_order(neg: Negotiation, outcomes: Iterable[Outcome]) -> list[Outcome]:
-    """The outcomes in outcome order: by atom index, then result index."""
-    atom_index, result_index = neg.atom_index, neg.result_index
-    return sorted(outcomes, key=lambda o: (atom_index(o[0]), result_index(*o)))
-
-
-def _every_outcome(neg: Negotiation) -> list[Outcome]:
-    return list(neg.outcomes())
-
-
 def _run_bounded(neg: Negotiation, steps: Sequence[Step], bound: int, overflow: str):
     """Reduce R(N) until it is empty; no applicable step means "unsound",
     and passing the bound breaks the strategy's own theorem."""
     trace = ReductionTrace(initial=neg)
     reducible = trace.track_reducible()
-    current, stop = _reduce(
-        trace, neg, steps, lambda current: _in_order(current, reducible.outcomes), bound
-    )
+    current, stop = _reduce(trace, neg, steps, lambda current: Pool(reducible), bound)
     if stop == "bound":
         raise AssertionError(overflow)
     if stop is not None:
@@ -433,17 +465,14 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
     reducible = trace.track_reducible()
     checked = neg
 
-    def pool(current: Negotiation) -> list[Outcome]:
+    def pool(current: Negotiation) -> Pool:
         nonlocal checked
-        by_parties: dict[int, list[Outcome]] = {}
-        for o in reducible.outcomes:
-            by_parties.setdefault(len(current.parties(o[0])), []).append(o)
         if check_invariants and current is not checked:
             checked = current
-            lowest = min(by_parties, default=stage)
-            if lowest < stage:
+            lowest = reducible.outcomes.lowest()
+            if lowest is not None and lowest < stage:
                 raise AssertionError(f"stage {stage} created a {lowest}-reducible outcome")
-        return _in_order(current, by_parties.get(stage, ()))
+        return Pool(reducible, stage)
 
     current = neg
     for stage in range(1, len(neg.agents) + 1):
@@ -470,7 +499,7 @@ def run_acyclic_wd(neg: Negotiation, budget: int = 10_000) -> ReductionTrace:
         raise NotAcyclic("run_acyclic_wd requires an acyclic negotiation")
     steps = (("merge", _merge), ("useless_arc", _useless_arc), ("shortcut", _shortcut))
     trace = ReductionTrace(initial=neg)
-    current, stop = _reduce(trace, neg, steps, _every_outcome, budget)
+    current, stop = _reduce(trace, neg, steps, EveryOutcome, budget)
     if stop == "bound":
         trace.verdict, trace.reason = "unknown", "budget-exhausted"
     elif not current.is_atomic() and not cls.weakly_deterministic:
@@ -529,8 +558,20 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
                 do(apply_shortcut(current, ("n0", r), atom))
 
     def merge_all():
-        while (app := _merge(current, _every_outcome(current))) is not None:
-            do(app)
+        # merge the first mergeable outcome in outcome order with its first
+        # partner, until none is left: the merged result takes the first
+        # one's place, and every outcome before it stays unmergeable, so
+        # one pass in outcome order finds them all
+        for atom in list(current.atoms):
+            results, i = current.results(atom), 0
+            while i < len(results):
+                o = (atom, results[i])
+                partner = merge_partner(current, o)
+                if partner is None:
+                    i += 1
+                else:
+                    do(apply_merge(current, o, (atom, partner)))
+                    results = current.results(atom)
 
     def alternating_branch(i: int):
         shortcut_into(f"b{i}", f"b{i}a", f"b{i}b")

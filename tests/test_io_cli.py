@@ -30,6 +30,8 @@ from negsum.cli import main
 from negsum.fileio import dumps, loads
 from negsum.fixtures import fixture_text
 
+FIXTURE_DIR = Path(negsum.__file__).with_name("fixtures")
+
 GOLDEN_FDM_DOT = """\
 digraph negotiation {
   rankdir=TB;
@@ -363,9 +365,13 @@ def test_cli_reach(tmp_path, capsys):
 
 def test_cli_reach_budget(tmp_path, capsys):
     ladder = write_fixture(tmp_path, "ladder")
-    for cap in ("2", "0"):
-        assert main(["reach", ladder, "--cap", cap]) == 2
-        assert "budget" in capsys.readouterr().err
+    assert main(["reach", ladder, "--cap", "2"]) == 2
+    assert "budget" in capsys.readouterr().err
+    # a cap below 1 is a usage error, also exit 2, before any exploration
+    with pytest.raises(SystemExit) as exc:
+        main(["reach", ladder, "--cap", "0"])
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
 
 
 def test_cli_summarize_states(tmp_path, capsys):
@@ -432,6 +438,10 @@ def test_cli_demo(capsys):
         ["gen", "--seed", "1", "--steps", "-1"],
         ["gen", "--seed", "1", "--steps", "3", "--agents", "0"],
         ["gen", "--seed", "1", "--steps", "3", "--agents", "-2"],
+        ["check", str(FIXTURE_DIR / "atomic.json"), "--cap", "-3"],
+        ["check", str(FIXTURE_DIR / "atomic.json"), "--cap", "0"],
+        ["reach", str(FIXTURE_DIR / "atomic.json"), "--cap", "0"],
+        ["summarize", str(FIXTURE_DIR / "atomic.json"), "--cap", "-1"],
     ],
 )
 def test_cli_rejects_out_of_range_counts(capsys, argv):

@@ -9,13 +9,20 @@ every outcome and atom of the fixtures, of generated diagrams (cyclic
 and acyclic), of unsound mutants, and of every intermediate diagram
 their reductions pass through.
 
-Rule outputs are built without validation, with their input's indexes
-carried forward, and a reduction keeps R(N) up to date from each
-application's site. For every application of `run_auto` and
-`run_general` on the golden-trace cases, and for every rule instance on
-their inputs, the maintained R(N) must equal `reducible_outcomes` of the
-output, the carried indexes must equal a fresh build, and the output
-must come back equal from `validate`.
+Rule outputs are built without validation, taking over their input's
+indexes, and a reduction keeps R(N) up to date from each application's
+site: the outcomes it removes and adds. For every application of
+`run_auto` and `run_general` on the golden-trace cases, of both
+strategies of the exponential demo, and for every rule instance on
+their inputs, the maintained R(N) and its mergeable outcomes must equal
+a full recomputation on the output, in outcome order and bucketed by
+party count, the carried indexes must equal a fresh build, and the
+output must come back equal from `validate`.
+
+The work of an application is counted, not timed: outcomes evaluated
+and `_arrivals` comparisons per application of `run_auto(expfam(k))`,
+and transition entries written per application of the eager demo, must
+not grow with k.
 """
 
 from __future__ import annotations
@@ -42,6 +49,7 @@ from negsum import (
     is_acyclic,
     is_useless_arc,
     load_fixture,
+    merge_partner,
     mutate_unsound,
     expfam,
     negotiation_graph,
@@ -53,8 +61,9 @@ from negsum import (
     unconditionally_enables,
     validate,
 )
+from negsum import rules
 from negsum.rules import Reducible, _useless_witness, dirty_outcomes
-from negsum.strategies import ReductionTrace
+from negsum.strategies import ReductionTrace, run_exponential_demo
 
 from conftest import all_rule_applications
 from test_rule_traces import build_cases
@@ -283,7 +292,7 @@ def test_trace_keeps_no_index_of_superseded_diagrams():
     assert trace.total > 1
     for app in trace.applications:
         assert "arcs_into" not in vars(app.before)
-        assert "committed_by" not in vars(app.before)
+        assert "commitments" not in vars(app.before)
         assert "marking_kernel" not in vars(app.before)
     before = trace.applications[-1].before
     o = next(before.outcomes())
@@ -294,7 +303,9 @@ def test_trace_keeps_no_index_of_superseded_diagrams():
 # The incremental engine against a full recomputation
 # ---------------------------------------------------------------------------
 
-INDEXES = ("arcs_into", "committed_by")
+INDEXES = ("arcs_into", "arrivals", "commitments")
+# every index a reduction builds, so every rule output it records carries
+BUILT = (*INDEXES, "merge_groups", "sending")
 
 
 def check_output(app):
@@ -323,8 +334,30 @@ def check_output(app):
     assert "marking_kernel" not in carried, app
     for atom, groups in carried.get("merge_groups", {}).items():
         for r in after.results(atom):
-            assert groups[r] == fresh.merge_group(atom, r), (app, atom, r)
+            assert after.merge_group(atom, r) == fresh.merge_group(atom, r), (app, atom, r)
+        assert groups == fresh.merge_groups[atom], (app, atom)
+    for o, found in carried.get("sending", {}).items():
+        assert found == fresh.sends(o), (app, o)
     assert set(app.changed) >= {app.site[0][0]}, app
+
+
+def assert_maintained(maintained, after):
+    """The maintained R(N) and its mergeable outcomes equal a full
+    recomputation on a fresh copy of `after`, and list them in outcome
+    order, bucketed by the party count of their atom."""
+    fresh = dataclasses.replace(after)
+    expected = reducible_outcomes(fresh)
+    assert maintained.outcomes == expected, after
+    mergeable = {o for o in expected if merge_partner(fresh, o) is not None}
+    assert maintained.mergeable == mergeable, after
+    order = list(after.outcomes())
+    for members in (maintained.outcomes, maintained.mergeable):
+        assert list(members.in_order()) == [o for o in order if o in members]
+        for k in {len(after.parties(a)) for a, _r in members}:
+            in_k = [o for o in order if o in members and len(after.parties(o[0])) == k]
+            assert list(members.in_order(k)) == in_k
+        lowest = min((len(after.parties(a)) for a, _r in members), default=None)
+        assert members.lowest() == lowest
 
 
 @pytest.fixture
@@ -340,8 +373,7 @@ def checked_steps(monkeypatch):
         check_output(app)
         out = real(self, app)
         if self.reducible is not None:
-            expected = reducible_outcomes(dataclasses.replace(app.after))
-            assert self.reducible.outcomes == expected, app
+            assert_maintained(self.reducible, app.after)
         checked.append((app, carried))
         return out
 
@@ -354,7 +386,7 @@ def test_carried_indexes_cover_what_the_strategies_read(checked_steps):
     trace = run_auto(load_fixture("running_multi"))
     assert checked_steps
     for _app, carried in checked_steps:
-        assert {"arcs_into", "committed_by", "merge_groups"} <= carried
+        assert set(BUILT) <= carried
     evaluated = trace.counters["outcomes_evaluated"]
     assert evaluated < trace.total * trace.initial.num_outcomes()
 
@@ -378,7 +410,7 @@ def advance_and_compare(neg, app):
     recomputation on the output."""
     maintained = Reducible(neg)
     maintained.advance(app)
-    assert maintained.outcomes == reducible_outcomes(dataclasses.replace(app.after)), app
+    assert_maintained(maintained, app.after)
     return maintained
 
 
@@ -450,8 +482,7 @@ def test_random_rule_sequences_on_cyclic_forked_diagrams():
             app = thunk()
             check_output(app)
             maintained.advance(app)
-            expected = reducible_outcomes(dataclasses.replace(app.after))
-            assert maintained.outcomes == expected, (seed, kind, site)
+            assert_maintained(maintained, app.after)
             if maintained.forks:
                 assert maintained.acyclic == is_acyclic(app.after)
             kinds.add(kind)
@@ -511,7 +542,59 @@ def test_second_to_last_arc_into_an_atom_stops_being_useless():
     assert ("y", "r") not in advance_and_compare(neg, app).outcomes
 
 
-@pytest.mark.parametrize("k", [8, 16, 32, 64])
+def test_last_arc_into_a_three_party_atom_stops_being_useless():
+    """t has three parties and two arcs in, from x and y: when x's arc
+    goes, y's is the only one, so it stops being useless, while the arcs
+    into t never become one per party and nothing commits to t."""
+    agents = ("A", "B", "C")
+    parties = {"n0": agents, "x": ("A", "B"), "y": ("A", "B"), "j": ("A", "B"),
+               "t": agents, "nf": agents}
+    results = {
+        "n0": {"r": {"A": ["x"], "B": ["x"], "C": ["nf"]},
+               "s": {"A": ["y"], "B": ["y"], "C": ["nf"]}},
+        "x": {"r": {"A": ["j", "t"], "B": ["j"]}},
+        "y": {"r": {"A": ["j", "t"], "B": ["j"]}},
+        "j": {"r": {"A": ["nf"], "B": ["nf"]}},
+        "t": {"r": {"A": ["nf"], "B": ["nf"], "C": ["nf"]}},
+        "nf": {"f": {}},
+    }
+    atoms = [AtomSpec(a, parties[a], tuple(rs)) for a, rs in results.items()]
+    transition = {
+        (a, p, r): set(nxt.get(p, ()))
+        for a, rs in results.items()
+        for r, nxt in rs.items()
+        for p in parties[a]
+    }
+    neg = validate(agents, atoms, "n0", "nf", transition)
+    assert ("y", "r") in reducible_outcomes(neg)
+    app = apply_useless_arc(neg, ("x", "A", "r", "t"))
+    assert ("y", "r") in dirty_outcomes(app)
+    assert ("y", "r") not in advance_and_compare(neg, app).outcomes
+
+
+@pytest.mark.parametrize("strategy", ["initial", "alternating"])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_demo_applications_carry_exact_indexes(strategy, k, checked_steps):
+    """The demo's applications, the eager strategy's on an initial atom of
+    up to 16 results included: every index built on the input is carried
+    through every application and equals a fresh build of the output."""
+    neg = expfam(k)
+    for name in INDEXES:
+        getattr(neg, name)
+    for o in neg.outcomes():
+        neg.merge_group(*o)
+        neg.sends(o)
+    built = set(BUILT)
+    assert built <= set(vars(neg))
+    trace = run_exponential_demo(neg, strategy)
+    assert len(checked_steps) == trace.total
+    for _app, carried in checked_steps:
+        assert built <= carried
+    if strategy == "initial" and k == 5:
+        assert max(len(app.before.results("n0")) for app, _carried in checked_steps) == 16
+
+
+@pytest.mark.parametrize("k", [8, 16, 32, 64, 128])
 def test_outcomes_evaluated_per_application_stays_flat(k):
     """R(N) is re-evaluated at each application's site, so the outcomes
     evaluated per application do not grow with the diagram."""
@@ -522,3 +605,56 @@ def test_outcomes_evaluated_per_application_stays_flat(k):
 
     base = per_application(8)
     assert base / 2 <= per_application(k) <= 2 * base
+
+
+@pytest.mark.parametrize("k", [16, 32, 64, 128])
+def test_arrivals_compared_per_application_stays_flat(k, monkeypatch):
+    """`dirty_outcomes` compares what the guards read of an atom's
+    incoming arcs only where the application changes the arcs into it,
+    not at every target of the changed atoms: on `expfam(k)` the initial
+    atom has k parties and targets."""
+    calls = []
+    real = rules._arrivals
+
+    def counting(neg, t, *counts):
+        calls.append(t)
+        return real(neg, t, *counts)
+
+    monkeypatch.setattr(rules, "_arrivals", counting)
+
+    def per_application(k):
+        calls.clear()
+        trace = run_auto(expfam(k))
+        return len(calls) / trace.total
+
+    base = per_application(8)
+    assert per_application(k) <= 2 * max(base, 1)
+
+
+def transition_writes(app) -> int:
+    """The entries of the output's transition table that the rule wrote:
+    those whose key or target set is not the very object the input's table
+    holds. A copied table holds the input's objects; a written entry has a
+    key tuple built for it."""
+    kept = {key: (key, targets) for key, targets in app.before.transition.items()}
+    written = 0
+    for key, targets in app.after.transition.items():
+        old = kept.get(key)
+        written += old is None or old[0] is not key or old[1] is not targets
+    return written
+
+
+@pytest.mark.parametrize("k", [4, 5, 6])
+def test_transition_writes_per_application_do_not_grow_with_results(k):
+    """The eager demo piles 2^(k-1) results on the initial atom, which has
+    k parties. A rule writes the triples of the outcomes it adds alone, so
+    the entries written per application and per party of the initial atom
+    stay flat from k = 3, however many results the atom holds."""
+
+    def per_application_and_party(k):
+        trace = run_exponential_demo(expfam(k), "initial")
+        writes = sum(transition_writes(app) for app in trace.applications)
+        return writes / trace.total / k
+
+    base = per_application_and_party(3)
+    assert per_application_and_party(k) <= 2 * base

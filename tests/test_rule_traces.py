@@ -12,6 +12,10 @@ application of `run_auto`: which strategy branch chose each step and in
 which stage, which the trace lines above do not show. It was recorded
 before the strategies were rewritten as one priority-step driver.
 
+`DEMO_DIGESTS` pins the same text for `run_exponential_demo` on
+`expfam(1..5)`, both strategies, recorded before the rules rewrote only
+the outcomes they remove and add.
+
 Re-record (only for an intended change of the traces) with
 `PYTHONPATH=src python tests/test_rule_traces.py --record`.
 """
@@ -30,6 +34,7 @@ import pytest
 from negsum import (
     NegsumError,
     classify,
+    expfam,
     fixture_names,
     format_expr,
     generate_sound,
@@ -38,6 +43,7 @@ from negsum import (
     run_auto,
     run_general,
 )
+from negsum.strategies import run_exponential_demo
 
 EXPECTED_PATH = Path(__file__).with_name("rule_traces.json")
 STEPS_PATH = Path(__file__).with_name("rule_steps.json")
@@ -160,6 +166,28 @@ def test_invariant_check_catches_a_lower_stage_reducible_outcome(monkeypatch):
     unchecked = run_general(neg, check_invariants=False)
     assert calls == len(reference.applications)
     assert trace_text(unchecked) == trace_text(reference)
+
+
+# sha256 of `trace_text` of `run_exponential_demo(expfam(k), strategy)`,
+# recorded before the rules rewrote only the outcomes they touch
+DEMO_DIGESTS = {
+    ("initial", 1): "7bb4f191306b3dc8dcf2707b8a8eec92bc505c632442a39063b154888c61fb33",
+    ("initial", 2): "c07285d6b8d0a352411798e12eaf7a470ced15f3184dfee6cd3eab58ed068995",
+    ("initial", 3): "b4b2cc5130209313f4d4fca90305897b3097022802e13e0112c385f0aa1658bc",
+    ("initial", 4): "7cec9b7fb622b34aa0968c0fe39b20524e27f72420866dcf8315570cfd848014",
+    ("initial", 5): "9d282108d8f9cab3b55fabc77c70e07f17f6ce967f98000a9f7ec9653e2c9bba",
+    ("alternating", 1): "7bb4f191306b3dc8dcf2707b8a8eec92bc505c632442a39063b154888c61fb33",
+    ("alternating", 2): "dd8975296f0bb363cc19d6c919914253522a244c61ee162689ebad12ae6b3a3c",
+    ("alternating", 3): "c8a51eb11f58577bf0161f6fc73b30e89396c8fe4ee75f477322e88a8815979f",
+    ("alternating", 4): "9c9ba075a54a4729d812357b44cfbcf93b624e50aebfab6af8e2c74c87b3fd40",
+    ("alternating", 5): "a32a259eb7fcade818f867bfebd46d9fd078ea47e8831b7d9dd8cafa5949b320",
+}
+
+
+@pytest.mark.parametrize("strategy, k", list(DEMO_DIGESTS))
+def test_exponential_demo_trace_is_unchanged(strategy, k):
+    trace = run_exponential_demo(expfam(k), strategy)
+    assert digest(trace_text(trace)) == DEMO_DIGESTS[(strategy, k)]
 
 
 if __name__ == "__main__":

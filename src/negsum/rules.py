@@ -336,7 +336,6 @@ def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
 def apply_shortcut(
     neg: Negotiation, outcome: Outcome, n2: str, d_restricted: bool = False
 ) -> RuleApplication:
-    n, r = outcome
     report = shortcut_guard(neg, outcome, n2)
     if not report.holds:
         raise GuardFailed(f"shortcut guard failed at {report.site}: {report.detail}")
@@ -348,6 +347,14 @@ def apply_shortcut(
             f"d-shortcut requires the target to have at most one result; "
             f"{n2!r} has {len(neg.results(n2))}"
         )
+    return shortcut_step(neg, outcome, n2, "d_shortcut" if d_restricted else "shortcut")
+
+
+def shortcut_step(neg: Negotiation, outcome: Outcome, n2: str, kind: str) -> RuleApplication:
+    """The rewrite of a shortcut whose guard the caller has established
+    (`apply_shortcut` checks it first; the strategies check it while they
+    select the step). `kind` is "shortcut" or "d_shortcut"."""
+    n, r = outcome
     excl = exclusive_access(neg, outcome, n2)
     removing_final = n2 == neg.final  # guard already forces exclusivity here
     # the initial atom keeps its entry role: it still fires at the start,
@@ -378,7 +385,7 @@ def apply_shortcut(
     removed = [n2] if removable else []
     return _rewritten(
         neg,
-        "d_shortcut" if d_restricted else "shortcut",
+        kind,
         (outcome, n2),
         {
             "fresh_results": [(n, f) for f in fresh_map.values()],

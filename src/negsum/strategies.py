@@ -26,7 +26,9 @@ candidate outcomes in outcome order and returns the applied
 its `line` is recorded on the application. The candidates are R(N) in
 `run_acyclic` and `run_one_agent`, R(N) cut to the current stage in
 `run_general` (both a `Pool`), and every outcome in `run_acyclic_wd`
-(`EveryOutcome`); a merge step reads only the mergeable candidates.
+(`EveryOutcome`); a merge step reads only the mergeable candidates. A
+shortcut step evaluates a candidate's guard once: where it holds, the
+step rewrites by `rules.shortcut_step`, which does not check it again.
 Beyond steps and candidates, the strategies differ only in what they do
 at their bound. R(N) is computed in full on the input only: the trace
 keeps it up to date (`rules.Reducible`) as it records each application,
@@ -57,7 +59,6 @@ from .model import Negotiation, Outcome, classify
 from .rules import (
     Reducible,
     RuleApplication,
-    apply_d_shortcut,
     apply_iteration,
     apply_merge,
     apply_shortcut,
@@ -66,6 +67,7 @@ from .rules import (
     merge_partner,
     shortcut_candidates,
     shortcut_guard,
+    shortcut_step,
     uniform,
     uniform_target,
     useless_arcs_at,
@@ -286,8 +288,7 @@ def _shortcut(neg: Negotiation, outcomes: Iterable[Outcome], d_restricted=False)
             if d_restricted and n2 != final and len(atoms[n2].results) > 1:
                 continue
             if shortcut_guard(neg, o, n2).holds:
-                apply = apply_d_shortcut if d_restricted else apply_shortcut
-                return apply(neg, o, n2)
+                return shortcut_step(neg, o, n2, "d_shortcut" if d_restricted else "shortcut")
     return None
 
 
@@ -332,7 +333,7 @@ def _backward_shortcut(order: OutcomeOrder, increasing: bool = False) -> Select:
                     "backward shortcuts must strictly increase in the outcome order"
                 )
             last = key[:2]
-        return apply_shortcut(neg, o, target)
+        return shortcut_step(neg, o, target, "shortcut")
 
     return select
 

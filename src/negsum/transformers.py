@@ -321,6 +321,18 @@ def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:
 # relation is expanded to a larger tuple only where an operation joins it
 # with one over other parties. The public functions convert at their
 # boundary, so `Rel` stays the value type.
+#
+# `Kernel.eval` shares suffix products. State elimination flattens each
+# new edge label into one `Concat`, so labels built from the same out-edge
+# end in the same factors. Within one call, the product of every suffix
+# of a concatenation is kept in the call's memo under (joint parties, id
+# of the factor's `Rows`, id of the product of the rest of the suffix),
+# and a suffix that several concatenations share is composed once. The ids
+# stay valid keys because the memo holds every object they name: each
+# entry holds its factor and its product, and the product of the rest is
+# held by the entry of the rest. Nothing leaves a memo, so no id named by
+# one of its keys is reused while the memo lives, and a new memo starts
+# with no products.
 
 
 class Rows(NamedTuple):
@@ -364,6 +376,7 @@ class Kernel:
         self.space = space
         self._frames: dict = {}  # parties -> (assignments, assignment -> index)
         self._lifts: dict = {}  # (parties, larger parties) -> (positions, offsets)
+        self._joints: dict = {}  # factors' party tuples -> their joint party tuple
 
     def _frame(self, parties: tuple[str, ...]):
         hit = self._frames.get(parties)
@@ -488,6 +501,26 @@ class Kernel:
             rows = e if rows is None else _compose(e, rows)
         return Rows(parties, [1] if rows is None else rows)
 
+    def _shared_concat(self, rs: list[Rows], memo: dict) -> Rows:
+        """`concat(*rs)`, with each suffix product looked up in `memo`
+        and stored there as (factor, product) under (joint parties,
+        id(factor), id(product of the rest)). The last factor's key names
+        `id(None)`, which no product can have. The joint parties of each
+        tuple of factor parties are computed once per kernel."""
+        factors = tuple([r.parties for r in rs])
+        parties = self._joints.get(factors)
+        if parties is None:
+            parties = self._joints[factors] = self.merged(*factors)
+        rows = None
+        for r in reversed(rs):
+            key = (parties, id(r), id(rows))
+            hit = memo.get(key)
+            if hit is None:
+                e = self.expand(r, parties).rows
+                hit = memo[key] = (r, e if rows is None else _compose(e, rows))
+            rows = hit[1]
+        return Rows(parties, [1] if rows is None else rows)
+
     def union(self, *rs: Rows) -> Rows:
         if len(rs) == 1:
             return rs[0]
@@ -527,7 +560,11 @@ class Kernel:
 
     def eval(self, expr: TransformerExpr, interp: Mapping[Tag, Rel], memo: dict) -> Rows:
         """Structural fold of the expression, memoized in `memo`:
-        subexpressions repeat heavily in eliminator output."""
+        subexpressions repeat heavily in eliminator output. `memo` maps
+        each expression evaluated to its `Rows`, and holds the suffix
+        products of its concatenations too (`_shared_concat`), so a
+        concatenation costs one composition per suffix not met before
+        in the memo's lifetime."""
         hit = memo.get(expr)
         if hit is not None:
             return hit
@@ -539,7 +576,8 @@ class Kernel:
             except KeyError:
                 raise UnboundAtomic(expr.tag) from None
         elif isinstance(expr, Concat):
-            out = self.concat(*(self.eval(p, interp, memo) for p in expr.parts))
+            parts = [self.eval(p, interp, memo) for p in expr.parts]
+            out = self._shared_concat(parts, memo)
         elif isinstance(expr, Union):
             out = self.union(*(self.eval(p, interp, memo) for p in expr.parts))
         elif isinstance(expr, Star):

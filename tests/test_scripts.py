@@ -1,0 +1,55 @@
+"""Smoke tests of the measuring scripts: each script under `scripts/` is
+loaded by path and its measuring function runs once on its smallest
+input, so a change to the API they call cannot leave them broken unseen.
+`build_fixtures.py` writes the fixture corpus and has its own checks."""
+
+from __future__ import annotations
+
+import importlib.util
+import pathlib
+
+import pytest
+
+from negsum import expfam, run_auto
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def rule_rate(m):
+    total, peak, ms = m.measure(2, run_auto)
+    assert total > 0 and peak >= 1 and ms >= 0
+
+
+def markings_rate(m):
+    markings, edges, seconds = m.measure(1)
+    assert markings > 0 and edges > 0 and seconds >= 0
+
+
+def cli_latency(m):
+    m.run_cli(["validate", str(m.FIXTURES / "atomic.json")])
+
+
+def eval_rate(m):
+    rows = m.measure(expfam(1))
+    assert [engine for engine, _, _ in rows] == ["states", "rules"]
+    assert all(compositions > 0 and ms >= 0 for _, compositions, ms in rows)
+
+
+SMOKE = {f.__name__: f for f in (rule_rate, markings_rate, cli_latency, eval_rate)}
+
+
+def test_every_script_has_a_smoke_test():
+    names = {p.stem for p in SCRIPTS.glob("*.py")} - {"build_fixtures"}
+    assert names == set(SMOKE)
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE))
+def test_script_measures_its_smallest_input(name):
+    SMOKE[name](load(name))

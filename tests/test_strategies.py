@@ -436,3 +436,42 @@ def test_outcome_index_finds_a_cycle_at_the_end_of_a_long_chain():
     from negsum import outcome_index
 
     assert math.isinf(outcome_index(_one_agent_chain(1100, True), ("c0", "r")))
+
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: expfam(8), lambda: load_fixture("dfs_example"),
+             lambda: load_fixture("running_multi"), lambda: load_fixture("fdm_wd_summary")],
+    ids=["expfam(8)", "dfs_example", "running_multi", "fdm_wd_summary"],
+)
+def test_a_selected_shortcut_evaluates_its_guard_once(monkeypatch, make):
+    """The strategies establish a shortcut's guard while they select it,
+    then rewrite without checking it again. Guard calls that keep R(N) up
+    to date (`rules._reducible_unmerged`) are not counted."""
+    from negsum import rules, strategies
+
+    calls: dict = {}
+    upkeep = [0]
+    guard, unmerged = rules.shortcut_guard, rules._reducible_unmerged
+
+    def counted(neg, outcome, n2):
+        if not upkeep[0]:
+            site = (id(neg), outcome, n2)
+            calls[site] = calls.get(site, 0) + 1
+        return guard(neg, outcome, n2)
+
+    def uncounted(*args):
+        upkeep[0] += 1
+        try:
+            return unmerged(*args)
+        finally:
+            upkeep[0] -= 1
+
+    monkeypatch.setattr(rules, "shortcut_guard", counted)
+    monkeypatch.setattr(strategies, "shortcut_guard", counted)
+    monkeypatch.setattr(rules, "_reducible_unmerged", uncounted)
+    trace = run_auto(make())
+    shortcuts = [a for a in trace.applications if a.kind in ("shortcut", "d_shortcut")]
+    assert shortcuts
+    for app in shortcuts:
+        assert calls[(id(app.before), *app.site)] == 1, app

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -166,8 +167,7 @@ def spaces(draw):
 
 
 @st.composite
-def relations_over(draw, space):
-    parties = tuple(draw(st.permutations(list(space)))[: draw(st.integers(0, len(space)))])
+def relation_over_parties(draw, space, parties):
     domain = list(itertools.product(*(space[a] for a in parties)))
     n = len(domain)
     mask = draw(st.integers(0, (1 << n * n) - 1))  # bit i*n+j: pair (i, j)
@@ -177,6 +177,12 @@ def relations_over(draw, space):
             (domain[i], domain[j]) for i in range(n) for j in range(n) if mask >> (i * n + j) & 1
         ),
     )
+
+
+@st.composite
+def relations_over(draw, space):
+    parties = tuple(draw(st.permutations(list(space)))[: draw(st.integers(0, len(space)))])
+    return draw(relation_over_parties(space, parties))
 
 
 @st.composite
@@ -555,3 +561,128 @@ def test_parse_errors():
     for bad in ("", "(n.a", "n.a ∪", "n."):
         with pytest.raises(ParseError):
             parse_expr(bad)
+
+
+# ---------------------------------------------------------------------------
+# Shared suffix products in `Kernel.eval`
+# ---------------------------------------------------------------------------
+
+@st.composite
+def shared_suffix_case(draw):
+    """A space of two or three agents, an interpretation, and 2-4
+    concatenations of 2-8 factors that end in one common tail. The factors
+    come from a small pool of shared subterms: atoms over one, two and all
+    agents, the identity, stars, and the star of an empty relation over
+    the agents in reverse, which keeps that order when their state lists
+    match. The tail is drawn from the factors over fewer agents, so the
+    parties grow along the fold and one tail is met under several joint
+    party tuples."""
+    order = tuple(draw(st.permutations(AGENTS))[: draw(st.integers(2, 3))])
+    space = {a: tuple(str(i) for i in range(draw(st.integers(1, 3)))) for a in order}
+    interp = {("n", str(i)): draw(relation_over_parties(space, order[: i + 1])) for i in range(3)}
+    interp[("n", "rev")] = Rel(order[::-1], frozenset())
+    one, two, every, rev = (Atomic(tag) for tag in interp)
+    small = [one, two, IDENTITY, star_expr(one), concat_expr(one, two)]
+    pool = small + [every, star_expr(rev), star_expr(every), union_expr(one, every)]
+    tail = draw(st.lists(st.sampled_from(small), min_size=1, max_size=4))
+    heads = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=4),
+                          min_size=2, max_size=4))
+    return space, interp, [Concat(tuple(head + tail)) for head in heads]
+
+
+def ref_equal(a: Rel, b: Rel, space) -> bool:
+    every = tuple(space)
+    return ref_expand(a, space, every).pairs == ref_expand(b, space, every).pairs
+
+
+@settings(max_examples=50, deadline=None)
+@given(shared_suffix_case())
+def test_shared_suffixes_match_the_reference(case):
+    space, interp, exprs = case
+    for ordered in (exprs, exprs[::-1]):  # a shared suffix first met in either
+        k, memo = Kernel(space), {}
+        for e in ordered:
+            same(k.rel(k.eval(e, interp, memo)), ref_eval(e, interp, space))
+    whole = union_expr(*exprs)
+    same(eval_expr(whole, interp, space), ref_eval(whole, interp, space))
+
+
+@settings(max_examples=40, deadline=None)
+@given(shared_suffix_case(), st.data())
+def test_shared_suffixes_do_not_outlive_their_memo(case, data):
+    space, interp, exprs = case
+    other = {tag: data.draw(relation_over_parties(space, r.parties)) for tag, r in interp.items()}
+    a, b = exprs[0], exprs[1]
+    pairs = [(space, interp), (space, other), (space, interp)]
+    want = all(
+        ref_equal(ref_eval(a, i, space), ref_eval(b, i, space), space) for _, i in pairs
+    )
+    assert expr_equal(a, b, pairs) == want
+    # one kernel, a memo per interpretation, each dropped before the next
+    # (so ids of its objects may be reused)
+    k = Kernel(space)
+    for i in (interp, other, interp):
+        memo: dict = {}
+        for e in exprs:
+            same(k.rel(k.eval(e, i, memo)), ref_eval(e, i, space))
+        del memo
+
+
+def test_state_summary_composes_each_shared_suffix_once(monkeypatch):
+    """On the state-elimination summary of a generated diagram whose
+    labels share long tails (5 agents, K = 15, 40 markings), `Kernel.eval`
+    makes at most one composition per distinct (joint parties, suffix),
+    where the plain fold makes one per factor boundary of every
+    concatenation, and each concatenation's value equals that plain fold
+    through `Kernel.concat`."""
+    from negsum import generate_sound, summarize_by_states
+    import negsum.transformers as transformers
+
+    neg = generate_sound(200800, 32, 5, False, max_atoms=16)
+    (expr,) = summarize_by_states(neg).summary.values()
+    # seeded left-total relations over two states per agent
+    space = {a: ("0", "1") for a in neg.agents}
+    interp = {}
+    for atom, result in neg.outcomes():
+        rng = random.Random(f"1/{atom}/{result}")
+        parties = neg.parties(atom)
+        local = list(itertools.product("01", repeat=len(parties)))
+        interp[(atom, result)] = Rel(
+            parties,
+            frozenset((q, q2) for q in local for q2 in rng.sample(local, rng.randint(1, 2))),
+        )
+
+    agents: dict = {}  # expression -> the set of agents its value is over
+
+    def over(e):
+        if e not in agents:
+            if isinstance(e, Identity):
+                agents[e] = frozenset()
+            elif isinstance(e, Atomic):
+                agents[e] = frozenset(interp[e.tag].parties)
+            elif isinstance(e, Star):
+                agents[e] = over(e.inner)
+            else:
+                agents[e] = frozenset().union(*map(over, e.parts))
+        return agents[e]
+
+    over(expr)
+    concats = [e for e in agents if isinstance(e, Concat)]
+    suffixes = {(over(c), c.parts[i:]) for c in concats for i in range(len(c.parts) - 1)}
+    plain = sum(len(c.parts) - 1 for c in concats)
+    assert len(suffixes) < plain
+
+    calls = [0]
+    compose = transformers._compose
+
+    def counted(a, b):
+        calls[0] += 1
+        return compose(a, b)
+
+    k, memo = Kernel(space), {}
+    monkeypatch.setattr(transformers, "_compose", counted)
+    k.eval(expr, interp, memo)
+    monkeypatch.setattr(transformers, "_compose", compose)
+    assert calls[0] <= len(suffixes)
+    for c in concats:
+        assert memo[c] == k.concat(*(memo[p] for p in c.parts)), c

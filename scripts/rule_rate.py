@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Print the process CPU time per rule application of the reduction
-strategies on the branch-diamond family.
+"""Print the process CPU time and the trace memory per rule application of
+the reduction strategies on the branch-diamond family.
 
     python3 scripts/rule_rate.py
 
 It runs `run_auto(expfam(k))` for k = 8, 16, 32, 64 and 128, and
 `run_exponential_demo(expfam(k), strategy)` for both strategies and
-k = 3..6. For each it prints the number of applications, the number of
-results the eager strategy piles on the initial atom, and the CPU
-milliseconds per application: the median of three calls, each on a
-freshly built diagram and after a full garbage collection, so every call
-builds the indexes it reads and the collections that fall due inside it
-depend on its own allocations alone. A per-application cost that stays
+k = 3..6. For each it prints the number of applications, the most
+results the initial atom holds after an application (read from the
+changes the trace records), the CPU milliseconds per application, and
+the KB of memory the trace holds per application. The time is the median
+over calls, each on a freshly built diagram and after a full garbage
+collection, so every call builds the indexes it reads and the collections
+that fall due inside it depend on its own allocations alone; there are at
+least three calls, and as many as it takes to time 2,000 applications, so
+a small diagram is timed over as much work as a large one. The memory is
+what `tracemalloc` counts as still allocated, after a collection, from
+one more call that keeps its trace. A per-application cost that stays
 flat as k grows means an application costs its site, not the diagram.
 Standard library only; negsum is loaded from the `src/` directory next to
 this script.
@@ -20,10 +25,12 @@ this script.
 from __future__ import annotations
 
 import gc
+import math
 import pathlib
 import statistics
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -31,24 +38,56 @@ from negsum import expfam, run_auto  # noqa: E402
 from negsum.strategies import run_exponential_demo  # noqa: E402
 
 REPEATS = 3
+MIN_APPLICATIONS = 2000  # each point times at least this many applications
 AUTO_KS = (8, 16, 32, 64, 128)
 DEMO_KS = (3, 4, 5, 6)
 
 
-def measure(k: int, reduce) -> tuple[int, int, float]:
+def peak_initial_results(trace) -> int:
+    """The most results the initial atom holds after any application of
+    the trace, read from the changes it records."""
+    initial = trace.initial.initial
+    count, peak = len(trace.initial.results(initial)), 0
+    for app in trace.applications:
+        if app.change.spec.id == initial:
+            count = len(app.change.spec.results)
+        peak = max(peak, count)
+    return peak
+
+
+def held_kb(k: int, reduce) -> float:
+    """KB still allocated, after a collection, by `reduce(expfam(k))`
+    while its trace is kept."""
+    neg = expfam(k)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = reduce(neg)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del trace
+    return held / 1024
+
+
+def measure(k: int, reduce) -> tuple[int, int, float, float]:
     """(applications, peak results on the initial atom, median CPU ms per
-    application) of `reduce(expfam(k))`."""
+    application, KB of trace per application) of `reduce(expfam(k))`."""
     times = []
-    for _ in range(REPEATS):
+    calls = REPEATS
+    while len(times) < calls:
         neg = expfam(k)
         gc.collect()
         t0 = time.process_time()
         trace = reduce(neg)
         times.append(time.process_time() - t0)
         total = trace.total
-        peak = max(len(app.after.results(app.after.initial)) for app in trace.applications)
-        del trace, neg
-    return total, peak, 1000 * statistics.median(times) / total
+        calls = max(REPEATS, math.ceil(MIN_APPLICATIONS / total))
+    peak = peak_initial_results(trace)
+    del trace, neg
+    ms = 1000 * statistics.median(times) / total
+    return total, peak, ms, held_kb(k, reduce) / total
 
 
 def main() -> int:
@@ -57,10 +96,10 @@ def main() -> int:
         demo = lambda neg, s=strategy: run_exponential_demo(neg, s)  # noqa: E731
         runs += [(f"demo {strategy}", k, demo) for k in DEMO_KS]
     for name, k, reduce in runs:
-        total, peak, ms = measure(k, reduce)
+        total, peak, ms, kb = measure(k, reduce)
         print(
             f"{name} expfam({k}): applications {total} peak_initial_results {peak} "
-            f"ms_per_application {ms:.4f}"
+            f"ms_per_application {ms:.4f} trace_kb_per_application {kb:.2f}"
         )
     return 0
 

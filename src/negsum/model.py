@@ -11,30 +11,23 @@ Validation enforces:
       checked as forward reachability from the initial atom plus backward
       reachability from the final atom on the negotiation graph.
 
-Validated negotiations are immutable by convention: every reduction rule
-produces a new value. That lets a diagram build its indexes lazily, once,
-on first use: the arc indexes (`arcs_into`, `arrivals`, `commitments`),
-where each outcome sends its parties (`sends`), the compiled marking
-tables (`marking_kernel`), the merge groups (`merge_group`), the
-transformers by outcome (`named_transformers`) and the classification
-(`classify`).
+A `Negotiation` is a plain value: its tables, plus the marking kernel
+(`marking_kernel`) and the classification (`classify`), computed on first
+use. Loaded and generated diagrams are never changed.
 
-Rule outputs are built by `rewrite`, without re-validation: the rules map
+Rule outputs are made by `rewrite`, without re-validation: the rules map
 negotiations to negotiations, so their outputs are valid by construction.
-The site of a rule application is the set of outcomes it removes and
-adds, and `rewrite` writes only those: it copies the input's tables,
-deletes the removed outcomes' triples and transformers, appends the added
-ones', and takes over every index the input has built, updated from the
-removed and added outcomes alone, so one application costs about the
-size of its site; the input builds its indexes again if it is asked. It
-takes neither the classification, since a rule can change the class, nor
-the marking tables, since removing an atom shifts the bit of every atom
-after it. The loader and the generator still go through `validate`.
+A reduction copies its input once and rewrites that private copy in
+place. The site of a rule application is the set of outcomes it removes
+and adds, and `rewrite` writes only those, so one application costs about
+the size of its site. It returns them as a `Change`, with what `undo`
+needs to take it back; `redo` makes a recorded change again on an equal
+diagram, which is how a reduction trace rebuilds the diagrams it passed
+through. The loader and the generator still go through `validate`.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
@@ -63,40 +56,40 @@ class AtomSpec:
 Targets = tuple[frozenset[str], ...]  # an outcome's target sets, one per party
 
 
-class Sends(NamedTuple):
-    """Where one outcome sends the parties of its atom."""
-
-    # the atoms other than its own that it sends some party to, in
-    # declaration order
-    others: tuple[str, ...]
-    # atom -> how many parties it sends to that atom
-    arcs: dict[str, int]
-    # atom -> how many parties it sends to that atom and nowhere else
-    alone: dict[str, int]
-
-
 class Change(NamedTuple):
-    """What one rule application changed in a diagram (`rewrite`)."""
+    """What one rule application changed in a diagram (`rewrite`): enough
+    to make it again on an equal diagram (`arguments`) and to take it back
+    (`undo`)."""
 
+    # the rewritten atom as it became, the results it dropped, and the atom
+    # removed with them (None if none)
+    spec: AtomSpec
+    dropped: tuple[str, ...]
+    removed_atom: Optional[str]
     # the outcomes it took out, those of a removed atom included, and the
     # outcomes it put in, each with its target sets; an outcome whose
     # triples change (a useless arc) is in both
     removed: dict[Outcome, Targets]
     added: dict[Outcome, Targets]
-    # atom -> the arcs into it put in minus those taken out (0 for an atom
-    # that lost and gained as many)
+    # result -> the new transformer of an added result, or of a kept result
+    # whose transformer changed (iteration)
+    transformers: dict[str, TransformerExpr]
+    # atom -> the arcs into it put in minus those taken out, and the
+    # outcomes committing to it put in minus those taken out (an atom that
+    # lost and gained as many may map to 0)
     arrivals: dict[str, int]
-    # atom -> the outcomes committing to it put in minus those taken out
     commitments: dict[str, int]
+    # for `undo`: the rewritten atom as it was, then the removed atom; the
+    # transformers it took out or replaced; the final atom before it
+    old_specs: tuple[AtomSpec, ...]
+    replaced: dict[Outcome, TransformerExpr]
+    final: str
 
-
-class MergeGroups(NamedTuple):
-    """One atom's results grouped by what they do: `keys` maps each result
-    to its target sets, and `members` maps target sets to the results
-    with exactly those, in declaration order."""
-
-    keys: dict[str, Targets]
-    members: dict[Targets, tuple[str, ...]]
+    def arguments(self) -> tuple:
+        """The arguments of `rewrite` (after the diagram) that make this
+        change."""
+        added = {r: targets for (_n, r), targets in self.added.items()}
+        return self.spec, self.dropped, added, self.transformers, self.removed_atom
 
 
 @dataclass(frozen=True)
@@ -170,132 +163,33 @@ class Negotiation:
         self._atom_order = {a: i for i, a in enumerate(self.atoms)}
         self._agent_order = {a: i for i, a in enumerate(self.agents)}
 
-    # -- indexes, built on first use -----------------------------------------
+    def copy(self) -> Negotiation:
+        """A diagram equal to this one, with tables of its own."""
+        return Negotiation(
+            agents=self.agents,
+            atoms=dict(self.atoms),
+            initial=self.initial,
+            final=self.final,
+            transition=dict(self.transition),
+            transformers=dict(self.transformers),
+            rels=self.rels,
+            states=self.states,
+        )
 
-    @cached_property
-    def arcs_into(self) -> dict[tuple[str, str], set[Outcome]]:
-        """(target, agent) -> the outcomes with an arc of that agent into
-        the target."""
-        index: dict[tuple[str, str], set[Outcome]] = {}
-        for (atom, agent, result), targets in self.transition.items():
-            for t in targets:
-                index.setdefault((t, agent), set()).add((atom, result))
-        return index
-
-    @cached_property
-    def arrivals(self) -> dict[str, int]:
-        """target -> the number of arcs into it."""
-        index: dict[str, int] = {}
-        for targets in self.transition.values():
-            for t in targets:
-                index[t] = index.get(t, 0) + 1
-        return index
-
-    @cached_property
-    def commitments(self) -> dict[str, int]:
-        """target -> the number of outcomes that send some party only to
-        the target (that commit to it)."""
-        index: dict[str, int] = {}
-        for spec in self.atoms.values():
-            for r in spec.results:
-                targets = [self.transition[(spec.id, p, r)] for p in spec.parties]
-                for t in commit_targets(targets):
-                    index[t] = index.get(t, 0) + 1
-        return index
+    # -- derived values, computed on first use ------------------------------
 
     @cached_property
     def marking_kernel(self) -> MarkingKernel:
         """The diagram compiled into the integer tables every walk over
-        markings runs on (`semantics.MarkingKernel`). A rule output starts
-        without it: removing an atom shifts the bit of every later atom."""
+        markings runs on (`semantics.MarkingKernel`)."""
         from .semantics import MarkingKernel  # semantics imports this module
 
         return MarkingKernel(self)
 
     @cached_property
-    def merge_groups(self) -> dict[str, MergeGroups]:
-        """atom -> its results grouped by target sets. Filled one atom at a
-        time by `atom_groups`."""
-        return {}
-
-    def merge_group(self, atom: str, result: str) -> tuple[str, ...]:
-        """The results of `atom` that send every party where `result` does,
-        `result` included, in declaration order: its merge partners."""
-        keys, members = self.atom_groups(atom)
-        return members[keys[result]]
-
-    def atom_groups(self, atom: str) -> MergeGroups:
-        """The results of `atom` grouped by target sets."""
-        groups = self.merge_groups.get(atom)
-        if groups is None:
-            spec = self.atoms[atom]
-            keys = {
-                r: tuple([self.transition[(atom, p, r)] for p in spec.parties])
-                for r in spec.results
-            }
-            members: dict[tuple[frozenset[str], ...], list[str]] = {}
-            for r, key in keys.items():
-                members.setdefault(key, []).append(r)
-            groups = MergeGroups(keys, {key: tuple(rs) for key, rs in members.items()})
-            self.merge_groups[atom] = groups
-        return groups
-
-    @cached_property
-    def sending(self) -> dict[Outcome, Sends]:
-        """outcome -> where it sends its parties. Filled one outcome at a
-        time by `sends`."""
-        return {}
-
-    def sends(self, outcome: Outcome) -> Sends:
-        """Where the outcome sends its parties (`Sends`)."""
-        found = self.sending.get(outcome)
-        if found is None:
-            n, r = outcome
-            alone: dict[str, int] = {}
-            arcs = alone  # the same counts while each party goes to one atom
-            for p in self.atoms[n].parties:
-                ts = self.transition[(n, p, r)]
-                if len(ts) == 1:
-                    (t,) = ts
-                    alone[t] = alone.get(t, 0) + 1
-                    if arcs is not alone:
-                        arcs[t] = arcs.get(t, 0) + 1
-                elif ts:
-                    if arcs is alone:
-                        arcs = alone.copy()
-                    for t in ts:
-                        arcs[t] = arcs.get(t, 0) + 1
-            others = sorted(arcs.keys() - {n}, key=self._atom_order.__getitem__)
-            found = Sends(tuple(others), arcs, alone)
-            self.sending[outcome] = found
-        return found
-
-    @cached_property
     def classification(self) -> Classification:
-        """What `classify` answers, computed on first use. A rule output
-        starts without it: a rule can change the class."""
+        """What `classify` answers, computed on first use."""
         return _classify(self)
-
-    @cached_property
-    def named_transformers(self) -> dict[Outcome, TransformerExpr]:
-        """Every outcome's transformer, the default `Atomic` ones included.
-        A rule output's `transformers` is this dict already."""
-        return {o: self.transformer(o) for o in self.outcomes()}
-
-    def drop_indexes(self) -> None:
-        """Free the indexes; the next lookup rebuilds them. A reduction
-        calls this on each diagram it moves past, so that a trace keeping
-        every intermediate diagram does not keep their indexes too."""
-        for name in (
-            "arcs_into",
-            "arrivals",
-            "commitments",
-            "marking_kernel",
-            "merge_groups",
-            "named_transformers",
-            "sending",
-        ):
-            self.__dict__.pop(name, None)
 
     def __repr__(self):
         return (
@@ -481,9 +375,9 @@ def rewrite(
     added: dict[str, Targets],
     transformers: dict[str, TransformerExpr],
     removed: Optional[str] = None,
-) -> tuple[Negotiation, Change]:
-    """`neg` with the outcomes of one rule application replaced, not
-    re-validated; returned with what changed (`Change`).
+) -> Change:
+    """Rewrite `neg` in place by one rule application, without
+    re-validation, and return what changed (`Change`).
 
     The atom `spec.id` takes the results of `spec`: it loses the results
     in `dropped`, with their triples and transformers, and gains those
@@ -492,24 +386,22 @@ def rewrite(
     `transformers` (result -> expression) gives every added result its
     transformer, and any kept result a new one. The atom `removed`, if
     given, is dropped with its outcomes; when it is the final atom,
-    `spec.id` becomes final.
+    `spec.id` becomes final. `neg.transformers` must hold the transformer
+    of every outcome.
 
-    Only these outcomes are written: the tables are copied as they are,
-    and the indexes `neg` has built (`arcs_into`, `arrivals`,
-    `commitments`, merge groups, `sending`) are handed over to the output
-    and updated there from the lost and gained outcomes alone; `neg`
-    builds them afresh if it is asked again. The new triples go at the end
-    of the transition table."""
+    Only these outcomes are written. The new triples go at the end of the
+    transition table. A removed atom keeps its rank (`atom_index`), so the
+    atoms left keep their order and `undo` puts it back in place."""
     n = spec.id
-    atoms = neg.atoms.copy()
-    transition = neg.transition.copy()
-    named = neg.named_transformers.copy()
+    atoms, transition, named = neg.atoms, neg.transition, neg.transformers
+    old_specs = (atoms[n],) if removed is None else (atoms[n], atoms[removed])
     old: dict[Outcome, Targets] = {}
-    for a, results in ((n, dropped), (removed, neg.results(removed) if removed else ())):
-        parties = neg.parties(a) if results else ()
+    replaced: dict[Outcome, TransformerExpr] = {}
+    for a, results in ((n, dropped), (removed, atoms[removed].results if removed else ())):
+        parties = atoms[a].parties if results else ()
         for r in results:
             old[(a, r)] = tuple([transition.pop((a, p, r)) for p in parties])
-            del named[(a, r)]
+            replaced[(a, r)] = named.pop((a, r))
     atoms[n] = spec
     if removed is not None:
         del atoms[removed]
@@ -519,110 +411,113 @@ def rewrite(
             transition[(n, p, r)] = ts
         new[(n, r)] = targets
     for r, expr in transformers.items():
-        named[(n, r)] = expr
-    after = Negotiation(
-        agents=neg.agents,
-        atoms=atoms,
-        initial=neg.initial,
-        final=n if removed == neg.final else neg.final,
-        transition=transition,
-        transformers=named,
-        rels=neg.rels,
-        states=neg.states,
+        o = (n, r)
+        if o in named:  # a kept result's
+            replaced[o] = named[o]
+        named[o] = expr
+    final = neg.final
+    if removed == final:
+        neg.final = n
+    _forget_derived(neg)
+    arrivals, commitments = _count_change(n, old, new)
+    return Change(
+        spec, dropped, removed, old, new, transformers, arrivals, commitments,
+        old_specs, replaced, final,
     )
-    change = _count_change(old, new)
-    _carry_indexes(neg, after, n, removed, change)
-    return after, change
 
 
-def _count_change(old: dict[Outcome, Targets], new: dict[Outcome, Targets]) -> Change:
-    """The `Change` of an application that took out `old` and put in
-    `new`."""
+def undo(neg: Negotiation, change: Change) -> None:
+    """Take back `change`, the last change `rewrite` made to `neg`: `neg`
+    becomes equal to the diagram before it, its atoms in their order (a
+    removed atom goes back by the rank it kept). The entries put back go
+    at the end of the transition and transformer tables."""
+    spec, (old_spec, *gone) = change.spec, change.old_specs
+    n = spec.id
+    atoms, transition, named = neg.atoms, neg.transition, neg.transformers
+    for _o, r in change.added:
+        for p in spec.parties:
+            del transition[(n, p, r)]
+    for r in change.transformers:
+        if (n, r) not in change.replaced:
+            del named[(n, r)]
+    for (a, r), targets in change.removed.items():
+        parties = old_spec.parties if a == n else gone[0].parties
+        for p, ts in zip(parties, targets):
+            transition[(a, p, r)] = ts
+    named.update(change.replaced)
+    atoms[n] = old_spec
+    if gone:
+        atoms[gone[0].id] = gone[0]
+        neg.atoms = dict(sorted(atoms.items(), key=lambda item: neg.atom_index(item[0])))
+    neg.final = change.final
+    _forget_derived(neg)
+
+
+def redo(neg: Negotiation, change: Change) -> Change:
+    """Make a recorded change again, through `rewrite`, on a diagram equal
+    to the one it was made on."""
+    return rewrite(neg, *change.arguments())
+
+
+def _forget_derived(neg: Negotiation) -> None:
+    """Drop the values `neg` derived from its tables before they changed."""
+    for name in ("marking_kernel", "classification"):
+        neg.__dict__.pop(name, None)
+
+
+def _count_change(
+    n: str, old: dict[Outcome, Targets], new: dict[Outcome, Targets]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """Per atom, the arcs into it and the outcomes committing to it that an
+    application taking out `old` and putting in `new` (outcomes of `n`)
+    adds, minus those it takes out; an atom may map to 0.
+
+    Each outcome put in is paired with an outcome of `n` taken out, in
+    order, and a pair is counted only at the parties whose target sets
+    differ, so an outcome that keeps most of its targets costs what it
+    changes. The rest are counted in full."""
     arrivals: dict[str, int] = {}
     commitments: dict[str, int] = {}
-    for side, outcomes in ((-1, old), (1, new)):
-        for targets in outcomes.values():
-            for ts in targets:
-                for t in ts:
-                    arrivals[t] = arrivals.get(t, 0) + side
-            for t in commit_targets(targets):
-                commitments[t] = commitments.get(t, 0) + side
-    return Change(old, new, arrivals, commitments)
-
-
-def _carry_indexes(
-    before: Negotiation,
-    after: Negotiation,
-    n: str,
-    removed: Optional[str],
-    change: Change,
-) -> None:
-    """Hand each index `before` has built over to `after`, updated in place
-    from the `change` alone. `before` keeps none of them, and builds them
-    afresh if it is asked again. `n` is the rewritten atom and `removed`
-    the atom dropped, if any."""
-    built, carried = before.__dict__, after.__dict__
-    carried["named_transformers"] = after.transformers
-    old, new = change.removed, change.added
-    into = built.pop("arcs_into", None)
-    if into is not None:
-        for o, targets in old.items():
-            for p, ts in zip(before.parties(o[0]), targets):
-                for t in ts:
-                    outs = into[(t, p)]
-                    outs.discard(o)
-                    if not outs:
-                        del into[(t, p)]
-        for o, targets in new.items():
-            for p, ts in zip(after.parties(n), targets):
-                for t in ts:
-                    into.setdefault((t, p), set()).add(o)
-        carried["arcs_into"] = into
-    for name, delta in (("arrivals", change.arrivals), ("commitments", change.commitments)):
-        counts = built.pop(name, None)
-        if counts is not None:
-            for t, d in delta.items():
-                counts[t] = counts.get(t, 0) + d
-                if not counts[t]:
-                    del counts[t]
-            carried[name] = counts
-    groups = built.pop("merge_groups", None)
-    if groups is not None:
-        groups.pop(removed, None)
-        if n in groups:
-            keys, members = groups[n]
-            for (a, r), key in old.items():
-                if a == n:
-                    del keys[r]
-                    rest = _without(members[key], r)
-                    if rest:
-                        members[key] = rest
-                    else:
-                        del members[key]
-            position = after.atoms[n].results.index
-            for (_a, r), key in new.items():
-                keys[r] = key
-                group = members.get(key, ())
-                i = bisect(group, position(r), key=position)
-                members[key] = group[:i] + (r,) + group[i:]
-        carried["merge_groups"] = groups
-    sending = built.pop("sending", None)
-    if sending is not None:
-        for o in old:
-            sending.pop(o, None)
-        carried["sending"] = sending
+    arrive, commit = arrivals.get, commitments.get
+    full: list[tuple[int, Targets]] = []
+    added = iter(new.values())
+    for (a, _r), before in old.items():
+        after = next(added, None) if a == n else None
+        if after is None:
+            full.append((-1, before))
+            continue
+        lost: set[str] = set()
+        gained: set[str] = set()
+        for x, y in zip(before, after):
+            if x is y:
+                continue
+            for t in x:
+                arrivals[t] = arrive(t, 0) - 1
+            for t in y:
+                arrivals[t] = arrive(t, 0) + 1
+            # a target set sent alone stops or starts a commitment unless
+            # the other outcome of the pair has it too
+            if len(x) == 1 and x not in after:
+                lost |= x
+            if len(y) == 1 and y not in before:
+                gained |= y
+        for side, atoms in ((-1, lost), (1, gained)):
+            for t in atoms:
+                commitments[t] = commit(t, 0) + side
+    full += [(1, targets) for targets in added]
+    for side, targets in full:
+        for ts in targets:
+            for t in ts:
+                arrivals[t] = arrive(t, 0) + side
+        for t in commit_targets(targets):
+            commitments[t] = commit(t, 0) + side
+    return arrivals, commitments
 
 
 def commit_targets(targets: Iterable[frozenset[str]]) -> set[str]:
     """The atoms an outcome with these target sets commits to: those it
     sends some party to and nowhere else."""
     return {t for ts in targets if len(ts) == 1 for t in ts}
-
-
-def _without(items: tuple, item) -> tuple:
-    """`items` without its one occurrence of `item`."""
-    i = items.index(item)
-    return items[:i] + items[i + 1 :]
 
 
 @dataclass

@@ -2,21 +2,28 @@
 iteration, useless arc, shortcut), their guards, and reducible-outcome
 enumeration.
 
-Every application returns a fresh Negotiation built by `model.rewrite`;
-inputs keep their value, so traces can hold on to all intermediate
-diagrams. Rule outputs are valid by construction and are not
-re-validated, except for the path condition that is the useless-arc
-guard. The site of an application is the set of outcomes it removes and
-adds: a rule hands `rewrite` only those, and the output takes over the
-indexes its input has built, updated from them alone (the input builds
-them again if asked). `RuleApplication.change` records them with their
-target sets, and the arcs into and commitments to each atom they reach.
+A rule rewrites a reduction's working diagram in place
+(`working.Indexed.rewrite`, through `model.rewrite`): a private copy of
+the reduction's input (`working.working_copy`). The public `apply_*`
+functions copy their input and rewrite the copy, so the input keeps its
+value; the strategies copy their input once and rewrite that copy at
+every step (`merge_step`, `iteration_step`, `useless_arc_step`,
+`guarded_shortcut_step`, `shortcut_step`). Rule outputs are valid by
+construction and are not re-validated, except for the path condition
+that is the useless-arc guard. The site of an application is the set of
+outcomes it removes and adds: a rule writes only those, and the working
+diagram brings the indexes it has built up to date from them alone.
 
-Guards read the diagram's indexes (`Negotiation.arcs_into`,
-`Negotiation.arrivals`, `Negotiation.commitments`,
-`Negotiation.merge_group`, `Negotiation.sends`) instead of scanning the
-transition table, and shortcut targets are sought only among the
-outcome's transition targets. A reduction keeps R(N) in a `Reducible`,
+Each application is recorded as its `model.Change` in the log of the
+diagram it rewrote (`working.Log`). `RuleApplication.before` and `.after`
+rebuild the diagrams on either side by replaying that log from its first
+diagram, so a trace holds the changes, not the diagrams.
+
+Guards read the working diagram's indexes (`arcs_into`, `arrivals`,
+`commitments`, `merge_group`, `sends`) instead of scanning the transition
+table, and shortcut targets are sought only among the outcome's
+transition targets; asked about a plain diagram, a guard reads it through
+a view (`working.indexed`). A reduction keeps R(N) in a `Reducible`,
 which after each application re-evaluates only the outcomes whose guards
 can have changed (`dirty_outcomes`), starting from the targets of the
 removed and added outcomes, and keeps R(N) in outcome order
@@ -47,9 +54,9 @@ from .model import (
     classify,
     is_acyclic,
     missing_paths,
-    rewrite,
 )
 from .transformers import TransformerExpr, concat_expr, star_expr, union_expr
+from .working import Indexed, Log, indexed, working_copy
 
 
 @dataclass
@@ -57,16 +64,28 @@ class RuleApplication:
     kind: str  # merge | iteration | useless_arc | shortcut | d_shortcut
     site: tuple  # outcomes / arcs consumed
     produced: dict  # fresh results, removed atoms/results
-    before: Negotiation
-    after: Negotiation
     # the atoms the rule changed: the site atom, then the removed atom if
     # any; when the final atom moves, these are the new and the old one
     changed: tuple[str, ...]
-    # what the rule changed: the outcomes it removed and added, and the
-    # arcs into and the commitments to each atom it reaches
+    # what the rule changed: the outcomes it removed and added, the arcs
+    # into and the commitments to each atom it reaches, and what undoing
+    # it restores
     change: Change
+    # the log the change is recorded in, and its place there
+    log: Log
+    index: int
     stage: Optional[int] = None  # set by staged strategies
     line: Optional[str] = None  # which strategy branch selected this step
+
+    @property
+    def before(self) -> Negotiation:
+        """The diagram the rule rewrote, rebuilt from the log."""
+        return self.log.diagram(self.index)
+
+    @property
+    def after(self) -> Negotiation:
+        """The diagram the rule made, rebuilt from the log."""
+        return self.log.diagram(self.index + 1)
 
     def __repr__(self):
         return f"RuleApplication({self.kind}, site={self.site})"
@@ -87,17 +106,14 @@ class GuardReport:
 def unconditionally_enables(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     """After `outcome`, the atom `n2` is enabled and stays enabled until it
     occurs: all of n2's parties are parties of the outcome's atom and are
-    sent exactly to n2."""
-    # every party sent to n2 alone is a party of n2
-    return neg.sends(outcome).alone.get(n2, 0) == len(neg.parties(n2))
+    sent exactly to n2 (`Indexed.enables`)."""
+    return indexed(neg).enables(outcome, n2)
 
 
 def exclusive_access(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     """`outcome` owns every arc into n2: each party port of n2 is fed by
-    this outcome and by no other."""
-    # the outcome sends each party of n2 to n2, and no other arc enters it
-    parties = len(neg.parties(n2))
-    return neg.sends(outcome).arcs.get(n2, 0) == parties == neg.arrivals.get(n2, 0)
+    this outcome and by no other (`Indexed.exclusive`)."""
+    return indexed(neg).exclusive(outcome, n2)
 
 
 def commits_to(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
@@ -108,9 +124,9 @@ def commits_to(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
 
 
 def another_commits(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
-    """Some outcome other than `outcome` commits to n2."""
-    itself = n2 in neg.sends(outcome).alone
-    return neg.commitments.get(n2, 0) > itself
+    """Some outcome other than `outcome` commits to n2
+    (`Indexed.another_commits`)."""
+    return indexed(neg).another_commits(outcome, n2)
 
 
 def uniform(neg: Negotiation, outcome: Outcome) -> bool:
@@ -134,17 +150,21 @@ def uniform_target(neg: Negotiation, outcome: Outcome) -> Optional[str]:
 
 def shortcut_guard(neg: Negotiation, outcome: Outcome, n2: str) -> GuardReport:
     """The shortcut rule's guard, with the failing bullet named."""
+    return _shortcut_guard(indexed(neg), outcome, n2)
+
+
+def _shortcut_guard(neg: Indexed, outcome: Outcome, n2: str) -> GuardReport:
     n, r = outcome
     site = (outcome, n2)
     if n2 == n:
         return GuardReport(site, "shortcut", False, "target equals the source atom")
-    if not unconditionally_enables(neg, outcome, n2):
+    if not neg.enables(outcome, n2):
         return GuardReport(site, "shortcut", False, "does not unconditionally enable")
-    excl = exclusive_access(neg, outcome, n2)
+    excl = neg.exclusive(outcome, n2)
     if n2 != neg.final:
         if excl:
             return GuardReport(site, "shortcut", True, "exclusive access")
-        if another_commits(neg, outcome, n2):
+        if neg.another_commits(outcome, n2):
             return GuardReport(site, "shortcut", True, "another outcome commits")
         return GuardReport(
             site, "shortcut", False,
@@ -182,7 +202,7 @@ def _replace(results: tuple[str, ...], r: str, new: tuple[str, ...] = ()) -> tup
 
 
 def _rewritten(
-    neg: Negotiation,
+    neg: Indexed,
     kind: str,
     site: tuple,
     produced: dict,
@@ -192,22 +212,28 @@ def _rewritten(
     transformers: dict[str, TransformerExpr],
     removed: Optional[str] = None,
 ) -> RuleApplication:
-    """The application that rewrites `neg` by `model.rewrite` (which see
-    for the arguments), with the outcomes it removes and adds."""
-    n = spec.id
-    after, change = rewrite(neg, spec, dropped, added, transformers, removed)
+    """The application that rewrites the working diagram `neg` in place by
+    `Indexed.rewrite` (which see for the arguments), which logs it."""
+    change = neg.rewrite(spec, dropped, added, transformers, removed)
     return RuleApplication(
         kind=kind,
         site=site,
         produced=produced,
-        before=neg,
-        after=after,
-        changed=(n,) if removed is None else (n, removed),
+        changed=(spec.id,) if removed is None else (spec.id, removed),
         change=change,
+        log=neg.log,
+        index=len(neg.log.changes) - 1,
     )
 
 
 def apply_merge(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
+    """Merge two results of one atom, on a copy of `neg` (`merge_step`)."""
+    return merge_step(working_copy(neg), o1, o2)
+
+
+def merge_step(neg: Indexed, o1: Outcome, o2: Outcome) -> RuleApplication:
+    """Merge two results of one atom of the working diagram `neg`, in
+    place; `GuardFailed` if they do not send every party alike."""
     n1, r1 = o1
     n2, r2 = o2
     if n1 != n2:
@@ -237,6 +263,13 @@ def apply_merge(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
 
 
 def apply_iteration(neg: Negotiation, outcome: Outcome) -> RuleApplication:
+    """Fold a self-loop outcome into the other results of its atom, on a
+    copy of `neg` (`iteration_step`)."""
+    return iteration_step(working_copy(neg), outcome)
+
+
+def iteration_step(neg: Indexed, outcome: Outcome) -> RuleApplication:
+    """The iteration rule on the working diagram `neg`, in place."""
     n, r = outcome
     spec = neg.atoms[n]
     if r not in spec.results:
@@ -287,6 +320,7 @@ def is_useless_arc(neg: Negotiation, arc, acyclic: Optional[bool] = None) -> boo
         return False
     if _useless_witness(neg, arc) is None:
         return False
+    neg = indexed(neg)
     if acyclic is None:
         acyclic = is_acyclic(neg)
     if acyclic:
@@ -305,6 +339,12 @@ def _stranded_without(neg: Negotiation, arc) -> list[str]:
 
 
 def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
+    """Remove a useless arc, on a copy of `neg` (`useless_arc_step`)."""
+    return useless_arc_step(working_copy(neg), arc)
+
+
+def useless_arc_step(neg: Indexed, arc) -> RuleApplication:
+    """The useless-arc rule on the working diagram `neg`, in place."""
     n, p, r, n2 = arc
     if (n, p, r) not in neg.transition or n2 not in neg.targets(n, p, r):
         raise GuardFailed(f"no such arc: {arc}")
@@ -336,6 +376,16 @@ def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
 def apply_shortcut(
     neg: Negotiation, outcome: Outcome, n2: str, d_restricted: bool = False
 ) -> RuleApplication:
+    """Shortcut `outcome` with the atom `n2`, on a copy of `neg`
+    (`guarded_shortcut_step`)."""
+    return guarded_shortcut_step(working_copy(neg), outcome, n2, d_restricted)
+
+
+def guarded_shortcut_step(
+    neg: Indexed, outcome: Outcome, n2: str, d_restricted: bool = False
+) -> RuleApplication:
+    """The shortcut rule on the working diagram `neg`, in place, after its
+    guard; `GuardFailed` names the failing bullet."""
     report = shortcut_guard(neg, outcome, n2)
     if not report.holds:
         raise GuardFailed(f"shortcut guard failed at {report.site}: {report.detail}")
@@ -350,12 +400,13 @@ def apply_shortcut(
     return shortcut_step(neg, outcome, n2, "d_shortcut" if d_restricted else "shortcut")
 
 
-def shortcut_step(neg: Negotiation, outcome: Outcome, n2: str, kind: str) -> RuleApplication:
-    """The rewrite of a shortcut whose guard the caller has established
-    (`apply_shortcut` checks it first; the strategies check it while they
-    select the step). `kind` is "shortcut" or "d_shortcut"."""
+def shortcut_step(neg: Indexed, outcome: Outcome, n2: str, kind: str) -> RuleApplication:
+    """The shortcut of the working diagram `neg`, in place, whose guard the
+    caller has established (`guarded_shortcut_step` checks it first; the
+    strategies check it while they select the step). `kind` is "shortcut"
+    or "d_shortcut"."""
     n, r = outcome
-    excl = exclusive_access(neg, outcome, n2)
+    excl = neg.exclusive(outcome, n2)
     removing_final = n2 == neg.final  # guard already forces exclusivity here
     # the initial atom keeps its entry role: it still fires at the start,
     # so exclusivity never makes it dead and it must stay
@@ -371,11 +422,11 @@ def shortcut_step(neg: Negotiation, outcome: Outcome, n2: str, kind: str) -> Rul
         fresh_map[r2] = fresh
 
     inner = set(neg.parties(n2))
+    transition = neg.transition
     added = {
-        fresh: tuple(
-            neg.targets(n2, p, r2) if p in inner else neg.targets(n, p, r)
-            for p in spec.parties
-        )
+        fresh: tuple([
+            transition[(n2, p, r2) if p in inner else (n, p, r)] for p in spec.parties
+        ])
         for r2, fresh in fresh_map.items()
     }
     transformers = {
@@ -409,6 +460,10 @@ def apply_d_shortcut(neg: Negotiation, outcome: Outcome, n2: str) -> RuleApplica
 
 def merge_partner(neg: Negotiation, outcome: Outcome) -> Optional[str]:
     """The first result (declaration order) mergeable with the outcome."""
+    return _merge_partner(indexed(neg), outcome)
+
+
+def _merge_partner(neg: Indexed, outcome: Outcome) -> Optional[str]:
     n, r = outcome
     if n == neg.final:
         return None
@@ -429,11 +484,19 @@ def shortcut_candidates(neg: Negotiation, outcome: Outcome) -> tuple[str, ...]:
     The guard needs the outcome to send every party of the target to the
     target alone, so the target is a transition target of the outcome,
     other than its own atom."""
-    return neg.sends(outcome).others
+    return indexed(neg).sends(outcome).others
+
+
+def d_shortcut_candidates(neg: Negotiation, outcome: Outcome) -> list[str]:
+    """The atoms the d-shortcut guard can hold for, in declaration order:
+    the shortcut candidates that are the final atom or have at most one
+    result (`Indexed.d_candidates`)."""
+    return indexed(neg).d_candidates(outcome)
 
 
 def shortcut_targets(neg: Negotiation, outcome: Outcome) -> list[str]:
     """Atoms the outcome may be shortcut with, in declaration order."""
+    neg = indexed(neg)
     return [
         n2
         for n2 in shortcut_candidates(neg, outcome)
@@ -442,6 +505,7 @@ def shortcut_targets(neg: Negotiation, outcome: Outcome) -> list[str]:
 
 
 def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] = None):
+    neg = indexed(neg)
     n, r = outcome
     arcs = []
     for p in neg.parties(n):
@@ -456,19 +520,20 @@ def is_reducible(neg: Negotiation, outcome: Outcome, acyclic: bool) -> bool:
     """Whether the outcome is in R(N): it has a merge partner, admits the
     iteration or shortcut rule, or has a useless arc. `acyclic` is whether
     the diagram is, which the useless-arc guard reads."""
+    neg = indexed(neg)
     return merge_partner(neg, outcome) is not None or _reducible_unmerged(
         neg, outcome, acyclic
     )
 
 
-def _reducible_unmerged(neg: Negotiation, outcome: Outcome, acyclic: bool) -> bool:
+def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool) -> bool:
     """`is_reducible` by the rules other than merge."""
     n, r = outcome
     return (
         iteration_applicable(neg, outcome)
         or any(
-            shortcut_guard(neg, outcome, n2).holds
-            for n2 in shortcut_candidates(neg, outcome)
+            _shortcut_guard(neg, outcome, n2).holds
+            for n2 in neg.sends(outcome).others
         )
         or any(
             is_useless_arc(neg, (n, p, r, n2), acyclic=acyclic)
@@ -480,11 +545,12 @@ def _reducible_unmerged(neg: Negotiation, outcome: Outcome, acyclic: bool) -> bo
 
 def reducible_outcomes(neg: Negotiation) -> set[Outcome]:
     """R(N), evaluated on every outcome."""
+    neg = indexed(neg)
     acyclic = is_acyclic(neg)
     return {o for o in neg.outcomes() if is_reducible(neg, o, acyclic)}
 
 
-def _arrivals(neg: Negotiation, t: str, arcs: int = 0, commits: int = 0) -> tuple:
+def _arrivals(neg: Indexed, t: str, arcs: int = 0, commits: int = 0) -> tuple:
     """What the guards of an outcome with an arc into `t` read of the other
     arcs into `t`: whether they are one per party of `t` (exclusive access,
     for an outcome that sends every party of `t` there), whether two or
@@ -499,67 +565,69 @@ def _arrivals(neg: Negotiation, t: str, arcs: int = 0, commits: int = 0) -> tupl
     return count == len(neg.parties(t)), count > 1, committed > 1
 
 
-def dirty_outcomes(app: RuleApplication) -> set[Outcome]:
-    """The outcomes of `app.after` whose membership in R(N) the application
-    can have changed: the added outcomes; the kept results of the site
-    atom that share target sets with a removed or added result, or that
-    become or stop being its only result; and, at each atom that a removed
-    or added outcome targets, the outcomes with an arc into it whose
-    guards read something of its incoming arcs that changed (`_arrivals`),
-    or all of them if it is the new final atom.
+def dirty_outcomes(neg: Negotiation, change: Change) -> set[Outcome]:
+    """The outcomes of `neg`, just rewritten by `change`, whose membership
+    in R(N) the change can have altered: the added outcomes; the kept
+    results of the site atom that share target sets with a removed or
+    added result, or that become or stop being its only result; and, at
+    each atom that a removed or added outcome targets, the outcomes with
+    an arc into it whose guards read something of its incoming arcs that
+    changed (`_arrivals`), or all of them if it is the new final atom.
 
     Every other outcome keeps its own transitions, its merge partners,
     whether it is its atom's only result, and what the guards read of the
     arcs into its targets, which is all `is_reducible` reads of it, except
     for the useless-arc guard on a cyclic diagram (see `Reducible`).
     `_arrivals` is compared only at an atom that gains or loses arcs, or
-    outcomes committing to it (`app.change`). It reads `app.after` and the
-    change alone, since `app.before` has handed its indexes over to
-    `app.after`."""
-    before, after = app.before, app.after
-    n = app.changed[0]
-    dirty = set(app.change.added)
-    if n != after.final:
-        members = after.atom_groups(n).members
-        for (a, _r), key in app.change.removed.items():
+    outcomes committing to it. What the diagram was before comes from the
+    change: the site atom's old results and the old final atom."""
+    neg = indexed(neg)
+    n = change.spec.id
+    dirty = set(change.added)
+    if n != neg.final:
+        members = neg.atom_groups(n).members
+        for (a, _r), key in change.removed.items():
             if a == n:
                 dirty.update((n, m) for m in members.get(key, ()))
-        for key in app.change.added.values():
+        for key in change.added.values():
             dirty.update((n, m) for m in members[key])
-    for results in (before.results(n), after.results(n)):
-        if len(results) == 1 and results[0] in after.results(n):
+    now = neg.results(n)
+    for results in (change.old_specs[0].results, now):
+        if len(results) == 1 and results[0] in now:
             dirty.add((n, results[0]))
-    moved = after.final if after.final != before.final else None
-    arcs, commits = app.change.arrivals, app.change.commitments
+    moved = neg.final if neg.final != change.final else None
+    arcs, commits = change.arrivals, change.commitments
     for t in arcs.keys() | commits.keys():
-        if t == moved or t not in after.atoms or not (arcs.get(t) or commits.get(t)):
+        if t == moved or t not in neg.atoms or not (arcs.get(t) or commits.get(t)):
             continue
-        one_each, *rest = _arrivals(after, t)
-        then_one_each, *then_rest = _arrivals(after, t, -arcs.get(t, 0), -commits.get(t, 0))
+        one_each, *rest = _arrivals(neg, t)
+        then_one_each, *then_rest = _arrivals(neg, t, -arcs.get(t, 0), -commits.get(t, 0))
         if rest != then_rest:  # matters to outcomes with an arc into any port
-            for q in after.parties(t):
-                dirty.update(after.arcs_into.get((t, q), ()))
+            for q in neg.parties(t):
+                dirty.update(neg.arcs_into.get((t, q), ()))
         elif one_each != then_one_each:
             # matters to an outcome sending every party of t there, which
             # has an arc into each of its ports
-            dirty.update(after.arcs_into.get((t, after.parties(t)[0]), ()))
+            dirty.update(neg.arcs_into.get((t, neg.parties(t)[0]), ()))
     if moved is not None:
-        for q in after.parties(moved):
-            dirty.update(after.arcs_into.get((moved, q), ()))
+        for q in neg.parties(moved):
+            dirty.update(neg.arcs_into.get((moved, q), ()))
     return dirty
 
 
 class OrderedOutcomes:
-    """A set of outcomes of the current diagram of a reduction that also
-    keeps them in outcome order (by atom, then by result, each in
-    declaration order), bucketed by the party count of their atom. It
-    changes only through `add` and `discard`, which keep the order.
+    """A set of outcomes of a reduction's working diagram that also keeps
+    them in outcome order (by atom, then by result, each in declaration
+    order), bucketed by the party count of their atom. It changes only
+    through `add` and `discard`, which keep the order.
 
     Rules only remove atoms, and put the results they add where the
     results they remove were, so outcome order never moves a member: an
     added member finds its place among its atom's members by bisection.
-    Atoms keep their rank in the reduction's input. `neg` must be the
-    diagram whose outcomes are added; `Reducible` moves it along."""
+    Atoms keep their rank (`atom_index`) while the diagram is rewritten,
+    removed ones included. `neg` is the working diagram; an outcome is
+    added while its atom is in it, and may be discarded after its atom is
+    gone, so each member atom's party count is kept here."""
 
     def __init__(self, neg: Negotiation):
         self.neg = neg
@@ -567,6 +635,7 @@ class OrderedOutcomes:
         self._set: set[Outcome] = set()
         self._members: dict[str, list[str]] = {}  # atom -> results, in order
         self._atoms: dict[int, list[str]] = {}  # party count -> atoms, in order
+        self._parties: dict[str, int] = {}  # atom -> its party count
 
     def __contains__(self, outcome: Outcome) -> bool:
         return outcome in self._set
@@ -590,8 +659,8 @@ class OrderedOutcomes:
         members = self._members.get(a)
         if members is None:
             self._members[a] = [r]
-            bucket = self._atoms.setdefault(len(self.neg.parties(a)), [])
-            insort(bucket, a, key=self.rank)
+            k = self._parties[a] = len(self.neg.parties(a))
+            insort(self._atoms.setdefault(k, []), a, key=self.rank)
         else:
             insort(members, r, key=self.neg.results(a).index)
 
@@ -604,7 +673,7 @@ class OrderedOutcomes:
         members.remove(r)
         if not members:
             del self._members[a]
-            k = len(self.neg.parties(a))
+            k = self._parties.pop(a)
             bucket = self._atoms[k]
             del bucket[bisect_left(bucket, self.rank(a), key=self.rank)]
             if not bucket:
@@ -631,46 +700,42 @@ class OrderedOutcomes:
 
 
 class Reducible:
-    """R(N) of the current diagram of a reduction, kept up to date across
-    its rule applications: computed in full on the input, then re-evaluated
-    on `dirty_outcomes` after each application. `outcomes` holds R(N) and
-    `mergeable` the outcomes with a merge partner, which are in R(N) too,
-    each in outcome order (`OrderedOutcomes`). Whether an outcome has a
-    merge partner depends on its atom alone, so the dirty outcomes cover
-    `mergeable` as well.
+    """R(N) of a reduction's working diagram `neg`, kept up to date across
+    its rule applications: every outcome is evaluated once on the input,
+    then only `dirty_outcomes` after each application. `outcomes` holds
+    R(N) and `mergeable` the outcomes with a merge partner, which are in
+    R(N) too, each in outcome order (`OrderedOutcomes`). Whether an
+    outcome has a merge partner depends on its atom alone, so the dirty
+    outcomes cover `mergeable` as well.
 
-    On a cyclic diagram the useless-arc guard checks the path condition on
-    the whole diagram, so any application can change it. That guard holds
-    only at an outcome with a fork (a party sent to two or more atoms), so
-    while the diagram is cyclic every such outcome is re-evaluated too.
-    Acyclicity is read by that guard alone, so `acyclic` is recomputed
-    only while the diagram is cyclic and has a fork. Rules never make an
-    acyclic diagram cyclic (`preserves_class`), and a diagram without
-    forks never gets one, because every target set a rule creates is
-    copied or cut from an existing one.
+    `acyclic` is whether the input is, as classified. On a cyclic diagram
+    the useless-arc guard checks the path condition on the whole diagram,
+    so any application can change it. That guard holds only at an outcome
+    with a fork (a party sent to two or more atoms), so while the diagram
+    is cyclic every such outcome is re-evaluated too. Acyclicity is read
+    by that guard alone, so `acyclic` is recomputed only while the diagram
+    is cyclic and has a fork. Rules never make an acyclic diagram cyclic
+    (`preserves_class`), and a diagram without forks never gets one,
+    because every target set a rule creates is copied or cut from an
+    existing one.
     """
 
-    def __init__(self, neg: Negotiation):
+    def __init__(self, neg: Indexed, acyclic: bool):
         self.neg = neg
-        self.acyclic = is_acyclic(neg)
+        self.acyclic = acyclic
         self.outcomes = OrderedOutcomes(neg)
         self.mergeable = OrderedOutcomes(neg)
-        reducible = reducible_outcomes(neg)
-        for index in ("arcs_into", "arrivals", "commitments"):
-            getattr(neg, index)  # built here, so that every output carries it
         for o in neg.outcomes():  # in outcome order, so each add appends
-            if o in reducible:
-                self.outcomes.add(o)
-                if merge_partner(neg, o) is not None:
-                    self.mergeable.add(o)
+            self._evaluate(o)
         # read only while the diagram is cyclic, which it never becomes again
-        self.forks = set() if self.acyclic else {
+        self.forks = set() if acyclic else {
             (a, r) for (a, _p, r), ts in neg.transition.items() if len(ts) > 1
         }
         self.evaluated = neg.num_outcomes()  # outcomes whose reducibility was computed
 
-    def _evaluate(self, neg: Negotiation, o: Outcome) -> None:
-        mergeable = merge_partner(neg, o) is not None
+    def _evaluate(self, o: Outcome) -> None:
+        neg = self.neg
+        mergeable = _merge_partner(neg, o) is not None
         reducible = mergeable or _reducible_unmerged(neg, o, self.acyclic)
         for members, holds in ((self.outcomes, reducible), (self.mergeable, mergeable)):
             if holds:
@@ -679,23 +744,22 @@ class Reducible:
                 members.discard(o)
 
     def advance(self, app: RuleApplication) -> None:
-        """Move to `app.after`, which must follow the current diagram."""
-        after = app.after
-        for o in app.change.removed:
+        """Follow `app`, which has just rewritten the working diagram."""
+        change = app.change
+        for o in change.removed:
             self.outcomes.discard(o)
             self.mergeable.discard(o)
-        self.neg = self.outcomes.neg = self.mergeable.neg = after
-        dirty = dirty_outcomes(app)
+        dirty = dirty_outcomes(self.neg, change)
         if not self.acyclic:
-            self.forks.difference_update(app.change.removed)
-            for o, targets in app.change.added.items():
+            self.forks.difference_update(change.removed)
+            for o, targets in change.added.items():
                 if any(len(ts) > 1 for ts in targets):
                     self.forks.add(o)
             if self.forks:
-                self.acyclic = is_acyclic(after)
+                self.acyclic = is_acyclic(self.neg)
                 dirty |= self.forks
         for o in dirty:
-            self._evaluate(after, o)
+            self._evaluate(o)
         self.evaluated += len(dirty)
 
 

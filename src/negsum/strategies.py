@@ -19,24 +19,34 @@
   results on the initial atom, and the alternating order that finishes
   within 5k+1 applications.
 
-Each of the first four is a tuple of `(line, select)` steps in priority
-order, run by one driver, `_reduce`. `select(neg, outcomes)` looks at the
-candidate outcomes in outcome order and returns the applied
-`RuleApplication`, or None; the first step that applies a rule wins and
-its `line` is recorded on the application. The candidates are R(N) in
-`run_acyclic` and `run_one_agent`, R(N) cut to the current stage in
-`run_general` (both a `Pool`), and every outcome in `run_acyclic_wd`
+Every strategy copies its input once (`working.working_copy`) and rewrites
+that private copy in place at each step, so the input keeps its value and
+whatever it has computed, such as its marking kernel. Each of the first
+four is a tuple of `(line, select)` steps in priority order, run by one
+driver, `_reduce`. `select(neg, outcomes)` looks at the candidate outcomes
+in outcome order, applies a rule to the working diagram `neg` and returns
+the `RuleApplication`, or returns None; the first step that applies a rule
+wins and its `line` is recorded on the application. The candidates are
+R(N) in `run_acyclic` and `run_one_agent`, R(N) cut to the current stage
+in `run_general` (both a `Pool`), and every outcome in `run_acyclic_wd`
 (`EveryOutcome`); a merge step reads only the mergeable candidates. A
 shortcut step evaluates a candidate's guard once: where it holds, the
-step rewrites by `rules.shortcut_step`, which does not check it again.
-Beyond steps and candidates, the strategies differ only in what they do
-at their bound. R(N) is computed in full on the input only: the trace
-keeps it up to date (`rules.Reducible`) as it records each application,
-re-evaluating the outcomes at the application's site (the outcomes the
-rule removed and added, and those whose guards read them), and counts
-the outcomes it evaluated in `counters["outcomes_evaluated"]`. R(N) is
-kept in outcome order, bucketed by the party count of each outcome's
-atom, so no step sorts it or scans it for a stage.
+step rewrites by `rules.shortcut_step`, which does not check it again. A
+d-shortcut step looks only at the targets with at most one result and the
+final atom, which the working diagram keeps per outcome
+(`rules.d_shortcut_candidates`). Beyond steps and candidates, the
+strategies differ only in what they do at their bound. R(N) is computed
+in full on the input only: the trace keeps it up to date
+(`rules.Reducible`) as it records each application, re-evaluating the
+outcomes at the application's site (the outcomes the rule removed and
+added, and those whose guards read them), and counts the outcomes it
+evaluated in `counters["outcomes_evaluated"]`. R(N) is kept in outcome
+order, bucketed by the party count of each outcome's atom, so no step
+sorts it or scans it for a stage.
+
+A trace keeps each application's change, not the diagrams: the
+applications' `.before` and `.after`, and `stage_snapshots`, rebuild them
+from `trace.initial` by replaying the changes (`working.Log`).
 
 The atom order used for backward outcomes defaults to declaration order;
 all remaining ties break lexicographically by (atom index, result index),
@@ -59,21 +69,23 @@ from .model import Negotiation, Outcome, classify
 from .rules import (
     Reducible,
     RuleApplication,
-    apply_iteration,
-    apply_merge,
-    apply_shortcut,
-    apply_useless_arc,
+    d_shortcut_candidates,
+    guarded_shortcut_step,
     iteration_applicable,
+    iteration_step,
     merge_partner,
+    merge_step,
     shortcut_candidates,
     shortcut_guard,
     shortcut_step,
     uniform,
     uniform_target,
+    useless_arc_step,
     useless_arcs_at,
 )
 from .semantics import DEFAULT_CAP
 from .transformers import TransformerExpr
+from .working import Indexed, Log, working_copy
 
 
 @dataclass
@@ -106,33 +118,54 @@ class ReductionTrace:
     reason: Optional[str] = None  # guard-exhausted | counter-exceeded | residual-non-atomic
     final: Optional[Negotiation] = None
     summary: Optional[dict[str, TransformerExpr]] = None
-    stage_snapshots: dict[int, Negotiation] = field(default_factory=dict)
+    # stage -> the number of applications when it ended
+    stage_ends: dict[int, int] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
-    # R(N) of the current diagram, for the strategies that read it
+    # R(N) of the working diagram, for the strategies that read it
     reducible: Optional[Reducible] = None
+    # the private copy of `initial` that the strategy rewrites, until
+    # `finish`, and the log of its changes
+    work: Optional[Indexed] = field(init=False, default=None, repr=False)
+    log: Log = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.work = working_copy(self.initial)
+        self.log = self.work.log
 
     def track_reducible(self) -> Reducible:
         """Compute R(N) of the input, and keep it up to date from here on."""
-        self.reducible = Reducible(self.initial)
+        self.reducible = Reducible(self.work, classify(self.initial).acyclic)
         self.counters["outcomes_evaluated"] = self.reducible.evaluated
         return self.reducible
 
-    def record(self, app: RuleApplication) -> Negotiation:
+    def record(self, app: RuleApplication) -> None:
         self.applications.append(app)
         self.counters["total"] = self.counters.get("total", 0) + 1
         self.counters[app.kind] = self.counters.get(app.kind, 0) + 1
         if self.reducible is not None:
             self.reducible.advance(app)
             self.counters["outcomes_evaluated"] = self.reducible.evaluated
-        app.before.drop_indexes()  # what `app.after` did not take over
-        return app.after
 
     @property
     def total(self) -> int:
         return self.counters.get("total", 0)
 
-    def finish(self, neg: Negotiation) -> "ReductionTrace":
-        self.final = neg
+    def diagram(self, applications: int) -> Negotiation:
+        """The diagram after the first `applications` applications,
+        rebuilt from the log (`trace.initial` itself for 0)."""
+        return self.log.diagram(applications)
+
+    @property
+    def stage_snapshots(self) -> dict[int, Negotiation]:
+        """stage -> the diagram when it ended, rebuilt from the log."""
+        return {stage: self.diagram(ends) for stage, ends in self.stage_ends.items()}
+
+    def finish(self) -> "ReductionTrace":
+        """Settle the verdict and the summary on the working diagram, keep
+        it as `final`, and let go of what only the reduction needed."""
+        neg = self.work
+        self.final = neg.copy()
+        self.work = self.reducible = None
         if self.verdict == "summarized":
             if neg.is_atomic():
                 self.summary = {
@@ -264,47 +297,46 @@ Select = Callable[[Negotiation, Candidates], Optional[RuleApplication]]
 Step = tuple[str, Select]  # (line recorded on the application, select)
 
 
-def _merge(neg: Negotiation, outcomes: Candidates):
+def _merge(neg: Indexed, outcomes: Candidates):
     """Merge the first mergeable candidate with its first partner."""
     for n, r in outcomes.mergeable():
         pair = sorted((r, merge_partner(neg, (n, r))), key=neg.atoms[n].results.index)
-        return apply_merge(neg, (n, pair[0]), (n, pair[1]))
+        return merge_step(neg, (n, pair[0]), (n, pair[1]))
     return None
 
 
-def _iteration(neg: Negotiation, outcomes: Iterable[Outcome]):
+def _iteration(neg: Indexed, outcomes: Iterable[Outcome]):
     for o in outcomes:
         if iteration_applicable(neg, o):
-            return apply_iteration(neg, o)
+            return iteration_step(neg, o)
     return None
 
 
-def _shortcut(neg: Negotiation, outcomes: Iterable[Outcome], d_restricted=False):
-    """The first guarded shortcut; a d-shortcut skips targets with more
-    than one result, except the final atom."""
-    atoms, final = neg.atoms, neg.final
+def _shortcut(neg: Indexed, outcomes: Iterable[Outcome], d_restricted=False):
+    """The first guarded shortcut; a d-shortcut looks only at targets with
+    at most one result and at the final atom."""
+    candidates = d_shortcut_candidates if d_restricted else shortcut_candidates
+    kind = "d_shortcut" if d_restricted else "shortcut"
     for o in outcomes:
-        for n2 in shortcut_candidates(neg, o):
-            if d_restricted and n2 != final and len(atoms[n2].results) > 1:
-                continue
+        for n2 in candidates(neg, o):
             if shortcut_guard(neg, o, n2).holds:
-                return shortcut_step(neg, o, n2, "d_shortcut" if d_restricted else "shortcut")
+                return shortcut_step(neg, o, n2, kind)
     return None
 
 
-def _d_shortcut(neg: Negotiation, outcomes: Iterable[Outcome]):
+def _d_shortcut(neg: Indexed, outcomes: Iterable[Outcome]):
     return _shortcut(neg, outcomes, d_restricted=True)
 
 
-def _d_shortcut_non_uniform(neg: Negotiation, outcomes: Iterable[Outcome]):
+def _d_shortcut_non_uniform(neg: Indexed, outcomes: Iterable[Outcome]):
     return _d_shortcut(neg, (o for o in outcomes if not uniform(neg, o)))
 
 
-def _useless_arc(neg: Negotiation, outcomes: Iterable[Outcome]):
+def _useless_arc(neg: Indexed, outcomes: Iterable[Outcome]):
     for o in outcomes:
         hits = useless_arcs_at(neg, o, acyclic=True)
         if hits:
-            return apply_useless_arc(neg, hits[0])
+            return useless_arc_step(neg, hits[0])
     return None
 
 
@@ -315,7 +347,7 @@ def _backward_shortcut(order: OutcomeOrder, increasing: bool = False) -> Select:
     termination argument."""
     last = None
 
-    def select(neg: Negotiation, outcomes: Iterable[Outcome]):
+    def select(neg: Indexed, outcomes: Iterable[Outcome]):
         nonlocal last
         hits = [
             (order.outcome_key(neg, o, target), o, target)
@@ -340,30 +372,29 @@ def _backward_shortcut(order: OutcomeOrder, increasing: bool = False) -> Select:
 
 def _reduce(
     trace: ReductionTrace,
-    neg: Negotiation,
     steps: Sequence[Step],
-    candidates: Callable[[Negotiation], Candidates],
+    candidates: Callable[[Indexed], Candidates],
     bound: int,
     stage: Optional[int] = None,
-) -> tuple[Negotiation, Optional[str]]:
-    """While `candidates(current)` is non-empty, apply the first step in
-    priority order whose select applies a rule, and record it. Returns the
-    last diagram and why the loop stopped: None (no candidates left),
+) -> Optional[str]:
+    """While `candidates(trace.work)` is non-empty, apply the first step in
+    priority order whose select applies a rule to the working diagram, and
+    record it. Returns why the loop stopped: None (no candidates left),
     "bound" (`trace.total` reached `bound` first) or "guard-exhausted" (no
     step applies)."""
-    current = neg
+    current = trace.work
     while outcomes := candidates(current):
         if trace.total >= bound:
-            return current, "bound"
+            return "bound"
         for line, select in steps:
             app = select(current, outcomes)
             if app is not None:
                 break
         else:
-            return current, "guard-exhausted"
+            return "guard-exhausted"
         app.line, app.stage = line, stage
-        current = trace.record(app)
-    return current, None
+        trace.record(app)
+    return None
 
 
 def _run_bounded(neg: Negotiation, steps: Sequence[Step], bound: int, overflow: str):
@@ -371,12 +402,12 @@ def _run_bounded(neg: Negotiation, steps: Sequence[Step], bound: int, overflow: 
     and passing the bound breaks the strategy's own theorem."""
     trace = ReductionTrace(initial=neg)
     reducible = trace.track_reducible()
-    current, stop = _reduce(trace, neg, steps, lambda current: Pool(reducible), bound)
+    stop = _reduce(trace, steps, lambda current: Pool(reducible), bound)
     if stop == "bound":
         raise AssertionError(overflow)
     if stop is not None:
         trace.verdict, trace.reason = "unsound", stop
-    return trace.finish(current)
+    return trace.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -464,26 +495,25 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
     # each stage's pool and the invariant check (no outcome of a lower
     # stage is reducible) read the R(N) that the trace keeps up to date
     reducible = trace.track_reducible()
-    checked = neg
+    checked = 0  # the applications when R(N) was last checked
 
-    def pool(current: Negotiation) -> Pool:
+    def pool(current: Indexed) -> Pool:
         nonlocal checked
-        if check_invariants and current is not checked:
-            checked = current
+        if check_invariants and trace.total != checked:
+            checked = trace.total
             lowest = reducible.outcomes.lowest()
             if lowest is not None and lowest < stage:
                 raise AssertionError(f"stage {stage} created a {lowest}-reducible outcome")
         return Pool(reducible, stage)
 
-    current = neg
     for stage in range(1, len(neg.agents) + 1):
-        current, stop = _reduce(trace, current, steps, pool, cap, stage)
+        stop = _reduce(trace, steps, pool, cap, stage)
         if stop is not None:
             trace.verdict = "unsound"
             trace.reason = "counter-exceeded" if stop == "bound" else stop
-            return trace.finish(current)
-        trace.stage_snapshots[stage] = current
-    return trace.finish(current)
+            return trace.finish()
+        trace.stage_ends[stage] = trace.total
+    return trace.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +530,13 @@ def run_acyclic_wd(neg: Negotiation, budget: int = 10_000) -> ReductionTrace:
         raise NotAcyclic("run_acyclic_wd requires an acyclic negotiation")
     steps = (("merge", _merge), ("useless_arc", _useless_arc), ("shortcut", _shortcut))
     trace = ReductionTrace(initial=neg)
-    current, stop = _reduce(trace, neg, steps, EveryOutcome, budget)
+    stop = _reduce(trace, steps, EveryOutcome, budget)
     if stop == "bound":
         trace.verdict, trace.reason = "unknown", "budget-exhausted"
-    elif not current.is_atomic() and not cls.weakly_deterministic:
+    elif not trace.work.is_atomic() and not cls.weakly_deterministic:
         trace.verdict = "unknown"
         trace.reason = "irreducible-outside-completeness-class"
-    return trace.finish(current)
+    return trace.finish()
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +571,11 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
         raise ValueError(f"unknown strategy {strategy!r}")
     trace = ReductionTrace(initial=neg)
     trace.counters["peak_initial_results"] = len(neg.results(neg.initial))
-    current = neg
+    current = trace.work
 
     def do(app: RuleApplication):
-        nonlocal current
         app.line = strategy
-        current = trace.record(app)
+        trace.record(app)
         peak = max(trace.counters["peak_initial_results"], len(current.results(current.initial)))
         trace.counters["peak_initial_results"] = peak
 
@@ -556,7 +585,7 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
             agent, only = current.parties(atom)[0], frozenset([atom])
             towards = [r for r in current.results("n0") if current.targets("n0", agent, r) == only]
             for r in towards:
-                do(apply_shortcut(current, ("n0", r), atom))
+                do(guarded_shortcut_step(current, ("n0", r), atom))
 
     def merge_all():
         # merge the first mergeable outcome in outcome order with its first
@@ -571,7 +600,7 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
                 if partner is None:
                     i += 1
                 else:
-                    do(apply_merge(current, o, (atom, partner)))
+                    do(merge_step(current, o, (atom, partner)))
                     results = current.results(atom)
 
     def alternating_branch(i: int):
@@ -590,8 +619,8 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
         for i in range(1, k + 1):
             alternating_branch(i)
     (final_result,) = current.results("n0")
-    do(apply_shortcut(current, ("n0", final_result), "nf"))
-    return trace.finish(current)
+    do(guarded_shortcut_step(current, ("n0", final_result), "nf"))
+    return trace.finish()
 
 
 # ---------------------------------------------------------------------------

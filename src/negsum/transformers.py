@@ -426,10 +426,11 @@ class Kernel:
     def merged(self, *parties: Iterable[str]) -> tuple[str, ...]:
         """The joint party tuple, in the order of the space."""
         combined = set().union(*parties)
-        missing = combined - set(self.space)
-        if missing:
+        agents = self.space.keys()  # a set view: no set is built per call
+        if not agents >= combined:
+            missing = combined - agents
             raise StateSpaceMismatch(f"agents {sorted(missing)} not in the state space")
-        return tuple(agent for agent in self.space if agent in combined)
+        return tuple(agent for agent in agents if agent in combined)
 
     def _lift(self, small: tuple[str, ...], large: tuple[str, ...]):
         """Where each assignment of `small` sits among those of `large`

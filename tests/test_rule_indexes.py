@@ -9,20 +9,21 @@ every outcome and atom of the fixtures, of generated diagrams (cyclic
 and acyclic), of unsound mutants, and of every intermediate diagram
 their reductions pass through.
 
-Rule outputs are built without validation, taking over their input's
-indexes, and a reduction keeps R(N) up to date from each application's
-site: the outcomes it removes and adds. For every application of
-`run_auto` and `run_general` on the golden-trace cases, of both
-strategies of the exponential demo, and for every rule instance on
+A reduction rewrites a private copy of its input in place, without
+validation; the copy brings the indexes it has built up to date from
+each application's site (the outcomes it removes and adds), and the
+reduction keeps R(N) up to date from the same site. For every
+application of `run_auto` and `run_general` on the golden-trace cases, of
+both strategies of the exponential demo, and for every rule instance on
 their inputs, the maintained R(N) and its mergeable outcomes must equal
 a full recomputation on the output, in outcome order and bucketed by
-party count, the carried indexes must equal a fresh build, and the
-output must come back equal from `validate`.
+party count, the working copy's indexes must equal a fresh build, and
+the output must come back equal from `validate`.
 
-The work of an application is counted, not timed: outcomes evaluated
-and `_arrivals` comparisons per application of `run_auto(expfam(k))`,
-and transition entries written per application of the eager demo, must
-not grow with k.
+The work of an application is counted, not timed: outcomes evaluated,
+`_arrivals` comparisons and d-shortcut candidates examined per
+application of `run_auto(expfam(k))`, and transition entries written per
+application of the eager demo, must not grow with k.
 """
 
 from __future__ import annotations
@@ -61,8 +62,9 @@ from negsum import (
     unconditionally_enables,
     validate,
 )
-from negsum import rules
+from negsum import rules, strategies
 from negsum.rules import Reducible, _useless_witness, dirty_outcomes
+from negsum.working import indexed, working_copy
 from negsum.strategies import ReductionTrace, run_exponential_demo
 
 from conftest import all_rule_applications
@@ -285,8 +287,9 @@ def test_validate_missing_path_messages_unchanged(break_it):
 
 
 def test_trace_keeps_no_index_of_superseded_diagrams():
-    """A trace holds every intermediate diagram; their indexes are freed
-    as the reduction moves past them, and rebuilt on demand."""
+    """A trace keeps no intermediate diagram: the ones it rebuilds from its
+    log are plain diagrams, and a guard asked about one builds what it
+    reads on a view that is dropped with it."""
     neg = generate_sound(3, 40, num_agents=3)
     trace = run_auto(neg)
     assert trace.total > 1
@@ -304,13 +307,12 @@ def test_trace_keeps_no_index_of_superseded_diagrams():
 # ---------------------------------------------------------------------------
 
 INDEXES = ("arcs_into", "arrivals", "commitments")
-# every index a reduction builds, so every rule output it records carries
+# every index a reduction builds on its working copy
 BUILT = (*INDEXES, "merge_groups", "sending")
 
 
 def check_output(app):
-    """The rule output is what `validate` makes of its parts, and every
-    index it carries equals a fresh build."""
+    """The rule output is what `validate` makes of its parts."""
     after = app.after
     rebuilt = validate(
         after.agents,
@@ -325,20 +327,42 @@ def check_output(app):
     assert rebuilt == after, app
     assert list(rebuilt.atoms) == list(after.atoms), app
     assert set(after.transformers) == set(after.outcomes()), app
-    carried = vars(after)
-    fresh = dataclasses.replace(after)  # same parts, no index built yet
+    assert set(app.changed) >= {app.site[0][0]}, app
+
+
+def check_indexes(work, after):
+    """The working diagram equals `after`, and every index it has built
+    equals a fresh build on `after`; returns the names of the attributes
+    it holds."""
+    for part in ("agents", "atoms", "initial", "final", "transition", "transformers"):
+        assert getattr(work, part) == getattr(after, part), part
+    assert list(work.atoms) == list(after.atoms)
+    carried = vars(work)
+    fresh = indexed(after)  # same tables, no index built yet
     for name in INDEXES:
         if name in carried:
-            assert carried[name] == getattr(fresh, name), (app, name)
-    # removing an atom shifts every later atom's bit: never carried
-    assert "marking_kernel" not in carried, app
+            assert carried[name] == getattr(fresh, name), name
     for atom, groups in carried.get("merge_groups", {}).items():
         for r in after.results(atom):
-            assert after.merge_group(atom, r) == fresh.merge_group(atom, r), (app, atom, r)
-        assert groups == fresh.merge_groups[atom], (app, atom)
+            assert work.merge_group(atom, r) == fresh.merge_group(atom, r), (atom, r)
+        assert groups == fresh.merge_groups[atom], atom
     for o, found in carried.get("sending", {}).items():
-        assert found == fresh.sends(o), (app, o)
-    assert set(app.changed) >= {app.site[0][0]}, app
+        assert found == fresh.sends(o), o
+    for o, found in carried.get("narrowed", {}).items():
+        assert found == fresh.d_candidates(o), o
+    return set(carried)
+
+
+def built_copy(neg):
+    """A working copy of `neg` with every index built."""
+    work = working_copy(neg)
+    for name in INDEXES:
+        getattr(work, name)
+    for o in work.outcomes():
+        work.merge_group(*o)
+        work.sends(o)
+        work.d_candidates(o)
+    return work
 
 
 def assert_maintained(maintained, after):
@@ -362,16 +386,17 @@ def assert_maintained(maintained, after):
 
 @pytest.fixture
 def checked_steps(monkeypatch):
-    """Check every application a strategy records, and the R(N) it
-    maintains after it; returns the list of (application, the names of
-    the indexes its output carried when checked)."""
+    """Check every application a strategy records, the indexes of its
+    working copy and the R(N) it maintains after it; returns the list of
+    (application, the names of the attributes the working copy held when
+    checked)."""
     checked = []
     real = ReductionTrace.record
 
     def record(self, app):
-        carried = set(vars(app.after))
-        check_output(app)
         out = real(self, app)
+        check_output(app)
+        carried = check_indexes(self.work, app.after)
         if self.reducible is not None:
             assert_maintained(self.reducible, app.after)
         checked.append((app, carried))
@@ -382,7 +407,8 @@ def checked_steps(monkeypatch):
 
 
 def test_carried_indexes_cover_what_the_strategies_read(checked_steps):
-    """The checks below compare carried indexes, so they must be there."""
+    """The checks below compare the working copy's indexes, so they must
+    be there."""
     trace = run_auto(load_fixture("running_multi"))
     assert checked_steps
     for _app, carried in checked_steps:
@@ -406,11 +432,16 @@ def test_maintained_reducible_outcomes_match_full_recomputation(case, checked_st
 
 
 def advance_and_compare(neg, app):
-    """R(N) of `neg`, advanced by `app`: it must equal a full
-    recomputation on the output."""
-    maintained = Reducible(neg)
+    """R(N) of a working copy of `neg` with every index built, advanced by
+    `app` made again on that copy: R(N) must equal a full recomputation on
+    the output, and every index a fresh build."""
+    work = built_copy(neg)
+    maintained = Reducible(work, is_acyclic(neg))
+    work.rewrite(*app.change.arguments())
     maintained.advance(app)
-    assert_maintained(maintained, app.after)
+    after = app.after
+    assert_maintained(maintained, after)
+    check_indexes(work, after)
     return maintained
 
 
@@ -472,7 +503,8 @@ def test_random_rule_sequences_on_cyclic_forked_diagrams():
     flips = 0
     for seed, neg in forked_cyclic_diagrams():
         rng = random.Random(seed)
-        maintained = Reducible(neg)
+        work = built_copy(neg)
+        maintained = Reducible(work, is_acyclic(neg))
         current = neg
         for _ in range(12):
             instances = all_rule_applications(current)
@@ -481,13 +513,16 @@ def test_random_rule_sequences_on_cyclic_forked_diagrams():
             kind, site, thunk = rng.choice(instances)
             app = thunk()
             check_output(app)
+            work.rewrite(*app.change.arguments())
             maintained.advance(app)
-            assert_maintained(maintained, app.after)
+            after = app.after
+            assert_maintained(maintained, after)
+            check_indexes(work, after)
             if maintained.forks:
-                assert maintained.acyclic == is_acyclic(app.after)
+                assert maintained.acyclic == is_acyclic(after)
             kinds.add(kind)
-            flips += is_acyclic(app.after) and not is_acyclic(current)
-            current = app.after
+            flips += is_acyclic(after) and not is_acyclic(current)
+            current = after
     assert len(forked_cyclic_diagrams()) >= 20
     assert "useless_arc" in kinds and flips
 
@@ -521,7 +556,7 @@ def test_far_removal_makes_a_cyclic_useless_arc_essential():
     assert not is_acyclic(neg)
     assert ("k", "s") in reducible_outcomes(neg)
     app = apply_useless_arc(neg, ("n0", "A", "r", "m"))
-    assert ("k", "s") not in dirty_outcomes(app)
+    assert ("k", "s") not in dirty_outcomes(app.after, app.change)
     assert ("k", "s") not in advance_and_compare(neg, app).outcomes
 
 
@@ -538,7 +573,7 @@ def test_second_to_last_arc_into_an_atom_stops_being_useless():
     })
     assert ("y", "r") in reducible_outcomes(neg)
     app = apply_useless_arc(neg, ("x", "A", "r", "t"))
-    assert ("y", "r") in dirty_outcomes(app)
+    assert ("y", "r") in dirty_outcomes(app.after, app.change)
     assert ("y", "r") not in advance_and_compare(neg, app).outcomes
 
 
@@ -568,30 +603,43 @@ def test_last_arc_into_a_three_party_atom_stops_being_useless():
     neg = validate(agents, atoms, "n0", "nf", transition)
     assert ("y", "r") in reducible_outcomes(neg)
     app = apply_useless_arc(neg, ("x", "A", "r", "t"))
-    assert ("y", "r") in dirty_outcomes(app)
+    assert ("y", "r") in dirty_outcomes(app.after, app.change)
     assert ("y", "r") not in advance_and_compare(neg, app).outcomes
 
 
 @pytest.mark.parametrize("strategy", ["initial", "alternating"])
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-def test_demo_applications_carry_exact_indexes(strategy, k, checked_steps):
+def test_demo_applications_carry_exact_indexes(strategy, k, checked_steps, monkeypatch):
     """The demo's applications, the eager strategy's on an initial atom of
-    up to 16 results included: every index built on the input is carried
-    through every application and equals a fresh build of the output."""
-    neg = expfam(k)
-    for name in INDEXES:
-        getattr(neg, name)
-    for o in neg.outcomes():
-        neg.merge_group(*o)
-        neg.sends(o)
-    built = set(BUILT)
-    assert built <= set(vars(neg))
-    trace = run_exponential_demo(neg, strategy)
+    up to 16 results included: every index built on the working copy
+    before the first application is kept up to date through every
+    application and equals a fresh build of the output."""
+    monkeypatch.setattr(strategies, "working_copy", built_copy)
+    built = {*BUILT, "narrowed"}
+    trace = run_exponential_demo(expfam(k), strategy)
     assert len(checked_steps) == trace.total
     for _app, carried in checked_steps:
         assert built <= carried
     if strategy == "initial" and k == 5:
         assert max(len(app.before.results("n0")) for app, _carried in checked_steps) == 16
+
+
+@pytest.mark.parametrize("reduce", ["run_auto", "alternating"])
+def test_many_party_outcomes_carry_exact_indexes(reduce, checked_steps, monkeypatch):
+    """On `expfam(12)` the initial atom's outcome has 12 parties and each
+    shortcut changes the targets of one, so the new outcome's `sends` and
+    d-shortcut candidates are derived from the old one's: every index must
+    still equal a fresh build after every application."""
+    monkeypatch.setattr(strategies, "working_copy", built_copy)
+    neg = expfam(12)
+    if reduce == "run_auto":
+        trace = run_auto(neg)
+    else:
+        trace = run_exponential_demo(neg, "alternating")
+    assert len(checked_steps) == trace.total
+    derived = [app for app, carried in checked_steps
+               if app.changed[0] == "n0" and "sending" in carried]
+    assert derived
 
 
 @pytest.mark.parametrize("k", [8, 16, 32, 64, 128])
@@ -658,3 +706,35 @@ def test_transition_writes_per_application_do_not_grow_with_results(k):
 
     base = per_application_and_party(3)
     assert per_application_and_party(k) <= 2 * base
+
+
+@pytest.mark.parametrize("k", [16, 32, 64, 128])
+def test_d_shortcut_candidates_examined_per_application_stay_flat(k, monkeypatch):
+    """A d-shortcut step looks only at the targets with at most one result
+    and the final atom, which the working diagram keeps per outcome. On
+    `expfam(k)` the initial atom's outcome, first in outcome order, has k
+    targets with two results each until their branch is reduced: none of
+    them is handed to the step, so the candidates per application do not
+    grow with k. Both candidate lists a shortcut step can read are
+    counted."""
+    examined = []
+
+    def counting(real):
+        def candidates(neg, outcome):
+            found = real(neg, outcome)
+            examined.append(len(found))
+            return found
+
+        return candidates
+
+    for name in ("shortcut_candidates", "d_shortcut_candidates"):
+        monkeypatch.setattr(strategies, name, counting(getattr(strategies, name)))
+
+    def per_application(k):
+        examined.clear()
+        trace = run_auto(expfam(k))
+        assert trace.counters["d_shortcut"]
+        return sum(examined) / trace.total
+
+    base = per_application(8)
+    assert 0 < per_application(k) <= 1.5 * base

@@ -23,8 +23,8 @@ def load(name):
 
 
 def rule_rate(m):
-    total, peak, ms = m.measure(2, run_auto)
-    assert total > 0 and peak >= 1 and ms >= 0
+    total, peak, ms, kb = m.measure(2, run_auto)
+    assert total > 0 and peak >= 1 and ms >= 0 and kb > 0
 
 
 def markings_rate(m):

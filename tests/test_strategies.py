@@ -447,7 +447,9 @@ def test_outcome_index_finds_a_cycle_at_the_end_of_a_long_chain():
 def test_a_selected_shortcut_evaluates_its_guard_once(monkeypatch, make):
     """The strategies establish a shortcut's guard while they select it,
     then rewrite without checking it again. Guard calls that keep R(N) up
-    to date (`rules._reducible_unmerged`) are not counted."""
+    to date (`rules._reducible_unmerged`) are not counted. The strategies
+    rewrite one working diagram, so a call is keyed by the number of
+    applications its log holds: the index of the application selected."""
     from negsum import rules, strategies
 
     calls: dict = {}
@@ -456,7 +458,7 @@ def test_a_selected_shortcut_evaluates_its_guard_once(monkeypatch, make):
 
     def counted(neg, outcome, n2):
         if not upkeep[0]:
-            site = (id(neg), outcome, n2)
+            site = (len(neg.log.changes), outcome, n2)
             calls[site] = calls.get(site, 0) + 1
         return guard(neg, outcome, n2)
 
@@ -474,4 +476,4 @@ def test_a_selected_shortcut_evaluates_its_guard_once(monkeypatch, make):
     shortcuts = [a for a in trace.applications if a.kind in ("shortcut", "d_shortcut")]
     assert shortcuts
     for app in shortcuts:
-        assert calls[(id(app.before), *app.site)] == 1, app
+        assert calls[(app.index, *app.site)] == 1, app

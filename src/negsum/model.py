@@ -76,7 +76,7 @@ class Change(NamedTuple):
     transformers: dict[str, TransformerExpr]
     # atom -> the arcs into it put in minus those taken out, and the
     # outcomes committing to it put in minus those taken out (an atom that
-    # lost and gained as many may map to 0)
+    # lost and gained as many is left out)
     arrivals: dict[str, int]
     commitments: dict[str, int]
     # for `undo`: the rewritten atom as it was, then the removed atom; the
@@ -465,26 +465,41 @@ def _forget_derived(neg: Negotiation) -> None:
         neg.__dict__.pop(name, None)
 
 
+def paired(
+    n: str, old: dict[Outcome, Targets], new: dict[Outcome, Targets]
+) -> Iterator[tuple]:
+    """The outcomes an application took out (`old`) and put in (`new`,
+    outcomes of `n`) as (outcome taken out, its target sets, outcome put
+    in, its target sets): each outcome put in is paired with the next
+    outcome of `n` taken out, in order, and the side of an unpaired one is
+    (None, None). A pair usually shares most target sets, as the same
+    objects, so counting or indexing a pair only where they differ costs
+    what the application changed."""
+    added = iter(new.items())
+    for o, before in old.items():
+        yield (o, before, *(next(added, (None, None)) if o[0] == n else (None, None)))
+    for o2, after in added:
+        yield None, None, o2, after
+
+
 def _count_change(
     n: str, old: dict[Outcome, Targets], new: dict[Outcome, Targets]
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Per atom, the arcs into it and the outcomes committing to it that an
     application taking out `old` and putting in `new` (outcomes of `n`)
-    adds, minus those it takes out; an atom may map to 0.
-
-    Each outcome put in is paired with an outcome of `n` taken out, in
-    order, and a pair is counted only at the parties whose target sets
-    differ, so an outcome that keeps most of its targets costs what it
-    changes. The rest are counted in full."""
+    adds, minus those it takes out, counted over the `paired` outcomes;
+    atoms where the two balance are left out."""
     arrivals: dict[str, int] = {}
     commitments: dict[str, int] = {}
     arrive, commit = arrivals.get, commitments.get
-    full: list[tuple[int, Targets]] = []
-    added = iter(new.values())
-    for (a, _r), before in old.items():
-        after = next(added, None) if a == n else None
-        if after is None:
-            full.append((-1, before))
+    for _o, before, _o2, after in paired(n, old, new):
+        if before is None or after is None:
+            side, targets = (1, after) if before is None else (-1, before)
+            for ts in targets:
+                for t in ts:
+                    arrivals[t] = arrive(t, 0) + side
+            for t in commit_targets(targets):
+                commitments[t] = commit(t, 0) + side
             continue
         lost: set[str] = set()
         gained: set[str] = set()
@@ -496,7 +511,7 @@ def _count_change(
             for t in y:
                 arrivals[t] = arrive(t, 0) + 1
             # a target set sent alone stops or starts a commitment unless
-            # the other outcome of the pair has it too
+            # the other outcome of the pair sends one party there alone too
             if len(x) == 1 and x not in after:
                 lost |= x
             if len(y) == 1 and y not in before:
@@ -504,14 +519,10 @@ def _count_change(
         for side, atoms in ((-1, lost), (1, gained)):
             for t in atoms:
                 commitments[t] = commit(t, 0) + side
-    full += [(1, targets) for targets in added]
-    for side, targets in full:
-        for ts in targets:
-            for t in ts:
-                arrivals[t] = arrive(t, 0) + side
-        for t in commit_targets(targets):
-            commitments[t] = commit(t, 0) + side
-    return arrivals, commitments
+    return (
+        {t: d for t, d in arrivals.items() if d},
+        {t: d for t, d in commitments.items() if d},
+    )
 
 
 def commit_targets(targets: Iterable[frozenset[str]]) -> set[str]:

@@ -150,10 +150,7 @@ def uniform_target(neg: Negotiation, outcome: Outcome) -> Optional[str]:
 
 def shortcut_guard(neg: Negotiation, outcome: Outcome, n2: str) -> GuardReport:
     """The shortcut rule's guard, with the failing bullet named."""
-    return _shortcut_guard(indexed(neg), outcome, n2)
-
-
-def _shortcut_guard(neg: Indexed, outcome: Outcome, n2: str) -> GuardReport:
+    neg = indexed(neg)
     n, r = outcome
     site = (outcome, n2)
     if n2 == n:
@@ -460,14 +457,10 @@ def apply_d_shortcut(neg: Negotiation, outcome: Outcome, n2: str) -> RuleApplica
 
 def merge_partner(neg: Negotiation, outcome: Outcome) -> Optional[str]:
     """The first result (declaration order) mergeable with the outcome."""
-    return _merge_partner(indexed(neg), outcome)
-
-
-def _merge_partner(neg: Indexed, outcome: Outcome) -> Optional[str]:
     n, r = outcome
     if n == neg.final:
         return None
-    group = neg.merge_group(n, r)
+    group = indexed(neg).merge_group(n, r)
     if len(group) == 1:
         return None
     return group[1] if group[0] == r else group[0]
@@ -532,7 +525,7 @@ def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool) -> bool:
     return (
         iteration_applicable(neg, outcome)
         or any(
-            _shortcut_guard(neg, outcome, n2).holds
+            shortcut_guard(neg, outcome, n2).holds
             for n2 in neg.sends(outcome).others
         )
         or any(
@@ -735,7 +728,7 @@ class Reducible:
 
     def _evaluate(self, o: Outcome) -> None:
         neg = self.neg
-        mergeable = _merge_partner(neg, o) is not None
+        mergeable = merge_partner(neg, o) is not None
         reducible = mergeable or _reducible_unmerged(neg, o, self.acyclic)
         for members, holds in ((self.outcomes, reducible), (self.mergeable, mergeable)):
             if holds:

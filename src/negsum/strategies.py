@@ -152,7 +152,8 @@ class ReductionTrace:
 
     def diagram(self, applications: int) -> Negotiation:
         """The diagram after the first `applications` applications,
-        rebuilt from the log (`trace.initial` itself for 0)."""
+        rebuilt from the log (`trace.initial` itself for 0). The log keeps
+        the last diagram it rebuilt (`working.Log`)."""
         return self.log.diagram(applications)
 
     @property

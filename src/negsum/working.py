@@ -14,7 +14,7 @@ them by replaying them from the diagram copied.
 
 from __future__ import annotations
 
-from bisect import bisect, insort
+from bisect import bisect
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -26,6 +26,7 @@ from .model import (
     Outcome,
     Targets,
     commit_targets,
+    paired,
     redo,
     undo,
 )
@@ -37,7 +38,9 @@ class Log:
     `initial`, in order. `diagram(i)` rebuilds the diagram after the first
     `i` of them on a replay copy of its own, which it moves forward by
     `model.redo` and back by `model.undo`, so visiting the diagrams in
-    order costs one replay of the log."""
+    order costs one replay of the log. The replay copy stays with the log
+    between calls: once any diagram has been rebuilt, the log holds one
+    diagram besides its changes, the last one rebuilt."""
 
     def __init__(self, initial: Negotiation):
         self.initial = initial
@@ -251,61 +254,40 @@ class Indexed(Negotiation):
         return change
 
     def _update(self, change: Change) -> None:
-        """Update each index built so far from `change` alone.
-
-        Each outcome put in is paired with an outcome of the rewritten atom
-        taken out, in order, as `model.rewrite` counts them. Where the two
-        send a party to the same target set, the arcs into it only change
-        outcome. Where they differ at under an eighth of more than eight
-        parties, the new outcome's `sends` and d-shortcut candidates follow
-        from the old one's and those parties."""
+        """Update each index built so far from `change` alone. The outcomes
+        taken out leave it and those put in join it, over the
+        `model.paired` outcomes: where the two outcomes of a pair send a
+        party to the same target sets, the arcs into them only change
+        outcome."""
         built = self.__dict__
         spec, old, new = change.spec, change.removed, change.added
-        n, parties = spec.id, spec.parties
+        n = spec.id
         into = built.get("arcs_into")
-        sending = built.get("sending")
-        narrowed = built.get("narrowed")  # holds only outcomes `sending` holds
-        shifted: dict[Outcome, tuple] = {}
-        # deriving `sends` costs about as much per differing party as
-        # computing it afresh costs for eight
-        derive = sending is not None and len(parties) > 8
-        added = iter(new.items())
-        for o, before in old.items() if into is not None or derive else ():
-            o2, after = next(added, (None, None)) if o[0] == n else (None, None)
+        for o, before, o2, after in paired(n, old, new) if into is not None else ():
             if o2 is None:
-                if into is not None:
-                    its = parties if o[0] == n else change.old_specs[1].parties
-                    for p, x in zip(its, before):
-                        _unlink(into, o, p, x)
-                continue
-            differ = []
-            for p, x, y in zip(parties, before, after):
-                if x is not y:
-                    differ.append((x, y))
-                    if into is not None:
+                its = change.old_specs[0] if o[0] == n else change.old_specs[1]
+                for p, ts in zip(its.parties, before):
+                    _unlink(into, o, p, ts)
+            elif o is None:
+                for p, ts in zip(spec.parties, after):
+                    _link(into, o2, p, ts)
+            else:
+                for p, x, y in zip(spec.parties, before, after):
+                    if x is not y:
                         _unlink(into, o, p, x)
                         _link(into, o2, p, y)
-                elif into is not None and o != o2:
-                    for t in x:
-                        outs = into[(t, p)]
-                        outs.discard(o)
-                        outs.add(o2)
-            if derive and o in sending and 8 * len(differ) < len(parties):
-                candidates = narrowed.get(o) if narrowed is not None else None
-                rank = self._atom_order.__getitem__
-                shifted[o2] = (*_shift(sending[o], n, differ, rank), candidates)
-        if into is not None:
-            for o2, after in added:
-                for p, y in zip(parties, after):
-                    _link(into, o2, p, y)
+                    elif o != o2:
+                        for t in x:
+                            outs = into[(t, p)]
+                            outs.discard(o)
+                            outs.add(o2)
         for name, delta in (("arrivals", change.arrivals), ("commitments", change.commitments)):
             counts = built.get(name)
             if counts is not None:
                 for t, d in delta.items():
-                    if d:
-                        counts[t] = counts.get(t, 0) + d
-                        if not counts[t]:
-                            del counts[t]
+                    counts[t] = counts.get(t, 0) + d
+                    if not counts[t]:
+                        del counts[t]
         groups = built.get("merge_groups")
         if groups is not None:
             groups.pop(change.removed_atom, None)
@@ -325,62 +307,19 @@ class Indexed(Negotiation):
                     group = members.get(key, ())
                     i = bisect(group, position(r), key=position)
                     members[key] = group[:i] + (r,) + group[i:]
-        for cache in (sending, narrowed):
+        narrowed = built.get("narrowed")  # holds only outcomes `sending` holds
+        for cache in (built.get("sending"), narrowed):
             if cache is not None:
                 for o in old:
                     cache.pop(o, None)
-        for o2, (found, gone, came, candidates) in shifted.items():
-            sending[o2] = found
-            if candidates is not None:
-                narrowed[o2] = self._shift_candidates(candidates, gone, came)
         if narrowed is not None:
             # the rewritten atom may start or stop being a d-shortcut target
             # of the outcomes sending to it: they look again when asked
             was = n == change.final or len(change.old_specs[0].results) <= 1
             if was != (n == self.final or len(spec.results) <= 1):
-                for q in parties:
+                for q in spec.parties:
                     for o in self.arcs_into.get((n, q), ()):
                         narrowed.pop(o, None)
-
-    def _shift_candidates(self, found: list[str], gone: set[str], came: set[str]) -> list[str]:
-        """The d-shortcut candidates `found` of an outcome, after its
-        shortcut candidates lost the atoms `gone` and gained `came`."""
-        if gone:
-            found = [t for t in found if t not in gone]
-        atoms, final = self.atoms, self.final
-        for t in came:
-            if t == final or len(atoms[t].results) <= 1:
-                insort(found, t, key=self.atom_index)
-        return found
-
-
-def _shift(found: Sends, n: str, differ: list, rank) -> tuple[Sends, set[str], set[str]]:
-    """Where an outcome of `n` sends its parties, from where its partner
-    sends them (`found`, which is dropped: its counts are updated in place)
-    and the (old, new) target sets of the parties where the two differ;
-    with the atoms its shortcut candidates lose and gain."""
-    alone, arcs = found.alone, found.arcs
-    if arcs is alone and any(len(y) > 1 for _x, y in differ):
-        arcs = dict(alone)  # a fork: the counts part
-    for side, i in ((-1, 0), (1, 1)):
-        for entry in differ:
-            ts = entry[i]
-            for counts in ((alone,) if len(ts) == 1 else ()) + (() if arcs is alone else (arcs,)):
-                for t in ts:
-                    left = counts.get(t, 0) + side
-                    if left:
-                        counts[t] = left
-                    else:
-                        del counts[t]
-    gone = {t for x, _y in differ for t in x if t != n and t not in arcs}
-    came = {t for _x, y in differ for t in y if t != n and t not in found.others}
-    others = found.others
-    if gone or came:
-        kept = [t for t in others if t not in gone]
-        for t in came:
-            insort(kept, t, key=rank)
-        others = tuple(kept)
-    return Sends(others, arcs, alone), gone, came
 
 
 def _unlink(into: dict, o: Outcome, p: str, targets: frozenset[str]) -> None:

@@ -140,12 +140,17 @@ def test_visiting_the_diagrams_in_order_costs_one_replay(k, monkeypatch):
     assert afters[-1] == trace.final
 
 
-def trace_kb_per_application(k):
+def trace_kb_per_application(k, walk=0.0):
+    """KB held per application by the trace of `run_auto(expfam(k))`, and
+    in all, after visiting `.after` of the first `walk` share of its
+    applications in order."""
     neg = expfam(k)
     gc.collect()
     tracemalloc.start()
     try:
         trace = run_auto(neg)
+        for app in trace.applications[: round(walk * trace.total)]:
+            app.after
         gc.collect()
         held = tracemalloc.get_traced_memory()[0]
     finally:
@@ -153,13 +158,17 @@ def trace_kb_per_application(k):
     return held / 1024 / trace.total, held
 
 
+@pytest.mark.parametrize("walk", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("k", [32, 128])
-def test_trace_memory_per_application_stays_flat(k):
+def test_trace_memory_per_application_stays_flat(k, walk):
     """A trace keeps each application's change, not the diagram it made:
     the memory it holds per application stays flat from k = 8, and the
-    769 applications of `run_auto(expfam(128))` hold under 5 MB."""
-    base, _held = trace_kb_per_application(8)
-    per_application, held = trace_kb_per_application(k)
+    769 applications of `run_auto(expfam(128))` hold under 5 MB. Visiting
+    `.after` leaves the log one diagram, the last one rebuilt, which
+    keeps it within both bounds, whether the walk stops halfway or at the
+    end."""
+    base, _held = trace_kb_per_application(8, walk)
+    per_application, held = trace_kb_per_application(k, walk)
     assert per_application <= 1.5 * base
     assert held < 5 * 2**20
 

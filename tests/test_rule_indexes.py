@@ -627,9 +627,9 @@ def test_demo_applications_carry_exact_indexes(strategy, k, checked_steps, monke
 @pytest.mark.parametrize("reduce", ["run_auto", "alternating"])
 def test_many_party_outcomes_carry_exact_indexes(reduce, checked_steps, monkeypatch):
     """On `expfam(12)` the initial atom's outcome has 12 parties and each
-    shortcut changes the targets of one, so the new outcome's `sends` and
-    d-shortcut candidates are derived from the old one's: every index must
-    still equal a fresh build after every application."""
+    shortcut changes the targets of one: every index, the `sends` of the
+    initial atom's new outcomes included, must still equal a fresh build
+    after every application."""
     monkeypatch.setattr(strategies, "working_copy", built_copy)
     neg = expfam(12)
     if reduce == "run_auto":
@@ -637,9 +637,9 @@ def test_many_party_outcomes_carry_exact_indexes(reduce, checked_steps, monkeypa
     else:
         trace = run_exponential_demo(neg, "alternating")
     assert len(checked_steps) == trace.total
-    derived = [app for app, carried in checked_steps
-               if app.changed[0] == "n0" and "sending" in carried]
-    assert derived
+    at_initial = [app for app, carried in checked_steps
+                  if app.changed[0] == "n0" and "sending" in carried]
+    assert at_initial
 
 
 @pytest.mark.parametrize("k", [8, 16, 32, 64, 128])

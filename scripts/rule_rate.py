@@ -18,6 +18,13 @@ a small diagram is timed over as much work as a large one. The memory is
 what `tracemalloc` counts as still allocated, after a collection, from
 one more call that keeps its trace. A per-application cost that stays
 flat as k grows means an application costs its site, not the diagram.
+
+Last it prints the time per application of `run_auto(expfam(128))` over
+that of `run_auto(expfam(8))`, timed in interleaved rounds: each round
+times k = 8, k = 128 and k = 8 again, back to back, and divides the time
+at k = 128 by the mean of its two neighbours; the ratio is the median
+over the rounds. On a shared host a slow spell then lands on both sides
+of one round's ratio instead of on one point of the table alone.
 Standard library only; negsum is loaded from the `src/` directory next to
 this script.
 """
@@ -40,6 +47,8 @@ from negsum.strategies import run_exponential_demo  # noqa: E402
 REPEATS = 3
 MIN_APPLICATIONS = 2000  # each point times at least this many applications
 AUTO_KS = (8, 16, 32, 64, 128)
+RATIO_KS = (8, 128)  # the points of the interleaved ratio
+ROUNDS = 7
 DEMO_KS = (3, 4, 5, 6)
 
 
@@ -71,9 +80,9 @@ def held_kb(k: int, reduce) -> float:
     return held / 1024
 
 
-def measure(k: int, reduce) -> tuple[int, int, float, float]:
-    """(applications, peak results on the initial atom, median CPU ms per
-    application, KB of trace per application) of `reduce(expfam(k))`."""
+def per_application(k: int, reduce) -> tuple[float, object]:
+    """(median CPU ms per application, the last call's trace) of
+    `reduce(expfam(k))`."""
     times = []
     calls = REPEATS
     while len(times) < calls:
@@ -84,10 +93,27 @@ def measure(k: int, reduce) -> tuple[int, int, float, float]:
         times.append(time.process_time() - t0)
         total = trace.total
         calls = max(REPEATS, math.ceil(MIN_APPLICATIONS / total))
-    peak = peak_initial_results(trace)
-    del trace, neg
-    ms = 1000 * statistics.median(times) / total
+    return 1000 * statistics.median(times) / total, trace
+
+
+def measure(k: int, reduce) -> tuple[int, int, float, float]:
+    """(applications, peak results on the initial atom, median CPU ms per
+    application, KB of trace per application) of `reduce(expfam(k))`."""
+    ms, trace = per_application(k, reduce)
+    total, peak = trace.total, peak_initial_results(trace)
+    del trace
     return total, peak, ms, held_kb(k, reduce) / total
+
+
+def interleaved_ratio(small: int, large: int) -> float:
+    """The median over `ROUNDS` rounds of the CPU time per application of
+    `run_auto(expfam(large))` over the mean of that of
+    `run_auto(expfam(small))` timed just before and just after it."""
+    ratios = []
+    for _ in range(ROUNDS):
+        ms = [per_application(k, run_auto)[0] for k in (small, large, small)]
+        ratios.append(2 * ms[1] / (ms[0] + ms[2]))
+    return statistics.median(ratios)
 
 
 def main() -> int:
@@ -101,6 +127,11 @@ def main() -> int:
             f"{name} expfam({k}): applications {total} peak_initial_results {peak} "
             f"ms_per_application {ms:.4f} trace_kb_per_application {kb:.2f}"
         )
+    small, large = RATIO_KS
+    print(
+        f"run_auto expfam({large}) over expfam({small}), {ROUNDS} interleaved rounds: "
+        f"ms_per_application_ratio {interleaved_ratio(small, large):.2f}"
+    )
     return 0
 
 

@@ -419,7 +419,7 @@ def rewrite(
     if removed == final:
         neg.final = n
     _forget_derived(neg)
-    arrivals, commitments = _count_change(n, old, new)
+    arrivals, commitments = _count_change(old, new)
     return Change(
         spec, dropped, removed, old, new, transformers, arrivals, commitments,
         old_specs, replaced, final,
@@ -465,60 +465,21 @@ def _forget_derived(neg: Negotiation) -> None:
         neg.__dict__.pop(name, None)
 
 
-def paired(
-    n: str, old: dict[Outcome, Targets], new: dict[Outcome, Targets]
-) -> Iterator[tuple]:
-    """The outcomes an application took out (`old`) and put in (`new`,
-    outcomes of `n`) as (outcome taken out, its target sets, outcome put
-    in, its target sets): each outcome put in is paired with the next
-    outcome of `n` taken out, in order, and the side of an unpaired one is
-    (None, None). A pair usually shares most target sets, as the same
-    objects, so counting or indexing a pair only where they differ costs
-    what the application changed."""
-    added = iter(new.items())
-    for o, before in old.items():
-        yield (o, before, *(next(added, (None, None)) if o[0] == n else (None, None)))
-    for o2, after in added:
-        yield None, None, o2, after
-
-
 def _count_change(
-    n: str, old: dict[Outcome, Targets], new: dict[Outcome, Targets]
+    old: dict[Outcome, Targets], new: dict[Outcome, Targets]
 ) -> tuple[dict[str, int], dict[str, int]]:
     """Per atom, the arcs into it and the outcomes committing to it that an
-    application taking out `old` and putting in `new` (outcomes of `n`)
-    adds, minus those it takes out, counted over the `paired` outcomes;
-    atoms where the two balance are left out."""
+    application putting in `new` adds, minus those it takes out with
+    `old`; atoms where the two balance are left out."""
     arrivals: dict[str, int] = {}
     commitments: dict[str, int] = {}
-    arrive, commit = arrivals.get, commitments.get
-    for _o, before, _o2, after in paired(n, old, new):
-        if before is None or after is None:
-            side, targets = (1, after) if before is None else (-1, before)
+    for side, outcomes in ((-1, old), (1, new)):
+        for targets in outcomes.values():
             for ts in targets:
                 for t in ts:
-                    arrivals[t] = arrive(t, 0) + side
+                    arrivals[t] = arrivals.get(t, 0) + side
             for t in commit_targets(targets):
-                commitments[t] = commit(t, 0) + side
-            continue
-        lost: set[str] = set()
-        gained: set[str] = set()
-        for x, y in zip(before, after):
-            if x is y:
-                continue
-            for t in x:
-                arrivals[t] = arrive(t, 0) - 1
-            for t in y:
-                arrivals[t] = arrive(t, 0) + 1
-            # a target set sent alone stops or starts a commitment unless
-            # the other outcome of the pair sends one party there alone too
-            if len(x) == 1 and x not in after:
-                lost |= x
-            if len(y) == 1 and y not in before:
-                gained |= y
-        for side, atoms in ((-1, lost), (1, gained)):
-            for t in atoms:
-                commitments[t] = commit(t, 0) + side
+                commitments[t] = commitments.get(t, 0) + side
     return (
         {t: d for t, d in arrivals.items() if d},
         {t: d for t, d in commitments.items() if d},

@@ -198,6 +198,19 @@ def _replace(results: tuple[str, ...], r: str, new: tuple[str, ...] = ()) -> tup
     return results[:i] + new + results[i + 1 :]
 
 
+def _known(neg: Negotiation, outcome: Outcome, *atoms: str) -> AtomSpec:
+    """The atom of `outcome`; `GuardFailed` names its atom or result, or an
+    atom of `atoms`, if `neg` has no such one."""
+    n, r = outcome
+    for a in (n, *atoms):
+        if a not in neg.atoms:
+            raise GuardFailed(f"unknown atom {a!r}")
+    spec = neg.atoms[n]
+    if r not in spec.results:
+        raise GuardFailed(f"unknown result {r!r} on atom {n!r}")
+    return spec
+
+
 def _rewritten(
     neg: Indexed,
     kind: str,
@@ -239,9 +252,8 @@ def merge_step(neg: Indexed, o1: Outcome, o2: Outcome) -> RuleApplication:
         raise GuardFailed("merge may not be applied to the final atom")
     if r1 == r2:
         raise GuardFailed("merge needs two distinct results")
-    spec = neg.atoms[n1]
-    if r1 not in spec.results or r2 not in spec.results:
-        raise GuardFailed(f"unknown result on atom {n1!r}")
+    spec = _known(neg, o1)
+    _known(neg, o2)
     targets = tuple(neg.targets(n1, p, r1) for p in spec.parties)
     if targets != tuple(neg.targets(n1, p, r2) for p in spec.parties):
         raise GuardFailed("the two results have different transition functions")
@@ -268,9 +280,7 @@ def apply_iteration(neg: Negotiation, outcome: Outcome) -> RuleApplication:
 def iteration_step(neg: Indexed, outcome: Outcome) -> RuleApplication:
     """The iteration rule on the working diagram `neg`, in place."""
     n, r = outcome
-    spec = neg.atoms[n]
-    if r not in spec.results:
-        raise GuardFailed(f"unknown result on atom {n!r}")
+    spec = _known(neg, outcome)
     if any(neg.targets(n, p, r) != frozenset([n]) for p in spec.parties):
         raise GuardFailed("the outcome is not a self-loop for every party")
 
@@ -383,6 +393,7 @@ def guarded_shortcut_step(
 ) -> RuleApplication:
     """The shortcut rule on the working diagram `neg`, in place, after its
     guard; `GuardFailed` names the failing bullet."""
+    _known(neg, outcome, n2)
     report = shortcut_guard(neg, outcome, n2)
     if not report.holds:
         raise GuardFailed(f"shortcut guard failed at {report.site}: {report.detail}")
@@ -509,18 +520,9 @@ def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] 
     return arcs
 
 
-def is_reducible(neg: Negotiation, outcome: Outcome, acyclic: bool) -> bool:
-    """Whether the outcome is in R(N): it has a merge partner, admits the
-    iteration or shortcut rule, or has a useless arc. `acyclic` is whether
-    the diagram is, which the useless-arc guard reads."""
-    neg = indexed(neg)
-    return merge_partner(neg, outcome) is not None or _reducible_unmerged(
-        neg, outcome, acyclic
-    )
-
-
 def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool) -> bool:
-    """`is_reducible` by the rules other than merge."""
+    """Whether iteration, shortcut or useless arc puts the outcome in R(N);
+    `acyclic` is whether the diagram is, which the useless-arc guard reads."""
     n, r = outcome
     return (
         iteration_applicable(neg, outcome)
@@ -537,10 +539,8 @@ def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool) -> bool:
 
 
 def reducible_outcomes(neg: Negotiation) -> set[Outcome]:
-    """R(N), evaluated on every outcome."""
-    neg = indexed(neg)
-    acyclic = is_acyclic(neg)
-    return {o for o in neg.outcomes() if is_reducible(neg, o, acyclic)}
+    """R(N), evaluated on every outcome (`Reducible`)."""
+    return set(Reducible(indexed(neg), is_acyclic(neg)).outcomes)
 
 
 def _arrivals(neg: Indexed, t: str, arcs: int = 0, commits: int = 0) -> tuple:
@@ -569,8 +569,8 @@ def dirty_outcomes(neg: Negotiation, change: Change) -> set[Outcome]:
 
     Every other outcome keeps its own transitions, its merge partners,
     whether it is its atom's only result, and what the guards read of the
-    arcs into its targets, which is all `is_reducible` reads of it, except
-    for the useless-arc guard on a cyclic diagram (see `Reducible`).
+    arcs into its targets, which is all `Reducible` reads of it, except for
+    the useless-arc guard on a cyclic diagram.
     `_arrivals` is compared only at an atom that gains or loses arcs, or
     outcomes committing to it. What the diagram was before comes from the
     change: the site atom's old results and the old final atom."""

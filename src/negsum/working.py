@@ -26,7 +26,6 @@ from .model import (
     Outcome,
     Targets,
     commit_targets,
-    paired,
     redo,
     undo,
 )
@@ -50,7 +49,10 @@ class Log:
 
     def diagram(self, i: int) -> Negotiation:
         """The diagram after the first `i` changes: `initial` itself for 0,
-        else a new diagram with tables of its own."""
+        else a new diagram with tables of its own; `IndexError` unless `i`
+        is in 0..len(changes)."""
+        if not 0 <= i <= len(self.changes):
+            raise IndexError(f"no diagram after {i} changes: 0..{len(self.changes)}")
         if i == 0:
             return self.initial
         replay = self._replay
@@ -254,33 +256,24 @@ class Indexed(Negotiation):
         return change
 
     def _update(self, change: Change) -> None:
-        """Update each index built so far from `change` alone. The outcomes
-        taken out leave it and those put in join it, over the
-        `model.paired` outcomes: where the two outcomes of a pair send a
-        party to the same target sets, the arcs into them only change
-        outcome."""
+        """Update each index built so far from `change` alone: the outcomes
+        taken out leave it and those put in join it."""
         built = self.__dict__
         spec, old, new = change.spec, change.removed, change.added
         n = spec.id
         into = built.get("arcs_into")
-        for o, before, o2, after in paired(n, old, new) if into is not None else ():
-            if o2 is None:
+        if into is not None:
+            for o, targets in old.items():
                 its = change.old_specs[0] if o[0] == n else change.old_specs[1]
-                for p, ts in zip(its.parties, before):
-                    _unlink(into, o, p, ts)
-            elif o is None:
-                for p, ts in zip(spec.parties, after):
-                    _link(into, o2, p, ts)
-            else:
-                for p, x, y in zip(spec.parties, before, after):
-                    if x is not y:
-                        _unlink(into, o, p, x)
-                        _link(into, o2, p, y)
-                    elif o != o2:
-                        for t in x:
-                            outs = into[(t, p)]
-                            outs.discard(o)
-                            outs.add(o2)
+                for p, ts in zip(its.parties, targets):
+                    for t in ts:
+                        outs = into[(t, p)]
+                        outs.discard(o)
+                        if not outs:
+                            del into[(t, p)]
+            for o, targets in new.items():
+                for p, ts in zip(spec.parties, targets):
+                    _link(into, o, p, ts)
         for name, delta in (("arrivals", change.arrivals), ("commitments", change.commitments)):
             counts = built.get(name)
             if counts is not None:
@@ -320,15 +313,6 @@ class Indexed(Negotiation):
                 for q in spec.parties:
                     for o in self.arcs_into.get((n, q), ()):
                         narrowed.pop(o, None)
-
-
-def _unlink(into: dict, o: Outcome, p: str, targets: frozenset[str]) -> None:
-    """Take the arcs of party `p` from `o` into `targets` out of `into`."""
-    for t in targets:
-        outs = into[(t, p)]
-        outs.discard(o)
-        if not outs:
-            del into[(t, p)]
 
 
 def _link(into: dict, o: Outcome, p: str, targets: frozenset[str]) -> None:

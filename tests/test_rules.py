@@ -146,6 +146,35 @@ def test_merge_guard_failures():
         apply_merge(two_final, ("n0", "a"), ("n0", "b"))
 
 
+UNKNOWN_SITES = [
+    (apply_merge, (("zz", "yes"), ("zz", "no"))),
+    (apply_merge, (("n1", "yes"), ("n1", "zz"))),
+    (apply_iteration, (("zz", "yes"),)),
+    (apply_iteration, (("n1", "zz"),)),
+    *[
+        (apply, site)
+        for apply in (apply_shortcut, apply_d_shortcut)
+        for site in ((("zz", "st"), "n1"), (("n0", "zz"), "n1"), (("n0", "st"), "zz"))
+    ],
+    *[
+        (apply_useless_arc, (arc,))
+        for arc in (
+            ("zz", "M", "st", "n2"),
+            ("n0", "zz", "st", "n2"),
+            ("n0", "M", "zz", "n2"),
+            ("n0", "M", "st", "zz"),
+        )
+    ],
+]
+
+
+@pytest.mark.parametrize("apply, site", UNKNOWN_SITES)
+def test_an_unknown_site_fails_the_guard_naming_it(apply, site):
+    """Every `apply_*` names an atom, result or arc its input lacks."""
+    with pytest.raises(GuardFailed, match="zz"):
+        apply(load_fixture("fdm_acyclic"), *site)
+
+
 # ---------------------------------------------------------------------------
 # iteration
 # ---------------------------------------------------------------------------

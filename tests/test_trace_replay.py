@@ -83,6 +83,20 @@ def test_replayed_diagrams_are_unchanged(case):
     assert digest(case_text(build_cases()[case])) == expected()[case]
 
 
+def test_a_rejected_index_leaves_the_trace_replayable():
+    case = "fixture:fdm_acyclic"
+    neg = build_cases()[case]
+    trace = run_auto(neg)
+    trace.applications[-1].after  # the replay copy stands at the last change
+    for bad in (-1, trace.total + 1):
+        with pytest.raises(IndexError, match=rf"0\.\.{trace.total}"):
+            trace.diagram(bad)
+    text = walk_text(trace)
+    if classify(neg).deterministic:
+        text += "general\n" + walk_text(run_general(neg))
+    assert digest(text) == expected()[case]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: test_trace_replay.py --record")

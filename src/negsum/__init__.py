@@ -43,7 +43,6 @@ from .semantics import (
     initial_marking,
     make_marking,
     reachability,
-    start_marking,
     step,
     successors,
 )
@@ -83,9 +82,7 @@ from .rules import (
     uniform,
 )
 from .strategies import (
-    OutcomeOrder,
     ReductionTrace,
-    declaration_order,
     index,
     outcome_index,
     run_acyclic,

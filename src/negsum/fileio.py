@@ -338,8 +338,3 @@ def export_dot(obj) -> str:
     if isinstance(obj, ReachabilityGraph):
         return reachability_dot(obj)
     raise TypeError(f"cannot export {type(obj).__name__} to DOT")
-
-
-def roundtrip_stable(neg: Negotiation) -> bool:
-    """parse . serialize is the identity on canonical content."""
-    return to_dict(loads(dumps(neg))) == to_dict(neg)

@@ -145,13 +145,15 @@ def generate_sound(
     return neg
 
 
-def mutate_unsound(
-    neg: Negotiation, rng: random.Random, attempts: int = 60
-) -> Optional[Negotiation]:
+MUTATE_ATTEMPTS = 60  # the most mutants `mutate_unsound` tries
+
+
+def mutate_unsound(neg: Negotiation, rng: random.Random) -> Optional[Negotiation]:
     """A well-formed but unsound variant of a sound input, produced by
     deleting a result (or, failing that, retargeting one arc); mutants are
     screened with the state-space oracle. Preserves determinism and
-    acyclicity. Returns None when no attempt works."""
+    acyclicity. Returns None when none of `MUTATE_ATTEMPTS` attempts
+    works."""
     was_acyclic = classify(neg).acyclic
     deletable = [
         (n, r)
@@ -165,7 +167,7 @@ def mutate_unsound(
         if n != neg.final
         for t in targets
     ]
-    for _ in range(attempts):
+    for _ in range(MUTATE_ATTEMPTS):
         mutant = None
         if deletable and (not retargets or rng.random() < 0.7):
             n, r = rng.choice(deletable)

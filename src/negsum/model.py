@@ -327,6 +327,9 @@ def validate(
             and not rel.is_left_total(states)
         ):
             violations.append(f"relation for {(aid, r)} is not left-total")
+    for aid, r in transformers or {}:
+        if aid not in atom_map or r not in atom_map[aid].results:
+            violations.append(f"transformer for {(aid, r)}: the outcome does not exist")
 
     if violations:
         raise ValidationError(violations)

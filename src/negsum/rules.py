@@ -380,24 +380,23 @@ def useless_arc_step(neg: Indexed, arc) -> RuleApplication:
     )
 
 
-def apply_shortcut(
-    neg: Negotiation, outcome: Outcome, n2: str, d_restricted: bool = False
-) -> RuleApplication:
+def apply_shortcut(neg: Negotiation, outcome: Outcome, n2: str) -> RuleApplication:
     """Shortcut `outcome` with the atom `n2`, on a copy of `neg`
     (`guarded_shortcut_step`)."""
-    return guarded_shortcut_step(working_copy(neg), outcome, n2, d_restricted)
+    return guarded_shortcut_step(working_copy(neg), outcome, n2, "shortcut")
 
 
 def guarded_shortcut_step(
-    neg: Indexed, outcome: Outcome, n2: str, d_restricted: bool = False
+    neg: Indexed, outcome: Outcome, n2: str, kind: str
 ) -> RuleApplication:
-    """The shortcut rule on the working diagram `neg`, in place, after its
-    guard; `GuardFailed` names the failing bullet."""
+    """The shortcut rule of `kind` ("shortcut" or "d_shortcut") on the
+    working diagram `neg`, in place, after its guard; `GuardFailed` names
+    the failing bullet."""
     _known(neg, outcome, n2)
     report = shortcut_guard(neg, outcome, n2)
     if not report.holds:
         raise GuardFailed(f"shortcut guard failed at {report.site}: {report.detail}")
-    if d_restricted and n2 != neg.final and len(neg.results(n2)) > 1:
+    if kind == "d_shortcut" and n2 != neg.final and len(neg.results(n2)) > 1:
         # multi-result targets blow up the result count mid-reduction; the
         # terminal collapse into the final atom cannot cascade, so it stays
         # d-eligible whatever the number of final results
@@ -405,7 +404,7 @@ def guarded_shortcut_step(
             f"d-shortcut requires the target to have at most one result; "
             f"{n2!r} has {len(neg.results(n2))}"
         )
-    return shortcut_step(neg, outcome, n2, "d_shortcut" if d_restricted else "shortcut")
+    return shortcut_step(neg, outcome, n2, kind)
 
 
 def shortcut_step(neg: Indexed, outcome: Outcome, n2: str, kind: str) -> RuleApplication:
@@ -459,7 +458,7 @@ def shortcut_step(neg: Indexed, outcome: Outcome, n2: str, kind: str) -> RuleApp
 
 
 def apply_d_shortcut(neg: Negotiation, outcome: Outcome, n2: str) -> RuleApplication:
-    return apply_shortcut(neg, outcome, n2, d_restricted=True)
+    return guarded_shortcut_step(working_copy(neg), outcome, n2, "d_shortcut")
 
 
 # ---------------------------------------------------------------------------

@@ -52,11 +52,6 @@ def make_marking(neg: Negotiation, ready: dict[str, set[str]]) -> Marking:
     )
 
 
-def start_marking(neg: Negotiation, atom: str) -> Marking:
-    """Exactly the atom's parties, each ready for the atom alone."""
-    return make_marking(neg, {p: {atom} for p in neg.parties(atom)})
-
-
 def initial_marking(neg: Negotiation) -> Marking:
     return Marking(tuple((neg.initial,) for _ in neg.agents))
 

@@ -48,9 +48,10 @@ A trace keeps each application's change, not the diagrams: the
 applications' `.before` and `.after`, and `stage_snapshots`, rebuild them
 from `trace.initial` by replaying the changes (`working.Log`).
 
-The atom order used for backward outcomes defaults to declaration order;
-all remaining ties break lexicographically by (atom index, result index),
-so traces are reproducible.
+Backward outcomes are ordered by the atoms' ranks, which are the input's
+declaration order (`Negotiation.atom_index`); all remaining ties break
+lexicographically by (atom index, result index), so traces are
+reproducible.
 """
 
 from __future__ import annotations
@@ -86,28 +87,6 @@ from .rules import (
 from .semantics import DEFAULT_CAP
 from .transformers import TransformerExpr
 from .working import Indexed, Log, working_copy
-
-
-@dataclass
-class OutcomeOrder:
-    """A total order on atoms, extended to uniform outcomes: compare the
-    targets first, then the source atoms."""
-
-    atoms: tuple[str, ...]
-
-    def __post_init__(self):
-        self._index = {a: i for i, a in enumerate(self.atoms)}
-
-    def outcome_key(self, neg: Negotiation, outcome: Outcome, target: str):
-        n, r = outcome
-        return (self._index[target], self._index[n], neg.result_index(n, r))
-
-    def is_backward(self, neg: Negotiation, source: str, target: str) -> bool:
-        return target != neg.final and self._index[target] < self._index[source]
-
-
-def declaration_order(neg: Negotiation) -> OutcomeOrder:
-    return OutcomeOrder(tuple(neg.atoms))
 
 
 @dataclass
@@ -341,20 +320,23 @@ def _useless_arc(neg: Indexed, outcomes: Iterable[Outcome]):
     return None
 
 
-def _backward_shortcut(order: OutcomeOrder, increasing: bool = False) -> Select:
-    """Shortcut at the backward uniform outcome that is minimal in
-    `order`. With `increasing`, assert that the (target, source) keys of
-    successive selections strictly increase: `run_one_agent`'s
-    termination argument."""
+def _backward_shortcut(increasing: bool = False) -> Select:
+    """Shortcut at the minimal backward uniform outcome: a uniform outcome
+    whose target is not the final atom and ranks before its own atom,
+    keyed by (rank of the target, rank of the atom, result index). With
+    `increasing`, assert that the (target, atom) ranks of successive
+    selections strictly increase: `run_one_agent`'s termination argument."""
     last = None
 
     def select(neg: Indexed, outcomes: Iterable[Outcome]):
         nonlocal last
+        rank = neg._atom_order
         hits = [
-            (order.outcome_key(neg, o, target), o, target)
+            ((rank[target], rank[o[0]], neg.result_index(*o)), o, target)
             for o in outcomes
             if (target := uniform_target(neg, o)) is not None
-            and order.is_backward(neg, o[0], target)
+            and target != neg.final
+            and rank[target] < rank[o[0]]
             and shortcut_guard(neg, o, target).holds
         ]
         if not hits:
@@ -444,9 +426,7 @@ def is_replication(neg: Negotiation) -> bool:
     return all(uniform(neg, o) for o in neg.outcomes())
 
 
-def run_one_agent(
-    neg: Negotiation, order: Optional[OutcomeOrder] = None
-) -> ReductionTrace:
+def run_one_agent(neg: Negotiation) -> ReductionTrace:
     """Merge > iteration > shortcut at the minimal backward outcome >
     d-shortcut. Sound by construction for its input class, so the verdict
     is always "summarized"; the application count stays within
@@ -455,11 +435,10 @@ def run_one_agent(
         raise NotOneAgentOrReplication("run_one_agent requires a single agent or a replication")
     if not classify(neg).deterministic:
         raise NotOneAgentOrReplication("run_one_agent requires determinism")
-    backward = _backward_shortcut(order or declaration_order(neg), increasing=True)
     steps = (
         ("merge", _merge),
         ("iteration", _iteration),
-        ("backward_shortcut", backward),
+        ("backward_shortcut", _backward_shortcut(increasing=True)),
         ("d_shortcut", _d_shortcut),
     )
     k, l = len(neg.atoms), neg.num_outcomes()
@@ -489,7 +468,7 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
         ("merge", _merge),
         ("iteration", _iteration),
         ("d_shortcut_non_uniform", _d_shortcut_non_uniform),
-        ("backward_shortcut", _backward_shortcut(declaration_order(neg))),
+        ("backward_shortcut", _backward_shortcut()),
         ("d_shortcut", _d_shortcut),
     )
     trace = ReductionTrace(initial=neg)
@@ -521,17 +500,21 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
 # Maximal rules-only reduction for acyclic weakly deterministic diagrams
 # ---------------------------------------------------------------------------
 
-def run_acyclic_wd(neg: Negotiation, budget: int = 10_000) -> ReductionTrace:
+WD_BUDGET = 10_000  # the most applications `run_acyclic_wd` makes
+
+
+def run_acyclic_wd(neg: Negotiation) -> ReductionTrace:
     """Arbitrary maximal sequence over merge, useless-arc and (full)
     shortcut. Complete for acyclic weakly deterministic inputs: irreducible
     and non-atomic means unsound there. On inputs outside that class a
-    non-atomic residue proves nothing, so the verdict is "unknown"."""
+    non-atomic residue proves nothing, so the verdict is "unknown", and so
+    it is ("budget-exhausted") after `WD_BUDGET` applications."""
     cls = classify(neg)
     if not cls.acyclic:
         raise NotAcyclic("run_acyclic_wd requires an acyclic negotiation")
     steps = (("merge", _merge), ("useless_arc", _useless_arc), ("shortcut", _shortcut))
     trace = ReductionTrace(initial=neg)
-    stop = _reduce(trace, steps, EveryOutcome, budget)
+    stop = _reduce(trace, steps, EveryOutcome, WD_BUDGET)
     if stop == "bound":
         trace.verdict, trace.reason = "unknown", "budget-exhausted"
     elif not trace.work.is_atomic() and not cls.weakly_deterministic:
@@ -586,7 +569,7 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
             agent, only = current.parties(atom)[0], frozenset([atom])
             towards = [r for r in current.results("n0") if current.targets("n0", agent, r) == only]
             for r in towards:
-                do(guarded_shortcut_step(current, ("n0", r), atom))
+                do(guarded_shortcut_step(current, ("n0", r), atom, "shortcut"))
 
     def merge_all():
         # merge the first mergeable outcome in outcome order with its first
@@ -620,7 +603,7 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
         for i in range(1, k + 1):
             alternating_branch(i)
     (final_result,) = current.results("n0")
-    do(guarded_shortcut_step(current, ("n0", final_result), "nf"))
+    do(guarded_shortcut_step(current, ("n0", final_result), "nf", "shortcut"))
     return trace.finish()
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import BudgetExceeded
-from .model import AtomSpec, Edit, Negotiation, Outcome, negotiation_graph, validate
+from .model import AtomSpec, Negotiation, Outcome, negotiation_graph, validate
 from .semantics import DEFAULT_CAP, Marking, reachability, step
 from .transformers import IDENTITY
 
@@ -135,17 +135,16 @@ def exit_name(atom: str) -> str:
     return f"n̂:{atom}"
 
 
-def _build_fragment(
-    neg: Negotiation, atom: str, report: TargetReport, members: set[str]
-) -> Fragment:
+def _build_fragment(neg: Negotiation, atom: str, report: TargetReport, hat: str) -> Fragment:
+    """The fragment of the atoms the report explored, with exit atom
+    `hat`."""
     if not report.unique:
         return Fragment(atom, None, None, report)
     target = report.target
     agents = neg.parties(atom)
-    hat = exit_name(atom)
     hat_result = "r̂"
 
-    atoms = [neg.atoms[a] for a in neg.atoms if a in members]
+    atoms = [neg.atoms[a] for a in neg.atoms if a in report.explored_atoms]
     atoms.append(AtomSpec(hat, agents, (hat_result,)))
     transition: dict = {}
     transformers: dict = {}
@@ -181,8 +180,7 @@ def fragment(neg: Negotiation, atom: str, cap: int = DEFAULT_CAP) -> Fragment:
     """The sub-negotiation generated by everything the atom's parties can
     do on their own, with transitions into the target marking redirected
     to a fresh exit atom."""
-    report = target_of_atom(neg, atom, cap)
-    return _build_fragment(neg, atom, report, set(report.explored_atoms))
+    return _build_fragment(neg, atom, target_of_atom(neg, atom, cap), exit_name(atom))
 
 
 def segment(neg: Negotiation, outcome: Outcome, cap: int = DEFAULT_CAP) -> Fragment:
@@ -190,23 +188,10 @@ def segment(neg: Negotiation, outcome: Outcome, cap: int = DEFAULT_CAP) -> Fragm
     atoms with strictly fewer parties; the launch atom keeps only the
     launching result."""
     report = target_of_outcome(neg, outcome, cap)
-    if not report.unique:
-        return Fragment(outcome[0], None, None, report)
     atom, result = outcome
-    members = set(report.explored_atoms)
-    restricted = dict(neg.atoms)
-    restricted[atom] = AtomSpec(atom, neg.parties(atom), (result,))
-    view = Negotiation(
-        agents=neg.agents,
-        atoms=restricted,
-        initial=neg.initial,
-        final=neg.final,
-        transition=dict(neg.transition),
-        transformers=dict(neg.transformers),
-        rels=dict(neg.rels),
-        states=neg.states,
-    )
-    return _build_fragment(view, atom, report, members)
+    view = neg.copy()
+    view.atoms[atom] = AtomSpec(atom, neg.parties(atom), (result,))
+    return _build_fragment(view, atom, report, exit_name(atom))
 
 
 def k_fragment(neg: Negotiation, k: int, cap: int = DEFAULT_CAP) -> list[Fragment]:
@@ -217,31 +202,12 @@ def k_fragment(neg: Negotiation, k: int, cap: int = DEFAULT_CAP) -> list[Fragmen
     for atom, spec in neg.atoms.items():
         if len(spec.parties) != k:
             continue
-        frag = fragment(neg, atom, cap)
-        key = frozenset(spec.parties)
-        if frag.negotiation is not None:
-            canonical = shared_exits.setdefault(key, frag.exit_atom)
-            if canonical != frag.exit_atom:
-                frag = _rename_exit(frag, canonical)
-        out.append(frag)
+        report = target_of_atom(neg, atom, cap)
+        hat = exit_name(atom)
+        if report.unique:
+            hat = shared_exits.setdefault(frozenset(spec.parties), hat)
+        out.append(_build_fragment(neg, atom, report, hat))
     return out
-
-
-def _rename_exit(frag: Fragment, new_name: str) -> Fragment:
-    neg = frag.negotiation
-    rename = {frag.exit_atom: new_name}.get
-    built = Edit(
-        neg,
-        [AtomSpec(rename(a.id, a.id), a.parties, a.results) for a in neg.atoms.values()],
-        {
-            (rename(n, n), p, r): {rename(t, t) for t in targets}
-            for (n, p, r), targets in neg.transition.items()
-        },
-        {(rename(n, n), r): e for (n, r), e in neg.transformers.items()},
-        neg.initial,
-        new_name,
-    ).done()
-    return Fragment(frag.atom, built, new_name, frag.report)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +238,12 @@ class Loop:
         return m == self.marking
 
 
-def find_loops(neg: Negotiation, cap: int = DEFAULT_CAP, limit: int = 10_000) -> list[Loop]:
-    """All simple cycles of the reachability graph, as replayable loops."""
+CYCLE_LIMIT = 10_000  # the most cycles `find_loops` and `syntactic_cycles` list
+
+
+def find_loops(neg: Negotiation, cap: int = DEFAULT_CAP) -> list[Loop]:
+    """Simple cycles of the reachability graph, as replayable loops: the
+    first `CYCLE_LIMIT` that networkx lists."""
     import networkx as nx  # here, not at the top: see `negotiation_graph`
 
     graph = reachability(neg, cap)
@@ -285,21 +255,11 @@ def find_loops(neg: Negotiation, cap: int = DEFAULT_CAP, limit: int = 10_000) ->
             edge_lookup.setdefault((v, w), []).append(o)
     loops = []
     for cycle in nx.simple_cycles(g):
-        if len(loops) >= limit:
+        if len(loops) >= CYCLE_LIMIT:
             break
-        outcomes = []
-        ok = True
-        for i, v in enumerate(cycle):
-            w = cycle[(i + 1) % len(cycle)]
-            options = edge_lookup.get((v, w))
-            if not options:
-                ok = False
-                break
-            outcomes.append(sorted(options)[0])
-        if not ok:
-            continue
-        loop = Loop(outcomes, graph.kernel.decode(graph.codes[cycle[0]])).bind(neg)
-        loops.append(loop)
+        # consecutive nodes of a cycle are joined by an edge of `g`
+        outcomes = [min(edge_lookup[edge]) for edge in zip(cycle, cycle[1:] + cycle[:1])]
+        loops.append(Loop(outcomes, graph.kernel.decode(graph.codes[cycle[0]])).bind(neg))
     return loops
 
 
@@ -336,14 +296,15 @@ def dominating_atom(neg: Negotiation, cycle: list[str]) -> Optional[str]:
     return None
 
 
-def syntactic_cycles(neg: Negotiation, limit: int = 10_000) -> list[list[str]]:
+def syntactic_cycles(neg: Negotiation) -> list[list[str]]:
+    """The first `CYCLE_LIMIT` simple cycles of the negotiation graph."""
     import networkx as nx  # here, not at the top: see `negotiation_graph`
 
     g = negotiation_graph(neg)
     out = []
     for cycle in nx.simple_cycles(g):
         out.append(list(cycle))
-        if len(out) >= limit:
+        if len(out) >= CYCLE_LIMIT:
             break
     return out
 

@@ -292,13 +292,11 @@ class Rel:
         return f"Rel({list(self.parties)}, {len(self.pairs)} pairs)"
 
 
-def identity_rel(parties: Iterable[str] = ()) -> Rel:
-    """Identity over the given parties; with no parties it is the neutral
-    element of concatenation (the all-agents identity once expanded)."""
-    parties = tuple(parties)
-    if not parties:
-        return Rel((), frozenset({((), ())}))
-    raise ValueError("use full_identity for a nonempty party set")
+def identity_rel() -> Rel:
+    """The identity over no parties: the neutral element of concatenation
+    (the all-agents identity once expanded). `full_identity` is the
+    identity over a nonempty party set."""
+    return Rel((), frozenset({((), ())}))
 
 
 def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:

@@ -100,6 +100,14 @@ def test_parse_rejects_non_left_total_relation():
     assert any("left-total" in v for v in err.value.violations)
 
 
+def test_validate_rejects_transformer_for_missing_outcome():
+    doc = json.loads(fixture_text("atomic"))
+    doc["transformers"] = {"zz.q": "n0.a"}
+    with pytest.raises(ValidationError) as err:
+        loads(json.dumps(doc))
+    assert any("('zz', 'q')" in v for v in err.value.violations)
+
+
 def test_parse_rejects_rel_without_states():
     doc = json.loads(fixture_text("fdm_acyclic"))
     del doc["states"]

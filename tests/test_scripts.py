@@ -1,7 +1,8 @@
 """Smoke tests of the measuring scripts: each script under `scripts/` is
 loaded by path and its measuring function runs once on its smallest
 input, so a change to the API they call cannot leave them broken unseen.
-`build_fixtures.py` writes the fixture corpus and has its own checks."""
+`build_fixtures.py` builds the fixture corpus without writing it, and
+every built fixture must equal its bundled file."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import pathlib
 
 import pytest
 
-from negsum import expfam, run_auto
+from negsum import dumps, expfam, fixture_text, run_auto
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -23,11 +24,11 @@ def load(name):
 
 
 def rule_rate(m):
-    total, peak, ms, kb = m.measure(2, run_auto)
-    assert total > 0 and peak >= 1 and ms >= 0 and kb > 0
     # one round of the fewest calls: each call collects garbage first,
     # which in the test process costs more than the reduction
     m.ROUNDS, m.MIN_APPLICATIONS = 1, 0
+    total, peak, ms, kb = m.measure(2, run_auto)
+    assert total > 0 and peak >= 1 and ms >= 0 and kb > 0
     assert m.interleaved_ratio(1, 2) > 0
 
 
@@ -46,11 +47,19 @@ def eval_rate(m):
     assert all(compositions > 0 and ms >= 0 for _, compositions, ms in rows)
 
 
-SMOKE = {f.__name__: f for f in (rule_rate, markings_rate, cli_latency, eval_rate)}
+def build_fixtures(m):
+    for name, builder in m.BUILDERS.items():
+        assert dumps(builder()) == fixture_text(name), name
+
+
+SMOKE = {
+    f.__name__: f
+    for f in (rule_rate, markings_rate, cli_latency, eval_rate, build_fixtures)
+}
 
 
 def test_every_script_has_a_smoke_test():
-    names = {p.stem for p in SCRIPTS.glob("*.py")} - {"build_fixtures"}
+    names = {p.stem for p in SCRIPTS.glob("*.py")}
     assert names == set(SMOKE)
 
 

@@ -24,7 +24,7 @@ from negsum import (
     run_one_agent,
     validate,
 )
-from negsum.strategies import declaration_order, is_replication
+from negsum.strategies import is_replication
 
 from conftest import interp_for, single_atom_negotiation
 
@@ -125,9 +125,9 @@ def test_run_one_agent_dfs_walkthrough():
         ("n4", "n3"),
         ("n4", "n2"),
     ]
-    # the backward sites strictly increase in the outcome order
-    order = declaration_order(neg)
-    keys = [order.outcome_key(a.before, a.site[0], a.site[1])[:2] for a in backward]
+    # the (target, atom) ranks of the backward sites strictly increase
+    rank = neg.atom_index
+    keys = [(rank(a.site[1]), rank(a.site[0][0])) for a in backward]
     assert keys == sorted(keys) and len(set(keys)) == len(keys)
     # after the last backward shortcut an iteration makes the rest acyclic
     iterations = [a for a in trace.applications if a.kind == "iteration"]

@@ -20,10 +20,10 @@ negotiations to negotiations, so their outputs are valid by construction.
 A reduction copies its input once and rewrites that private copy in
 place. The site of a rule application is the set of outcomes it removes
 and adds, and `rewrite` writes only those, so one application costs about
-the size of its site. It returns them as a `Change`, with what `undo`
-needs to take it back; `redo` makes a recorded change again on an equal
-diagram, which is how a reduction trace rebuilds the diagrams it passed
-through. The loader and the generator still go through `validate`.
+the size of its site. It returns them as a `Change`; `redo` makes a
+recorded change again on an equal diagram, which is how a reduction trace
+rebuilds the diagrams it passed through, replaying forward from its
+input. The loader and the generator still go through `validate`.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ Targets = tuple[frozenset[str], ...]  # an outcome's target sets, one per party
 
 class Change(NamedTuple):
     """What one rule application changed in a diagram (`rewrite`): enough
-    to make it again on an equal diagram (`arguments`) and to take it back
-    (`undo`)."""
+    to make it again on an equal diagram (`arguments`) and to bring the
+    working diagram's indexes up to date (`working.Indexed`)."""
 
     # the rewritten atom as it became, the results it dropped, and the atom
     # removed with them (None if none)
@@ -79,10 +79,9 @@ class Change(NamedTuple):
     # lost and gained as many is left out)
     arrivals: dict[str, int]
     commitments: dict[str, int]
-    # for `undo`: the rewritten atom as it was, then the removed atom; the
-    # transformers it took out or replaced; the final atom before it
+    # the rewritten atom as it was, then the removed atom; the final atom
+    # before it
     old_specs: tuple[AtomSpec, ...]
-    replaced: dict[Outcome, TransformerExpr]
     final: str
 
     def arguments(self) -> tuple:
@@ -394,17 +393,16 @@ def rewrite(
 
     Only these outcomes are written. The new triples go at the end of the
     transition table. A removed atom keeps its rank (`atom_index`), so the
-    atoms left keep their order and `undo` puts it back in place."""
+    atoms left keep their order."""
     n = spec.id
     atoms, transition, named = neg.atoms, neg.transition, neg.transformers
     old_specs = (atoms[n],) if removed is None else (atoms[n], atoms[removed])
     old: dict[Outcome, Targets] = {}
-    replaced: dict[Outcome, TransformerExpr] = {}
     for a, results in ((n, dropped), (removed, atoms[removed].results if removed else ())):
         parties = atoms[a].parties if results else ()
         for r in results:
             old[(a, r)] = tuple([transition.pop((a, p, r)) for p in parties])
-            replaced[(a, r)] = named.pop((a, r))
+            del named[(a, r)]
     atoms[n] = spec
     if removed is not None:
         del atoms[removed]
@@ -414,10 +412,7 @@ def rewrite(
             transition[(n, p, r)] = ts
         new[(n, r)] = targets
     for r, expr in transformers.items():
-        o = (n, r)
-        if o in named:  # a kept result's
-            replaced[o] = named[o]
-        named[o] = expr
+        named[(n, r)] = expr
     final = neg.final
     if removed == final:
         neg.final = n
@@ -425,35 +420,8 @@ def rewrite(
     arrivals, commitments = _count_change(old, new)
     return Change(
         spec, dropped, removed, old, new, transformers, arrivals, commitments,
-        old_specs, replaced, final,
+        old_specs, final,
     )
-
-
-def undo(neg: Negotiation, change: Change) -> None:
-    """Take back `change`, the last change `rewrite` made to `neg`: `neg`
-    becomes equal to the diagram before it, its atoms in their order (a
-    removed atom goes back by the rank it kept). The entries put back go
-    at the end of the transition and transformer tables."""
-    spec, (old_spec, *gone) = change.spec, change.old_specs
-    n = spec.id
-    atoms, transition, named = neg.atoms, neg.transition, neg.transformers
-    for _o, r in change.added:
-        for p in spec.parties:
-            del transition[(n, p, r)]
-    for r in change.transformers:
-        if (n, r) not in change.replaced:
-            del named[(n, r)]
-    for (a, r), targets in change.removed.items():
-        parties = old_spec.parties if a == n else gone[0].parties
-        for p, ts in zip(parties, targets):
-            transition[(a, p, r)] = ts
-    named.update(change.replaced)
-    atoms[n] = old_spec
-    if gone:
-        atoms[gone[0].id] = gone[0]
-        neg.atoms = dict(sorted(atoms.items(), key=lambda item: neg.atom_index(item[0])))
-    neg.final = change.final
-    _forget_derived(neg)
 
 
 def redo(neg: Negotiation, change: Change) -> Change:

@@ -67,9 +67,8 @@ class RuleApplication:
     # the atoms the rule changed: the site atom, then the removed atom if
     # any; when the final atom moves, these are the new and the old one
     changed: tuple[str, ...]
-    # what the rule changed: the outcomes it removed and added, the arcs
-    # into and the commitments to each atom it reaches, and what undoing
-    # it restores
+    # what the rule changed: the outcomes it removed and added, and the
+    # arcs into and the commitments to each atom it reaches
     change: Change
     # the log the change is recorded in, and its place there
     log: Log
@@ -117,10 +116,9 @@ def exclusive_access(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
 
 
 def commits_to(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
-    n, r = outcome
-    return any(
-        neg.targets(n, p, r) == frozenset([n2]) for p in neg.parties(n)
-    )
+    """`outcome` sends some party to n2 and nowhere else
+    (`Indexed.sends`)."""
+    return n2 in indexed(neg).sends(outcome).alone
 
 
 def another_commits(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
@@ -281,7 +279,7 @@ def iteration_step(neg: Indexed, outcome: Outcome) -> RuleApplication:
     """The iteration rule on the working diagram `neg`, in place."""
     n, r = outcome
     spec = _known(neg, outcome)
-    if any(neg.targets(n, p, r) != frozenset([n]) for p in spec.parties):
+    if not iteration_applicable(neg, outcome):
         raise GuardFailed("the outcome is not a self-loop for every party")
 
     star = star_expr(neg.transformer(outcome))
@@ -538,7 +536,7 @@ def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool) -> bool:
 
 
 def reducible_outcomes(neg: Negotiation) -> set[Outcome]:
-    """R(N), evaluated on every outcome (`Reducible`)."""
+    """R(N), evaluated on every outcome (`Reducible`), on any diagram."""
     return set(Reducible(indexed(neg), is_acyclic(neg)).outcomes)
 
 
@@ -569,10 +567,11 @@ def dirty_outcomes(neg: Negotiation, change: Change) -> set[Outcome]:
     Every other outcome keeps its own transitions, its merge partners,
     whether it is its atom's only result, and what the guards read of the
     arcs into its targets, which is all `Reducible` reads of it, except for
-    the useless-arc guard on a cyclic diagram.
+    the useless-arc guard on a cyclic diagram with a fork.
     `_arrivals` is compared only at an atom that gains or loses arcs, or
-    outcomes committing to it. What the diagram was before comes from the
-    change: the site atom's old results and the old final atom."""
+    outcomes committing to it (`Change` leaves out the atoms where they
+    balance). What the diagram was before comes from the change: the site
+    atom's old results and the old final atom."""
     neg = indexed(neg)
     n = change.spec.id
     dirty = set(change.added)
@@ -590,7 +589,7 @@ def dirty_outcomes(neg: Negotiation, change: Change) -> set[Outcome]:
     moved = neg.final if neg.final != change.final else None
     arcs, commits = change.arrivals, change.commitments
     for t in arcs.keys() | commits.keys():
-        if t == moved or t not in neg.atoms or not (arcs.get(t) or commits.get(t)):
+        if t == moved or t not in neg.atoms:
             continue
         one_each, *rest = _arrivals(neg, t)
         then_one_each, *then_rest = _arrivals(neg, t, -arcs.get(t, 0), -commits.get(t, 0))
@@ -702,14 +701,15 @@ class Reducible:
 
     `acyclic` is whether the input is, as classified. On a cyclic diagram
     the useless-arc guard checks the path condition on the whole diagram,
-    so any application can change it. That guard holds only at an outcome
-    with a fork (a party sent to two or more atoms), so while the diagram
-    is cyclic every such outcome is re-evaluated too. Acyclicity is read
-    by that guard alone, so `acyclic` is recomputed only while the diagram
-    is cyclic and has a fork. Rules never make an acyclic diagram cyclic
-    (`preserves_class`), and a diagram without forks never gets one,
-    because every target set a rule creates is copied or cut from an
-    existing one.
+    so any application can change it at any outcome with a fork (a party
+    sent to two or more atoms). So R(N) is kept up to date only on an
+    input that is acyclic or has no fork, which stays so: rules never make
+    an acyclic diagram cyclic (`preserves_class`), and a diagram without
+    forks never gets one, because every target set a rule creates is
+    copied or cut from an existing one. The strategies keep R(N) on
+    acyclic and on deterministic diagrams, which have no fork: the classes
+    the rules are complete for. On a cyclic input with a fork, `advance`
+    raises `ValueError`.
     """
 
     def __init__(self, neg: Indexed, acyclic: bool):
@@ -719,11 +719,10 @@ class Reducible:
         self.mergeable = OrderedOutcomes(neg)
         for o in neg.outcomes():  # in outcome order, so each add appends
             self._evaluate(o)
-        # read only while the diagram is cyclic, which it never becomes again
-        self.forks = set() if acyclic else {
-            (a, r) for (a, _p, r), ts in neg.transition.items() if len(ts) > 1
-        }
         self.evaluated = neg.num_outcomes()  # outcomes whose reducibility was computed
+        self.cyclic_fork = not acyclic and any(
+            len(ts) > 1 for ts in neg.transition.values()
+        )
 
     def _evaluate(self, o: Outcome) -> None:
         neg = self.neg
@@ -737,19 +736,13 @@ class Reducible:
 
     def advance(self, app: RuleApplication) -> None:
         """Follow `app`, which has just rewritten the working diagram."""
+        if self.cyclic_fork:
+            raise ValueError("R(N) is not kept up to date on a cyclic diagram with a fork")
         change = app.change
         for o in change.removed:
             self.outcomes.discard(o)
             self.mergeable.discard(o)
         dirty = dirty_outcomes(self.neg, change)
-        if not self.acyclic:
-            self.forks.difference_update(change.removed)
-            for o, targets in change.added.items():
-                if any(len(ts) > 1 for ts in targets):
-                    self.forks.add(o)
-            if self.forks:
-                self.acyclic = is_acyclic(self.neg)
-                dirty |= self.forks
         for o in dirty:
             self._evaluate(o)
         self.evaluated += len(dirty)

@@ -265,17 +265,14 @@ class ReachabilityGraph:
         return _Decoded(sum(map(len, succ)), build)
 
 
-def reachability(
-    neg: Negotiation, cap: int = DEFAULT_CAP, _reverse_ties: bool = False
-) -> ReachabilityGraph:
+def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
     """Breadth-first closure of the successor function from the initial
-    marking.
+    marking, taking each node's outcomes in `MarkingKernel.successors`
+    order.
 
     Stores at most `cap` markings and raises BudgetExceeded (with the
     partial graph attached) on one more, rather than silently truncating:
     blowing up is a result, not a nuisance.
-    `_reverse_ties` flips the outcome order within each node; it exists so
-    tests can confirm the explored graph does not depend on tie-breaking.
     """
     kernel = neg.marking_kernel
     codes: list[int] = []
@@ -287,10 +284,7 @@ def reachability(
     successors = kernel.successors
     for m in codes:  # grows while it is walked: the BFS queue
         out: list[tuple[Outcome, int]] = []
-        outs = successors(m)
-        if _reverse_ties:
-            outs.reverse()
-        for o, m2 in outs:
+        for o, m2 in successors(m):
             j = index.get(m2)
             if j is None:
                 if len(codes) >= cap:

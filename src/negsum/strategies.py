@@ -46,7 +46,11 @@ sorts it or scans it for a stage.
 
 A trace keeps each application's change, not the diagrams: the
 applications' `.before` and `.after`, and `stage_snapshots`, rebuild them
-from `trace.initial` by replaying the changes (`working.Log`).
+from `trace.initial` by replaying the changes forward (`working.Log`).
+
+The strategies that keep R(N) run on acyclic or deterministic diagrams,
+the two classes the rules are complete for, so never on a cyclic one with
+a fork, where `rules.Reducible` does not follow the applications.
 
 Backward outcomes are ordered by the atoms' ranks, which are the input's
 declaration order (`Negotiation.atom_index`); all remaining ties break
@@ -278,10 +282,11 @@ Step = tuple[str, Select]  # (line recorded on the application, select)
 
 
 def _merge(neg: Indexed, outcomes: Candidates):
-    """Merge the first mergeable candidate with its first partner."""
+    """Merge the first mergeable candidate with its first partner. The
+    first one is the first member of its merge group, so its partner comes
+    after it."""
     for n, r in outcomes.mergeable():
-        pair = sorted((r, merge_partner(neg, (n, r))), key=neg.atoms[n].results.index)
-        return merge_step(neg, (n, pair[0]), (n, pair[1]))
+        return merge_step(neg, (n, r), (n, merge_partner(neg, (n, r))))
     return None
 
 
@@ -450,7 +455,7 @@ def run_one_agent(neg: Negotiation) -> ReductionTrace:
 # Algorithm for arbitrary deterministic negotiations
 # ---------------------------------------------------------------------------
 
-def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTrace:
+def run_general(neg: Negotiation) -> ReductionTrace:
     """Staged reduction with an application counter.
 
     Stage k only touches reducible outcomes whose atom has k parties, with
@@ -458,7 +463,9 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
     shortcut at the minimal backward uniform outcome > d-shortcut. The
     counter is capped at 2K^3 + K^2 + K*L + L (K, L of the input); a sound
     input summarizes within the cap, so hitting it, exhausting the guards,
-    or finishing non-atomic each yield the verdict "unsound".
+    or finishing non-atomic each yield the verdict "unsound". After every
+    application, the stage check asserts that no outcome of a lower stage
+    has become reducible.
     """
     if not classify(neg).deterministic:
         raise NotDeterministic("run_general requires a deterministic negotiation")
@@ -475,12 +482,11 @@ def run_general(neg: Negotiation, check_invariants: bool = True) -> ReductionTra
     # each stage's pool and the invariant check (no outcome of a lower
     # stage is reducible) read the R(N) that the trace keeps up to date
     reducible = trace.track_reducible()
-    checked = 0  # the applications when R(N) was last checked
 
     def pool(current: Indexed) -> Pool:
-        nonlocal checked
-        if check_invariants and trace.total != checked:
-            checked = trace.total
+        # the check, once per application: every call but a stage's first
+        # follows one
+        if trace.total > trace.stage_ends.get(stage - 1, 0):
             lowest = reducible.outcomes.lowest()
             if lowest is not None and lowest < stage:
                 raise AssertionError(f"stage {stage} created a {lowest}-reducible outcome")

@@ -9,7 +9,7 @@ change alone. A plain `Negotiation` has no index: a guard asked about one
 reads it through a view (`indexed`) that shares its tables, builds only
 what the guard reads, and is dropped with it. The changes go into the
 working diagram's `Log`, which rebuilds the diagram after any number of
-them by replaying them from the diagram copied.
+them by replaying them forward from the diagram copied.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from .model import (
     Targets,
     commit_targets,
     redo,
-    undo,
 )
 from .transformers import TransformerExpr
 
@@ -36,10 +35,11 @@ class Log:
     """The changes made to one working diagram since it was copied from
     `initial`, in order. `diagram(i)` rebuilds the diagram after the first
     `i` of them on a replay copy of its own, which it moves forward by
-    `model.redo` and back by `model.undo`, so visiting the diagrams in
-    order costs one replay of the log. The replay copy stays with the log
-    between calls: once any diagram has been rebuilt, the log holds one
-    diagram besides its changes, the last one rebuilt."""
+    `model.redo`; asked for a diagram before the replay copy's, it starts
+    again from `initial`. So visiting the diagrams in order costs one
+    replay of the log. The replay copy stays with the log between calls:
+    once any diagram has been rebuilt, the log holds one diagram besides
+    its changes, the last one rebuilt."""
 
     def __init__(self, initial: Negotiation):
         self.initial = initial
@@ -56,13 +56,10 @@ class Log:
         if i == 0:
             return self.initial
         replay = self._replay
-        if replay is None or i < self._at - i:  # replaying costs less than undoing
+        if replay is None or i < self._at:
             replay = self._replay = self.initial.copy()
             _name_transformers(replay)
             self._at = 0
-        while self._at > i:
-            self._at -= 1
-            undo(replay, self.changes[self._at])
         while self._at < i:
             redo(replay, self.changes[self._at])
             self._at += 1

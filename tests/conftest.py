@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -12,6 +13,18 @@ from negsum import (
     load_fixture,
     validate,
 )
+from negsum.semantics import MarkingKernel
+
+
+@contextmanager
+def reversed_ties():
+    """Within it, `MarkingKernel.successors` lists each marking's outcomes
+    in reverse order, so a walk over markings breaks its ties the other
+    way."""
+    real = MarkingKernel.successors
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MarkingKernel, "successors", lambda self, m: real(self, m)[::-1])
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -18,7 +18,10 @@ both strategies of the exponential demo, and for every rule instance on
 their inputs, the maintained R(N) and its mergeable outcomes must equal
 a full recomputation on the output, in outcome order and bucketed by
 party count, the working copy's indexes must equal a fresh build, and
-the output must come back equal from `validate`.
+the output must come back equal from `validate`. On a cyclic input with
+a fork, where R(N) is not kept up to date, advancing it must raise
+`ValueError`, and R(N) evaluated anew on the working copy must equal the
+recomputation.
 
 The work of an application is counted, not timed: outcomes evaluated,
 `_arrivals` comparisons and d-shortcut candidates examined per
@@ -63,12 +66,16 @@ from negsum import (
     validate,
 )
 from negsum import rules, strategies
-from negsum.rules import Reducible, _useless_witness, dirty_outcomes
+from negsum.rules import OrderedOutcomes, Reducible, _useless_witness, dirty_outcomes
 from negsum.working import indexed, working_copy
 from negsum.strategies import ReductionTrace, run_exponential_demo
 
 from conftest import all_rule_applications
-from test_rule_traces import build_cases
+from test_rule_traces import build_cases, run_general_unchecked
+
+# the lowest stage as R(N) keeps it, also while `run_general_unchecked`
+# blinds the stage check
+lowest_stage = OrderedOutcomes.lowest
 
 # ---------------------------------------------------------------------------
 # Reference definitions: scans of the whole transition table / outcome set
@@ -381,7 +388,7 @@ def assert_maintained(maintained, after):
             in_k = [o for o in order if o in members and len(after.parties(o[0])) == k]
             assert list(members.in_order(k)) == in_k
         lowest = min((len(after.parties(a)) for a, _r in members), default=None)
-        assert members.lowest() == lowest
+        assert lowest_stage(members) == lowest
 
 
 @pytest.fixture
@@ -426,20 +433,34 @@ def test_maintained_reducible_outcomes_match_full_recomputation(case, checked_st
     except NegsumError:
         pass
     if classify(neg).deterministic:
-        runs.append(run_general(neg, check_invariants=True))
-        runs.append(run_general(neg, check_invariants=False))
+        runs.append(run_general(neg))
+        runs.append(run_general_unchecked(neg))
     assert len(checked_steps) == sum(t.total for t in runs)
+
+
+def cyclic_forked(neg):
+    """Whether `neg` is cyclic and sends some party to two or more atoms:
+    the diagrams on which R(N) is not kept up to date."""
+    return not is_acyclic(neg) and any(len(t) > 1 for t in neg.transition.values())
 
 
 def advance_and_compare(neg, app):
     """R(N) of a working copy of `neg` with every index built, advanced by
     `app` made again on that copy: R(N) must equal a full recomputation on
-    the output, and every index a fresh build."""
+    the output, and every index a fresh build. On a cyclic forked `neg`
+    the advance must raise `ValueError` instead, and R(N) evaluated anew
+    on the working copy must equal the recomputation. Returns the R(N)
+    compared."""
     work = built_copy(neg)
     maintained = Reducible(work, is_acyclic(neg))
     work.rewrite(*app.change.arguments())
-    maintained.advance(app)
     after = app.after
+    if cyclic_forked(neg):
+        with pytest.raises(ValueError, match="cyclic diagram with a fork"):
+            maintained.advance(app)
+        maintained = Reducible(work, is_acyclic(after))
+    else:
+        maintained.advance(app)
     assert_maintained(maintained, after)
     check_indexes(work, after)
     return maintained
@@ -490,15 +511,34 @@ def forked_cyclic_diagrams():
     for seed in range(40):
         base = generate_sound(seed, 3 + seed % 4, num_agents=2 + seed % 2, acyclic=False)
         neg = forked(base, random.Random(seed))
-        if not is_acyclic(neg) and any(len(t) > 1 for t in neg.transition.values()):
+        if cyclic_forked(neg):
             out.append((seed, neg))
     return out
 
 
+def test_reducible_does_not_advance_on_cyclic_forked_diagrams():
+    """On a cyclic diagram with a fork the useless-arc guard reads the
+    whole diagram, so R(N) is not kept up to date there: the first
+    application makes `advance` raise, and R(N) keeps its value on the
+    input."""
+    for _seed, neg in forked_cyclic_diagrams():
+        work = working_copy(neg)
+        reducible = Reducible(work, acyclic=False)
+        on_input = set(reducible.outcomes)
+        _kind, _site, thunk = all_rule_applications(neg)[0]
+        app = thunk()
+        work.rewrite(*app.change.arguments())
+        with pytest.raises(ValueError, match="cyclic diagram with a fork"):
+            reducible.advance(app)
+        assert reducible.outcomes == on_input == reducible_outcomes(neg)
+
+
 def test_random_rule_sequences_on_cyclic_forked_diagrams():
-    """On cyclic diagrams the useless-arc guard reads the whole diagram:
-    one maintained R(N) follows random rule sequences exactly, through
-    the step where the diagram becomes acyclic."""
+    """One working copy follows random rule sequences on cyclic forked
+    diagrams, through the step where the diagram becomes acyclic: its
+    indexes equal a fresh build, and R(N) evaluated on it equals a full
+    recomputation, after every step. R(N) made on the input refuses to
+    advance at every step, as the input is cyclic with a fork."""
     kinds = set()
     flips = 0
     for seed, neg in forked_cyclic_diagrams():
@@ -514,12 +554,11 @@ def test_random_rule_sequences_on_cyclic_forked_diagrams():
             app = thunk()
             check_output(app)
             work.rewrite(*app.change.arguments())
-            maintained.advance(app)
+            with pytest.raises(ValueError, match="cyclic diagram with a fork"):
+                maintained.advance(app)
             after = app.after
-            assert_maintained(maintained, after)
+            assert_maintained(Reducible(work, is_acyclic(after)), after)
             check_indexes(work, after)
-            if maintained.forks:
-                assert maintained.acyclic == is_acyclic(after)
             kinds.add(kind)
             flips += is_acyclic(after) and not is_acyclic(current)
             current = after
@@ -544,7 +583,9 @@ def two_agent_diagram(spec):
 def test_far_removal_makes_a_cyclic_useless_arc_essential():
     """Removing n0 -> m leaves m reachable only through n2, so k -> n2
     becomes the only way into the n2/m cycle: (k, s) leaves R(N), though
-    nothing next to it changed. Only the fork rule re-evaluates it."""
+    nothing next to it changed, so it is not dirty. That is why R(N) is
+    not kept up to date on a cyclic diagram with a fork: it is evaluated
+    anew (`advance_and_compare`)."""
     neg = two_agent_diagram({
         "n0": {"r": {"A": ["k", "m"], "B": ["k"]}},
         "k": {"s": {"A": ["j", "n2"], "B": ["j"]}},

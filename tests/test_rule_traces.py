@@ -43,6 +43,7 @@ from negsum import (
     run_auto,
     run_general,
 )
+from negsum.rules import OrderedOutcomes
 from negsum.strategies import run_exponential_demo
 
 EXPECTED_PATH = Path(__file__).with_name("rule_traces.json")
@@ -103,6 +104,14 @@ def run_auto_steps(neg) -> str:
     )
 
 
+def run_general_unchecked(neg):
+    """`run_general` with its stage check blind: R(N) reports no lowest
+    stage, so the check never fires."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(OrderedOutcomes, "lowest", lambda self: None)
+        return run_general(neg)
+
+
 def digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -133,15 +142,16 @@ def test_invariant_check_does_not_change_run_general():
     for case, neg in build_cases().items():
         if not classify(neg).deterministic:
             continue
-        checked = trace_text(run_general(neg, check_invariants=True))
-        unchecked = trace_text(run_general(neg, check_invariants=False))
+        checked = trace_text(run_general(neg))
+        unchecked = trace_text(run_general_unchecked(neg))
         assert checked == unchecked, case
 
 
 def test_invariant_check_catches_a_lower_stage_reducible_outcome(monkeypatch):
     """Make the maintained R(N) report a 1-party outcome right after the
-    first stage-2 application: the check must raise, and without it the
-    planted outcome lies outside every later pool and changes nothing."""
+    first stage-2 application: the check must raise, and with the check
+    blind the planted outcome lies outside every later pool and changes
+    nothing."""
     from negsum.rules import Reducible
 
     neg = load_fixture("running_multi")
@@ -163,7 +173,7 @@ def test_invariant_check_catches_a_lower_stage_reducible_outcome(monkeypatch):
     with pytest.raises(AssertionError, match="stage 2 created a 1-reducible outcome"):
         run_general(neg)
     calls = 0
-    unchecked = run_general(neg, check_invariants=False)
+    unchecked = run_general_unchecked(neg)
     assert calls == len(reference.applications)
     assert trace_text(unchecked) == trace_text(reference)
 

@@ -20,7 +20,7 @@ from negsum import (
 from negsum.generator import generate_sound
 from negsum.semantics import successors
 
-from conftest import single_atom_negotiation
+from conftest import reversed_ties, single_atom_negotiation
 
 
 def test_enabled_initially_only_initial_atom():
@@ -113,7 +113,8 @@ def test_reachability_independent_of_tie_breaking():
     for name in fixture_names():
         neg = load_fixture(name)
         a = reachability(neg)
-        b = reachability(neg, _reverse_ties=True)
+        with reversed_ties():
+            b = reachability(neg)
         assert set(a.nodes) == set(b.nodes)
         assert set(a.edges) == set(b.edges)
 

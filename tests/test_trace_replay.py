@@ -10,7 +10,7 @@ diagrams: the atoms and their results in order, every transition entry
 and every transformer. It was recorded while every rule output was still
 a separately built diagram, so the replayed diagrams must equal those.
 (The order of entries in the transition and transformer tables is not
-part of a diagram's value: `model.undo` puts the entries it restores at
+part of a diagram's value: `model.rewrite` puts the entries it writes at
 the end.)
 
 Re-record (only for an intended change of the diagrams) with

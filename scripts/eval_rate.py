@@ -4,15 +4,19 @@
     python3 scripts/eval_rate.py
 
 For the state-elimination summary and the rule summary of `expfam(k)`,
-k = 1..3, and of one generated diagram whose state summary has labels
-with long shared tails (`generate_sound(200800, 32, 5, False,
-max_atoms=16)`: 5 agents, K = 15, 40 markings), it prints the number of
-relation compositions one evaluation makes and the CPU milliseconds of
-`eval_expr` over the summary's expressions: the median of three runs,
-each after a full garbage collection. The relations are seeded left-total
-relations over two states per agent, built as the benchmark's cross-check
-builds them. Standard library only; negsum is loaded from the `src/`
-directory next to this script.
+k = 1..3, of one generated diagram whose state summary has labels with
+long shared tails (`generate_sound(200800, 32, 5, False, max_atoms=16)`:
+5 agents, K = 15, 40 markings), and of the bundled fixture
+`running_multi`, it prints the number of relation compositions one
+evaluation makes and the CPU milliseconds of `eval_expr` over the
+summary's expressions. The read-back columns time the path of a printed
+summary: `parse_expr` of each expression's `format_expr` text, then
+`eval_expr` and `format_expr` of what was parsed (the reprint must equal
+the text). Each time is the median of three runs, each after a full
+garbage collection. The relations are seeded left-total relations over
+two states per agent, built as the benchmark's cross-check builds them.
+Standard library only; negsum is loaded from the `src/` directory next to
+this script.
 """
 
 from __future__ import annotations
@@ -31,7 +35,10 @@ from negsum import (  # noqa: E402
     Rel,
     eval_expr,
     expfam,
+    format_expr,
     generate_sound,
+    load_fixture,
+    parse_expr,
     run_auto,
     summarize_by_states,
     transformers,
@@ -41,6 +48,7 @@ REPEATS = 3
 INPUTS = (
     *((f"expfam({k})", lambda k=k: expfam(k)) for k in (1, 2, 3)),
     ("shape 4", lambda: generate_sound(200800, 32, 5, False, max_atoms=16)),
+    ("running_multi", lambda: load_fixture("running_multi")),
 )
 
 
@@ -58,6 +66,26 @@ def relations(neg):
     return space, interp
 
 
+def summaries(neg):
+    """(engine, the summary's expressions) for both engines."""
+    return (
+        ("states", list(summarize_by_states(neg).summary.values())),
+        ("rules", list(run_auto(neg).summary.values())),
+    )
+
+
+def median_ms(job) -> float:
+    """The median CPU milliseconds of `job()` over `REPEATS` runs, each
+    after a full garbage collection."""
+    times = []
+    for _ in range(REPEATS):
+        gc.collect()
+        t0 = time.process_time()
+        job()
+        times.append(time.process_time() - t0)
+    return 1000 * statistics.median(times)
+
+
 def measure(neg) -> list[tuple[str, int, float]]:
     """(engine, compositions, median CPU ms) of evaluating the state and
     the rule summary of `neg`."""
@@ -70,11 +98,7 @@ def measure(neg) -> list[tuple[str, int, float]]:
         return compose(a, b)
 
     out = []
-    for engine, summary in (
-        ("states", summarize_by_states(neg).summary),
-        ("rules", run_auto(neg).summary),
-    ):
-        exprs = list(summary.values())
+    for engine, exprs in summaries(neg):
         transformers._compose = counted
         try:
             calls[0] = 0
@@ -82,21 +106,41 @@ def measure(neg) -> list[tuple[str, int, float]]:
                 eval_expr(e, interp, space)
         finally:
             transformers._compose = compose
-        times = []
-        for _ in range(REPEATS):
-            gc.collect()
-            t0 = time.process_time()
-            for e in exprs:
-                eval_expr(e, interp, space)
-            times.append(time.process_time() - t0)
-        out.append((engine, calls[0], 1000 * statistics.median(times)))
+        ms = median_ms(lambda: [eval_expr(e, interp, space) for e in exprs])
+        out.append((engine, calls[0], ms))
+    return out
+
+
+def read_back(neg) -> list[tuple[str, float, float, float]]:
+    """(engine, parse ms, eval ms, format ms) of the state and the rule
+    summary of `neg` read back from its printed text."""
+    space, interp = relations(neg)
+    out = []
+    for engine, exprs in summaries(neg):
+        texts = [format_expr(e) for e in exprs]
+        parsed = []
+        parse_ms = median_ms(lambda: parsed.append([parse_expr(t) for t in texts]))
+        exprs = parsed[-1]
+        eval_ms = median_ms(lambda: [eval_expr(e, interp, space) for e in exprs])
+        reprinted = []
+        format_ms = median_ms(lambda: reprinted.append([format_expr(e) for e in exprs]))
+        if reprinted[-1] != texts:
+            raise RuntimeError(f"{engine}: the parsed summary reprints differently")
+        out.append((engine, parse_ms, eval_ms, format_ms))
     return out
 
 
 def main() -> int:
     for name, build in INPUTS:
-        for engine, compositions, ms in measure(build()):
-            print(f"{name} {engine}: compositions {compositions} eval_ms {ms:.3f}")
+        neg = build()
+        for (engine, compositions, ms), (_, parse_ms, eval_ms, format_ms) in zip(
+            measure(neg), read_back(neg)
+        ):
+            print(
+                f"{name} {engine}: compositions {compositions} eval_ms {ms:.3f}"
+                f" read_back parse_ms {parse_ms:.3f} eval_ms {eval_ms:.3f}"
+                f" format_ms {format_ms:.3f}"
+            )
     return 0
 
 

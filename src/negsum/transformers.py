@@ -6,6 +6,16 @@ Expressions are normalized on construction: concatenations are flattened,
 unions are flattened/deduplicated (stored as frozensets, so equality is
 modulo commutativity and idempotence), and star of the identity collapses
 to the identity.
+
+Equality is structural, and a summary is a DAG that shares subterms, so a
+walk over it should cost one step per distinct subterm. `Concat` and
+`Star` compute their hash on first use from their parts' hashes and keep
+it; a `Union`'s frozenset keeps its own, and an `Atomic` is a leaf. So
+hashing a node costs one step per part the first time and one step after
+that, and the memos keyed on expressions (`Kernel.eval`) pay for the
+distinct subterms, not the unfolded tree. `parse_expr` shares within one call:
+each subterm it reads twice is one object, so a printed summary reads
+back as a DAG, not as the tree its text spells out.
 """
 
 from __future__ import annotations
@@ -29,7 +39,24 @@ class TransformerExpr:
     __slots__ = ()
 
     def atoms(self) -> frozenset[Tag]:
-        raise NotImplementedError
+        """The tags of the atoms in the expression. Each distinct node is
+        visited once per call (by id: the whole DAG is alive for the
+        call)."""
+        seen: set[int] = set()
+        tags: set[Tag] = set()
+        stack: list[TransformerExpr] = [self]
+        while stack:
+            e = stack.pop()
+            if id(e) in seen:
+                continue
+            seen.add(id(e))
+            if isinstance(e, Atomic):
+                tags.add(e.tag)
+            elif isinstance(e, Star):
+                stack.append(e.inner)
+            elif isinstance(e, (Concat, Union)):
+                stack.extend(e.parts)
+        return frozenset(tags)
 
     def __repr__(self):
         return f"<expr {format_expr(self)}>"
@@ -39,40 +66,51 @@ class TransformerExpr:
 class Identity(TransformerExpr):
     __slots__ = ()
 
-    def atoms(self):
-        return frozenset()
-
 
 @dataclass(frozen=True, repr=False)
 class Atomic(TransformerExpr):
     tag: Tag
 
-    def atoms(self):
-        return frozenset([self.tag])
 
+# `Concat` and `Star` keep their hash in the instance dict, where it shadows
+# the class's `_hash = None`. The value is the dataclass's own,
+# hash((field,)), so sets and dicts of expressions iterate as they would
+# without the cache. It is left out of pickles (`__reduce__`): string hashes
+# differ from process to process.
 
 @dataclass(frozen=True, repr=False)
 class Concat(TransformerExpr):
     parts: tuple[TransformerExpr, ...]
+    _hash = None
 
-    def atoms(self):
-        return frozenset().union(*(p.atoms() for p in self.parts))
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.parts,))
+        return h
+
+    def __reduce__(self):
+        return Concat, (self.parts,)
 
 
 @dataclass(frozen=True, repr=False)
 class Union(TransformerExpr):
     parts: frozenset[TransformerExpr]
 
-    def atoms(self):
-        return frozenset().union(*(p.atoms() for p in self.parts))
-
 
 @dataclass(frozen=True, repr=False)
 class Star(TransformerExpr):
     inner: TransformerExpr
+    _hash = None
 
-    def atoms(self):
-        return self.inner.atoms()
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = self.__dict__["_hash"] = hash((self.inner,))
+        return h
+
+    def __reduce__(self):
+        return Star, (self.inner,)
 
 
 IDENTITY = Identity()
@@ -128,13 +166,18 @@ def star_expr(inner: TransformerExpr) -> TransformerExpr:
 #   ATOM   := id "." result
 #   EXPR   := term ("∪" term)*
 #   term   := factor+            juxtaposition = concatenation, "·" optional
-#   factor := ATOM | "(" EXPR ")" | factor "*"
+#   factor := ATOM | "id" | "(" EXPR ")" | factor "*"
+#
+# "id" is the identity, and also an atom id: `_ExprParser.atom_follows`
+# tells the two apart.
 
 def format_expr(e: TransformerExpr) -> str:
     """The expression as text, unfolded into a tree. A summary is a DAG
     that shares subterms, so each distinct node is printed once per call
     and its text reused (memoised on the node's id: the whole DAG is alive
-    for the call)."""
+    for the call). An expression read back by `parse_expr` is such a DAG
+    too, so reprinting it costs one step per distinct subterm, and the
+    text is the one it was read from."""
     memo: dict[int, str] = {}
 
     def fmt(e: TransformerExpr) -> str:
@@ -196,6 +239,13 @@ class _ExprParser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
         self.pos = 0
+        self.nodes: dict[TransformerExpr, TransformerExpr] = {}
+
+    def share(self, e: TransformerExpr) -> TransformerExpr:
+        """The node of this parse equal to `e`: the first one built. A
+        node is built from shared parts, so hashing it and comparing it
+        with the held one take one step per part."""
+        return self.nodes.setdefault(e, e)
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -210,7 +260,7 @@ class _ExprParser:
         while self.peek() in ("∪", "U"):
             self.take()
             terms.append(self.parse_term())
-        return union_expr(*terms)
+        return self.share(union_expr(*terms))
 
     def parse_term(self) -> TransformerExpr:
         factors = [self.parse_factor()]
@@ -223,7 +273,7 @@ class _ExprParser:
                 factors.append(self.parse_factor())
             else:
                 break
-        return concat_expr(*factors)
+        return self.share(concat_expr(*factors))
 
     def parse_factor(self) -> TransformerExpr:
         tok = self.take()
@@ -234,25 +284,48 @@ class _ExprParser:
             if self.take() != ")":
                 raise ParseError("missing closing parenthesis")
             e = inner
-        elif tok == "id":
+        elif tok == "id" and not self.atom_follows():
             e = IDENTITY
-        elif tok not in _RESERVED and tok not in (")", "*"):
+        elif tok not in _RESERVED:
             if self.peek() != ".":
                 raise ParseError(f"expected '.' after atom id {tok!r}")
             self.take()
             result = self.take()
             if result is None or result in _RESERVED:
                 raise ParseError(f"missing result name after {tok!r}.")
-            e = Atomic((tok, result))
+            e = self.share(Atomic((tok, result)))
         else:
             raise ParseError(f"unexpected token {tok!r}")
         while self.peek() == "*":
             self.take()
-            e = star_expr(e)
+            e = self.share(star_expr(e))
         return e
+
+    def atom_follows(self) -> bool:
+        """Whether the `id` just taken is an atom id. After it come n
+        names, each after a ".": `id.r1.r2…rn`. Read as the identity, the
+        dots pair r1.r2, r3.r4, …; read as an atom, they pair id.r1,
+        r2.r3, …. One reading leaves the last name without a result, so
+        the parity picks the other: the atom when n is odd, the identity
+        when n is even (`id . n.a` is the identity, then `n.a`). Where a
+        name `id` could also stand alone (`id.id`), the parity still
+        decides, and it reads what `format_expr` prints."""
+        tokens, i = self.tokens, self.pos
+        while i + 1 < len(tokens) and tokens[i] == "." and tokens[i + 1] not in _RESERVED:
+            i += 2
+        return (i - self.pos) // 2 % 2 == 1
 
 
 def parse_expr(text: str) -> TransformerExpr:
+    """The expression that `text` spells (see the grammar above), with
+    `parse_expr(format_expr(e)) == e`. Within one call, subterms that are
+    equal are one object: the text of a summary spells out its DAG as a
+    tree, and the result is the DAG again, with one node per distinct
+    subterm. So `eval_expr` and `format_expr` of it cost one step per
+    distinct subterm, not per node of the tree. `id.r` reads as an atom
+    of atom id `id` where the dots after it pair that way
+    (`_ExprParser.atom_follows`). Raises `ParseError` on text outside the
+    grammar."""
     parser = _ExprParser(_tokenize(text))
     try:
         expr = parser.parse_expr()
@@ -563,7 +636,10 @@ class Kernel:
         each expression evaluated to its `Rows`, and holds the suffix
         products of its concatenations too (`_shared_concat`), so a
         concatenation costs one composition per suffix not met before
-        in the memo's lifetime."""
+        in the memo's lifetime. Nodes keep their hashes, so a lookup
+        hashes in one step, and a node of a DAG met again as the same
+        object (as every node of one read back by `parse_expr` is) is
+        found by identity, without a structural comparison."""
         hit = memo.get(expr)
         if hit is not None:
             return hit

@@ -8,12 +8,16 @@ import pytest
 
 from negsum import (
     AtomSpec,
+    Concat,
     Rel,
+    Star,
+    Union,
     fixture_names,
     load_fixture,
     validate,
 )
 from negsum.semantics import MarkingKernel
+from negsum.transformers import TransformerExpr
 
 
 @contextmanager
@@ -41,6 +45,21 @@ def single_atom_negotiation(results=("r",)):
         "n0",
         {("n0", "p", r): set() for r in results},
     )
+
+
+def nodes(e: TransformerExpr) -> list[TransformerExpr]:
+    """Every node object of the DAG under `e`, once each."""
+    seen: dict[int, TransformerExpr] = {}
+    stack = [e]
+    while stack:
+        e = stack.pop()
+        if id(e) not in seen:
+            seen[id(e)] = e
+            if isinstance(e, Star):
+                stack.append(e.inner)
+            elif isinstance(e, (Concat, Union)):
+                stack.extend(e.parts)
+    return list(seen.values())
 
 
 def synthetic_space(neg, size=2):

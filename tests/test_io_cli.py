@@ -13,6 +13,7 @@ import pytest
 import negsum
 
 from negsum import (
+    Atomic,
     ParseError,
     ValidationError,
     apply_merge,
@@ -20,9 +21,11 @@ from negsum import (
     classify,
     export_dot,
     expfam,
+    format_expr,
     generate_sound,
     load_fixture,
     mutate_unsound,
+    parse_expr,
     reachability,
 )
 from negsum import cli
@@ -387,6 +390,29 @@ def test_cli_summarize_states(tmp_path, capsys):
     assert main(["summarize", ladder, "--method", "states"]) == 0
     out = capsys.readouterr().out
     assert "f: n0.a·(n1.b*·n1.c·n2.d ∪ n1.b*·n2.d·n1.b*·n1.c)·n3.e·nf.f" in out
+
+
+def test_atom_named_id_round_trips(tmp_path, capsys):
+    """An atom may be named `id`: its outcomes print as `id.r` and read
+    back as the atom, in a summary and in a `transformers` section."""
+    doc = {
+        "agents": ["p"],
+        "atoms": [
+            {"id": "id", "parties": ["p"], "results": [{"name": "go", "next": {"p": ["nf"]}}]},
+            {"id": "nf", "parties": ["p"], "results": [{"name": "f", "next": {"p": []}}]},
+        ],
+        "initial": "id",
+        "final": "nf",
+    }
+    path = tmp_path / "id.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["summarize", str(path), "--method", "states"]) == 0
+    out = capsys.readouterr().out
+    assert out == "f: id.go·nf.f\n"
+    assert format_expr(parse_expr(out[3:-1])) == "id.go·nf.f"
+    doc["transformers"] = {"id.go": "id.go"}
+    neg = loads(json.dumps(doc))
+    assert neg.transformer(("id", "go")) == Atomic(("id", "go"))
 
 
 def test_cli_summarize_reduce(tmp_path, capsys):

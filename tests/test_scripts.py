@@ -45,6 +45,9 @@ def eval_rate(m):
     rows = m.measure(expfam(1))
     assert [engine for engine, _, _ in rows] == ["states", "rules"]
     assert all(compositions > 0 and ms >= 0 for _, compositions, ms in rows)
+    rows = m.read_back(expfam(1))
+    assert [engine for engine, *_ in rows] == ["states", "rules"]
+    assert all(min(times) >= 0 for _, *times in rows)
 
 
 def build_fixtures(m):

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import itertools
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import negsum
 from negsum import (
     Atomic,
     Concat,
@@ -33,9 +39,9 @@ from negsum import (
     union,
     union_expr,
 )
-from negsum.transformers import Identity, Kernel
+from negsum.transformers import Identity, Kernel, TransformerExpr
 
-from conftest import single_atom_negotiation
+from conftest import nodes, single_atom_negotiation
 
 SPACE = {"x": ("0", "1"), "y": ("0", "1"), "z": ("0", "1")}
 
@@ -561,6 +567,101 @@ def test_parse_errors():
     for bad in ("", "(n.a", "n.a ∪", "n."):
         with pytest.raises(ParseError):
             parse_expr(bad)
+
+
+def test_parse_atom_named_id():
+    """`id` is an atom id where `id.r` can only be an atom, and the
+    identity elsewhere: the dots after it pair up one way only."""
+    go, f = Atomic(("id", "go")), Atomic(("nf", "f"))
+    assert parse_expr("id.go·nf.f") == concat_expr(go, f)
+    assert parse_expr("id.go") == go
+    assert parse_expr("(id.go)*") == parse_expr("id.go*") == star_expr(go)
+    assert parse_expr("id ∪ id.go") == union_expr(IDENTITY, go)
+    assert parse_expr("id.id") == Atomic(("id", "id"))
+    assert parse_expr("id.go.nf.f") == concat_expr(go, f)
+    assert parse_expr("id . nf.f") == parse_expr("id nf.f") == f
+    assert parse_expr("id.nf.f*") == star_expr(f)
+    assert parse_expr("id.go.nf") == Atomic(("go", "nf"))
+    with pytest.raises(ParseError):
+        parse_expr("id.go nf")  # neither reading gives `nf` a result
+
+
+# ---------------------------------------------------------------------------
+# Reading printed expressions back
+# ---------------------------------------------------------------------------
+
+# names that the grammar also reads as the identity ("id") and the ASCII
+# union sign ("U"), and fresh result names
+NAMES = st.sampled_from(["id", "U", "n", "n0", "a+b", "f>c"])
+
+
+def _twice(e):
+    """An expression that holds `e` twice."""
+    return concat_expr(e, star_expr(union_expr(e, Atomic(("n", "a")))))
+
+
+expressions = st.recursive(
+    st.just(IDENTITY) | st.builds(lambda a, r: Atomic((a, r)), NAMES, NAMES),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=4).map(lambda ps: concat_expr(*ps)),
+        st.lists(inner, min_size=2, max_size=4).map(lambda ps: union_expr(*ps)),
+        inner.map(star_expr),
+        inner.map(_twice),
+    ),
+    max_leaves=24,
+)
+
+
+def naive_atoms(e: TransformerExpr) -> set:
+    """The atoms of `e` by the plain recursion over its tree."""
+    if isinstance(e, Atomic):
+        return {e.tag}
+    if isinstance(e, Star):
+        return naive_atoms(e.inner)
+    if isinstance(e, (Concat, Union)):
+        return set().union(*map(naive_atoms, e.parts))
+    return set()
+
+
+@settings(max_examples=300, deadline=None)
+@given(expressions)
+def test_printed_expressions_read_back_shared(e):
+    text = format_expr(e)
+    back = parse_expr(text)
+    assert back == e
+    assert hash(back) == hash(e)
+    assert format_expr(back) == text
+    objects = nodes(back)
+    assert len(objects) == len(set(objects))
+    assert e.atoms() == back.atoms() == naive_atoms(e)
+
+
+def test_atoms_of_the_k100_rule_summary():
+    """The rule summary of a K = 100 diagram is a DAG whose unfolded tree
+    has billions of nodes; `atoms` walks the DAG. Every outcome of the
+    generated diagram takes part in its summary."""
+    from negsum import generate_sound, run_auto
+
+    neg = generate_sound(3, 300, 5, max_atoms=100)
+    (expr,) = run_auto(neg).summary.values()
+    assert expr.atoms() == set(neg.outcomes())
+
+
+def test_pickled_expressions_hash_as_built_where_they_are_loaded():
+    """String hashes differ from process to process, so the hash a node
+    keeps does not travel in its pickle."""
+    text = "(n.a·n.b)* ∪ n.c"
+    dump = (
+        "import pickle, sys; from negsum import parse_expr; "
+        f"e = parse_expr({text!r}); hash(e); "
+        "sys.stdout.buffer.write(pickle.dumps(e))"
+    )
+    src = str(Path(negsum.__file__).parents[1])
+    seed = "2" if os.environ.get("PYTHONHASHSEED") == "1" else "1"
+    env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", dump], capture_output=True, env=env, check=True)
+    loaded, built = pickle.loads(out.stdout), parse_expr(text)
+    assert loaded == built and hash(loaded) == hash(built)
 
 
 # ---------------------------------------------------------------------------

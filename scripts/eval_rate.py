@@ -8,8 +8,10 @@ k = 1..3, of one generated diagram whose state summary has labels with
 long shared tails (`generate_sound(200800, 32, 5, False, max_atoms=16)`:
 5 agents, K = 15, 40 markings), and of the bundled fixture
 `running_multi`, it prints the number of relation compositions one
-evaluation makes and the CPU milliseconds of `eval_expr` over the
-summary's expressions. The read-back columns time the path of a printed
+evaluation makes, the number of factors it puts in spread form
+(`Kernel.spread`: built once per evaluation for each factor and joint
+party tuple), and the CPU milliseconds of `eval_expr` over the summary's
+expressions. The read-back columns time the path of a printed
 summary: `parse_expr` of each expression's `format_expr` text, then
 `eval_expr` and `format_expr` of what was parsed (the reprint must equal
 the text). Each time is the median of three runs, each after a full
@@ -86,28 +88,34 @@ def median_ms(job) -> float:
     return 1000 * statistics.median(times)
 
 
-def measure(neg) -> list[tuple[str, int, float]]:
-    """(engine, compositions, median CPU ms) of evaluating the state and
-    the rule summary of `neg`."""
+def measure(neg) -> list[tuple[str, int, int, float]]:
+    """(engine, compositions, spreads, median CPU ms) of evaluating the
+    state and the rule summary of `neg`."""
     space, interp = relations(neg)
-    compose = transformers._compose
-    calls = [0]
+    compose, spread = transformers._compose, transformers.Kernel.spread
+    calls = {"compose": 0, "spread": 0}
 
-    def counted(a, b):
-        calls[0] += 1
+    def counted_compose(a, b):
+        calls["compose"] += 1
         return compose(a, b)
+
+    def counted_spread(self, r, parties):
+        calls["spread"] += 1
+        return spread(self, r, parties)
 
     out = []
     for engine, exprs in summaries(neg):
-        transformers._compose = counted
+        transformers._compose = counted_compose
+        transformers.Kernel.spread = counted_spread
         try:
-            calls[0] = 0
+            calls.update(compose=0, spread=0)
             for e in exprs:
                 eval_expr(e, interp, space)
         finally:
             transformers._compose = compose
+            transformers.Kernel.spread = spread
         ms = median_ms(lambda: [eval_expr(e, interp, space) for e in exprs])
-        out.append((engine, calls[0], ms))
+        out.append((engine, calls["compose"], calls["spread"], ms))
     return out
 
 
@@ -133,11 +141,12 @@ def read_back(neg) -> list[tuple[str, float, float, float]]:
 def main() -> int:
     for name, build in INPUTS:
         neg = build()
-        for (engine, compositions, ms), (_, parse_ms, eval_ms, format_ms) in zip(
+        for (engine, compositions, spreads, ms), (_, parse_ms, eval_ms, format_ms) in zip(
             measure(neg), read_back(neg)
         ):
             print(
-                f"{name} {engine}: compositions {compositions} eval_ms {ms:.3f}"
+                f"{name} {engine}: compositions {compositions} spreads {spreads}"
+                f" eval_ms {ms:.3f}"
                 f" read_back parse_ms {parse_ms:.3f} eval_ms {eval_ms:.3f}"
                 f" format_ms {format_ms:.3f}"
             )

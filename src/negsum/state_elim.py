@@ -342,7 +342,7 @@ def _denotation(
     n = k.size(every)
     moves = {}  # label -> (successors of each assignment, party set)
     for expr, r in labels.items():
-        moves[expr] = ([bits(row) for row in k.expand(r, every).rows], frozenset(r.parties))
+        moves[expr] = (k.spread(r, every), frozenset(r.parties))
     out_edges: dict[int, list] = {}
     for e in edges:
         out_edges.setdefault(e.src, []).append((e.dst, *moves[e.expr]))

@@ -21,6 +21,7 @@ back as a DAG, not as the tree its text spells out.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
@@ -215,28 +216,25 @@ def _format_node(e: TransformerExpr, fmt) -> str:
 
 _RESERVED = set("()*·. \t\n∪")
 
+# A token is one of the signs "()*·.∪", or a word: a run of characters
+# outside `_RESERVED`. Whitespace (`str.isspace`, which is what `\s`
+# matches) is skipped before a token; inside a word only space, tab and
+# newline end it, so a word may hold other whitespace ("a\rb" is one word).
+# `re` compiles the pattern on the first parse and keeps it, so importing
+# negsum does not pay for it.
+_TOKEN = r"\s*([()*·.∪]|[^\s()*·.∪][^()*·. \t\n∪]*)"
+
 
 def _tokenize(text: str) -> list[str]:
-    tokens = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "()*·.∪":
-            tokens.append(c)
-            i += 1
-        else:
-            j = i
-            while j < len(text) and text[j] not in _RESERVED:
-                j += 1
-            tokens.append(text[i:j])
-            i = j
-    return tokens
+    return re.findall(_TOKEN, text)
 
 
 class _ExprParser:
-    def __init__(self, tokens: list[str]):
+    """Recursive descent over a token list, read in place at `pos`. The
+    parser appends None to the list, to mark its end."""
+
+    def __init__(self, tokens: list):
+        tokens.append(None)
         self.tokens = tokens
         self.pos = 0
         self.nodes: dict[TransformerExpr, TransformerExpr] = {}
@@ -247,58 +245,54 @@ class _ExprParser:
         with the held one take one step per part."""
         return self.nodes.setdefault(e, e)
 
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
     def parse_expr(self) -> TransformerExpr:
+        tokens = self.tokens
         terms = [self.parse_term()]
-        while self.peek() in ("∪", "U"):
-            self.take()
+        while tokens[self.pos] in ("∪", "U"):
+            self.pos += 1
             terms.append(self.parse_term())
         return self.share(union_expr(*terms))
 
     def parse_term(self) -> TransformerExpr:
+        tokens = self.tokens
         factors = [self.parse_factor()]
         while True:
-            tok = self.peek()
-            if tok in ("·", "."):
-                self.take()
-                factors.append(self.parse_factor())
-            elif tok is not None and tok not in (")", "∪", "U"):
-                factors.append(self.parse_factor())
-            else:
+            tok = tokens[self.pos]
+            if tok == "·" or tok == ".":
+                self.pos += 1
+            elif tok in (")", "∪", "U", None):
                 break
+            factors.append(self.parse_factor())
         return self.share(concat_expr(*factors))
 
     def parse_factor(self) -> TransformerExpr:
-        tok = self.take()
+        tokens, pos = self.tokens, self.pos
+        tok = tokens[pos]
         if tok is None:
             raise ParseError("unexpected end of expression")
+        self.pos = pos = pos + 1
         if tok == "(":
-            inner = self.parse_expr()
-            if self.take() != ")":
+            e = self.parse_expr()
+            pos = self.pos
+            if tokens[pos] != ")":
                 raise ParseError("missing closing parenthesis")
-            e = inner
+            pos += 1
         elif tok == "id" and not self.atom_follows():
             e = IDENTITY
         elif tok not in _RESERVED:
-            if self.peek() != ".":
+            if tokens[pos] != ".":
                 raise ParseError(f"expected '.' after atom id {tok!r}")
-            self.take()
-            result = self.take()
+            result = tokens[pos + 1]
             if result is None or result in _RESERVED:
                 raise ParseError(f"missing result name after {tok!r}.")
+            pos += 2
             e = self.share(Atomic((tok, result)))
         else:
             raise ParseError(f"unexpected token {tok!r}")
-        while self.peek() == "*":
-            self.take()
+        while tokens[pos] == "*":
+            pos += 1
             e = self.share(star_expr(e))
+        self.pos = pos
         return e
 
     def atom_follows(self) -> bool:
@@ -311,7 +305,7 @@ class _ExprParser:
         name `id` could also stand alone (`id.id`), the parity still
         decides, and it reads what `format_expr` prints."""
         tokens, i = self.tokens, self.pos
-        while i + 1 < len(tokens) and tokens[i] == "." and tokens[i + 1] not in _RESERVED:
+        while tokens[i] == "." and tokens[i + 1] is not None and tokens[i + 1] not in _RESERVED:
             i += 2
         return (i - self.pos) // 2 % 2 == 1
 
@@ -331,8 +325,8 @@ def parse_expr(text: str) -> TransformerExpr:
         expr = parser.parse_expr()
     except RecursionError:
         raise ParseError("expression nested too deeply") from None
-    if parser.peek() is not None:
-        raise ParseError(f"trailing input at token {parser.peek()!r}")
+    if parser.tokens[parser.pos] is not None:
+        raise ParseError(f"trailing input at token {parser.tokens[parser.pos]!r}")
     return expr
 
 
@@ -393,17 +387,25 @@ def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:
 # with one over other parties. The public functions convert at their
 # boundary, so `Rel` stays the value type.
 #
+# The left factor of a composition is read in spread form: the relation
+# expanded to the joint parties, as the list of the set-bit positions of
+# each row (`Kernel.spread`), so the composition (`_compose`) only indexes
+# and ORs. A spread is built from the factor's own rows, each walked once,
+# and lives as long as its memo (`_shared_concat`: one `Kernel.eval` call)
+# or its call (`Kernel.concat`, the oracle's `_denotation`).
+#
 # `Kernel.eval` shares suffix products. State elimination flattens each
 # new edge label into one `Concat`, so labels built from the same out-edge
 # end in the same factors. Within one call, the product of every suffix
 # of a concatenation is kept in the call's memo under (joint parties, id
 # of the factor's `Rows`, id of the product of the rest of the suffix),
-# and a suffix that several concatenations share is composed once. The ids
-# stay valid keys because the memo holds every object they name: each
-# entry holds its factor and its product, and the product of the rest is
-# held by the entry of the rest. Nothing leaves a memo, so no id named by
-# one of its keys is reused while the memo lives, and a new memo starts
-# with no products.
+# and a suffix that several concatenations share is composed once. Each
+# factor's spread is kept there too, under (joint parties, id of the
+# factor's `Rows`). The ids stay valid keys because the memo holds every
+# object they name: each entry holds its factor and its product or
+# spread, and the product of the rest is held by the entry of the rest.
+# Nothing leaves a memo, so no id named by one of its keys is reused while
+# the memo lives, and a new memo starts with no products and no spreads.
 
 
 class Rows(NamedTuple):
@@ -424,16 +426,15 @@ def bits(row: int) -> list[int]:
     return out
 
 
-def _compose(a: list[int], b: list[int]) -> list[int]:
-    """Composition of two relations over the same parties: row i of the
-    result ORs the rows of `b` named by the bits of row i of `a`."""
+def _compose(spread: list[list[int]], rows: list[int]) -> list[int]:
+    """Composition of two relations over the same parties, the first in
+    spread form (`Kernel.spread`): row i of the result ORs the rows of
+    `rows` at the positions `spread[i]` lists."""
     out = []
-    for row in a:
+    for positions in spread:
         acc = 0
-        while row:
-            low = row & -row
-            acc |= b[low.bit_length() - 1]
-            row ^= low
+        for j in positions:
+            acc |= rows[j]
         out.append(acc)
     return out
 
@@ -506,12 +507,14 @@ class Kernel:
     def _lift(self, small: tuple[str, ...], large: tuple[str, ...]):
         """Where each assignment of `small` sits among those of `large`
         when the other agents are in their first state, and the index
-        offset of each state of those other agents."""
+        offset of each state of those other agents. None where `large`
+        does not name every agent of `small`: the caller says which
+        operation failed."""
         key = (small, large)
         hit = self._lifts.get(key)
         if hit is None:
             if not set(small) <= set(large):
-                raise StateSpaceMismatch(f"cannot shrink {small} to {large}")
+                return None
             self._frame(large)
             stride, step = {}, 1
             for agent in reversed(large):
@@ -538,7 +541,10 @@ class Kernel:
         once, then shifted by the offset of every state of those agents."""
         if r.parties == parties:
             return r
-        positions, offsets = self._lift(r.parties, parties)
+        lift = self._lift(r.parties, parties)
+        if lift is None:
+            raise StateSpaceMismatch(f"cannot expand {r.parties} to {parties}")
+        positions, offsets = lift
         out = [0] * self.size(parties)
         for i, row in enumerate(r.rows):
             lifted = 0
@@ -551,10 +557,35 @@ class Kernel:
                 out[base + off] = lifted << off
         return Rows(parties, out)
 
+    def spread(self, r: Rows, parties: tuple[str, ...]) -> list[list[int]]:
+        """`expand(r, parties)` in spread form: for each row, the
+        positions of its set bits, lowest first, so a composition that
+        reads it (`_compose`) does no bit arithmetic. Each of `r`'s own
+        rows is walked once, its positions lifted (and sorted, since `r`
+        may name its agents in another order than `parties`), then
+        shifted by the offset of every state of the agents `r` does not
+        name."""
+        if r.parties == parties:
+            return [bits(row) for row in r.rows]
+        lift = self._lift(r.parties, parties)
+        if lift is None:
+            raise StateSpaceMismatch(f"cannot spread {r.parties} to {parties}")
+        positions, offsets = lift
+        out: list = [None] * self.size(parties)
+        for i, row in enumerate(r.rows):
+            lifted = sorted([positions[j] for j in bits(row)])
+            base = positions[i]
+            for off in offsets:
+                out[base + off] = [p + off for p in lifted] if off else lifted
+        return out
+
     def restrict(self, r: Rows, parties: tuple[str, ...]) -> Rows:
         """The relation over the smaller tuple `parties` whose expansion
         is `r`; `r` must leave every other agent unchanged."""
-        positions = self._lift(parties, r.parties)[0]
+        lift = self._lift(parties, r.parties)
+        if lift is None:
+            raise StateSpaceMismatch(f"cannot restrict {r.parties} to {parties}")
+        positions = lift[0]
         out = []
         for p in positions:
             row = r.rows[p]
@@ -563,22 +594,26 @@ class Kernel:
 
     def concat(self, *rs: Rows) -> Rows:
         """Relational composition of `rs` in order, over the joint
-        parties. It folds from the right, so each step walks the bits of
-        one factor, which is usually sparse, and not of the product so
+        parties. It folds from the right, so each step walks one factor,
+        which is usually sparse, in spread form, and not the product so
         far, which fills up."""
         parties = self.merged(*(r.parties for r in rs))
         rows = None
         for r in reversed(rs):
-            e = self.expand(r, parties).rows
-            rows = e if rows is None else _compose(e, rows)
+            if rows is None:
+                rows = self.expand(r, parties).rows
+            else:
+                rows = _compose(self.spread(r, parties), rows)
         return Rows(parties, [1] if rows is None else rows)
 
     def _shared_concat(self, rs: list[Rows], memo: dict) -> Rows:
         """`concat(*rs)`, with each suffix product looked up in `memo`
         and stored there as (factor, product) under (joint parties,
         id(factor), id(product of the rest)). The last factor's key names
-        `id(None)`, which no product can have. The joint parties of each
-        tuple of factor parties are computed once per kernel."""
+        `id(None)`, which no product can have. Each factor's spread is
+        kept in `memo` too, as (factor, spread) under (joint parties,
+        id(factor)), so it is built once per memo. The joint parties of
+        each tuple of factor parties are computed once per kernel."""
         factors = tuple([r.parties for r in rs])
         parties = self._joints.get(factors)
         if parties is None:
@@ -588,8 +623,14 @@ class Kernel:
             key = (parties, id(r), id(rows))
             hit = memo.get(key)
             if hit is None:
-                e = self.expand(r, parties).rows
-                hit = memo[key] = (r, e if rows is None else _compose(e, rows))
+                if rows is None:
+                    product = self.expand(r, parties).rows
+                else:
+                    spread = memo.get((parties, id(r)))
+                    if spread is None:
+                        spread = memo[(parties, id(r))] = (r, self.spread(r, parties))
+                    product = _compose(spread[1], rows)
+                hit = memo[key] = (r, product)
             rows = hit[1]
         return Rows(parties, [1] if rows is None else rows)
 
@@ -634,12 +675,13 @@ class Kernel:
         """Structural fold of the expression, memoized in `memo`:
         subexpressions repeat heavily in eliminator output. `memo` maps
         each expression evaluated to its `Rows`, and holds the suffix
-        products of its concatenations too (`_shared_concat`), so a
-        concatenation costs one composition per suffix not met before
-        in the memo's lifetime. Nodes keep their hashes, so a lookup
-        hashes in one step, and a node of a DAG met again as the same
-        object (as every node of one read back by `parse_expr` is) is
-        found by identity, without a structural comparison."""
+        products of its concatenations and their factors' spreads too
+        (`_shared_concat`), so a concatenation costs one composition per
+        suffix not met before in the memo's lifetime. Nodes keep their
+        hashes, so a lookup hashes in one step, and a node of a DAG met
+        again as the same object (as every node of one read back by
+        `parse_expr` is) is found by identity, without a structural
+        comparison."""
         hit = memo.get(expr)
         if hit is not None:
             return hit

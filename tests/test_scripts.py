@@ -43,8 +43,10 @@ def cli_latency(m):
 
 def eval_rate(m):
     rows = m.measure(expfam(1))
-    assert [engine for engine, _, _ in rows] == ["states", "rules"]
-    assert all(compositions > 0 and ms >= 0 for _, compositions, ms in rows)
+    assert [engine for engine, *_ in rows] == ["states", "rules"]
+    assert all(
+        0 < spreads <= compositions and ms >= 0 for _, compositions, spreads, ms in rows
+    )
     rows = m.read_back(expfam(1))
     assert [engine for engine, *_ in rows] == ["states", "rules"]
     assert all(min(times) >= 0 for _, *times in rows)

@@ -4,6 +4,7 @@ import itertools
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +40,7 @@ from negsum import (
     union,
     union_expr,
 )
-from negsum.transformers import Identity, Kernel, TransformerExpr
+from negsum.transformers import _RESERVED, Identity, Kernel, TransformerExpr, _tokenize, bits
 
 from conftest import nodes, single_atom_negotiation
 
@@ -457,6 +458,53 @@ def test_state_space_mismatch():
                 pytest.fail(f"{where} accepted a relation with a bad {what}")
 
 
+@pytest.mark.parametrize(
+    "operation, parties, target, message",
+    [
+        ("expand", ("a", "b"), ("a",), "cannot expand ('a', 'b') to ('a',)"),
+        ("spread", ("a", "b"), ("b",), "cannot spread ('a', 'b') to ('b',)"),
+        ("restrict", ("a", "b"), ("a", "c"), "cannot restrict ('a', 'b') to ('a', 'c')"),
+    ],
+    ids=["expand", "spread", "restrict"],
+)
+def test_party_mismatch_names_the_operation(operation, parties, target, message):
+    """A relation that cannot be taken to a party tuple is reported with
+    the operation and the tuples in the call's order: the relation's
+    parties, then the ones asked for."""
+    k = Kernel({"a": ("0", "1"), "b": ("0", "1"), "c": ("0", "1")})
+    r = k.rows(full_identity(k.space, parties))
+    with pytest.raises(StateSpaceMismatch, match=f"^{re.escape(message)}$"):
+        getattr(k, operation)(r, target)
+
+
+# ---------------------------------------------------------------------------
+# The spread form
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=80, deadline=None)
+@given(space_and_relations(1), st.data())
+def test_spread_lists_the_bits_of_each_expanded_row(case, data):
+    """`spread` is `expand` with each row as the positions of its set
+    bits: over the relation's own parties, and over larger tuples, in the
+    order of the space and in any other."""
+    space, (a,) = case
+    k = Kernel(space)
+    r = k.rows(a)
+    extra = data.draw(st.lists(st.sampled_from(list(space)), unique=True))
+    joint = k.merged(a.parties, extra)
+    for parties in (a.parties, joint, tuple(data.draw(st.permutations(list(joint))))):
+        assert k.spread(r, parties) == [bits(row) for row in k.expand(r, parties).rows]
+
+
+def test_spread_of_the_empty_party_tuple():
+    k = Kernel(SPACE)
+    for a in (identity_rel(), Rel((), frozenset())):
+        r = k.rows(a)
+        for parties in ((), ("x",), ("x", "z"), tuple(SPACE)):
+            assert k.spread(r, parties) == [bits(row) for row in k.expand(r, parties).rows]
+    assert k.spread(k.rows(identity_rel()), ()) == [[0]]
+
+
 # ---------------------------------------------------------------------------
 # expressions
 # ---------------------------------------------------------------------------
@@ -564,9 +612,53 @@ def test_parse_fresh_result_names():
 
 
 def test_parse_errors():
-    for bad in ("", "(n.a", "n.a ∪", "n."):
-        with pytest.raises(ParseError):
-            parse_expr(bad)
+    cases = {
+        "": "unexpected end of expression",
+        "n.a ∪": "unexpected end of expression",
+        "(n.a": "missing closing parenthesis",
+        "(n.a m": "expected '.' after atom id 'm'",
+        "n": "expected '.' after atom id 'n'",
+        "n.": "missing result name after 'n'.",
+        "n.*": "missing result name after 'n'.",
+        "*": "unexpected token '*'",
+        "n.a ∪ )": "unexpected token ')'",
+        "n.a)": "trailing input at token ')'",
+        "(" * 5000 + "n.a" + ")" * 5000: "expression nested too deeply",
+    }
+    for text, message in cases.items():
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            parse_expr(text)
+
+
+def tokenize_by_characters(text: str) -> list[str]:
+    """The tokens of `text`, read one character at a time."""
+    tokens, i = [], 0
+    while i < len(text):
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c in "()*·.∪":
+            tokens.append(c)
+            i += 1
+        else:
+            j = i
+            while j < len(text) and text[j] not in _RESERVED:
+                j += 1
+            tokens.append(text[i:j])
+            i = j
+    return tokens
+
+
+WHITESPACE = [chr(c) for c in range(0x3001) if chr(c).isspace()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(["(", ")", "*", "·", ".", "∪", "U", "id", "n", "a1", *WHITESPACE])))
+def test_tokens_skip_whitespace_before_a_token_and_keep_it_inside_a_word(pieces):
+    r"""Any whitespace is skipped before a token; inside a word only space,
+    tab and newline end it (`a\rb` is one word, `\ra` is the word `a`)."""
+    text = "".join(pieces)
+    assert _tokenize(text) == tokenize_by_characters(text)
 
 
 def test_parse_atom_named_id():
@@ -734,8 +826,9 @@ def test_state_summary_composes_each_shared_suffix_once(monkeypatch):
     labels share long tails (5 agents, K = 15, 40 markings), `Kernel.eval`
     makes at most one composition per distinct (joint parties, suffix),
     where the plain fold makes one per factor boundary of every
-    concatenation, and each concatenation's value equals that plain fold
-    through `Kernel.concat`."""
+    concatenation, and spreads each (joint parties, factor) at most once.
+    Each concatenation's value equals that plain fold through
+    `Kernel.concat`."""
     from negsum import generate_sound, summarize_by_states
     import negsum.transformers as transformers
 
@@ -774,16 +867,25 @@ def test_state_summary_composes_each_shared_suffix_once(monkeypatch):
     assert len(suffixes) < plain
 
     calls = [0]
-    compose = transformers._compose
+    compose, spread = transformers._compose, Kernel.spread
+    spreads = []  # (joint parties, id of the factor) of each spread built
 
     def counted(a, b):
         calls[0] += 1
         return compose(a, b)
 
+    def counted_spread(self, r, parties):
+        spreads.append((parties, id(r)))
+        return spread(self, r, parties)
+
     k, memo = Kernel(space), {}
     monkeypatch.setattr(transformers, "_compose", counted)
+    monkeypatch.setattr(Kernel, "spread", counted_spread)
     k.eval(expr, interp, memo)
     monkeypatch.setattr(transformers, "_compose", compose)
+    monkeypatch.setattr(Kernel, "spread", spread)
     assert calls[0] <= len(suffixes)
+    # the memo holds every factor, so no id above was reused
+    assert 0 < len(spreads) == len(set(spreads)) < calls[0]
     for c in concats:
         assert memo[c] == k.concat(*(memo[p] for p in c.parts)), c

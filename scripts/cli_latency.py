@@ -8,8 +8,10 @@ in-process caller runs it, with its output captured. After one warm-up
 call, every command is called `repeats` times on each of the 18 fixtures,
 and the script prints the median process CPU time of one call, in ms. The
 `load` row times `fileio.load` alone: reading, parsing and validating one
-fixture file, the first step of every command. Standard library only;
-negsum is loaded from the `src/` directory next to this script.
+fixture file, the first step of every command. The last line is the
+process's peak resident set size (`ru_maxrss`), which the imports set as
+much as the calls. Standard library only (`resource`: Unix); negsum is
+loaded from the `src/` directory next to this script.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import contextlib
 import io
 import os
 import pathlib
+import resource
 import statistics
 import sys
 import tempfile
@@ -49,6 +52,11 @@ def cpu_ms(call) -> float:
     return (time.process_time() - t0) * 1000.0
 
 
+def peak_rss_mb() -> float:
+    """The process's peak resident set size so far (Linux reports KB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 def run_cli(argv: list[str]) -> None:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         cli.main(argv)
@@ -73,6 +81,7 @@ def main(argv: list[str]) -> int:
         print(f"{name:<9} median_ms {statistics.median(times):.3f}")
     cli_times = [t for name, times in rows[1:] for t in times]
     print(f"{'all cli':<9} median_ms {statistics.median(cli_times):.3f}")
+    print(f"peak_rss_mb {peak_rss_mb():.1f}")
     return 0
 
 

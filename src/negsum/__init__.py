@@ -29,7 +29,6 @@ from .model import (
     Negotiation,
     classify,
     is_acyclic,
-    negotiation_graph,
     validate,
 )
 from .semantics import (

@@ -1,6 +1,5 @@
-"""Negotiation diagrams: data model, well-formedness validation, the
-negotiation graph, and classification (deterministic / weakly
-deterministic / acyclic).
+"""Negotiation diagrams: data model, well-formedness validation, and
+classification (deterministic / weakly deterministic / acyclic).
 
 A negotiation couples a set of agents with a set of multi-party atoms.
 Validation enforces:
@@ -36,8 +35,6 @@ from .errors import ValidationError
 from .transformers import Atomic, Rel, StateSpace, TransformerExpr
 
 if TYPE_CHECKING:
-    import networkx as nx
-
     from .semantics import MarkingKernel
 
 Outcome = tuple[str, str]  # (atom id, result name)
@@ -195,20 +192,6 @@ class Negotiation:
             f"Negotiation({len(self.agents)} agents, {len(self.atoms)} atoms, "
             f"initial={self.initial!r}, final={self.final!r})"
         )
-
-
-def negotiation_graph(neg: Negotiation) -> nx.MultiDiGraph:
-    """The graph of the negotiation: atoms as vertices, one edge per arc,
-    labeled with (agent, result)."""
-    # imported here: networkx takes most of the package's import time, and
-    # only this graph, `find_loops` and `syntactic_cycles` need it
-    import networkx as nx
-
-    g = nx.MultiDiGraph()
-    g.add_nodes_from(neg.atoms)
-    for atom, agent, result, target in neg.arcs():
-        g.add_edge(atom, target, agent=agent, result=result)
-    return g
 
 
 def validate(

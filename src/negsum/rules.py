@@ -517,9 +517,11 @@ def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] 
     return arcs
 
 
-def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool) -> bool:
+def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool, forks: bool) -> bool:
     """Whether iteration, shortcut or useless arc puts the outcome in R(N);
-    `acyclic` is whether the diagram is, which the useless-arc guard reads."""
+    `acyclic` is whether the diagram is, which the useless-arc guard reads,
+    and `forks` whether it has a fork, without which that guard never
+    holds: its witness is a second target."""
     n, r = outcome
     return (
         iteration_applicable(neg, outcome)
@@ -527,7 +529,7 @@ def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool) -> bool:
             shortcut_guard(neg, outcome, n2).holds
             for n2 in neg.sends(outcome).others
         )
-        or any(
+        or forks and any(
             is_useless_arc(neg, (n, p, r, n2), acyclic=acyclic)
             for p in neg.parties(n)
             for n2 in neg.targets(n, p, r)
@@ -706,7 +708,9 @@ class Reducible:
     input that is acyclic or has no fork, which stays so: rules never make
     an acyclic diagram cyclic (`preserves_class`), and a diagram without
     forks never gets one, because every target set a rule creates is
-    copied or cut from an existing one. The strategies keep R(N) on
+    copied or cut from an existing one. So on an input without forks
+    (`forks` false) the useless-arc guard, whose witness is a second
+    target, is never evaluated. The strategies keep R(N) on
     acyclic and on deterministic diagrams, which have no fork: the classes
     the rules are complete for. On a cyclic input with a fork, `advance`
     raises `ValueError`.
@@ -715,19 +719,17 @@ class Reducible:
     def __init__(self, neg: Indexed, acyclic: bool):
         self.neg = neg
         self.acyclic = acyclic
+        self.forks = any(len(ts) > 1 for ts in neg.transition.values())
         self.outcomes = OrderedOutcomes(neg)
         self.mergeable = OrderedOutcomes(neg)
         for o in neg.outcomes():  # in outcome order, so each add appends
             self._evaluate(o)
         self.evaluated = neg.num_outcomes()  # outcomes whose reducibility was computed
-        self.cyclic_fork = not acyclic and any(
-            len(ts) > 1 for ts in neg.transition.values()
-        )
 
     def _evaluate(self, o: Outcome) -> None:
         neg = self.neg
         mergeable = merge_partner(neg, o) is not None
-        reducible = mergeable or _reducible_unmerged(neg, o, self.acyclic)
+        reducible = mergeable or _reducible_unmerged(neg, o, self.acyclic, self.forks)
         for members, holds in ((self.outcomes, reducible), (self.mergeable, mergeable)):
             if holds:
                 members.add(o)
@@ -736,7 +738,7 @@ class Reducible:
 
     def advance(self, app: RuleApplication) -> None:
         """Follow `app`, which has just rewritten the working diagram."""
-        if self.cyclic_fork:
+        if self.forks and not self.acyclic:
             raise ValueError("R(N) is not kept up to date on a cyclic diagram with a fork")
         change = app.change
         for o in change.removed:

@@ -10,10 +10,11 @@ returned as unsoundness evidence otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import islice
+from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded
-from .model import AtomSpec, Negotiation, Outcome, negotiation_graph, validate
+from .model import AtomSpec, Negotiation, Outcome, validate
 from .semantics import DEFAULT_CAP, Marking, reachability, step
 from .transformers import IDENTITY
 
@@ -241,24 +242,122 @@ class Loop:
 CYCLE_LIMIT = 10_000  # the most cycles `find_loops` and `syntactic_cycles` list
 
 
+def _components(succ: dict[int, Iterable[int]]) -> Iterator[set[int]]:
+    """Strongly connected components of `succ` (node -> successors, in
+    iteration order), by a non-recursive Tarjan search (SIAM J. Comput.,
+    1972), in the order networkx finds them and built as sets by the same
+    insertions, so that they iterate alike."""
+    preorder: dict[int, int] = {}
+    lowlink: dict[int, int] = {}
+    found: set[int] = set()
+    pending: list[int] = []
+    neighbors = {v: iter(out) for v, out in succ.items()}
+    for source in succ:
+        if source in found:
+            continue
+        queue = [source]
+        while queue:
+            v = queue[-1]
+            preorder.setdefault(v, len(preorder) + 1)
+            w = next((w for w in neighbors[v] if w not in preorder), None)
+            if w is not None:
+                queue.append(w)
+                continue
+            low = preorder[v]
+            for w in succ[v]:
+                if w not in found:
+                    low = min(low, lowlink[w] if preorder[w] > preorder[v] else preorder[w])
+            lowlink[v] = low
+            queue.pop()
+            if low < preorder[v]:
+                pending.append(v)
+                continue
+            scc = {v}
+            while pending and preorder[pending[-1]] > preorder[v]:
+                scc.add(pending.pop())
+            found.update(scc)
+            yield scc
+
+
+def _circuits(succ: dict[int, list[int]], start: int) -> Iterator[list[int]]:
+    """Johnson's search (SIAM J. Comput., 1975) for the simple cycles
+    through `start` in `succ`; each begins at `start`."""
+    path = [start]
+    blocked = {start}
+    waiting: dict[int, set[int]] = {}  # Johnson's B: unblocked with the key
+    stack = [iter(succ[start])]
+    closed = [False]
+    while stack:
+        for w in stack[-1]:
+            if w == start:
+                yield path[:]
+                closed[-1] = True
+            elif w not in blocked:
+                path.append(w)
+                closed.append(False)
+                stack.append(iter(succ[w]))
+                blocked.add(w)
+                break
+        else:
+            stack.pop()
+            v = path.pop()
+            if closed.pop():
+                if closed:
+                    closed[-1] = True
+                unblock = {v}
+                while unblock:
+                    u = unblock.pop()
+                    if u in blocked:
+                        blocked.remove(u)
+                        unblock.update(waiting.pop(u, ()))
+            else:
+                for w in succ[v]:
+                    waiting.setdefault(w, set()).add(v)
+
+
+def _simple_cycles(adj: dict[int, dict]) -> Iterator[list[int]]:
+    """Simple cycles of the directed graph `adj` (node -> its distinct
+    successors, in iteration order), in the order `networkx.simple_cycles`
+    lists them: self-loops in node order first; then, with self-loops
+    dropped, Johnson's search from one node of the last component found,
+    after which that node is removed and the component split again."""
+    yield from ([v] for v, out in adj.items() if v in out)
+    succ: dict[int, dict[int, None]] = {}
+    for v, out in adj.items():
+        for w in out:
+            if w != v:
+                succ.setdefault(v, {})[w] = None
+                succ.setdefault(w, {})
+    components = [c for c in _components(succ) if len(c) > 1]
+    while components:
+        c = components.pop()
+        start = next(iter(c))
+        yield from _circuits({v: [w for w in succ[v] if w in c] for v in c}, start)
+        del succ[start]
+        for out in succ.values():
+            out.pop(start, None)
+        # networkx walks the rest of the component in the order of a copy
+        # of it when that has fewer than half the graph's nodes
+        copy = set(iter(c))
+        nodes = copy if 2 * len(copy) < len(succ) else succ
+        view = {v: [w for w in succ[v] if w in c] for v in nodes if v in c and v in succ}
+        components.extend(c2 for c2 in _components(view) if len(c2) > 1)
+
+
 def find_loops(neg: Negotiation, cap: int = DEFAULT_CAP) -> list[Loop]:
     """Simple cycles of the reachability graph, as replayable loops: the
-    first `CYCLE_LIMIT` that networkx lists."""
-    import networkx as nx  # here, not at the top: see `negotiation_graph`
-
+    first `CYCLE_LIMIT`, in the order of `_simple_cycles` on the graph's
+    nodes in order of first appearance on an edge."""
     graph = reachability(neg, cap)
-    g = nx.MultiDiGraph()
-    edge_lookup: dict[tuple[int, int], list[Outcome]] = {}
+    adj: dict[int, dict[int, list[Outcome]]] = {}
     for v, out in enumerate(graph.succ):
         for o, w in out:
-            g.add_edge(v, w, outcome=o)
-            edge_lookup.setdefault((v, w), []).append(o)
+            adj.setdefault(v, {}).setdefault(w, []).append(o)
+            adj.setdefault(w, {})
     loops = []
-    for cycle in nx.simple_cycles(g):
-        if len(loops) >= CYCLE_LIMIT:
-            break
-        # consecutive nodes of a cycle are joined by an edge of `g`
-        outcomes = [min(edge_lookup[edge]) for edge in zip(cycle, cycle[1:] + cycle[:1])]
+    for cycle in islice(_simple_cycles(adj), CYCLE_LIMIT):
+        # consecutive nodes of a cycle are joined by an edge of `adj`
+        outcomes = [min(adj[v][w]) for v, w in zip(cycle, cycle[1:] + cycle[:1])]
         loops.append(Loop(outcomes, graph.kernel.decode(graph.codes[cycle[0]])).bind(neg))
     return loops
 
@@ -297,16 +396,14 @@ def dominating_atom(neg: Negotiation, cycle: list[str]) -> Optional[str]:
 
 
 def syntactic_cycles(neg: Negotiation) -> list[list[str]]:
-    """The first `CYCLE_LIMIT` simple cycles of the negotiation graph."""
-    import networkx as nx  # here, not at the top: see `negotiation_graph`
-
-    g = negotiation_graph(neg)
-    out = []
-    for cycle in nx.simple_cycles(g):
-        out.append(list(cycle))
-        if len(out) >= CYCLE_LIMIT:
-            break
-    return out
+    """The first `CYCLE_LIMIT` simple cycles of the negotiation graph
+    (atoms as nodes, one edge per arc), in the order of `_simple_cycles`
+    on atoms in index order."""
+    names = list(neg.atoms)
+    adj: dict[int, dict[int, None]] = {i: {} for i in range(len(names))}
+    for atom, _agent, _result, target in neg.arcs():
+        adj[neg.atom_index(atom)][neg.atom_index(target)] = None
+    return [[names[i] for i in cycle] for cycle in islice(_simple_cycles(adj), CYCLE_LIMIT)]
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import itertools
 import random
 from contextlib import contextmanager
 
+import networkx as nx
 import pytest
 
 from negsum import (
@@ -34,6 +35,16 @@ def reversed_ties():
 @pytest.fixture(scope="session")
 def fixtures():
     return {name: load_fixture(name) for name in fixture_names()}
+
+
+def negotiation_graph(neg) -> nx.MultiDiGraph:
+    """The graph of the negotiation: atoms as vertices, one edge per arc,
+    labeled with (agent, result)."""
+    g = nx.MultiDiGraph()
+    g.add_nodes_from(neg.atoms)
+    for atom, agent, result, target in neg.arcs():
+        g.add_edge(atom, target, agent=agent, result=result)
+    return g
 
 
 def single_atom_negotiation(results=("r",)):

@@ -580,16 +580,25 @@ def test_cli_internal_error_exits_2(fdm_file, capsys, monkeypatch, error):
     assert captured.out == ""
 
 
-def test_cli_import_leaves_networkx_out():
-    """networkx is imported only by the functions that need it, so a CLI
-    process does not pay for it."""
+def test_cli_import_leaves_networkx_out(tmp_path):
+    """No negsum code path imports networkx, which is a test-only
+    reference: not the CLI, not the loop diagnostics, not the syntactic
+    cycles."""
     src = str(Path(negsum.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
-    code = "import sys, negsum.cli; print(sorted(m for m in sys.modules if 'networkx' in m))"
+    running = write_fixture(tmp_path, "running_multi")
+    code = (
+        "import contextlib, io, sys\n"
+        "from negsum import cli, load_fixture, syntactic_cycles\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main(['diag', '--fragments', '--loops', {running!r}])\n"
+        "cycles = syntactic_cycles(load_fixture('fdm_cyclic'))\n"
+        "print(code, bool(cycles), sorted(m for m in sys.modules if 'networkx' in m))"
+    )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out == "[]\n"
+    assert out == "0 True []\n"
 
 
 def test_cli_summarize_reduce_within_bound(tmp_path, capsys):

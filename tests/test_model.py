@@ -14,14 +14,13 @@ from negsum import (
     fixture_names,
     generate_sound,
     load_fixture,
-    negotiation_graph,
     run_auto,
     validate,
 )
 from negsum.fileio import dumps, loads
 from negsum.model import edit
 
-from conftest import all_rule_applications, single_atom_negotiation
+from conftest import all_rule_applications, negotiation_graph, single_atom_negotiation
 
 
 @pytest.mark.parametrize("name", fixture_names())

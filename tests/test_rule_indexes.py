@@ -56,7 +56,6 @@ from negsum import (
     merge_partner,
     mutate_unsound,
     expfam,
-    negotiation_graph,
     reducible_outcomes,
     run_auto,
     run_general,
@@ -70,7 +69,7 @@ from negsum.rules import OrderedOutcomes, Reducible, _useless_witness, dirty_out
 from negsum.working import indexed, working_copy
 from negsum.strategies import ReductionTrace, run_exponential_demo
 
-from conftest import all_rule_applications
+from conftest import all_rule_applications, negotiation_graph
 from test_rule_traces import build_cases, run_general_unchecked
 
 # the lowest stage as R(N) keeps it, also while `run_general_unchecked`
@@ -480,6 +479,21 @@ def test_every_rule_instance_updates_reducible_outcomes_exactly():
             final_moves += app.after.final != neg.final
     assert kinds == {"merge", "iteration", "useless_arc", "shortcut"}
     assert final_moves
+
+
+def test_diagrams_without_forks_have_no_useless_arc_and_make_none():
+    """`Reducible` skips the useless-arc guard on an input without forks:
+    no arc of such a diagram is useless, and no rule instance on it makes
+    a fork."""
+    instances = 0
+    for _case, neg in build_cases().items():
+        if any(len(t) > 1 for t in neg.transition.values()):
+            continue
+        assert not any(is_useless_arc(neg, arc) for arc in neg.arcs())
+        for _kind, _site, thunk in all_rule_applications(neg):
+            assert all(len(t) <= 1 for t in thunk().after.transition.values())
+            instances += 1
+    assert instances > 100
 
 
 def forked(neg, rng, forks=3):

@@ -39,6 +39,7 @@ def markings_rate(m):
 
 def cli_latency(m):
     m.run_cli(["validate", str(m.FIXTURES / "atomic.json")])
+    assert m.peak_rss_mb() > 0
 
 
 def eval_rate(m):

@@ -19,7 +19,6 @@ from negsum import (
     load_fixture,
     make_marking,
     mutate_unsound,
-    negotiation_graph,
     segment,
     step,
     synchronizers,
@@ -28,6 +27,8 @@ from negsum import (
     target_of_outcome,
 )
 from negsum.structure import Loop, exit_name
+
+from conftest import negotiation_graph
 
 SOUND_DET = ["fdm_cyclic", "running_multi", "multifragment", "ladder",
              "dfs_example", "regen", "pingpong", "cyclic_two_outcomes",

@@ -14,9 +14,15 @@ party tuple), and the CPU milliseconds of `eval_expr` over the summary's
 expressions. The read-back columns time the path of a printed
 summary: `parse_expr` of each expression's `format_expr` text, then
 `eval_expr` and `format_expr` of what was parsed (the reprint must equal
-the text). Each time is the median of three runs, each after a full
-garbage collection. The relations are seeded left-total relations over
-two states per agent, built as the benchmark's cross-check builds them.
+the text). Each input also gets an oracle row: its number of reachable
+markings, the number n of global assignments of its agents, and the CPU
+milliseconds of `brute_force_summary`, the union of all large steps off
+the reachability graph. `expfam(4)` (627 markings, n = 16) and
+`expfam(5)` (3,127 markings, n = 32) get only the oracle row: the state
+summary of `expfam(4)` alone prints as about 19 MB of text. Each time is
+the median of three runs, each after a full garbage collection. The
+relations are seeded left-total relations over two states per agent,
+built as the benchmark's cross-check builds them.
 Standard library only; negsum is loaded from the `src/` directory next to
 this script.
 """
@@ -25,6 +31,7 @@ from __future__ import annotations
 
 import gc
 import itertools
+import math
 import pathlib
 import random
 import statistics
@@ -35,12 +42,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from negsum import (  # noqa: E402
     Rel,
+    brute_force_summary,
     eval_expr,
     expfam,
     format_expr,
     generate_sound,
     load_fixture,
     parse_expr,
+    reachability,
     run_auto,
     summarize_by_states,
     transformers,
@@ -52,6 +61,7 @@ INPUTS = (
     ("shape 4", lambda: generate_sound(200800, 32, 5, False, max_atoms=16)),
     ("running_multi", lambda: load_fixture("running_multi")),
 )
+ORACLE_ONLY = tuple((f"expfam({k})", lambda k=k: expfam(k)) for k in (4, 5))
 
 
 def relations(neg):
@@ -138,6 +148,21 @@ def read_back(neg) -> list[tuple[str, float, float, float]]:
     return out
 
 
+def oracle(neg) -> tuple[int, int, float]:
+    """(reachable markings, global assignments n, median CPU ms of
+    `brute_force_summary`) of `neg` under the seeded relations."""
+    space, interp = relations(neg)
+    markings = len(reachability(neg).codes)
+    named = {a for rel in interp.values() for a in rel.parties}
+    n = math.prod(len(space[a]) for a in named)
+    return markings, n, median_ms(lambda: brute_force_summary(neg, interp, space))
+
+
+def print_oracle(name, neg) -> None:
+    markings, n, ms = oracle(neg)
+    print(f"{name} oracle: markings {markings} n {n} brute_force_ms {ms:.3f}")
+
+
 def main() -> int:
     for name, build in INPUTS:
         neg = build()
@@ -150,6 +175,9 @@ def main() -> int:
                 f" read_back parse_ms {parse_ms:.3f} eval_ms {eval_ms:.3f}"
                 f" format_ms {format_ms:.3f}"
             )
+        print_oracle(name, neg)
+    for name, build in ORACLE_ONLY:
+        print_oracle(name, build())
     return 0
 
 

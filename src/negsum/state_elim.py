@@ -322,14 +322,45 @@ def graph_denotation(
 
     Semi-naive Kleene iteration: a worklist carries, per node, only what
     the last visit added to its relation, and pushes that along the node's
-    out-edges. Each distinct edge label is evaluated once per call. A
-    node's relation is held over all agents of the edge labels as one
-    bitset of initial assignments per current assignment, so a push costs
-    one OR per successor of a newly reached assignment. Each result keeps
-    the parties of the edges on its paths, as the pairwise iteration this
-    replaced did.
+    out-edges. Each distinct label object is evaluated once per call. A
+    node's relation over the n assignments of all the labels' agents is
+    one int of n blocks of n bits: block t holds the initial assignments
+    that reach assignment t. A push moves it whole, by AND and shift
+    (`_moves`). Each result is restricted to the parties of the edges on
+    its paths, kept per node as an agent bitmask.
     """
     return _denotation(g.edges, g.x0, g.xf, interp, space)
+
+
+def _moves(k: Kernel, r: Rows, every: tuple[str, ...], n: int) -> list:
+    """The label `r` as (mask, shift) pairs on relations over `every` in
+    block form. The global state (a, x), for a local entry a of `r` and
+    an assignment x of the other agents, moves to (b, x) for each exit b
+    of a: one pair per distance from an entry to an exit, its mask the
+    blocks of the entries at that distance."""
+    positions, offsets = k._lift(r.parties, every)
+    full = (1 << n) - 1
+    blocks = 0  # the blocks of (first entry, x) for every x
+    for off in offsets:
+        blocks |= full << off * n
+    masks: dict[int, int] = {}
+    for a, row in enumerate(r.rows):
+        if row:
+            mask = blocks << positions[a] * n
+            for b in bits(row):
+                d = positions[b] - positions[a]
+                masks[d] = masks.get(d, 0) | mask
+    return [(mask, d * n) for d, mask in masks.items()]
+
+
+def _push(x: int, moves: list) -> int:
+    """The relation `x` in block form moved by a label's `_moves`."""
+    out = 0
+    for mask, shift in moves:
+        y = x & mask
+        if y:
+            out |= y << shift if shift >= 0 else y >> -shift
+    return out
 
 
 def _denotation(
@@ -337,66 +368,66 @@ def _denotation(
 ) -> dict[str, Rel]:
     k = Kernel(space)
     memo: dict = {}
-    labels = {e.expr: k.eval(e.expr, interp, memo) for e in edges}
+    labels: dict[int, Rows] = {}  # id of a label object -> its relation
+    for e in edges:
+        if id(e.expr) not in labels:
+            labels[id(e.expr)] = k.eval(e.expr, interp, memo)
     every = k.merged(*(r.parties for r in labels.values()))
     n = k.size(every)
-    moves = {}  # label -> (successors of each assignment, party set)
-    for expr, r in labels.items():
-        moves[expr] = (k.spread(r, every), frozenset(r.parties))
+    agent_bit = {a: 1 << i for i, a in enumerate(every)}
+    moves = {  # id of a label object -> (its moves, its agent bitmask)
+        eid: (_moves(k, r, every, n), sum(agent_bit[a] for a in r.parties))
+        for eid, r in labels.items()
+    }
     out_edges: dict[int, list] = {}
     for e in edges:
-        out_edges.setdefault(e.src, []).append((e.dst, *moves[e.expr]))
+        out_edges.setdefault(e.src, []).append((e.dst, *moves[id(e.expr)]))
 
-    reach = {x0: [1 << s for s in range(n)]}  # node -> state -> initial states
-    parties = {x0: frozenset()}
-    delta = {x0: dict(enumerate(reach[x0]))}
+    start = sum(1 << s * (n + 1) for s in range(n))  # block s holds s
+    reach = {x0: start}  # node -> its relation in block form
+    parties = {x0: 0}  # node -> agent bitmask over `every`
+    delta = {x0: start}
     work = deque([x0])
     queued = {x0}
     while work:
         u = work.popleft()
         queued.discard(u)
-        new = delta.pop(u, None)
-        for v, succ, pe in out_edges.get(u, ()):
+        new = delta.pop(u, 0)
+        for v, move, pe in out_edges.get(u, ()):
             grown = parties[u] | pe
             if v not in reach:
-                reach[v], parties[v], changed = [0] * n, grown, True
+                reach[v], parties[v], changed = 0, grown, True
             else:
-                changed = not grown <= parties[v]
+                changed = grown & ~parties[v] != 0
                 parties[v] |= grown
             if new:
-                col = reach[v]
-                for s, initial in new.items():
-                    for t in succ[s]:
-                        add = initial & ~col[t]
-                        if add:
-                            col[t] |= add
-                            dv = delta.setdefault(v, {})
-                            dv[t] = dv.get(t, 0) | add
-                            changed = True
+                add = _push(new, move) & ~reach[v]
+                if add:
+                    reach[v] |= add
+                    delta[v] = delta.get(v, 0) | add
+                    changed = True
             if changed and v not in queued:
                 work.append(v)
                 queued.add(v)
 
-    cols: dict[str, list[int]] = {}
-    result_parties: dict[str, frozenset] = {}
+    cols: dict[str, int] = {}
+    result_parties: dict[str, int] = {}
     for e in edges:
         if e.dst != xf or e.final_result is None or e.src not in reach:
             continue
-        succ, pe = moves[e.expr]
-        acc = cols.setdefault(e.final_result, [0] * n)
-        result_parties[e.final_result] = (
-            result_parties.get(e.final_result, frozenset()) | parties[e.src] | pe
-        )
-        for s, initial in enumerate(reach[e.src]):
-            for t in succ[s]:
-                acc[t] |= initial
+        move, pe = moves[id(e.expr)]
+        r = e.final_result
+        cols[r] = cols.get(r, 0) | _push(reach[e.src], move)
+        result_parties[r] = result_parties.get(r, 0) | parties[e.src] | pe
     out: dict[str, Rel] = {}
+    full = (1 << n) - 1
     for r, col in cols.items():
         rows = [0] * n
-        for t, initial in enumerate(col):
-            for i in bits(initial):
+        for t in range(n):
+            for i in bits(col >> t * n & full):
                 rows[i] |= 1 << t
-        out[r] = k.rel(k.restrict(Rows(every, rows), k.merged(result_parties[r])))
+        kept = tuple(a for a in every if result_parties[r] & agent_bit[a])
+        out[r] = k.rel(k.restrict(Rows(every, rows), kept))
     return out
 
 

@@ -392,7 +392,7 @@ def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:
 # each row (`Kernel.spread`), so the composition (`_compose`) only indexes
 # and ORs. A spread is built from the factor's own rows, each walked once,
 # and lives as long as its memo (`_shared_concat`: one `Kernel.eval` call)
-# or its call (`Kernel.concat`, the oracle's `_denotation`).
+# or its call (`Kernel.concat`).
 #
 # `Kernel.eval` shares suffix products. State elimination flattens each
 # new edge label into one `Concat`, so labels built from the same out-edge
@@ -566,7 +566,15 @@ class Kernel:
         shifted by the offset of every state of the agents `r` does not
         name."""
         if r.parties == parties:
-            return [bits(row) for row in r.rows]
+            out = []
+            for row in r.rows:
+                listed = []
+                while row:
+                    low = row & -row
+                    listed.append(low.bit_length() - 1)
+                    row ^= low
+                out.append(listed)
+            return out
         lift = self._lift(r.parties, parties)
         if lift is None:
             raise StateSpaceMismatch(f"cannot spread {r.parties} to {parties}")

@@ -20,6 +20,7 @@ from negsum import (
     check_soundness,
     classify,
     eval_expr,
+    expfam,
     generate_sound,
     rels_equal,
     run_acyclic,
@@ -297,3 +298,16 @@ def test_random_deterministic_verdicts_match_oracle(seed):
                 eval_expr(elim.summary[r], interp, space),
                 space,
             ), (seed, r)
+
+
+def test_expfam_5_rule_summary_matches_brute_force():
+    """expfam(5): 3,127 markings and 32 global assignments over two states
+    per agent. The brute-force union of all large steps must equal the
+    rule summary under the seeded relations."""
+    neg = expfam(5)
+    space, interp = synthetic_interp(neg, 5)
+    oracle = brute_force_summary(neg, interp, space)
+    trace = run_auto(neg)
+    assert trace.verdict == "summarized"
+    assert set(oracle) == set(trace.summary) == {"f"}
+    assert rels_equal(eval_expr(trace.summary["f"], interp, space), oracle["f"], space)

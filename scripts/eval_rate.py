@@ -11,18 +11,25 @@ long shared tails (`generate_sound(200800, 32, 5, False, max_atoms=16)`:
 evaluation makes, the number of factors it puts in spread form
 (`Kernel.spread`: built once per evaluation for each factor and joint
 party tuple), and the CPU milliseconds of `eval_expr` over the summary's
-expressions. The read-back columns time the path of a printed
+expressions; those runs read each relation through the rows it keeps
+from the first, untimed one, so the conversions from pairs are timed in
+the cross-check row. The read-back columns time the path of a printed
 summary: `parse_expr` of each expression's `format_expr` text, then
 `eval_expr` and `format_expr` of what was parsed (the reprint must equal
 the text). Each input also gets an oracle row: its number of reachable
 markings, the number n of global assignments of its agents, and the CPU
 milliseconds of `brute_force_summary`, the union of all large steps off
-the reachability graph. `expfam(4)` (627 markings, n = 16) and
-`expfam(5)` (3,127 markings, n = 32) get only the oracle row: the state
-summary of `expfam(4)` alone prints as about 19 MB of text. Each time is
-the median of three runs, each after a full garbage collection. The
-relations are seeded left-total relations over two states per agent,
-built as the benchmark's cross-check builds them.
+the reachability graph. The cross-check row times the benchmark's
+cross-check sequence: `brute_force_summary`, then `eval_expr` and
+`rels_equal` for each result of both engines, on relations built anew for
+each run, as every benchmark pass builds them; it also prints the number
+of pair-to-rows conversions (`Kernel._convert`) one such run makes.
+`expfam(4)` (627 markings, n = 16) and `expfam(5)` (3,127 markings,
+n = 32) get only the oracle row: the state summary of `expfam(4)` alone
+prints as about 19 MB of text. Each time is the median of three runs,
+each after a full garbage collection. The relations are seeded left-total
+relations over two states per agent, built as the benchmark's cross-check
+builds them.
 Standard library only; negsum is loaded from the `src/` directory next to
 this script.
 """
@@ -50,6 +57,7 @@ from negsum import (  # noqa: E402
     load_fixture,
     parse_expr,
     reachability,
+    rels_equal,
     run_auto,
     summarize_by_states,
     transformers,
@@ -79,10 +87,11 @@ def relations(neg):
 
 
 def summaries(neg):
-    """(engine, the summary's expressions) for both engines."""
+    """(engine, its summary: final result -> expression) for both
+    engines."""
     return (
-        ("states", list(summarize_by_states(neg).summary.values())),
-        ("rules", list(run_auto(neg).summary.values())),
+        ("states", summarize_by_states(neg).summary),
+        ("rules", run_auto(neg).summary),
     )
 
 
@@ -114,7 +123,8 @@ def measure(neg) -> list[tuple[str, int, int, float]]:
         return spread(self, r, parties)
 
     out = []
-    for engine, exprs in summaries(neg):
+    for engine, summary in summaries(neg):
+        exprs = list(summary.values())
         transformers._compose = counted_compose
         transformers.Kernel.spread = counted_spread
         try:
@@ -134,8 +144,8 @@ def read_back(neg) -> list[tuple[str, float, float, float]]:
     summary of `neg` read back from its printed text."""
     space, interp = relations(neg)
     out = []
-    for engine, exprs in summaries(neg):
-        texts = [format_expr(e) for e in exprs]
+    for engine, summary in summaries(neg):
+        texts = [format_expr(e) for e in summary.values()]
         parsed = []
         parse_ms = median_ms(lambda: parsed.append([parse_expr(t) for t in texts]))
         exprs = parsed[-1]
@@ -146,6 +156,36 @@ def read_back(neg) -> list[tuple[str, float, float, float]]:
             raise RuntimeError(f"{engine}: the parsed summary reprints differently")
         out.append((engine, parse_ms, eval_ms, format_ms))
     return out
+
+
+def cross_check_sequence(neg, engines, space, interp) -> None:
+    """The benchmark's cross-check of `neg`: the oracle, then each
+    engine's summary evaluated and compared with it."""
+    expected = brute_force_summary(neg, interp, space)
+    for engine, summary in engines:
+        for result, expr in summary.items():
+            if not rels_equal(eval_expr(expr, interp, space), expected[result], space):
+                raise RuntimeError(f"{engine}: result {result} disagrees with the oracle")
+
+
+def crosscheck(neg) -> tuple[int, float]:
+    """(pair-to-rows conversions, median CPU ms) of one cross-check of
+    `neg`, each run on relations of its own, built before it is timed."""
+    engines = summaries(neg)
+    fresh = [relations(neg) for _ in range(REPEATS + 1)]
+    convert = transformers.Kernel._convert
+    calls = [0]
+
+    def counted_convert(self, rel):
+        calls[0] += 1
+        return convert(self, rel)
+
+    transformers.Kernel._convert = counted_convert
+    try:
+        cross_check_sequence(neg, engines, *fresh.pop())
+    finally:
+        transformers.Kernel._convert = convert
+    return calls[0], median_ms(lambda: cross_check_sequence(neg, engines, *fresh.pop()))
 
 
 def oracle(neg) -> tuple[int, int, float]:
@@ -175,6 +215,8 @@ def main() -> int:
                 f" read_back parse_ms {parse_ms:.3f} eval_ms {eval_ms:.3f}"
                 f" format_ms {format_ms:.3f}"
             )
+        conversions, ms = crosscheck(neg)
+        print(f"{name} crosscheck: conversions {conversions} crosscheck_ms {ms:.3f}")
         print_oracle(name, neg)
     for name, build in ORACLE_ONLY:
         print_oracle(name, build())

@@ -26,7 +26,7 @@ costs about the degree of its site, not the size of the edge list.
 from __future__ import annotations
 
 import heapq
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -151,20 +151,16 @@ def labeled_rg(neg: Negotiation, graph: ReachabilityGraph) -> LabeledRG:
 
 
 def _labeled_edges(
-    neg: Negotiation, graph: ReachabilityGraph, shared: bool = False
+    neg: Negotiation, graph: ReachabilityGraph
 ) -> tuple[list[LEdge], int, Optional[int]]:
     """The reachability edges labeled with their outcomes' transformers,
     the initial marking's index (node 0) and the final marking's (None
-    when it is not reachable). With `shared`, all edges of an outcome
-    share one label object. Without it, each edge gets an object of its
-    own: state elimination builds its summaries from these objects, and
-    the size of a summary's shared structure counts them."""
+    when it is not reachable). Each edge gets a label object of its own:
+    state elimination builds its summaries from these objects, and the
+    size of a summary's shared structure counts them."""
     final = neg.final
-    label = neg.transformer
-    if shared:
-        label = {o: neg.transformer(o) for o in neg.outcomes()}.__getitem__
     edges = [
-        LEdge(i, label(o), j, final_result=o[1] if o[0] == final else None)
+        LEdge(i, neg.transformer(o), j, final_result=o[1] if o[0] == final else None)
         for i, out in enumerate(graph.succ)
         for o, j in out
     ]
@@ -320,16 +316,26 @@ def graph_denotation(
     oracle (and, on the unreduced graph, as the brute-force union over all
     large steps).
 
-    Semi-naive Kleene iteration: a worklist carries, per node, only what
-    the last visit added to its relation, and pushes that along the node's
-    out-edges. Each distinct label object is evaluated once per call. A
-    node's relation over the n assignments of all the labels' agents is
-    one int of n blocks of n bits: block t holds the initial assignments
-    that reach assignment t. A push moves it whole, by AND and shift
-    (`_moves`). Each result is restricted to the parties of the edges on
-    its paths, kept per node as an agent bitmask.
+    The graph's edges are read into the form `_denotation` walks
+    (`_edge_table`): per node its out-edges, each naming one label object
+    and final result, so each distinct label object is evaluated once per
+    call.
     """
-    return _denotation(g.edges, g.x0, g.xf, interp, space)
+    return _denotation(*_edge_table(g.edges), g.x0, g.xf, interp, space)
+
+
+def _edge_table(edges: Iterable[LEdge]) -> tuple[dict, dict]:
+    """`edges` as `_denotation` reads them: per source node, its
+    out-edges as (label key, target) pairs, and per label key, the label
+    and its final result. A key names one label object and final
+    result."""
+    succ: dict[int, list] = defaultdict(list)
+    labels: dict = {}
+    for e in edges:
+        key = (id(e.expr), e.final_result)
+        labels[key] = (e.expr, e.final_result)
+        succ[e.src].append((key, e.dst))
+    return succ, labels
 
 
 def _moves(k: Kernel, r: Rows, every: tuple[str, ...], n: int) -> list:
@@ -364,24 +370,32 @@ def _push(x: int, moves: list) -> int:
 
 
 def _denotation(
-    edges: list[LEdge], x0: int, xf: Optional[int], interp, space: StateSpace
+    succ, labels: dict, x0: int, xf: Optional[int], interp, space: StateSpace
 ) -> dict[str, Rel]:
+    """Per final result, the union of the relations of the paths from
+    `x0` into `xf` that end in an edge carrying that result. `succ[u]`
+    lists node u's out-edges as (label key, target) pairs, for every node
+    reachable from `x0`; `labels` maps every key named there to its label
+    expression and final result (None on an edge that carries none).
+
+    Semi-naive Kleene iteration: a worklist carries, per node, only what
+    the last visit added to its relation, and pushes that along the node's
+    out-edges. Each label key is evaluated once per call. A node's
+    relation over the n assignments of all the labels' agents is one int
+    of n blocks of n bits: block t holds the initial assignments that
+    reach assignment t. A push moves it whole, by AND and shift
+    (`_moves`). Each result is restricted to the parties of the edges on
+    its paths, kept per node as an agent bitmask."""
     k = Kernel(space)
     memo: dict = {}
-    labels: dict[int, Rows] = {}  # id of a label object -> its relation
-    for e in edges:
-        if id(e.expr) not in labels:
-            labels[id(e.expr)] = k.eval(e.expr, interp, memo)
-    every = k.merged(*(r.parties for r in labels.values()))
+    evaluated = {key: k.eval(expr, interp, memo) for key, (expr, _) in labels.items()}
+    every = k.merged(*(r.parties for r in evaluated.values()))
     n = k.size(every)
     agent_bit = {a: 1 << i for i, a in enumerate(every)}
-    moves = {  # id of a label object -> (its moves, its agent bitmask)
-        eid: (_moves(k, r, every, n), sum(agent_bit[a] for a in r.parties))
-        for eid, r in labels.items()
+    moves = {  # label key -> (its moves, its agent bitmask)
+        key: (_moves(k, r, every, n), sum(agent_bit[a] for a in r.parties))
+        for key, r in evaluated.items()
     }
-    out_edges: dict[int, list] = {}
-    for e in edges:
-        out_edges.setdefault(e.src, []).append((e.dst, *moves[id(e.expr)]))
 
     start = sum(1 << s * (n + 1) for s in range(n))  # block s holds s
     reach = {x0: start}  # node -> its relation in block form
@@ -393,7 +407,8 @@ def _denotation(
         u = work.popleft()
         queued.discard(u)
         new = delta.pop(u, 0)
-        for v, move, pe in out_edges.get(u, ()):
+        for key, v in succ[u]:
+            move, pe = moves[key]
             grown = parties[u] | pe
             if v not in reach:
                 reach[v], parties[v], changed = 0, grown, True
@@ -412,13 +427,15 @@ def _denotation(
 
     cols: dict[str, int] = {}
     result_parties: dict[str, int] = {}
-    for e in edges:
-        if e.dst != xf or e.final_result is None or e.src not in reach:
-            continue
-        move, pe = moves[id(e.expr)]
-        r = e.final_result
-        cols[r] = cols.get(r, 0) | _push(reach[e.src], move)
-        result_parties[r] = result_parties.get(r, 0) | parties[e.src] | pe
+    if xf is not None:
+        for u, x in reach.items():
+            for key, v in succ[u]:
+                r = labels[key][1]
+                if v != xf or r is None:
+                    continue
+                move, pe = moves[key]
+                cols[r] = cols.get(r, 0) | _push(x, move)
+                result_parties[r] = result_parties.get(r, 0) | parties[u] | pe
     out: dict[str, Rel] = {}
     full = (1 << n) - 1
     for r, col in cols.items():
@@ -435,7 +452,17 @@ def brute_force_summary(
     neg: Negotiation, interp, space: StateSpace, cap: int = DEFAULT_CAP
 ) -> dict[str, Rel]:
     """Union of the transformers of all large steps, per final result,
-    straight off the reachability graph."""
+    straight off the reachability graph: `_denotation` walks the graph's
+    own successor lists, keyed by outcome, so each outcome that fires is
+    evaluated and turned into moves once, and no labeled edge is built.
+    The relations returned keep their kernel rows, so comparing a summary
+    with them (`rels_equal`) does not convert them."""
     graph = reachability(neg, cap)
-    # the oracle reads only the edges: no elimination indexes are built
-    return _denotation(*_labeled_edges(neg, graph, shared=True), interp, space)
+    final = neg.final
+    fired = {o for out in graph.succ for o, _ in out}
+    labels = {
+        o: (neg.transformer(o), o[1] if o[0] == final else None)
+        for o in neg.outcomes()
+        if o in fired
+    }
+    return _denotation(graph.succ, labels, 0, graph.final_index, interp, space)

@@ -345,10 +345,20 @@ class Rel:
 
     Semantically a P-transformer: agents outside `parties` are left
     unchanged when the relation is expanded to the global state space.
+
+    A `Rel` keeps its kernel form once it has one (`Kernel.rows`,
+    `Kernel.rel`): the `Rows` and the per-party state lists they were
+    built for, in the instance dict, where they shadow the class's
+    `_rows = None`. They are not a field, so `==`, `hash` and `repr` do
+    not see them, and they are left out of pickles (`__reduce__`).
     """
 
     parties: tuple[str, ...]
     pairs: frozenset[tuple[Assignment, Assignment]]
+    _rows = None  # (state lists of the parties, Rows), once converted
+
+    def __reduce__(self):
+        return Rel, (self.parties, self.pairs)
 
     def is_left_total(self, space: StateSpace) -> bool:
         entries = {p[0] for p in self.pairs}
@@ -384,8 +394,15 @@ def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:
 # order of itertools.product), and bit j of row i says that entry
 # assignment i may end in exit assignment j. Rows stay local to P: a
 # relation is expanded to a larger tuple only where an operation joins it
-# with one over other parties. The public functions convert at their
-# boundary, so `Rel` stays the value type.
+# with one over other parties. `Rel` stays the value type: the public
+# functions take and return `Rel`s, and a `Rel` keeps the `Rows` it was
+# converted to or built from (`Kernel.rows`, `Kernel.rel`) together with
+# the state lists of its parties. So a relation is converted from pairs
+# once per state space it is read under, not once per call, and a result
+# handed from one call to the next (`eval_expr` to `rels_equal`) is not
+# converted at all. Kept rows are shared by every later call that reads
+# the `Rel`, so no kernel operation writes into a `Rows` list it is
+# given: each one that changes rows builds a new list.
 #
 # The left factor of a composition is read in spread form: the relation
 # expanded to the joint parties, as the list of the set-bit positions of
@@ -441,8 +458,9 @@ def _compose(spread: list[list[int]], rows: list[int]) -> list[int]:
 
 class Kernel:
     """The bitset relation algebra over one state space, with the index
-    tables it builds on the way. Each public call makes its own, so no
-    table outlives the call."""
+    tables it builds on the way. Each public call makes its own, so its
+    tables and memos do not outlive the call; what does is the `Rows`
+    each `Rel` it converts or builds keeps (`rows`, `rel`)."""
 
     def __init__(self, space: StateSpace):
         self.space = space
@@ -467,11 +485,32 @@ class Kernel:
         """The number of assignments of `parties`."""
         return len(self._frame(parties)[0])
 
+    def _states(self, parties: tuple[str, ...]) -> tuple:
+        """The state lists of `parties` in the space: the numbering of
+        their assignments, so the key under which a `Rel` keeps its
+        rows."""
+        space = self.space
+        try:
+            return tuple([space[a] for a in parties])
+        except KeyError:
+            self._frame(parties)  # raises StateSpaceMismatch
+            raise
+
     def rows(self, rel: Rel) -> Rows:
-        """`rel` in kernel form. A pair whose entry or exit is not an
+        """`rel` in kernel form: the `Rows` it keeps, when they were built
+        for the same state lists of its parties; otherwise converted from
+        its pairs, and kept. A pair whose entry or exit is not an
         assignment of `rel.parties` over the space (a state outside an
         agent's list, or a tuple of the wrong length) raises
-        `StateSpaceMismatch`."""
+        `StateSpaceMismatch`, and nothing is kept."""
+        states = self._states(rel.parties)
+        kept = rel._rows
+        if kept is None or kept[0] != states:
+            kept = rel.__dict__["_rows"] = (states, self._convert(rel))
+        return kept[1]
+
+    def _convert(self, rel: Rel) -> Rows:
+        """`rel`'s pairs as rows over its parties."""
         index = self._frame(rel.parties)[1]
         rows = [0] * len(index)
         for pair in rel.pairs:
@@ -485,8 +524,9 @@ class Kernel:
         return Rows(rel.parties, rows)
 
     def rel(self, r: Rows) -> Rel:
+        """`r` as a `Rel`, which keeps `r`."""
         assignments = self._frame(r.parties)[0]
-        return Rel(
+        out = Rel(
             r.parties,
             frozenset(
                 (assignments[i], assignments[j])
@@ -494,6 +534,8 @@ class Kernel:
                 for j in bits(row)
             ),
         )
+        out.__dict__["_rows"] = (self._states(r.parties), r)
+        return out
 
     def merged(self, *parties: Iterable[str]) -> tuple[str, ...]:
         """The joint party tuple, in the order of the space."""
@@ -741,10 +783,12 @@ def globalize(rel: Rel, space: StateSpace) -> Rel:
 def eval_expr(
     expr: TransformerExpr, interp: Mapping[Tag, Rel], space: StateSpace
 ) -> Rel:
-    """Structural fold of the expression into a concrete relation. Each
-    atom's relation is converted to kernel form once per call, the fold
-    stays in kernel form, and the result is converted back once. An
-    atomic expression evaluates to its interpretation itself."""
+    """Structural fold of the expression into a concrete relation. The
+    fold stays in kernel form: each atom's relation is read through
+    `Kernel.rows`, so it is converted from pairs only the first time it is
+    read under these state lists, and the result is a `Rel` that keeps its
+    rows, so comparing it (`rels_equal`) converts nothing. An atomic
+    expression evaluates to its interpretation itself."""
     k = Kernel(space)
     out = k.eval(expr, interp, {})
     if isinstance(expr, Atomic):
@@ -753,7 +797,10 @@ def eval_expr(
 
 
 def rels_equal(a: Rel, b: Rel, space: StateSpace) -> bool:
-    """Denotational equality: equal once expanded to the full agent set."""
+    """Denotational equality: equal once expanded to the full agent set.
+    A `Rel` that keeps its rows for these state lists (one made by
+    `eval_expr` or `brute_force_summary`, or one compared before) is not
+    converted again."""
     k = Kernel(space)
     return k.equal(k.rows(a), k.rows(b))
 

@@ -18,6 +18,7 @@ from negsum import (
     validate,
 )
 from negsum.semantics import MarkingKernel
+from negsum.state_elim import LEdge, _labeled_edges
 from negsum.transformers import TransformerExpr
 
 
@@ -95,6 +96,18 @@ def synthetic_interp(neg, seed=0, size=2):
                 pairs.add((q, q2))
         interp[(atom, result)] = Rel(tuple(parties), frozenset(pairs))
     return space, interp
+
+
+def labeled_edges(neg, graph, shared=False):
+    """The reachability edges as `state_elim._labeled_edges` labels them,
+    each with a label object of its own; with `shared`, the same edges
+    with one label object per outcome, shared by all of its edges."""
+    edges, x0, xf = _labeled_edges(neg, graph)
+    if shared:
+        label = {o: neg.transformer(o) for o in neg.outcomes()}
+        fired = (o for out in graph.succ for o, _ in out)
+        edges = [LEdge(e.src, label[o], e.dst, e.final_result) for e, o in zip(edges, fired)]
+    return edges, x0, xf
 
 
 def interp_for(neg, seed=0):

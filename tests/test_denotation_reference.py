@@ -7,12 +7,19 @@ it pushed a relation along an edge one (reached assignment, successor)
 pair at a time. On every input here both must return equal relations,
 with equal party tuples, per final result.
 
+`brute_force_summary` no longer builds labeled edges: it walks the
+reachability graph's own successor lists, keyed by outcome. On every
+diagram here it must return what the reference returns on the graph's
+edges labeled with one object per outcome, as `Rel`s equal to it (so over
+equal party tuples).
+
 The inputs cover the fixtures, `expfam`, generated diagrams and their
 unsound mutants (some with an unreachable final marking), seeded
 relations with empty rows over one to three states per agent, spaces
 whose agents are listed in another order than the diagram's, relations
-whose parties are listed out of the space's order, both labelings of
-`_labeled_edges`, and every intermediate graph of `reduce_labeled_rg`.
+whose parties are listed out of the space's order, both labelings of the
+reachability edges (`conftest.labeled_edges`), and every intermediate
+graph of `reduce_labeled_rg`.
 """
 
 from __future__ import annotations
@@ -27,6 +34,7 @@ import pytest
 from negsum import (
     Atomic,
     Rel,
+    brute_force_summary,
     expfam,
     fixture_names,
     generate_sound,
@@ -36,10 +44,10 @@ from negsum import (
     mutate_unsound,
     reachability,
 )
-from negsum.state_elim import LEdge, _denotation, _labeled_edges, reduce_labeled_rg
+from negsum.state_elim import LEdge, _denotation, _edge_table, reduce_labeled_rg
 from negsum.transformers import Kernel, Rows, StateSpace, bits
 
-from conftest import interp_for, synthetic_interp
+from conftest import interp_for, labeled_edges, synthetic_interp
 
 
 def reference_denotation(
@@ -111,10 +119,18 @@ def reference_denotation(
 
 
 def assert_like_reference(neg, space, interp, shared=True):
-    edges, x0, xf = _labeled_edges(neg, reachability(neg), shared=shared)
-    got = _denotation(edges, x0, xf, interp, space)
-    assert got == reference_denotation(edges, x0, xf, interp, space)
-    return got
+    """`_denotation` of the labeled edges and `brute_force_summary` of
+    `neg` against the reference: the first on the labeling `shared` picks,
+    the second on the shared one, which labels the edges as the oracle
+    reads them, one label per outcome."""
+    graph = reachability(neg)
+    edges, x0, xf = labeled_edges(neg, graph, shared)
+    want = reference_denotation(edges, x0, xf, interp, space)
+    assert _denotation(*_edge_table(edges), x0, xf, interp, space) == want
+    if not shared:
+        want = reference_denotation(*labeled_edges(neg, graph, shared=True), interp, space)
+    assert brute_force_summary(neg, interp, space) == want
+    return want
 
 
 def seeded_relations(neg, seed, shuffle_parties=False):
@@ -209,7 +225,7 @@ def test_a_result_keeps_the_parties_of_its_paths_and_no_others():
     # names p alone, so g is F itself
     edges = [edge(0, "P", 1), edge(0, "Q", 2), edge(2, "Q", 1), edge(1, "P", 5),
              edge(5, "F", 3, "f"), edge(0, "F", 3, "g")]
-    got = _denotation(edges, 0, 3, INTERP, SPACE)
+    got = _denotation(*_edge_table(edges), 0, 3, INTERP, SPACE)
     assert got == reference_denotation(edges, 0, 3, INTERP, SPACE)
     assert got["f"].parties == ("q", "p")
     assert got["g"] == INTERP[("F", "a")]
@@ -218,7 +234,7 @@ def test_a_result_keeps_the_parties_of_its_paths_and_no_others():
 def test_a_self_loop_over_parties_out_of_space_order_matches_the_reference():
     edges = [edge(0, "Q", 1), edge(1, "PQ", 1), edge(1, "F", 2), edge(2, "PQ", 1),
              edge(2, "P", 3, "f"), edge(1, "Q", 4)]
-    got = _denotation(edges, 0, 3, INTERP, SPACE)
+    got = _denotation(*_edge_table(edges), 0, 3, INTERP, SPACE)
     assert got == reference_denotation(edges, 0, 3, INTERP, SPACE)
     assert got["f"].parties == ("q", "p")
 

@@ -51,6 +51,8 @@ def eval_rate(m):
     rows = m.read_back(expfam(1))
     assert [engine for engine, *_ in rows] == ["states", "rules"]
     assert all(min(times) >= 0 for _, *times in rows)
+    conversions, ms = m.crosscheck(expfam(1))
+    assert conversions == expfam(1).num_outcomes() and ms >= 0
     markings, n, ms = m.oracle(expfam(1))
     assert (markings, n) == (7, 2) and ms >= 0
     assert [name for name, _ in m.ORACLE_ONLY] == ["expfam(4)", "expfam(5)"]

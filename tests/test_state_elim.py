@@ -25,7 +25,7 @@ from negsum import (
 )
 from negsum.state_elim import LEdge, LabeledRG, _labeled_edges, reduce_labeled_rg
 
-from conftest import interp_for, single_atom_negotiation
+from conftest import interp_for, labeled_edges, single_atom_negotiation
 
 
 def small_graph(edges, x0=0, xf=None, n=None):
@@ -203,12 +203,13 @@ def test_summary_eval_matches_brute_force(name):
 
 
 def test_oracle_edges_share_one_label_per_outcome():
-    """The brute-force oracle labels every edge of an outcome with one
-    object; elimination gives each edge its own, since its summary is built
-    from them and the benchmark counts that summary's distinct objects."""
+    """The shared labeling the oracle tests use lists the edges of
+    `_labeled_edges` with one label object per outcome; elimination gives
+    each edge its own, since its summary is built from them and the
+    benchmark counts that summary's distinct objects."""
     neg = expfam(3)
     graph = reachability(neg)
-    shared, _, _ = _labeled_edges(neg, graph, shared=True)
+    shared, _, _ = labeled_edges(neg, graph, shared=True)
     own, _, _ = _labeled_edges(neg, graph)
     assert [(e.src, e.expr, e.dst, e.final_result) for e in shared] == [
         (e.src, e.expr, e.dst, e.final_result) for e in own

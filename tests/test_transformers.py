@@ -42,7 +42,7 @@ from negsum import (
 )
 from negsum.transformers import _RESERVED, Identity, Kernel, TransformerExpr, _tokenize, bits
 
-from conftest import nodes, single_atom_negotiation
+from conftest import nodes, single_atom_negotiation, synthetic_interp
 
 SPACE = {"x": ("0", "1"), "y": ("0", "1"), "z": ("0", "1")}
 
@@ -889,3 +889,132 @@ def test_state_summary_composes_each_shared_suffix_once(monkeypatch):
     assert 0 < len(spreads) == len(set(spreads)) < calls[0]
     for c in concats:
         assert memo[c] == k.concat(*(memo[p] for p in c.parts)), c
+
+
+# ---------------------------------------------------------------------------
+# Rows kept on a `Rel`
+# ---------------------------------------------------------------------------
+
+def kept(r: Rel):
+    """What `r` keeps: (state lists of its parties, its `Rows`), or None."""
+    return r.__dict__.get("_rows")
+
+
+@settings(max_examples=60, deadline=None)
+@given(space_and_relations(2), st.data())
+def test_a_rel_read_under_spaces_that_order_its_states_differently(case, data):
+    """One pair of relations read alternately under a space and under the
+    same space with each agent's states listed in another order: each
+    read keeps rows for its own space, and every result is right."""
+    space, (a, b) = case
+    other = {agent: tuple(data.draw(st.permutations(list(states))))
+             for agent, states in space.items()}
+    interp = {("n", "a"): a, ("n", "b"): b}
+    expr = concat_expr(Atomic(("n", "a")), star_expr(Atomic(("n", "b"))))
+    for sp in (space, other, space, other):
+        same(eval_expr(expr, interp, sp), ref_eval(expr, interp, sp))
+        assert rels_equal(a, b, sp) == ref_equal(a, b, sp)
+        for r in (a, b):
+            assert kept(r)[0] == tuple(sp[p] for p in r.parties)
+
+
+def test_a_rel_kept_for_one_order_is_converted_again_for_another():
+    a = rel(("x",), [(("0",), ("1",))])
+    flipped = {**SPACE, "x": ("1", "0")}
+    k = Kernel(SPACE)
+    assert k.rows(a).rows == [0b10, 0]
+    assert Kernel(flipped).rows(a).rows == [0, 0b01]
+    assert kept(a)[0] == (("1", "0"),)
+
+
+@pytest.mark.parametrize("what", sorted(MISFITS))
+def test_a_failed_conversion_keeps_nothing(what):
+    """A relation that does not fit the space raises at every entry
+    point and keeps nothing; one that keeps rows for a space it fits keeps
+    them when a space it does not fit rejects it."""
+    for where, call in ENTRY_POINTS.items():
+        bad = Rel(MISFITS[what].parties, MISFITS[what].pairs)
+        with pytest.raises(StateSpaceMismatch):
+            call(bad)
+        assert kept(bad) is None, where
+    fits = {"nope": ("0", "1"), "x": ("0", "1", "2", "9"), "y": ("0", "1", "9")}
+    bad = Rel(MISFITS[what].parties, MISFITS[what].pairs)
+    if all(len(q) == len(bad.parties) for pair in bad.pairs for q in pair):
+        rows = Kernel(fits).rows(bad)
+        with pytest.raises(StateSpaceMismatch):
+            rels_equal(bad, bad, SPACE)
+        assert kept(bad)[1] is rows
+
+
+def test_an_evaluated_rel_equals_and_hashes_like_one_built_from_its_pairs():
+    interp = {("n", "a"): FLIP_Z, ("n", "b"): COPY_X}
+    for expr in (concat_expr(Atomic(("n", "a")), Atomic(("n", "b"))),
+                 star_expr(Atomic(("n", "a"))),
+                 union_expr(Atomic(("n", "a")), Atomic(("n", "b")))):
+        got = eval_expr(expr, interp, SPACE)
+        assert kept(got) is not None
+        plain = Rel(got.parties, frozenset(got.pairs))
+        assert got == plain and plain == got
+        assert hash(got) == hash(plain) and repr(got) == repr(plain)
+        assert {plain: expr}[got] == expr
+
+
+def test_pickle_leaves_the_kept_rows_out():
+    got = eval_expr(star_expr(Atomic(("n", "a"))), {("n", "a"): FLIP_Z}, SPACE)
+    rows = kept(got)[1]
+    loaded = pickle.loads(pickle.dumps(got))
+    assert loaded == got and hash(loaded) == hash(got)
+    assert kept(loaded) is None
+    assert Kernel(SPACE).rows(loaded) == rows
+
+
+def generated_cross_check_case():
+    """Shape 4 of the benchmark's generated batch 1 (5 agents, K = 15, 40
+    markings), its seeded relations and both engines' summaries."""
+    from negsum import generate_sound, run_auto, summarize_by_states
+
+    neg = generate_sound(200800, 32, 5, False, max_atoms=16)
+    space, interp = synthetic_interp(neg, 1)
+    summaries = (summarize_by_states(neg).summary, run_auto(neg).summary)
+    return neg, space, interp, summaries
+
+
+def test_evaluating_summaries_leaves_the_kept_rows_of_the_relations_unchanged():
+    neg, space, interp, summaries = generated_cross_check_case()
+    k = Kernel(space)
+    before = {tag: (k.rows(r), list(k.rows(r).rows)) for tag, r in interp.items()}
+    brute_force_summary(neg, interp, space)
+    for summary in summaries:
+        for expr in summary.values():
+            eval_expr(expr, interp, space)
+    for tag, r in interp.items():
+        rows, copy = before[tag]
+        assert kept(r)[1] is rows and rows.rows == copy, tag
+
+
+def test_a_cross_check_converts_each_relation_at_most_once(monkeypatch):
+    """The benchmark's cross-check: the oracle, then `eval_expr` and
+    `rels_equal` for each result of both engines. Only the diagram's own
+    relations are converted from pairs, each at most once; the relations
+    the kernel made are compared without a conversion."""
+    neg, space, interp, summaries = generated_cross_check_case()
+    convert = Kernel._convert
+    converted = []
+
+    def counted(self, r):
+        converted.append(r)
+        return convert(self, r)
+
+    monkeypatch.setattr(Kernel, "_convert", counted)
+    oracle = brute_force_summary(neg, interp, space)
+    for summary in summaries:
+        assert set(summary) == set(oracle)
+        for result, expr in summary.items():
+            got = eval_expr(expr, interp, space)
+            before = len(converted)
+            assert rels_equal(got, oracle[result], space)
+            assert len(converted) == before
+    assert converted
+    assert len({id(r) for r in converted}) == len(converted)
+    own = {id(r) for r in interp.values()}
+    assert all(id(r) in own for r in converted)

@@ -27,7 +27,10 @@ of pair-to-rows conversions (`Kernel._convert`) one such run makes.
 `expfam(4)` (627 markings, n = 16) and `expfam(5)` (3,127 markings,
 n = 32) get only the oracle row: the state summary of `expfam(4)` alone
 prints as about 19 MB of text. Each time is the median of three runs,
-each after a full garbage collection. The relations are seeded left-total
+each after a full garbage collection. A diagram keeps its reachability
+graph once explored, and each input is explored before its first timed
+run, so the oracle and cross-check rows time the oracle's own work, not
+the search. The relations are seeded left-total
 relations over two states per agent, built as the benchmark's cross-check
 builds them.
 Standard library only; negsum is loaded from the `src/` directory next to

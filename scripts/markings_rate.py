@@ -9,8 +9,14 @@ explored per CPU second. Each figure is the median of three calls, each
 on a freshly built diagram, so the per-diagram index that exploration
 builds on first use is paid in every call. Each call starts after a full
 garbage collection, with no earlier graph alive, so the collections that
-fall due inside it depend on its own allocations alone. Standard library
-only; negsum is loaded from the `src/` directory next to this script.
+fall due inside it depend on its own allocations alone.
+
+The last column, `graph_mb`, is the memory a diagram holds for its
+reachability graph once the search is done: `reachability` keeps the
+graph on the diagram, for the next engine to read. It is measured by
+`tracemalloc` over one more, untimed call, after the diagram's marking
+kernel is built. Standard library only; negsum is loaded from the `src/`
+directory next to this script.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import pathlib
 import statistics
 import sys
 import time
+import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
@@ -42,6 +49,23 @@ def measure(k: int) -> tuple[int, int, float]:
     return markings, edges, statistics.median(times)
 
 
+def graph_mb(k: int) -> float:
+    """MB that `reachability(expfam(k))` leaves allocated: the graph the
+    diagram keeps."""
+    neg = expfam(k)
+    neg.marking_kernel  # built first: it is not part of the graph
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph = reachability(neg)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    del graph
+    return held / 2**20
+
+
 def main(argv: list[str]) -> int:
     ks = [int(a) for a in argv] or [6, 7]
     for k in ks:
@@ -49,7 +73,8 @@ def main(argv: list[str]) -> int:
         rate = markings / seconds if seconds else float("inf")
         print(
             f"expfam({k}): markings {markings} edges {edges} "
-            f"reachability_s {seconds:.4f} markings_per_s {rate:.0f}"
+            f"reachability_s {seconds:.4f} markings_per_s {rate:.0f} "
+            f"graph_mb {graph_mb(k):.3f}"
         )
     return 0
 

@@ -10,9 +10,13 @@ Validation enforces:
       checked as forward reachability from the initial atom plus backward
       reachability from the final atom on the negotiation graph.
 
-A `Negotiation` is a plain value: its tables, plus the marking kernel
-(`marking_kernel`) and the classification (`classify`), computed on first
-use. Loaded and generated diagrams are never changed.
+A `Negotiation` is a plain value: its tables, plus what it derives from
+them on first use: the marking kernel (`marking_kernel`), the
+classification (`classify`) and the reachability graph, which
+`semantics.reachability` keeps on the diagram once a search completes.
+Loaded and generated diagrams are never changed. `copy` starts without
+any derived value, and `rewrite` drops them all (`_forget_derived`), so a
+rewritten diagram never answers from its old tables.
 
 Rule outputs are made by `rewrite`, without re-validation: the rules map
 negotiations to negotiations, so their outputs are valid by construction.
@@ -39,6 +43,10 @@ if TYPE_CHECKING:
 
 Outcome = tuple[str, str]  # (atom id, result name)
 Arc = tuple[str, str, str, str]  # (atom, agent, result, target atom)
+
+# the instance-dict key under which `semantics.reachability` keeps a
+# diagram's complete reachability graph
+KEPT_GRAPH = "_reachability"
 
 
 @dataclass(frozen=True)
@@ -414,8 +422,10 @@ def redo(neg: Negotiation, change: Change) -> Change:
 
 
 def _forget_derived(neg: Negotiation) -> None:
-    """Drop the values `neg` derived from its tables before they changed."""
-    for name in ("marking_kernel", "classification"):
+    """Drop the values `neg` derived from its tables before they changed:
+    its marking kernel, its classification and its kept reachability
+    graph."""
+    for name in ("marking_kernel", "classification", KEPT_GRAPH):
         neg.__dict__.pop(name, None)
 
 

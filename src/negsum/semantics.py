@@ -12,6 +12,12 @@ A marking is one int: agent i's ready set occupies bits [i·K, (i+1)·K),
 one bit per atom in atom-index order, K being the number of atoms. The
 `Marking` dataclass is what the public API shows; it is decoded from the
 int only where a caller asks for it.
+
+The reachability graph is derived data of its diagram, like the marking
+kernel: a complete search keeps its graph on the diagram, and every later
+search with a cap it fits in returns that graph. So the soundness check,
+state elimination, the brute-force oracle and the loop search read one
+exploration of a diagram.
 """
 
 from __future__ import annotations
@@ -19,10 +25,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import Optional
 
 from .errors import BudgetExceeded, NotEnabled
-from .model import Negotiation, Outcome
+from .model import KEPT_GRAPH, Negotiation, Outcome
 from .transformers import bits
 
 # The one exploration budget: every walk over markings stores at most this
@@ -222,7 +230,8 @@ class ReachabilityGraph:
     """The explored graph, int-indexed: node i is the marking `codes[i]`
     (node 0 is the initial marking, in BFS order), and `succ[i]` lists its
     edges as (outcome, j) in exploration order. `nodes`, `node_index` and
-    `edges` show the same graph with `Marking`s, decoded on first use."""
+    `edges` show the same graph with `Marking`s, decoded on first use, and
+    `fired` holds the outcomes on its edges."""
 
     kernel: MarkingKernel
     codes: list[int]
@@ -264,6 +273,11 @@ class ReachabilityGraph:
 
         return _Decoded(sum(map(len, succ)), build)
 
+    @cached_property
+    def fired(self) -> frozenset[Outcome]:
+        """The outcomes on some edge: those that fire somewhere."""
+        return frozenset(map(itemgetter(0), chain.from_iterable(self.succ)))
+
 
 def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
     """Breadth-first closure of the successor function from the initial
@@ -273,7 +287,16 @@ def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
     Stores at most `cap` markings and raises BudgetExceeded (with the
     partial graph attached) on one more, rather than silently truncating:
     blowing up is a result, not a nuisance.
+
+    A complete graph is kept on `neg` (under `model.KEPT_GRAPH`) until
+    its tables change (`model.rewrite`), and a later call whose `cap` it
+    fits in returns it. A smaller cap searches afresh, so it raises
+    BudgetExceeded with the same partial graph as on a fresh copy. A
+    failed search keeps nothing.
     """
+    kept = neg.__dict__.get(KEPT_GRAPH)
+    if kept is not None and cap >= len(kept.codes):
+        return kept
     kernel = neg.marking_kernel
     codes: list[int] = []
     succ: list[tuple[tuple[Outcome, int], ...]] = []
@@ -298,7 +321,9 @@ def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
         # tuples, not lists: the collector stops tracking a tuple of ints
         # and untracked tuples, so its full passes skip the edges
         succ.append(tuple(out))
-    return ReachabilityGraph(kernel, codes, succ, index.get(0))
+    graph = ReachabilityGraph(kernel, codes, succ, index.get(0))
+    neg.__dict__[KEPT_GRAPH] = graph
+    return graph
 
 
 def classify_marking(neg: Negotiation, marking: Marking) -> str:
@@ -357,12 +382,12 @@ def check_soundness(neg: Negotiation, cap: int = DEFAULT_CAP) -> SoundnessVerdic
     (a) every atom occurs on some edge; (b) the final marking is reachable
     from every node (checked by one reverse reachability pass). The stuck
     witness is the shortest path to a node from which the final marking is
-    unreachable.
+    unreachable. It reads the graph `reachability` keeps on `neg`, and the
+    atoms that fire from the graph's `fired` outcomes.
     """
     graph = reachability(neg, cap)
     n = len(graph.codes)
-    fired = {o[0] for out in graph.succ for o, _j in out}
-    dead = frozenset(neg.atoms) - fired
+    dead = frozenset(neg.atoms) - {atom for atom, _r in graph.fired}
 
     stuck = bytearray(b"\x01") * n  # cleared for every node that reaches nf
     if graph.final_index is not None:

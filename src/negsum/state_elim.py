@@ -9,9 +9,10 @@ markings remain; the surviving edge labels are the summary expressions
 
 Edges into the final marking carry their final result as a tag, so the
 output maps each final result to one expression even when the final atom
-has several results. On diagrams where some marking cannot reach the
-final marking the graph does not reduce completely; the residual graph is
-returned instead of a summary.
+has several results: the union, taken once, of the labels of its edges.
+On diagrams where some marking cannot reach the final marking the graph
+does not reduce completely; the residual graph is returned instead of a
+summary.
 
 The graph indexes its edges per node (proper out-edges, proper in-edges,
 self-loops), each in edge-creation order, counts the edges of each
@@ -286,20 +287,19 @@ def reduce_labeled_rg(g: LabeledRG, on_step=None) -> SummaryResult:
     leftover = g.alive - {g.x0} - ({g.xf} if g.xf is not None else set())
     if leftover or g.xf is None:
         return SummaryResult(summary=None, residual=g)
-    summary: dict[str, TransformerExpr] = {}
+    exprs: dict[str, list[TransformerExpr]] = {}
     for e in g.edges:
         assert e.src == g.x0 and e.dst == g.xf and e.final_result is not None
-        if e.final_result in summary:
-            summary[e.final_result] = union_expr(summary[e.final_result], e.expr)
-        else:
-            summary[e.final_result] = e.expr
-    return SummaryResult(summary=summary)
+        exprs.setdefault(e.final_result, []).append(e.expr)
+    # one n-ary union per result: folding copies the growing part set
+    return SummaryResult(summary={r: union_expr(*es) for r, es in exprs.items()})
 
 
 def summarize_by_states(neg: Negotiation, cap: int = DEFAULT_CAP) -> SummaryResult:
     """Build the labeled reachability graph and reduce it. Returns the
     mapping final result -> transformer expression, or the residual graph
-    when the diagram cannot reach its final marking from everywhere."""
+    when the diagram cannot reach its final marking from everywhere. The
+    labels are put on the graph `reachability` keeps on `neg`."""
     graph = reachability(neg, cap)
     return reduce_labeled_rg(labeled_rg(neg, graph))
 
@@ -385,15 +385,26 @@ def _denotation(
     of n blocks of n bits: block t holds the initial assignments that
     reach assignment t. A push moves it whole, by AND and shift
     (`_moves`). Each result is restricted to the parties of the edges on
-    its paths, kept per node as an agent bitmask."""
+    its paths, kept per node as an agent bitmask.
+
+    The results are filled in while the worklist runs: each push along an
+    edge into `xf` carrying a result is OR-ed into that result's column,
+    and the edge's parties into its parties. A push distributes over
+    union, and a node is visited again whenever its parties grow, so
+    this gives what pushing each node's final relation and parties along
+    those edges once more would give."""
     k = Kernel(space)
     memo: dict = {}
     evaluated = {key: k.eval(expr, interp, memo) for key, (expr, _) in labels.items()}
     every = k.merged(*(r.parties for r in evaluated.values()))
     n = k.size(every)
     agent_bit = {a: 1 << i for i, a in enumerate(every)}
-    moves = {  # label key -> (its moves, its agent bitmask)
-        key: (_moves(k, r, every, n), sum(agent_bit[a] for a in r.parties))
+    moves = {  # label key -> (its moves, its agent bitmask, its final result)
+        key: (
+            _moves(k, r, every, n),
+            sum(agent_bit[a] for a in r.parties),
+            labels[key][1],
+        )
         for key, r in evaluated.items()
     }
 
@@ -403,20 +414,26 @@ def _denotation(
     delta = {x0: start}
     work = deque([x0])
     queued = {x0}
+    cols: dict[str, int] = {}  # result -> its relation in block form
+    result_parties: dict[str, int] = {}
     while work:
         u = work.popleft()
         queued.discard(u)
         new = delta.pop(u, 0)
         for key, v in succ[u]:
-            move, pe = moves[key]
+            move, pe, r = moves[key]
             grown = parties[u] | pe
             if v not in reach:
                 reach[v], parties[v], changed = 0, grown, True
             else:
                 changed = grown & ~parties[v] != 0
                 parties[v] |= grown
-            if new:
-                add = _push(new, move) & ~reach[v]
+            pushed = _push(new, move) if new else 0
+            if r is not None and v == xf:
+                cols[r] = cols.get(r, 0) | pushed
+                result_parties[r] = result_parties.get(r, 0) | grown
+            if pushed:
+                add = pushed & ~reach[v]
                 if add:
                     reach[v] |= add
                     delta[v] = delta.get(v, 0) | add
@@ -425,17 +442,6 @@ def _denotation(
                 work.append(v)
                 queued.add(v)
 
-    cols: dict[str, int] = {}
-    result_parties: dict[str, int] = {}
-    if xf is not None:
-        for u, x in reach.items():
-            for key, v in succ[u]:
-                r = labels[key][1]
-                if v != xf or r is None:
-                    continue
-                move, pe = moves[key]
-                cols[r] = cols.get(r, 0) | _push(x, move)
-                result_parties[r] = result_parties.get(r, 0) | parties[u] | pe
     out: dict[str, Rel] = {}
     full = (1 << n) - 1
     for r, col in cols.items():
@@ -452,14 +458,16 @@ def brute_force_summary(
     neg: Negotiation, interp, space: StateSpace, cap: int = DEFAULT_CAP
 ) -> dict[str, Rel]:
     """Union of the transformers of all large steps, per final result,
-    straight off the reachability graph: `_denotation` walks the graph's
-    own successor lists, keyed by outcome, so each outcome that fires is
-    evaluated and turned into moves once, and no labeled edge is built.
-    The relations returned keep their kernel rows, so comparing a summary
-    with them (`rels_equal`) does not convert them."""
+    straight off the reachability graph `reachability` keeps on `neg`:
+    `_denotation` walks the graph's own successor lists, keyed by outcome,
+    with one label per outcome in the graph's `fired` set, so each
+    outcome that fires is evaluated and turned into moves once, and no
+    labeled edge is built. The relations returned keep their kernel rows,
+    so comparing a summary with them (`rels_equal`) does not convert
+    them."""
     graph = reachability(neg, cap)
     final = neg.final
-    fired = {o for out in graph.succ for o, _ in out}
+    fired = graph.fired
     labels = {
         o: (neg.transformer(o), o[1] if o[0] == final else None)
         for o in neg.outcomes()

@@ -6,8 +6,13 @@ every built fixture must equal its bundled file."""
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
+import io
 import pathlib
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -35,6 +40,7 @@ def rule_rate(m):
 def markings_rate(m):
     markings, edges, seconds = m.measure(1)
     assert markings > 0 and edges > 0 and seconds >= 0
+    assert 0 < m.graph_mb(1) < m.graph_mb(2)
 
 
 def cli_latency(m):
@@ -63,9 +69,35 @@ def build_fixtures(m):
         assert dumps(builder()) == fixture_text(name), name
 
 
+def ab(m):
+    # HEAD against the working tree, which is HEAD plus any edits: only the
+    # printed form is checked
+    if subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("needs a git checkout")
+    m.ROUNDS = 2
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert m.main(["HEAD", "fixtures"]) == 0
+    lines = out.getvalue().splitlines()
+    assert lines[0].startswith("HEAD (negsum_rev) against the working tree, 2 rounds")
+    assert lines[1].split() == ["workload", "job", "median", "q1", "q3",
+                                "tree", "won", "REV", "won"]
+    rows = [line.split() for line in lines[2:-1]]
+    assert [row[:2] for row in rows] == [
+        ["fixtures", job] for job in ("check", "rules", "states", "crosscheck", "pass")
+    ]
+    for row in rows:
+        median, q1, q3 = map(float, row[2:5])
+        tree_won, rev_won = map(int, row[5:])
+        assert 0 < q1 <= median <= q3 and tree_won + rev_won <= 2
+    assert re.fullmatch(r"fixtures +answers (equal|DIFFER)", lines[-1])
+    assert not [name for name in sys.modules if name.startswith("negsum_rev")]
+
+
 SMOKE = {
     f.__name__: f
-    for f in (rule_rate, markings_rate, cli_latency, eval_rate, build_fixtures)
+    for f in (rule_rate, markings_rate, cli_latency, eval_rate, build_fixtures, ab)
 }
 
 

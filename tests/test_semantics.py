@@ -113,8 +113,8 @@ def test_reachability_independent_of_tie_breaking():
     for name in fixture_names():
         neg = load_fixture(name)
         a = reachability(neg)
-        with reversed_ties():
-            b = reachability(neg)
+        with reversed_ties():  # on a copy: `neg` keeps the graph `a`
+            b = reachability(neg.copy())
         assert set(a.nodes) == set(b.nodes)
         assert set(a.edges) == set(b.edges)
 

@@ -201,8 +201,8 @@ def assert_same_as_reference(neg):
                 assert step(neg, m, o) == want
 
     rev_nodes, rev_edges, _ = ref.reachability(reverse_ties=True)
-    with reversed_ties():
-        rev = reachability(neg)
+    with reversed_ties():  # on a copy: `neg` keeps the graph explored above
+        rev = reachability(neg.copy())
     assert list(rev.nodes) == rev_nodes
     assert list(rev.edges) == rev_edges
     assert set(rev.nodes) == set(want_nodes)

@@ -13,6 +13,7 @@ from negsum import (
     elim_selfloop,
     eval_expr,
     expfam,
+    format_expr,
     graph_denotation,
     labeled_rg,
     load_fixture,
@@ -23,6 +24,7 @@ from negsum import (
     union_expr,
     validate,
 )
+from negsum.fixtures import CLASSIFICATIONS, fixture_names
 from negsum.state_elim import LEdge, LabeledRG, _labeled_edges, reduce_labeled_rg
 
 from conftest import interp_for, labeled_edges, single_atom_negotiation
@@ -190,9 +192,9 @@ def test_single_atom_summary_is_atomic_refs():
 
 
 @pytest.mark.parametrize("name", ["fdm_acyclic", "fdm_cyclic", "ladder",
-                                  "merge_demo", "iter_demo"])
+                                  "merge_demo", "iter_demo", "expfam(4)"])
 def test_summary_eval_matches_brute_force(name):
-    neg = load_fixture(name)
+    neg = expfam(4) if name == "expfam(4)" else load_fixture(name)
     space, interp = interp_for(neg)
     oracle = brute_force_summary(neg, interp, space)
     result = summarize_by_states(neg)
@@ -200,6 +202,28 @@ def test_summary_eval_matches_brute_force(name):
     assert set(result.summary) == set(oracle)
     for r, expr in result.summary.items():
         assert rels_equal(eval_expr(expr, interp, space), oracle[r], space)
+
+
+@pytest.mark.parametrize("name", [*fixture_names(), *(f"expfam({k})" for k in range(1, 5))])
+def test_summary_unions_each_result_once_as_the_fold_did(name):
+    """Each result's summary is one n-ary union of the expressions on its
+    edges into the final marking; folding them with a binary union, as
+    the summary was once built, gives an equal expression with the same
+    text."""
+    neg = expfam(int(name[7])) if name.startswith("expfam") else load_fixture(name)
+    g = labeled_rg(neg, reachability(neg))
+    result = reduce_labeled_rg(g)
+    if not result.fully_reduced:
+        assert not CLASSIFICATIONS[name][3]
+        return
+    folded = {}
+    for e in g.edges:
+        r = e.final_result
+        folded[r] = union_expr(folded[r], e.expr) if r in folded else e.expr
+    assert result.summary == folded
+    assert list(result.summary) == list(folded)
+    for r, expr in folded.items():
+        assert format_expr(result.summary[r]) == format_expr(expr)
 
 
 def test_oracle_edges_share_one_label_per_outcome():

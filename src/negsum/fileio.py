@@ -220,8 +220,13 @@ def loads(text: str) -> Negotiation:
 
 
 def load(path) -> Negotiation:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    """`loads` of the file's text; `ParseError` if it is not UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"not UTF-8 text: {e}") from None
+    return loads(text)
 
 
 def to_dict(neg: Negotiation) -> dict:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from .model import AtomSpec, Negotiation, classify, edit, validate
+from .model import AtomSpec, Edit, Negotiation, classify, edit, validate
 from .errors import ValidationError
 from .semantics import check_soundness
 
@@ -33,34 +33,31 @@ def _atomic(agents: tuple[str, ...]) -> Negotiation:
     )
 
 
-def _split_final(neg: Negotiation, counter: list[int]) -> Negotiation:
+def _split_final(e: Edit, counter: list[int]) -> None:
     """Inverse of the final-atom shortcut: push the final results onto a
     fresh final atom behind the old one."""
-    e = edit(neg)
-    old = neg.final
+    old = e.final
     fresh = f"a{counter[0]}"
     counter[0] += 1
     link = f"r{counter[1]}"
     counter[1] += 1
-    results = neg.results(old)
+    results = e.atoms[old].results
     e.set_results(old, (link,))
-    e.atoms.append(AtomSpec(fresh, neg.agents, results))
-    for p in neg.agents:
+    e.atoms[fresh] = AtomSpec(fresh, e.base.agents, results)
+    for p in e.base.agents:
         for r in results:
             del e.transition[(old, p, r)]
             e.transition[(fresh, p, r)] = set()
         e.transition[(old, p, link)] = {fresh}
     e.final = fresh
-    return e.done()
 
 
-def _un_merge(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optional[Negotiation]:
-    candidates = [a for a in neg.atoms.values() if a.id != neg.final]
+def _un_merge(e: Edit, rng: random.Random, counter: list[int]) -> None:
+    candidates = [a for a in e.atoms.values() if a.id != e.final]
     if not candidates:
-        return None
+        return
     spec = rng.choice(candidates)
     r = rng.choice(spec.results)
-    e = edit(neg)
     r1 = f"r{counter[1]}"
     r2 = f"r{counter[1] + 1}"
     counter[1] += 2
@@ -70,43 +67,38 @@ def _un_merge(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optio
         targets = e.transition.pop((spec.id, p, r))
         e.transition[(spec.id, p, r1)] = set(targets)
         e.transition[(spec.id, p, r2)] = set(targets)
-    return e.done()
 
 
-def _un_shortcut(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optional[Negotiation]:
+def _un_shortcut(e: Edit, rng: random.Random, counter: list[int]) -> None:
     sites = [
-        (n, r) for n, spec in neg.atoms.items() if n != neg.final for r in spec.results
+        (n, r) for n, spec in e.atoms.items() if n != e.final for r in spec.results
     ]
     if not sites:
-        return None
+        return
     n, r = rng.choice(sites)
-    parties = neg.parties(n)
+    parties = e.atoms[n].parties
     size = rng.randint(1, len(parties))
-    chosen = tuple(sorted(rng.sample(parties, size), key=neg.agent_index))
+    chosen = tuple(sorted(rng.sample(parties, size), key=e.base.agent_index))
     fresh = f"a{counter[0]}"
     counter[0] += 1
     link = f"r{counter[1]}"
     counter[1] += 1
-    e = edit(neg)
-    e.atoms.append(AtomSpec(fresh, chosen, (link,)))
+    e.atoms[fresh] = AtomSpec(fresh, chosen, (link,))
     for p in chosen:
-        e.transition[(fresh, p, link)] = set(neg.targets(n, p, r))
+        e.transition[(fresh, p, link)] = e.transition[(n, p, r)]
         e.transition[(n, p, r)] = {fresh}
-    return e.done()
 
 
-def _un_iteration(neg: Negotiation, rng: random.Random, counter: list[int]) -> Optional[Negotiation]:
-    candidates = [a for a in neg.atoms.values() if a.id != neg.final]
+def _un_iteration(e: Edit, rng: random.Random, counter: list[int]) -> None:
+    candidates = [a for a in e.atoms.values() if a.id != e.final]
     if not candidates:
-        return None
+        return
     spec = rng.choice(candidates)
     loop = f"r{counter[1]}"
     counter[1] += 1
-    e = edit(neg)
     e.set_results(spec.id, spec.results + (loop,))
     for p in spec.parties:
         e.transition[(spec.id, p, loop)] = {spec.id}
-    return e.done()
 
 
 def generate_sound(
@@ -117,7 +109,8 @@ def generate_sound(
     max_atoms: int = 12,
 ) -> Negotiation:
     """Apply `steps` random inverse rules starting from an atomic
-    negotiation over `num_agents` agents."""
+    negotiation over `num_agents` agents. The rules edit one copy
+    (`model.edit`), which is validated once, at the end."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if num_agents < 1:
@@ -128,21 +121,20 @@ def generate_sound(
     counter = [1, 1]  # fresh atom ids, fresh result names
     if steps == 0:
         return neg
-    neg = _split_final(neg, counter)
+    e = edit(neg)
+    _split_final(e, counter)
     ops = ["un_merge", "un_shortcut"] + ([] if acyclic else ["un_iteration"])
     for _ in range(steps - 1):
         op = rng.choice(ops)
-        if op == "un_shortcut" and len(neg.atoms) >= max_atoms:
+        if op == "un_shortcut" and len(e.atoms) >= max_atoms:
             op = "un_merge"
         if op == "un_merge":
-            nxt = _un_merge(neg, rng, counter)
+            _un_merge(e, rng, counter)
         elif op == "un_shortcut":
-            nxt = _un_shortcut(neg, rng, counter)
+            _un_shortcut(e, rng, counter)
         else:
-            nxt = _un_iteration(neg, rng, counter)
-        if nxt is not None:
-            neg = nxt
-    return neg
+            _un_iteration(e, rng, counter)
+    return e.done()
 
 
 MUTATE_ATTEMPTS = 60  # the most mutants `mutate_unsound` tries

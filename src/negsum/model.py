@@ -301,6 +301,8 @@ def validate(
         for agent in agents:
             if agent not in states or not states[agent]:
                 violations.append(f"state space missing agent {agent!r}")
+            elif len(set(states[agent])) != len(states[agent]):
+                violations.append(f"state space lists a state of agent {agent!r} twice")
     for (aid, r), rel in rels.items():
         if aid not in atom_map or r not in atom_map[aid].results:
             # Interpretation entries for outcomes consumed by earlier rule
@@ -458,31 +460,28 @@ def commit_targets(targets: Iterable[frozenset[str]]) -> set[str]:
 
 @dataclass
 class Edit:
-    """An editable copy of a diagram: its atoms in declaration order, its
-    transition table with mutable target sets, its transformers, and its
+    """An editable copy of a diagram: its atoms by id in declaration order,
+    its transition table with mutable target sets, its transformers, and its
     initial and final atoms. `done` re-validates the edited parts into a
     new diagram carrying the original's relations and state space, and
     drops the transformers of outcomes that no longer exist."""
 
     base: Negotiation
-    atoms: list[AtomSpec]
+    atoms: dict[str, AtomSpec]
     transition: dict[tuple[str, str, str], set[str]]
     transformers: dict[Outcome, TransformerExpr]
     initial: str
     final: str
 
     def set_results(self, atom: str, results: tuple[str, ...]) -> None:
-        self.atoms = [
-            AtomSpec(a.id, a.parties, results) if a.id == atom else a
-            for a in self.atoms
-        ]
+        self.atoms[atom] = AtomSpec(atom, self.atoms[atom].parties, results)
 
     def done(self) -> Negotiation:
-        current = {(a.id, r) for a in self.atoms for r in a.results}
+        current = {(a.id, r) for a in self.atoms.values() for r in a.results}
         kept = {o: e for o, e in self.transformers.items() if o in current}
         return validate(
             self.base.agents,
-            self.atoms,
+            self.atoms.values(),
             self.initial,
             self.final,
             self.transition,
@@ -496,7 +495,7 @@ def edit(neg: Negotiation) -> Edit:
     """Start editing a copy of the diagram, with its transformers."""
     return Edit(
         neg,
-        list(neg.atoms.values()),
+        dict(neg.atoms),
         {k: set(v) for k, v in neg.transition.items()},
         dict(neg.transformers),
         neg.initial,

@@ -63,10 +63,6 @@ from .working import Indexed, Log, indexed, working_copy
 class RuleApplication:
     kind: str  # merge | iteration | useless_arc | shortcut | d_shortcut
     site: tuple  # outcomes / arcs consumed
-    produced: dict  # fresh results, removed atoms/results
-    # the atoms the rule changed: the site atom, then the removed atom if
-    # any; when the final atom moves, these are the new and the old one
-    changed: tuple[str, ...]
     # what the rule changed: the outcomes it removed and added, and the
     # arcs into and the commitments to each atom it reaches
     change: Change
@@ -75,6 +71,24 @@ class RuleApplication:
     index: int
     stage: Optional[int] = None  # set by staged strategies
     line: Optional[str] = None  # which strategy branch selected this step
+
+    @property
+    def produced(self) -> dict:
+        """The fresh results (the outcomes added that were not also
+        removed) and the removed atoms, read off `change`."""
+        change = self.change
+        return {
+            "fresh_results": [o for o in change.added if o not in change.removed],
+            "removed_atoms": list(self.changed[1:]),
+        }
+
+    @property
+    def changed(self) -> tuple[str, ...]:
+        """The atoms the rule changed: the site atom, then the removed atom
+        if any; when the final atom moves, these are the new and the old
+        one."""
+        n, removed = self.change.spec.id, self.change.removed_atom
+        return (n,) if removed is None else (n, removed)
 
     @property
     def before(self) -> Negotiation:
@@ -213,7 +227,6 @@ def _rewritten(
     neg: Indexed,
     kind: str,
     site: tuple,
-    produced: dict,
     spec: AtomSpec,
     dropped: tuple[str, ...],
     added: dict[str, Targets],
@@ -226,8 +239,6 @@ def _rewritten(
     return RuleApplication(
         kind=kind,
         site=site,
-        produced=produced,
-        changed=(spec.id,) if removed is None else (spec.id, removed),
         change=change,
         log=neg.log,
         index=len(neg.log.changes) - 1,
@@ -261,7 +272,6 @@ def merge_step(neg: Indexed, o1: Outcome, o2: Outcome) -> RuleApplication:
         neg,
         "merge",
         (o1, o2),
-        {"fresh_results": [(n1, fresh)], "removed_atoms": []},
         AtomSpec(n1, spec.parties, _replace(_replace(spec.results, r2), r1, (fresh,))),
         (r1, r2),
         {fresh: targets},
@@ -288,7 +298,6 @@ def iteration_step(neg: Indexed, outcome: Outcome) -> RuleApplication:
         neg,
         "iteration",
         (outcome,),
-        {"fresh_results": [], "removed_atoms": []},
         AtomSpec(n, spec.parties, new_results),
         (r,),
         {},
@@ -370,7 +379,6 @@ def useless_arc_step(neg: Indexed, arc) -> RuleApplication:
         neg,
         "useless_arc",
         (arc,),
-        {"fresh_results": [], "removed_atoms": []},
         spec,
         (r,),
         {r: targets},
@@ -438,15 +446,10 @@ def shortcut_step(neg: Indexed, outcome: Outcome, n2: str, kind: str) -> RuleApp
         fresh: concat_expr(neg.transformer(outcome), neg.transformer((n2, r2)))
         for r2, fresh in fresh_map.items()
     }
-    removed = [n2] if removable else []
     return _rewritten(
         neg,
         kind,
         (outcome, n2),
-        {
-            "fresh_results": [(n, f) for f in fresh_map.values()],
-            "removed_atoms": removed,
-        },
         AtomSpec(n, spec.parties, _replace(spec.results, r, tuple(fresh_map.values()))),
         (r,),
         added,

@@ -25,8 +25,6 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
-from operator import itemgetter
 from typing import Optional
 
 from .errors import BudgetExceeded, NotEnabled
@@ -230,8 +228,7 @@ class ReachabilityGraph:
     """The explored graph, int-indexed: node i is the marking `codes[i]`
     (node 0 is the initial marking, in BFS order), and `succ[i]` lists its
     edges as (outcome, j) in exploration order. `nodes`, `node_index` and
-    `edges` show the same graph with `Marking`s, decoded on first use, and
-    `fired` holds the outcomes on its edges."""
+    `edges` show the same graph with `Marking`s, decoded on first use."""
 
     kernel: MarkingKernel
     codes: list[int]
@@ -272,11 +269,6 @@ class ReachabilityGraph:
             ]
 
         return _Decoded(sum(map(len, succ)), build)
-
-    @cached_property
-    def fired(self) -> frozenset[Outcome]:
-        """The outcomes on some edge: those that fire somewhere."""
-        return frozenset(map(itemgetter(0), chain.from_iterable(self.succ)))
 
 
 def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
@@ -382,12 +374,13 @@ def check_soundness(neg: Negotiation, cap: int = DEFAULT_CAP) -> SoundnessVerdic
     (a) every atom occurs on some edge; (b) the final marking is reachable
     from every node (checked by one reverse reachability pass). The stuck
     witness is the shortest path to a node from which the final marking is
-    unreachable. It reads the graph `reachability` keeps on `neg`, and the
-    atoms that fire from the graph's `fired` outcomes.
+    unreachable. It reads the graph `reachability` keeps on `neg`, and
+    takes the atoms that fire straight off its successor lists.
     """
     graph = reachability(neg, cap)
     n = len(graph.codes)
-    dead = frozenset(neg.atoms) - {atom for atom, _r in graph.fired}
+    fired = {o[0] for out in graph.succ for o, _j in out}
+    dead = frozenset(neg.atoms) - fired
 
     stuck = bytearray(b"\x01") * n  # cleared for every node that reaches nf
     if graph.final_index is not None:

@@ -460,14 +460,14 @@ def brute_force_summary(
     """Union of the transformers of all large steps, per final result,
     straight off the reachability graph `reachability` keeps on `neg`:
     `_denotation` walks the graph's own successor lists, keyed by outcome,
-    with one label per outcome in the graph's `fired` set, so each
-    outcome that fires is evaluated and turned into moves once, and no
-    labeled edge is built. The relations returned keep their kernel rows,
-    so comparing a summary with them (`rels_equal`) does not convert
-    them."""
+    with one label per outcome on some edge (collected in one walk of
+    those lists), so each outcome that fires is evaluated and turned into
+    moves once, and no labeled edge is built. The relations returned keep
+    their kernel rows, so comparing a summary with them (`rels_equal`)
+    does not convert them."""
     graph = reachability(neg, cap)
     final = neg.final
-    fired = graph.fired
+    fired = {o for out in graph.succ for o, _j in out}
     labels = {
         o: (neg.transformer(o), o[1] if o[0] == final else None)
         for o in neg.outcomes()

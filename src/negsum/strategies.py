@@ -579,19 +579,9 @@ def run_exponential_demo(neg: Negotiation, strategy: str) -> ReductionTrace:
 
     def merge_all():
         # merge the first mergeable outcome in outcome order with its first
-        # partner, until none is left: the merged result takes the first
-        # one's place, and every outcome before it stays unmergeable, so
-        # one pass in outcome order finds them all
-        for atom in list(current.atoms):
-            results, i = current.results(atom), 0
-            while i < len(results):
-                o = (atom, results[i])
-                partner = merge_partner(current, o)
-                if partner is None:
-                    i += 1
-                else:
-                    do(merge_step(current, o, (atom, partner)))
-                    results = current.results(atom)
+        # partner, until none is left
+        while (app := _merge(current, EveryOutcome(current))) is not None:
+            do(app)
 
     def alternating_branch(i: int):
         shortcut_into(f"b{i}", f"b{i}a", f"b{i}b")

@@ -478,6 +478,9 @@ class Kernel:
                 )
             assignments = list(itertools.product(*(self.space[a] for a in parties)))
             index = {q: i for i, q in enumerate(assignments)}
+            if len(index) != len(assignments):
+                twice = [a for a in parties if len(set(self.space[a])) != len(self.space[a])]
+                raise StateSpaceMismatch(f"the state space lists a state twice for {twice}")
             hit = self._frames[parties] = (assignments, index)
         return hit
 

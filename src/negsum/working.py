@@ -91,9 +91,9 @@ class Indexed(Negotiation):
     """A diagram with the indexes the guards read, each built on first use:
     the outcomes feeding each port (`arcs_into`), the number of arcs into
     each atom (`arrivals`), the number of outcomes committing to each atom
-    (`commitments`), the merge groups (`merge_group`), where each outcome
-    sends its parties (`sends`) and the targets a d-shortcut may take
-    (`d_candidates`).
+    (`commitments`), the merge groups (`merge_group`) and where each
+    outcome sends its parties (`sends`), from which `d_candidates` picks
+    the targets a d-shortcut may take.
 
     A reduction's working diagram is one (`working_copy`): `rewrite`
     changes it in place, brings every index it has built up to date from
@@ -211,26 +211,16 @@ class Indexed(Negotiation):
         itself = n2 in self.sends(outcome).alone
         return self.commitments.get(n2, 0) > itself
 
-    @cached_property
-    def narrowed(self) -> dict[Outcome, list[str]]:
-        """outcome -> its d-shortcut candidates. Filled one outcome at a
-        time by `d_candidates`."""
-        return {}
-
     def d_candidates(self, outcome: Outcome) -> list[str]:
         """The shortcut candidates of the outcome (`Sends.others`) that a
         d-shortcut may target: the final atom, and the atoms with at most
-        one result, in declaration order. Found again only after one of
-        them gains or loses a second result."""
-        found = self.narrowed.get(outcome)
-        if found is None:
-            atoms, final = self.atoms, self.final
-            found = [
-                t for t in self.sends(outcome).others
-                if t == final or len(atoms[t].results) <= 1
-            ]
-            self.narrowed[outcome] = found
-        return found
+        one result, in declaration order. Filtered afresh on every call,
+        so it follows the atoms' results as they change."""
+        atoms, final = self.atoms, self.final
+        return [
+            t for t in self.sends(outcome).others
+            if t == final or len(atoms[t].results) <= 1
+        ]
 
     def rewrite(
         self,
@@ -297,19 +287,10 @@ class Indexed(Negotiation):
                     group = members.get(key, ())
                     i = bisect(group, position(r), key=position)
                     members[key] = group[:i] + (r,) + group[i:]
-        narrowed = built.get("narrowed")  # holds only outcomes `sending` holds
-        for cache in (built.get("sending"), narrowed):
-            if cache is not None:
-                for o in old:
-                    cache.pop(o, None)
-        if narrowed is not None:
-            # the rewritten atom may start or stop being a d-shortcut target
-            # of the outcomes sending to it: they look again when asked
-            was = n == change.final or len(change.old_specs[0].results) <= 1
-            if was != (n == self.final or len(spec.results) <= 1):
-                for q in spec.parties:
-                    for o in self.arcs_into.get((n, q), ()):
-                        narrowed.pop(o, None)
+        sending = built.get("sending")
+        if sending is not None:
+            for o in old:
+                sending.pop(o, None)
 
 
 def _link(into: dict, o: Outcome, p: str, targets: frozenset[str]) -> None:

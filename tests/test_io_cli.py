@@ -28,7 +28,7 @@ from negsum import (
     parse_expr,
     reachability,
 )
-from negsum import cli
+from negsum import cli, fileio
 from negsum.cli import main
 from negsum.fileio import dumps, loads
 from negsum.fixtures import fixture_text
@@ -223,6 +223,21 @@ def test_cli_deep_nesting_exits_2(tmp_path, capsys, make):
     assert main(["validate", str(bad)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "nested too deeply" in err
+
+
+def test_load_rejects_a_file_that_is_not_utf8(tmp_path, capsys):
+    """A file that is not UTF-8 text (here UTF-16 with its byte-order
+    mark) is a parse error, exit 2 with an `error:` line, not an internal
+    error with a traceback."""
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(fixture_text("fdm_acyclic").encode("utf-16"))
+    assert bad.read_bytes()[:2] == b"\xff\xfe"
+    with pytest.raises(ParseError, match="not UTF-8 text"):
+        fileio.load(bad)
+    for command in ("validate", "check"):
+        assert main([command, str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not UTF-8 text") and "Traceback" not in err
 
 
 def test_composite_transformers_round_trip():

@@ -115,8 +115,10 @@ def test_rule_runs_copies_rewrites_and_replays_carry_no_graph():
 
 @pytest.mark.parametrize("name", [*fixture_names(), "expfam(1)", "expfam(3)"])
 def test_fired_is_the_outcomes_on_the_edges(name):
+    """The dead atoms of the check are exactly those with no outcome on
+    an edge of the graph."""
     neg = expfam(int(name[7])) if name.startswith("expfam") else load_fixture(name)
     graph = reachability(neg)
-    assert graph.fired == {o for _m, o, _m2 in graph.edges}
+    fired = {atom for _m, (atom, _r), _m2 in graph.edges}
     verdict = check_soundness(neg)
-    assert verdict.dead_atoms == set(neg.atoms) - {atom for atom, _r in graph.fired}
+    assert verdict.dead_atoms == set(neg.atoms) - fired

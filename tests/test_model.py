@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import networkx as nx
 import pytest
 
@@ -12,6 +14,7 @@ from negsum import (
     classify,
     expfam,
     fixture_names,
+    fixture_text,
     generate_sound,
     load_fixture,
     run_auto,
@@ -33,6 +36,21 @@ def test_fixture_matches_documented_classification(name):
     assert cls.acyclic == acyclic
     # deterministic implies weakly deterministic
     assert not cls.deterministic or cls.weakly_deterministic
+
+
+def test_a_state_space_listing_a_state_twice_is_rejected():
+    """`validate` rejects a state space that lists one agent's state twice,
+    so the loader does too, before any relation is evaluated over it."""
+    doc = json.loads(fixture_text("fdm_acyclic"))
+    doc["states"]["F"] = ["t1", "t2", "t1"]
+    with pytest.raises(ValidationError, match="state space lists a state of agent 'F' twice"):
+        loads(json.dumps(doc))
+    neg = load_fixture("fdm_acyclic")
+    with pytest.raises(ValidationError, match="agent 'D' twice"):
+        validate(
+            neg.agents, neg.atoms.values(), neg.initial, neg.final, neg.transition,
+            rels=neg.rels, states={**neg.states, "D": ("t2", "t2")},
+        )
 
 
 def test_fdm_acyclic_shape():

@@ -458,6 +458,35 @@ def test_state_space_mismatch():
                 pytest.fail(f"{where} accepted a relation with a bad {what}")
 
 
+TWICE = {"x": ("0", "1", "0"), "y": ("0", "1"), "z": ("0", "1")}  # x lists "0" twice
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: eval_expr(Atomic(("n", "a")), {("n", "a"): COPY_X}, TWICE),
+        lambda: concat(COPY_X, COPY_X, TWICE),
+        lambda: union(COPY_X, COPY_X, TWICE),
+        lambda: star(COPY_X, TWICE),
+        lambda: globalize(FLIP_Z, TWICE),
+        lambda: rels_equal(COPY_X, COPY_X, TWICE),
+        lambda: brute_force_summary(
+            single_atom_negotiation(),
+            {("n0", "r"): rel(("p",), [(("0",), ("0",))])},
+            {"p": ("0", "0")},
+        ),
+    ],
+    ids=["eval_expr", "concat", "union", "star", "globalize", "rels_equal",
+         "brute_force_summary"],
+)
+def test_a_space_listing_a_state_twice_is_rejected(call):
+    """A state space passed in directly that lists one agent's state twice
+    numbers two assignments alike: the kernel rejects it, naming the agent,
+    instead of failing on an index or counting the state twice."""
+    with pytest.raises(StateSpaceMismatch, match=r"lists a state twice for \['(x|p)'\]"):
+        call()
+
+
 @pytest.mark.parametrize(
     "operation, parties, target, message",
     [

@@ -41,7 +41,8 @@ ratio's quartiles, and how many rounds each side was faster in; a ratio
 below 1 means the working tree is faster. A last line per workload says
 whether both sides gave the same answers in the first round: verdicts,
 marking counts, applications, printed summaries and cross-check results.
-Standard library only.
+The last line gives the line count of `src/negsum/*.py` on each side,
+REV's from its archive and the tree's from disk. Standard library only.
 """
 
 from __future__ import annotations
@@ -101,6 +102,12 @@ def load_rev(rev: str, into: str):
     sys.modules[REV_PACKAGE] = module
     spec.loader.exec_module(module)
     return module
+
+
+def line_count(package: pathlib.Path) -> int:
+    """The lines of the package's modules, `*.py`, as `wc -l` counts
+    them."""
+    return sum(path.read_bytes().count(b"\n") for path in package.glob("*.py"))
 
 
 # -- workloads: diagrams as JSON text, and the diagrams each job runs on ----
@@ -285,6 +292,10 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory(prefix="negsum-ab-") as tmp:
         try:
             report(rev, load_rev(rev, tmp), names)
+            rev_lines = line_count(pathlib.Path(tmp, "src", "negsum"))
+            tree_lines = line_count(ROOT / "src" / "negsum")
+            print(f"{'lines':<10} src/negsum/*.py: REV {rev_lines}, tree {tree_lines} "
+                  f"({tree_lines - rev_lines:+d})")
         finally:  # the modules' files go with the directory
             for name in [n for n in sys.modules if n.partition(".")[0] == REV_PACKAGE]:
                 del sys.modules[name]

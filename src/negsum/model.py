@@ -2,7 +2,8 @@
 classification (deterministic / weakly deterministic / acyclic).
 
 A negotiation couples a set of agents with a set of multi-party atoms.
-Validation enforces:
+Validation checks that names are distinct and that every atom id and
+result name is one word of the expression grammar, and enforces:
 
   (1) every agent participates in both the initial and the final atom;
   (2) a transition target set is empty exactly at the final atom;
@@ -12,10 +13,14 @@ Validation enforces:
 
 A `Negotiation` is a plain value: its tables, plus what it derives from
 them on first use: the marking kernel (`marking_kernel`), the
-classification (`classify`) and the reachability graph, which
-`semantics.reachability` keeps on the diagram once a search completes.
-Loaded and generated diagrams are never changed. `copy` starts without
-any derived value, and `rewrite` drops them all (`_forget_derived`), so a
+classification (`classify`), the reachability graph, which
+`semantics.reachability` keeps on the diagram once a search completes,
+and the indexes the rule guards read (`arcs_into`, `arrivals`,
+`commitments`, `merge_groups`, `sending`). Loaded and generated diagrams
+are never changed. `copy` starts without any derived value. `rewrite` is
+the one place that keeps a rewritten diagram current (`_keep_current`):
+it drops the marking kernel, the classification and the graph, and
+brings every index built so far up to date from the change alone, so a
 rewritten diagram never answers from its old tables.
 
 Rule outputs are made by `rewrite`, without re-validation: the rules map
@@ -31,6 +36,8 @@ input. The loader and the generator still go through `validate`.
 
 from __future__ import annotations
 
+import re
+from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
@@ -64,7 +71,7 @@ Targets = tuple[frozenset[str], ...]  # an outcome's target sets, one per party
 class Change(NamedTuple):
     """What one rule application changed in a diagram (`rewrite`): enough
     to make it again on an equal diagram (`arguments`) and to bring the
-    working diagram's indexes up to date (`working.Indexed`)."""
+    diagram's indexes up to date (`rewrite` does, by `_keep_current`)."""
 
     # the rewritten atom as it became, the results it dropped, and the atom
     # removed with them (None if none)
@@ -94,6 +101,27 @@ class Change(NamedTuple):
         change."""
         added = {r: targets for (_n, r), targets in self.added.items()}
         return self.spec, self.dropped, added, self.transformers, self.removed_atom
+
+
+class Sends(NamedTuple):
+    """Where one outcome sends the parties of its atom."""
+
+    # the atoms other than its own that it sends some party to, in
+    # declaration order
+    others: tuple[str, ...]
+    # atom -> how many parties it sends to that atom
+    arcs: dict[str, int]
+    # atom -> how many parties it sends to that atom and nowhere else
+    alone: dict[str, int]
+
+
+class MergeGroups(NamedTuple):
+    """One atom's results grouped by what they do: `keys` maps each result
+    to its target sets, and `members` maps target sets to the results
+    with exactly those, in declaration order."""
+
+    keys: dict[str, Targets]
+    members: dict[Targets, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -195,11 +223,110 @@ class Negotiation:
         """What `classify` answers, computed on first use."""
         return _classify(self)
 
+    # The indexes the rule guards read instead of scanning the transition
+    # table. `rewrite` brings those built so far up to date.
+
+    @cached_property
+    def arcs_into(self) -> dict[tuple[str, str], set[Outcome]]:
+        """(target, agent) -> the outcomes with an arc of that agent into
+        the target."""
+        index: dict[tuple[str, str], set[Outcome]] = {}
+        for (atom, agent, result), targets in self.transition.items():
+            _link(index, (atom, result), agent, targets)
+        return index
+
+    @cached_property
+    def arrivals(self) -> dict[str, int]:
+        """target -> the number of arcs into it."""
+        index: dict[str, int] = {}
+        for targets in self.transition.values():
+            for t in targets:
+                index[t] = index.get(t, 0) + 1
+        return index
+
+    @cached_property
+    def commitments(self) -> dict[str, int]:
+        """target -> the number of outcomes that send some party only to
+        the target (that commit to it)."""
+        index: dict[str, int] = {}
+        for spec in self.atoms.values():
+            for r in spec.results:
+                targets = [self.transition[(spec.id, p, r)] for p in spec.parties]
+                for t in commit_targets(targets):
+                    index[t] = index.get(t, 0) + 1
+        return index
+
+    @cached_property
+    def merge_groups(self) -> dict[str, MergeGroups]:
+        """atom -> its results grouped by target sets. Filled one atom at a
+        time by `atom_groups`."""
+        return {}
+
+    def merge_group(self, atom: str, result: str) -> tuple[str, ...]:
+        """The results of `atom` that send every party where `result` does,
+        `result` included, in declaration order: its merge partners."""
+        keys, members = self.atom_groups(atom)
+        return members[keys[result]]
+
+    def atom_groups(self, atom: str) -> MergeGroups:
+        """The results of `atom` grouped by target sets."""
+        groups = self.merge_groups.get(atom)
+        if groups is None:
+            spec = self.atoms[atom]
+            keys = {
+                r: tuple([self.transition[(atom, p, r)] for p in spec.parties])
+                for r in spec.results
+            }
+            members: dict[Targets, list[str]] = {}
+            for r, key in keys.items():
+                members.setdefault(key, []).append(r)
+            groups = MergeGroups(keys, {key: tuple(rs) for key, rs in members.items()})
+            self.merge_groups[atom] = groups
+        return groups
+
+    @cached_property
+    def sending(self) -> dict[Outcome, Sends]:
+        """outcome -> where it sends its parties. Filled one outcome at a
+        time by `sends`."""
+        return {}
+
+    def sends(self, outcome: Outcome) -> Sends:
+        """Where the outcome sends its parties (`Sends`)."""
+        found = self.sending.get(outcome)
+        if found is None:
+            n, r = outcome
+            alone: dict[str, int] = {}
+            arcs = alone  # the same counts while each party goes to one atom
+            for p in self.atoms[n].parties:
+                ts = self.transition[(n, p, r)]
+                if len(ts) == 1:
+                    (t,) = ts
+                    alone[t] = alone.get(t, 0) + 1
+                    if arcs is not alone:
+                        arcs[t] = arcs.get(t, 0) + 1
+                elif ts:
+                    if arcs is alone:
+                        arcs = alone.copy()
+                    for t in ts:
+                        arcs[t] = arcs.get(t, 0) + 1
+            others = sorted(arcs.keys() - {n}, key=self._atom_order.__getitem__)
+            found = Sends(tuple(others), arcs, alone)
+            self.sending[outcome] = found
+        return found
+
     def __repr__(self):
         return (
             f"Negotiation({len(self.agents)} agents, {len(self.atoms)} atoms, "
             f"initial={self.initial!r}, final={self.final!r})"
         )
+
+
+# Whether a name is one word of the expression grammar
+# (`transformers.parse_expr`): not empty, with no whitespace and none of
+# its signs. Every atom id and result name must be one, or a summary
+# prints text that does not parse back.
+_is_word = re.compile(r"[^\s()*·.∪]+").fullmatch
+_NOT_A_WORD = "cannot be written in an expression: it is empty or holds whitespace or one of ()*·.∪"
 
 
 def validate(
@@ -236,6 +363,13 @@ def validate(
             violations.append(f"atom {spec.id!r} has no results")
         if len(set(spec.results)) != len(spec.results):
             violations.append(f"atom {spec.id!r} has duplicate result names")
+        if len(set(spec.parties)) != len(spec.parties):
+            violations.append(f"atom {spec.id!r} lists a party twice")
+        if not _is_word(spec.id):
+            violations.append(f"atom id {spec.id!r} {_NOT_A_WORD}")
+        for r in spec.results:
+            if not _is_word(r):
+                violations.append(f"atom {spec.id!r} result name {r!r} {_NOT_A_WORD}")
         for p in spec.parties:
             if p not in agents:
                 violations.append(f"atom {spec.id!r} party {p!r} is not an agent")
@@ -386,7 +520,8 @@ def rewrite(
 
     Only these outcomes are written. The new triples go at the end of the
     transition table. A removed atom keeps its rank (`atom_index`), so the
-    atoms left keep their order."""
+    atoms left keep their order. What `neg` derived from its old tables is
+    dropped or brought up to date from the change (`_keep_current`)."""
     n = spec.id
     atoms, transition, named = neg.atoms, neg.transition, neg.transformers
     old_specs = (atoms[n],) if removed is None else (atoms[n], atoms[removed])
@@ -409,12 +544,13 @@ def rewrite(
     final = neg.final
     if removed == final:
         neg.final = n
-    _forget_derived(neg)
     arrivals, commitments = _count_change(old, new)
-    return Change(
+    change = Change(
         spec, dropped, removed, old, new, transformers, arrivals, commitments,
         old_specs, final,
     )
+    _keep_current(neg, change)
+    return change
 
 
 def redo(neg: Negotiation, change: Change) -> Change:
@@ -423,12 +559,66 @@ def redo(neg: Negotiation, change: Change) -> Change:
     return rewrite(neg, *change.arguments())
 
 
-def _forget_derived(neg: Negotiation) -> None:
-    """Drop the values `neg` derived from its tables before they changed:
-    its marking kernel, its classification and its kept reachability
-    graph."""
+def _keep_current(neg: Negotiation, change: Change) -> None:
+    """Bring the values `neg` derived from its tables before `change` up
+    to date: drop its marking kernel, its classification and its kept
+    reachability graph, and update each index built so far from the
+    change alone: the outcomes taken out leave it and those put in join
+    it."""
+    built = neg.__dict__
     for name in ("marking_kernel", "classification", KEPT_GRAPH):
-        neg.__dict__.pop(name, None)
+        built.pop(name, None)
+    spec, old, new = change.spec, change.removed, change.added
+    n = spec.id
+    into = built.get("arcs_into")
+    if into is not None:
+        for o, targets in old.items():
+            its = change.old_specs[0] if o[0] == n else change.old_specs[1]
+            for p, ts in zip(its.parties, targets):
+                for t in ts:
+                    outs = into[(t, p)]
+                    outs.discard(o)
+                    if not outs:
+                        del into[(t, p)]
+        for o, targets in new.items():
+            for p, ts in zip(spec.parties, targets):
+                _link(into, o, p, ts)
+    for name, delta in (("arrivals", change.arrivals), ("commitments", change.commitments)):
+        counts = built.get(name)
+        if counts is not None:
+            for t, d in delta.items():
+                counts[t] = counts.get(t, 0) + d
+                if not counts[t]:
+                    del counts[t]
+    groups = built.get("merge_groups")
+    if groups is not None:
+        groups.pop(change.removed_atom, None)
+        if n in groups:
+            keys, members = groups[n]
+            for (a, r), key in old.items():
+                if a == n:
+                    del keys[r]
+                    rest = tuple([m for m in members[key] if m != r])
+                    if rest:
+                        members[key] = rest
+                    else:
+                        del members[key]
+            position = spec.results.index
+            for (_a, r), key in new.items():
+                keys[r] = key
+                group = members.get(key, ())
+                i = bisect(group, position(r), key=position)
+                members[key] = group[:i] + (r,) + group[i:]
+    sending = built.get("sending")
+    if sending is not None:
+        for o in old:
+            sending.pop(o, None)
+
+
+def _link(into: dict, o: Outcome, p: str, targets: frozenset[str]) -> None:
+    """Put the arcs of party `p` from `o` into `targets` in `into`."""
+    for t in targets:
+        into.setdefault((t, p), set()).add(o)
 
 
 def _count_change(

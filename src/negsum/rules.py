@@ -3,32 +3,32 @@ iteration, useless arc, shortcut), their guards, and reducible-outcome
 enumeration.
 
 A rule rewrites a reduction's working diagram in place
-(`working.Indexed.rewrite`, through `model.rewrite`): a private copy of
-the reduction's input (`working.working_copy`). The public `apply_*`
+(`working.rewrite`, through `model.rewrite`): a private copy of the
+reduction's input (`working.working_copy`). The public `apply_*`
 functions copy their input and rewrite the copy, so the input keeps its
 value; the strategies copy their input once and rewrite that copy at
 every step (`merge_step`, `iteration_step`, `useless_arc_step`,
 `guarded_shortcut_step`, `shortcut_step`). Rule outputs are valid by
 construction and are not re-validated, except for the path condition
 that is the useless-arc guard. The site of an application is the set of
-outcomes it removes and adds: a rule writes only those, and the working
-diagram brings the indexes it has built up to date from them alone.
+outcomes it removes and adds: a rule writes only those, and
+`model.rewrite` brings the indexes the diagram has built up to date from
+them alone.
 
 Each application is recorded as its `model.Change` in the log of the
 diagram it rewrote (`working.Log`). `RuleApplication.before` and `.after`
 rebuild the diagrams on either side by replaying that log from its first
 diagram, so a trace holds the changes, not the diagrams.
 
-Guards read the working diagram's indexes (`arcs_into`, `arrivals`,
-`commitments`, `merge_group`, `sends`) instead of scanning the transition
-table, and shortcut targets are sought only among the outcome's
-transition targets; asked about a plain diagram, a guard reads it through
-a view (`working.indexed`). A reduction keeps R(N) in a `Reducible`,
-which after each application re-evaluates only the outcomes whose guards
-can have changed (`dirty_outcomes`), starting from the targets of the
-removed and added outcomes, and keeps R(N) in outcome order
-(`OrderedOutcomes`), so an application costs about the size of its site,
-not of the diagram.
+Guards read the diagram's indexes (`Negotiation.arcs_into`, `arrivals`,
+`commitments`, `merge_group`, `sends`), which every diagram builds on
+first use, instead of scanning the transition table, and shortcut
+targets are sought only among the outcome's transition targets. A
+reduction keeps R(N) in a `Reducible`, which after each application
+re-evaluates only the outcomes whose guards can have changed
+(`dirty_outcomes`), starting from the targets of the removed and added
+outcomes, and keeps R(N) in outcome order (`OrderedOutcomes`), so an
+application costs about the size of its site, not of the diagram.
 
 Fresh result naming: a merge of r1 and r2 produces "r1+r2", a shortcut of
 r with a target result r' produces "r>r'" (with a numeric suffix on
@@ -56,7 +56,7 @@ from .model import (
     missing_paths,
 )
 from .transformers import TransformerExpr, concat_expr, star_expr, union_expr
-from .working import Indexed, Log, indexed, working_copy
+from .working import Log, rewrite, working_copy
 
 
 @dataclass
@@ -119,26 +119,27 @@ class GuardReport:
 def unconditionally_enables(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     """After `outcome`, the atom `n2` is enabled and stays enabled until it
     occurs: all of n2's parties are parties of the outcome's atom and are
-    sent exactly to n2 (`Indexed.enables`)."""
-    return indexed(neg).enables(outcome, n2)
+    sent exactly to n2 (`Negotiation.sends`)."""
+    return neg.sends(outcome).alone.get(n2, 0) == len(neg.atoms[n2].parties)
 
 
 def exclusive_access(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
-    """`outcome` owns every arc into n2: each party port of n2 is fed by
-    this outcome and by no other (`Indexed.exclusive`)."""
-    return indexed(neg).exclusive(outcome, n2)
+    """`outcome` owns every arc into n2: it sends each party of n2 to n2,
+    and no other arc enters n2 (`Negotiation.arrivals`)."""
+    parties = len(neg.atoms[n2].parties)
+    return neg.sends(outcome).arcs.get(n2, 0) == parties == neg.arrivals.get(n2, 0)
 
 
 def commits_to(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     """`outcome` sends some party to n2 and nowhere else
-    (`Indexed.sends`)."""
-    return n2 in indexed(neg).sends(outcome).alone
+    (`Negotiation.sends`)."""
+    return n2 in neg.sends(outcome).alone
 
 
 def another_commits(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
     """Some outcome other than `outcome` commits to n2
-    (`Indexed.another_commits`)."""
-    return indexed(neg).another_commits(outcome, n2)
+    (`Negotiation.commitments`)."""
+    return neg.commitments.get(n2, 0) > commits_to(neg, outcome, n2)
 
 
 def uniform(neg: Negotiation, outcome: Outcome) -> bool:
@@ -162,18 +163,17 @@ def uniform_target(neg: Negotiation, outcome: Outcome) -> Optional[str]:
 
 def shortcut_guard(neg: Negotiation, outcome: Outcome, n2: str) -> GuardReport:
     """The shortcut rule's guard, with the failing bullet named."""
-    neg = indexed(neg)
     n, r = outcome
     site = (outcome, n2)
     if n2 == n:
         return GuardReport(site, "shortcut", False, "target equals the source atom")
-    if not neg.enables(outcome, n2):
+    if not unconditionally_enables(neg, outcome, n2):
         return GuardReport(site, "shortcut", False, "does not unconditionally enable")
-    excl = neg.exclusive(outcome, n2)
+    excl = exclusive_access(neg, outcome, n2)
     if n2 != neg.final:
         if excl:
             return GuardReport(site, "shortcut", True, "exclusive access")
-        if neg.another_commits(outcome, n2):
+        if another_commits(neg, outcome, n2):
             return GuardReport(site, "shortcut", True, "another outcome commits")
         return GuardReport(
             site, "shortcut", False,
@@ -224,7 +224,7 @@ def _known(neg: Negotiation, outcome: Outcome, *atoms: str) -> AtomSpec:
 
 
 def _rewritten(
-    neg: Indexed,
+    neg: Negotiation,
     kind: str,
     site: tuple,
     spec: AtomSpec,
@@ -234,8 +234,8 @@ def _rewritten(
     removed: Optional[str] = None,
 ) -> RuleApplication:
     """The application that rewrites the working diagram `neg` in place by
-    `Indexed.rewrite` (which see for the arguments), which logs it."""
-    change = neg.rewrite(spec, dropped, added, transformers, removed)
+    `working.rewrite` (which see for the arguments), which logs it."""
+    change = rewrite(neg, spec, dropped, added, transformers, removed)
     return RuleApplication(
         kind=kind,
         site=site,
@@ -250,7 +250,7 @@ def apply_merge(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
     return merge_step(working_copy(neg), o1, o2)
 
 
-def merge_step(neg: Indexed, o1: Outcome, o2: Outcome) -> RuleApplication:
+def merge_step(neg: Negotiation, o1: Outcome, o2: Outcome) -> RuleApplication:
     """Merge two results of one atom of the working diagram `neg`, in
     place; `GuardFailed` if they do not send every party alike."""
     n1, r1 = o1
@@ -285,7 +285,7 @@ def apply_iteration(neg: Negotiation, outcome: Outcome) -> RuleApplication:
     return iteration_step(working_copy(neg), outcome)
 
 
-def iteration_step(neg: Indexed, outcome: Outcome) -> RuleApplication:
+def iteration_step(neg: Negotiation, outcome: Outcome) -> RuleApplication:
     """The iteration rule on the working diagram `neg`, in place."""
     n, r = outcome
     spec = _known(neg, outcome)
@@ -334,7 +334,6 @@ def is_useless_arc(neg: Negotiation, arc, acyclic: Optional[bool] = None) -> boo
         return False
     if _useless_witness(neg, arc) is None:
         return False
-    neg = indexed(neg)
     if acyclic is None:
         acyclic = is_acyclic(neg)
     if acyclic:
@@ -357,7 +356,7 @@ def apply_useless_arc(neg: Negotiation, arc) -> RuleApplication:
     return useless_arc_step(working_copy(neg), arc)
 
 
-def useless_arc_step(neg: Indexed, arc) -> RuleApplication:
+def useless_arc_step(neg: Negotiation, arc) -> RuleApplication:
     """The useless-arc rule on the working diagram `neg`, in place."""
     n, p, r, n2 = arc
     if (n, p, r) not in neg.transition or n2 not in neg.targets(n, p, r):
@@ -393,7 +392,7 @@ def apply_shortcut(neg: Negotiation, outcome: Outcome, n2: str) -> RuleApplicati
 
 
 def guarded_shortcut_step(
-    neg: Indexed, outcome: Outcome, n2: str, kind: str
+    neg: Negotiation, outcome: Outcome, n2: str, kind: str
 ) -> RuleApplication:
     """The shortcut rule of `kind` ("shortcut" or "d_shortcut") on the
     working diagram `neg`, in place, after its guard; `GuardFailed` names
@@ -413,13 +412,13 @@ def guarded_shortcut_step(
     return shortcut_step(neg, outcome, n2, kind)
 
 
-def shortcut_step(neg: Indexed, outcome: Outcome, n2: str, kind: str) -> RuleApplication:
+def shortcut_step(neg: Negotiation, outcome: Outcome, n2: str, kind: str) -> RuleApplication:
     """The shortcut of the working diagram `neg`, in place, whose guard the
     caller has established (`guarded_shortcut_step` checks it first; the
     strategies check it while they select the step). `kind` is "shortcut"
     or "d_shortcut"."""
     n, r = outcome
-    excl = neg.exclusive(outcome, n2)
+    excl = exclusive_access(neg, outcome, n2)
     removing_final = n2 == neg.final  # guard already forces exclusivity here
     # the initial atom keeps its entry role: it still fires at the start,
     # so exclusivity never makes it dead and it must stay
@@ -471,7 +470,7 @@ def merge_partner(neg: Negotiation, outcome: Outcome) -> Optional[str]:
     n, r = outcome
     if n == neg.final:
         return None
-    group = indexed(neg).merge_group(n, r)
+    group = neg.merge_group(n, r)
     if len(group) == 1:
         return None
     return group[1] if group[0] == r else group[0]
@@ -488,19 +487,23 @@ def shortcut_candidates(neg: Negotiation, outcome: Outcome) -> tuple[str, ...]:
     The guard needs the outcome to send every party of the target to the
     target alone, so the target is a transition target of the outcome,
     other than its own atom."""
-    return indexed(neg).sends(outcome).others
+    return neg.sends(outcome).others
 
 
 def d_shortcut_candidates(neg: Negotiation, outcome: Outcome) -> list[str]:
     """The atoms the d-shortcut guard can hold for, in declaration order:
     the shortcut candidates that are the final atom or have at most one
-    result (`Indexed.d_candidates`)."""
-    return indexed(neg).d_candidates(outcome)
+    result. Filtered afresh on every call, so it follows the atoms'
+    results as they change."""
+    atoms, final = neg.atoms, neg.final
+    return [
+        t for t in neg.sends(outcome).others
+        if t == final or len(atoms[t].results) <= 1
+    ]
 
 
 def shortcut_targets(neg: Negotiation, outcome: Outcome) -> list[str]:
     """Atoms the outcome may be shortcut with, in declaration order."""
-    neg = indexed(neg)
     return [
         n2
         for n2 in shortcut_candidates(neg, outcome)
@@ -509,7 +512,6 @@ def shortcut_targets(neg: Negotiation, outcome: Outcome) -> list[str]:
 
 
 def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] = None):
-    neg = indexed(neg)
     n, r = outcome
     arcs = []
     for p in neg.parties(n):
@@ -520,7 +522,7 @@ def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] 
     return arcs
 
 
-def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool, forks: bool) -> bool:
+def _reducible_unmerged(neg: Negotiation, outcome: Outcome, acyclic: bool, forks: bool) -> bool:
     """Whether iteration, shortcut or useless arc puts the outcome in R(N);
     `acyclic` is whether the diagram is, which the useless-arc guard reads,
     and `forks` whether it has a fork, without which that guard never
@@ -542,10 +544,10 @@ def _reducible_unmerged(neg: Indexed, outcome: Outcome, acyclic: bool, forks: bo
 
 def reducible_outcomes(neg: Negotiation) -> set[Outcome]:
     """R(N), evaluated on every outcome (`Reducible`), on any diagram."""
-    return set(Reducible(indexed(neg), is_acyclic(neg)).outcomes)
+    return set(Reducible(neg, is_acyclic(neg)).outcomes)
 
 
-def _arrivals(neg: Indexed, t: str, arcs: int = 0, commits: int = 0) -> tuple:
+def _arrivals(neg: Negotiation, t: str, arcs: int = 0, commits: int = 0) -> tuple:
     """What the guards of an outcome with an arc into `t` read of the other
     arcs into `t`: whether they are one per party of `t` (exclusive access,
     for an outcome that sends every party of `t` there), whether two or
@@ -577,7 +579,6 @@ def dirty_outcomes(neg: Negotiation, change: Change) -> set[Outcome]:
     outcomes committing to it (`Change` leaves out the atoms where they
     balance). What the diagram was before comes from the change: the site
     atom's old results and the old final atom."""
-    neg = indexed(neg)
     n = change.spec.id
     dirty = set(change.added)
     if n != neg.final:
@@ -719,7 +720,7 @@ class Reducible:
     raises `ValueError`.
     """
 
-    def __init__(self, neg: Indexed, acyclic: bool):
+    def __init__(self, neg: Negotiation, acyclic: bool):
         self.neg = neg
         self.acyclic = acyclic
         self.forks = any(len(ts) > 1 for ts in neg.transition.values())

@@ -344,28 +344,26 @@ def shortest_witness(
     """Lexicographically least shortest occurrence sequence from the
     initial marking to any node i with `targets[i]` true.
 
-    Because exploration ordered outcomes by (atom index, result index) and
-    edges are replayed in that order here, plain BFS with first-discovery
-    parents yields the lex-least shortest path.
+    `reachability` numbers the nodes in breadth-first order, taking each
+    node's outcomes by (atom index, result index). So the least-index
+    target is the nearest, and each node's first in-edge in (source,
+    edge) order is the edge that discovered it, the last step of the
+    lex-least shortest path to it: one pass over the edges of the nodes
+    before the target finds them all.
     """
-    n = len(graph.codes)
-    parent: list[Optional[tuple[int, Outcome]]] = [None] * n
-    seen = bytearray(n)
-    seen[0] = 1
-    queue = [0]
-    for i in queue:
-        if targets[i]:
-            path = []
-            while parent[i] is not None:
-                i, o = parent[i]
-                path.append(o)
-            return list(reversed(path))
-        for o, j in graph.succ[i]:
-            if not seen[j]:
-                seen[j] = 1
+    target = next((i for i, hit in enumerate(targets) if hit), None)
+    if target is None:
+        return None
+    parent: list[Optional[tuple[int, Outcome]]] = [None] * (target + 1)
+    for i, out in enumerate(graph.succ[:target]):
+        for o, j in out:
+            if j <= target and parent[j] is None:
                 parent[j] = (i, o)
-                queue.append(j)
-    return None
+    path = []
+    while target:
+        target, o = parent[target]
+        path.append(o)
+    return path[::-1]
 
 
 def check_soundness(neg: Negotiation, cap: int = DEFAULT_CAP) -> SoundnessVerdict:

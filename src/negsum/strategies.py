@@ -33,7 +33,7 @@ in `run_general` (both a `Pool`), and every outcome in `run_acyclic_wd`
 shortcut step evaluates a candidate's guard once: where it holds, the
 step rewrites by `rules.shortcut_step`, which does not check it again. A
 d-shortcut step looks only at the targets with at most one result and the
-final atom, which the working diagram keeps per outcome
+final atom, among those the outcome sends a party to
 (`rules.d_shortcut_candidates`). Beyond steps and candidates, the
 strategies differ only in what they do at their bound. R(N) is computed
 in full on the input only: the trace keeps it up to date
@@ -90,7 +90,7 @@ from .rules import (
 )
 from .semantics import DEFAULT_CAP
 from .transformers import TransformerExpr
-from .working import Indexed, Log, working_copy
+from .working import Log, working_copy
 
 
 @dataclass
@@ -108,7 +108,7 @@ class ReductionTrace:
     reducible: Optional[Reducible] = None
     # the private copy of `initial` that the strategy rewrites, until
     # `finish`, and the log of its changes
-    work: Optional[Indexed] = field(init=False, default=None, repr=False)
+    work: Optional[Negotiation] = field(init=False, default=None, repr=False)
     log: Log = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -281,7 +281,7 @@ Select = Callable[[Negotiation, Candidates], Optional[RuleApplication]]
 Step = tuple[str, Select]  # (line recorded on the application, select)
 
 
-def _merge(neg: Indexed, outcomes: Candidates):
+def _merge(neg: Negotiation, outcomes: Candidates):
     """Merge the first mergeable candidate with its first partner. The
     first one is the first member of its merge group, so its partner comes
     after it."""
@@ -290,14 +290,14 @@ def _merge(neg: Indexed, outcomes: Candidates):
     return None
 
 
-def _iteration(neg: Indexed, outcomes: Iterable[Outcome]):
+def _iteration(neg: Negotiation, outcomes: Iterable[Outcome]):
     for o in outcomes:
         if iteration_applicable(neg, o):
             return iteration_step(neg, o)
     return None
 
 
-def _shortcut(neg: Indexed, outcomes: Iterable[Outcome], d_restricted=False):
+def _shortcut(neg: Negotiation, outcomes: Iterable[Outcome], d_restricted=False):
     """The first guarded shortcut; a d-shortcut looks only at targets with
     at most one result and at the final atom."""
     candidates = d_shortcut_candidates if d_restricted else shortcut_candidates
@@ -309,15 +309,15 @@ def _shortcut(neg: Indexed, outcomes: Iterable[Outcome], d_restricted=False):
     return None
 
 
-def _d_shortcut(neg: Indexed, outcomes: Iterable[Outcome]):
+def _d_shortcut(neg: Negotiation, outcomes: Iterable[Outcome]):
     return _shortcut(neg, outcomes, d_restricted=True)
 
 
-def _d_shortcut_non_uniform(neg: Indexed, outcomes: Iterable[Outcome]):
+def _d_shortcut_non_uniform(neg: Negotiation, outcomes: Iterable[Outcome]):
     return _d_shortcut(neg, (o for o in outcomes if not uniform(neg, o)))
 
 
-def _useless_arc(neg: Indexed, outcomes: Iterable[Outcome]):
+def _useless_arc(neg: Negotiation, outcomes: Iterable[Outcome]):
     for o in outcomes:
         hits = useless_arcs_at(neg, o, acyclic=True)
         if hits:
@@ -333,7 +333,7 @@ def _backward_shortcut(increasing: bool = False) -> Select:
     selections strictly increase: `run_one_agent`'s termination argument."""
     last = None
 
-    def select(neg: Indexed, outcomes: Iterable[Outcome]):
+    def select(neg: Negotiation, outcomes: Iterable[Outcome]):
         nonlocal last
         rank = neg._atom_order
         hits = [
@@ -361,7 +361,7 @@ def _backward_shortcut(increasing: bool = False) -> Select:
 def _reduce(
     trace: ReductionTrace,
     steps: Sequence[Step],
-    candidates: Callable[[Indexed], Candidates],
+    candidates: Callable[[Negotiation], Candidates],
     bound: int,
     stage: Optional[int] = None,
 ) -> Optional[str]:
@@ -483,7 +483,7 @@ def run_general(neg: Negotiation) -> ReductionTrace:
     # stage is reducible) read the R(N) that the trace keeps up to date
     reducible = trace.track_reducible()
 
-    def pool(current: Indexed) -> Pool:
+    def pool(current: Negotiation) -> Pool:
         # the check, once per application: every call but a stage's first
         # follows one
         if trace.total > trace.stage_ends.get(stage - 1, 0):

@@ -118,6 +118,71 @@ def test_parse_rejects_rel_without_states():
         loads(json.dumps(doc))
 
 
+def two_atom_doc(initial="n0", result="r", parties=("a", "b")):
+    """n0 -> nf over agents a and b, with the initial atom's id, its one
+    result's name and its party list given."""
+    return {
+        "agents": ["a", "b"],
+        "initial": initial,
+        "final": "nf",
+        "atoms": [
+            {"id": initial, "parties": list(parties),
+             "results": [{"name": result, "next": {"a": ["nf"], "b": ["nf"]}}]},
+            {"id": "nf", "parties": ["a", "b"],
+             "results": [{"name": "f", "next": {"a": [], "b": []}}]},
+        ],
+    }
+
+
+def assert_cli_rejects(tmp_path, capsys, doc, *argvs):
+    """Each command exits 2 on the diagram, with one `error:` line."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for argv in argvs:
+        assert main([*argv, str(path)]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: "), argv
+        assert len(captured.err.splitlines()) == 1, argv
+
+
+def test_an_atom_listing_a_party_twice_is_rejected(tmp_path, capsys):
+    """A party listed twice would count twice in the atom's enabling
+    mask, which no marking then meets."""
+    doc = two_atom_doc(parties=("a", "a", "b"))
+    with pytest.raises(ValidationError) as err:
+        loads(json.dumps(doc))
+    assert err.value.violations == ["atom 'n0' lists a party twice"]
+    assert_cli_rejects(tmp_path, capsys, doc, ["check"], ["diag", "--fragments"])
+
+
+UNSPELLABLE = ["", "n.0", "n 0", " n0", "n0\n", "n\u00a00", "(n0", "n0)", "n*", "n·0", "n∪0"]
+
+
+@pytest.mark.parametrize("name", UNSPELLABLE)
+def test_names_an_expression_cannot_spell_are_rejected(name, tmp_path, capsys):
+    """An atom id or a result name the expression grammar cannot read as
+    one word would print summaries that `parse_expr` rejects."""
+    for doc, violation in (
+        (two_atom_doc(initial=name), f"atom id {name!r} cannot be written"),
+        (two_atom_doc(result=name), f"atom 'n0' result name {name!r} cannot be written"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            loads(json.dumps(doc))
+        assert any(v.startswith(violation) for v in err.value.violations), err.value
+        assert_cli_rejects(tmp_path, capsys, doc, ["summarize", "--method", "reduce"])
+
+
+def test_spellable_names_print_summaries_that_parse_back():
+    """The names the rule admits, signs the summaries print in fresh
+    names included, survive a reduction's text and its diagrams' JSON."""
+    for name in ("n0", "n-0", "n_0", "n+0", "n>0", "n:0", "n̂:0", "U", "id"):
+        neg = loads(json.dumps(two_atom_doc(initial=name, result=name + "r")))
+        trace = negsum.run_auto(neg)
+        for r, e in trace.summary.items():
+            assert parse_expr(format_expr(e)) == e, (name, r)
+        assert loads(dumps(trace.diagram(1))) == trace.diagram(1), name
+
+
 def _with_list_initial(doc):
     doc["initial"] = [doc["initial"]]
 

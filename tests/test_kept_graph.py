@@ -22,6 +22,7 @@ from negsum import (
 from negsum.fixtures import fixture_names
 from negsum.model import KEPT_GRAPH
 from negsum.semantics import MarkingKernel
+from negsum import working
 from negsum.working import working_copy
 
 
@@ -105,7 +106,7 @@ def test_rule_runs_copies_rewrites_and_replays_carry_no_graph():
     # a rewritten diagram drops its graph, and explores its new tables
     rewritten = working_copy(neg)
     before = reachability(rewritten)
-    rewritten.rewrite(*changes[0].arguments())
+    working.rewrite(rewritten, *changes[0].arguments())
     assert kept(rewritten) is None
     after = reachability(rewritten)
     assert after is not before

@@ -66,7 +66,8 @@ from negsum import (
 )
 from negsum import rules, strategies
 from negsum.rules import OrderedOutcomes, Reducible, _useless_witness, dirty_outcomes
-from negsum.working import indexed, working_copy
+from negsum import working
+from negsum.working import working_copy
 from negsum.strategies import ReductionTrace, run_exponential_demo
 
 from conftest import all_rule_applications, negotiation_graph
@@ -293,9 +294,9 @@ def test_validate_missing_path_messages_unchanged(break_it):
 
 
 def test_trace_keeps_no_index_of_superseded_diagrams():
-    """A trace keeps no intermediate diagram: the ones it rebuilds from its
-    log are plain diagrams, and a guard asked about one builds what it
-    reads on a view that is dropped with it."""
+    """A trace keeps no intermediate diagram: each one it rebuilds from its
+    log is a new diagram that has built no index, and a guard asked about
+    one builds what it reads on that diagram."""
     neg = generate_sound(3, 40, num_agents=3)
     trace = run_auto(neg)
     assert trace.total > 1
@@ -344,7 +345,7 @@ def check_indexes(work, after):
         assert getattr(work, part) == getattr(after, part), part
     assert list(work.atoms) == list(after.atoms)
     carried = vars(work)
-    fresh = indexed(after)  # same tables, no index built yet
+    fresh = after.copy()  # same tables, no index built yet
     for name in INDEXES:
         if name in carried:
             assert carried[name] == getattr(fresh, name), name
@@ -449,7 +450,7 @@ def advance_and_compare(neg, app):
     compared."""
     work = built_copy(neg)
     maintained = Reducible(work, is_acyclic(neg))
-    work.rewrite(*app.change.arguments())
+    working.rewrite(work, *app.change.arguments())
     after = app.after
     if cyclic_forked(neg):
         with pytest.raises(ValueError, match="cyclic diagram with a fork"):
@@ -538,7 +539,7 @@ def test_reducible_does_not_advance_on_cyclic_forked_diagrams():
         on_input = set(reducible.outcomes)
         _kind, _site, thunk = all_rule_applications(neg)[0]
         app = thunk()
-        work.rewrite(*app.change.arguments())
+        working.rewrite(work, *app.change.arguments())
         with pytest.raises(ValueError, match="cyclic diagram with a fork"):
             reducible.advance(app)
         assert reducible.outcomes == on_input == reducible_outcomes(neg)
@@ -564,7 +565,7 @@ def test_random_rule_sequences_on_cyclic_forked_diagrams():
             kind, site, thunk = rng.choice(instances)
             app = thunk()
             check_output(app)
-            work.rewrite(*app.change.arguments())
+            working.rewrite(work, *app.change.arguments())
             with pytest.raises(ValueError, match="cyclic diagram with a fork"):
                 maintained.advance(app)
             after = app.after

@@ -83,7 +83,7 @@ def ab(m):
     assert lines[0].startswith("HEAD (negsum_rev) against the working tree, 2 rounds")
     assert lines[1].split() == ["workload", "job", "median", "q1", "q3",
                                 "tree", "won", "REV", "won"]
-    rows = [line.split() for line in lines[2:-1]]
+    rows = [line.split() for line in lines[2:-2]]
     assert [row[:2] for row in rows] == [
         ["fixtures", job] for job in ("check", "rules", "states", "crosscheck", "pass")
     ]
@@ -91,7 +91,13 @@ def ab(m):
         median, q1, q3 = map(float, row[2:5])
         tree_won, rev_won = map(int, row[5:])
         assert 0 < q1 <= median <= q3 and tree_won + rev_won <= 2
-    assert re.fullmatch(r"fixtures +answers (equal|DIFFER)", lines[-1])
+    assert re.fullmatch(r"fixtures +answers (equal|DIFFER)", lines[-2])
+    counts = re.fullmatch(
+        r"lines +src/negsum/\*\.py: REV (\d+), tree (\d+) \(([+-]\d+)\)", lines[-1]
+    )
+    assert counts, lines[-1]
+    rev_lines, tree_lines, delta = map(int, counts.groups())
+    assert rev_lines > 0 and tree_lines > 0 and delta == tree_lines - rev_lines
     assert not [name for name in sys.modules if name.startswith("negsum_rev")]
 
 

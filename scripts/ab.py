@@ -19,6 +19,8 @@ text outside the timing, the jobs of a benchmark pass in its order:
   states      summarize_by_states
   crosscheck  brute_force_summary, then eval_expr and rels_equal for each
               result of the rules and states summaries
+  demo        run_exponential_demo with both strategies, as `negsum demo`
+              runs it
 
 The jobs of a side share its diagram objects, so whatever a diagram keeps
 from one job is there for the next, as in a pass. Workloads:
@@ -26,7 +28,7 @@ from one job is there for the next, as in a pass. Workloads:
   fixtures   the 18 bundled fixtures, each job on every one it covers
              (the smallest)
   expfam     expfam(k): check k = 1..5, rules 1..8, states 1..3,
-             crosscheck 1..4
+             crosscheck 1..4, demo 1..5 (the only workload with a demo)
   generated  eight generate_sound diagrams, one per shape, each with an
              unsound mutant, at most 50 markings and 150 edges each
 
@@ -67,7 +69,7 @@ import negsum  # noqa: E402
 
 ROUNDS = 30
 REV_PACKAGE = "negsum_rev"
-JOBS = ("check", "rules", "states", "crosscheck")
+JOBS = ("check", "rules", "states", "crosscheck", "demo")
 
 # (agents, inverse-rule steps, max atoms, acyclic), as the benchmark's
 # `generated` workload draws them
@@ -150,16 +152,16 @@ def workload(name: str) -> tuple[list[str], dict[str, list]]:
         texts = [negsum.fixture_text(f) for f in negsum.fixture_names()]
         jobs = dict.fromkeys(JOBS, range(len(texts)))
         jobs["rules"] = [i for i, t in enumerate(texts) if _reducible(t)]
-        return texts, jobs
+        return texts, {**jobs, "demo": ()}
     if name == "expfam":
         texts = [negsum.dumps(negsum.expfam(k)) for k in range(1, 9)]
         return texts, {
             "check": range(0, 5), "rules": range(0, 8),
-            "states": range(0, 3), "crosscheck": range(0, 4),
+            "states": range(0, 3), "crosscheck": range(0, 4), "demo": range(0, 5),
         }
     if name == "generated":
         texts = _generated()
-        return texts, dict.fromkeys(JOBS, range(len(texts)))
+        return texts, {**dict.fromkeys(JOBS, range(len(texts))), "demo": ()}
     raise SystemExit(f"unknown workload {name!r}: fixtures, expfam or generated")
 
 
@@ -237,6 +239,10 @@ def run_side(ns, texts: list[str], jobs: dict[str, list], answer: bool):
             ]
 
         answers.append(run("crosscheck", crosscheck))
+    for i in jobs["demo"]:
+        for strategy in ("initial", "alternating"):
+            trace = run("demo", lambda: ns.run_exponential_demo(negs[i], strategy))
+            answers.append((trace.total, trace.counters["peak_initial_results"], trace.verdict))
     return seconds, answers if answer else None
 
 

@@ -16,12 +16,12 @@ them on first use: the marking kernel (`marking_kernel`), the
 classification (`classify`), the reachability graph, which
 `semantics.reachability` keeps on the diagram once a search completes,
 and the indexes the rule guards read (`arcs_into`, `arrivals`,
-`commitments`, `merge_groups`, `sending`). Loaded and generated diagrams
-are never changed. `copy` starts without any derived value. `rewrite` is
-the one place that keeps a rewritten diagram current (`_keep_current`):
-it drops the marking kernel, the classification and the graph, and
-brings every index built so far up to date from the change alone, so a
-rewritten diagram never answers from its old tables.
+`commitments`, `sending`). Loaded and generated diagrams are never
+changed. `copy` starts without any derived value. `rewrite` is the one
+place that keeps a rewritten diagram current (`_keep_current`): it drops
+the marking kernel, the classification and the graph, and brings every
+index built so far up to date from the change alone, so a rewritten
+diagram never answers from its old tables.
 
 Rule outputs are made by `rewrite`, without re-validation: the rules map
 negotiations to negotiations, so their outputs are valid by construction.
@@ -37,7 +37,6 @@ input. The loader and the generator still go through `validate`.
 from __future__ import annotations
 
 import re
-from bisect import bisect
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional
@@ -113,15 +112,6 @@ class Sends(NamedTuple):
     arcs: dict[str, int]
     # atom -> how many parties it sends to that atom and nowhere else
     alone: dict[str, int]
-
-
-class MergeGroups(NamedTuple):
-    """One atom's results grouped by what they do: `keys` maps each result
-    to its target sets, and `members` maps target sets to the results
-    with exactly those, in declaration order."""
-
-    keys: dict[str, Targets]
-    members: dict[Targets, tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -255,34 +245,6 @@ class Negotiation:
                 for t in commit_targets(targets):
                     index[t] = index.get(t, 0) + 1
         return index
-
-    @cached_property
-    def merge_groups(self) -> dict[str, MergeGroups]:
-        """atom -> its results grouped by target sets. Filled one atom at a
-        time by `atom_groups`."""
-        return {}
-
-    def merge_group(self, atom: str, result: str) -> tuple[str, ...]:
-        """The results of `atom` that send every party where `result` does,
-        `result` included, in declaration order: its merge partners."""
-        keys, members = self.atom_groups(atom)
-        return members[keys[result]]
-
-    def atom_groups(self, atom: str) -> MergeGroups:
-        """The results of `atom` grouped by target sets."""
-        groups = self.merge_groups.get(atom)
-        if groups is None:
-            spec = self.atoms[atom]
-            keys = {
-                r: tuple([self.transition[(atom, p, r)] for p in spec.parties])
-                for r in spec.results
-            }
-            members: dict[Targets, list[str]] = {}
-            for r, key in keys.items():
-                members.setdefault(key, []).append(r)
-            groups = MergeGroups(keys, {key: tuple(rs) for key, rs in members.items()})
-            self.merge_groups[atom] = groups
-        return groups
 
     @cached_property
     def sending(self) -> dict[Outcome, Sends]:
@@ -590,25 +552,6 @@ def _keep_current(neg: Negotiation, change: Change) -> None:
                 counts[t] = counts.get(t, 0) + d
                 if not counts[t]:
                     del counts[t]
-    groups = built.get("merge_groups")
-    if groups is not None:
-        groups.pop(change.removed_atom, None)
-        if n in groups:
-            keys, members = groups[n]
-            for (a, r), key in old.items():
-                if a == n:
-                    del keys[r]
-                    rest = tuple([m for m in members[key] if m != r])
-                    if rest:
-                        members[key] = rest
-                    else:
-                        del members[key]
-            position = spec.results.index
-            for (_a, r), key in new.items():
-                keys[r] = key
-                group = members.get(key, ())
-                i = bisect(group, position(r), key=position)
-                members[key] = group[:i] + (r,) + group[i:]
     sending = built.get("sending")
     if sending is not None:
         for o in old:

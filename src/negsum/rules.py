@@ -21,14 +21,15 @@ rebuild the diagrams on either side by replaying that log from its first
 diagram, so a trace holds the changes, not the diagrams.
 
 Guards read the diagram's indexes (`Negotiation.arcs_into`, `arrivals`,
-`commitments`, `merge_group`, `sends`), which every diagram builds on
-first use, instead of scanning the transition table, and shortcut
-targets are sought only among the outcome's transition targets. A
-reduction keeps R(N) in a `Reducible`, which after each application
-re-evaluates only the outcomes whose guards can have changed
-(`dirty_outcomes`), starting from the targets of the removed and added
-outcomes, and keeps R(N) in outcome order (`OrderedOutcomes`), so an
-application costs about the size of its site, not of the diagram.
+`commitments`, `sends`), which every diagram builds on first use,
+instead of scanning the transition table; the merge guard reads the
+results of the outcome's own atom (`merge_partner`). Shortcut targets
+are sought only among the outcome's transition targets. A reduction
+keeps R(N) in a `Reducible`, which after each application re-evaluates
+only the outcomes whose guards can have changed (`dirty_outcomes`),
+starting from the targets of the removed and added outcomes, and keeps
+R(N) in outcome order (`OrderedOutcomes`), so an application costs
+about the size of its site, not of the diagram.
 
 Fresh result naming: a merge of r1 and r2 produces "r1+r2", a shortcut of
 r with a target result r' produces "r>r'" (with a numeric suffix on
@@ -425,7 +426,7 @@ def shortcut_step(neg: Negotiation, outcome: Outcome, n2: str, kind: str) -> Rul
     removable = excl and n2 != neg.initial
 
     spec = neg.atoms[n]
-    existing = set(spec.results)
+    existing = set(spec.results) - {r}
     fresh_map: dict[str, str] = {}
     for r2 in neg.results(n2):
         base = r2 if removing_final else f"{r}>{r2}"
@@ -466,14 +467,17 @@ def apply_d_shortcut(neg: Negotiation, outcome: Outcome, n2: str) -> RuleApplica
 # ---------------------------------------------------------------------------
 
 def merge_partner(neg: Negotiation, outcome: Outcome) -> Optional[str]:
-    """The first result (declaration order) mergeable with the outcome."""
+    """The first other result of the outcome's atom, in declaration order,
+    that sends every party where the outcome does: the one it merges with."""
     n, r = outcome
     if n == neg.final:
         return None
-    group = neg.merge_group(n, r)
-    if len(group) == 1:
-        return None
-    return group[1] if group[0] == r else group[0]
+    spec, transition = neg.atoms[n], neg.transition
+    targets = [transition[(n, p, r)] for p in spec.parties]
+    for r2 in spec.results:
+        if r2 != r and [transition[(n, p, r2)] for p in spec.parties] == targets:
+            return r2
+    return None
 
 
 def iteration_applicable(neg: Negotiation, outcome: Outcome) -> bool:
@@ -582,12 +586,12 @@ def dirty_outcomes(neg: Negotiation, change: Change) -> set[Outcome]:
     n = change.spec.id
     dirty = set(change.added)
     if n != neg.final:
-        members = neg.atom_groups(n).members
-        for (a, _r), key in change.removed.items():
-            if a == n:
-                dirty.update((n, m) for m in members.get(key, ()))
-        for key in change.added.values():
-            dirty.update((n, m) for m in members[key])
+        shared = {targets for (a, _r), targets in change.removed.items() if a == n}
+        shared.update(change.added.values())
+        parties, transition = change.spec.parties, neg.transition
+        for m in change.spec.results:
+            if tuple([transition[(n, p, m)] for p in parties]) in shared:
+                dirty.add((n, m))
     now = neg.results(n)
     for results in (change.old_specs[0].results, now):
         if len(results) == 1 and results[0] in now:

@@ -282,9 +282,9 @@ Step = tuple[str, Select]  # (line recorded on the application, select)
 
 
 def _merge(neg: Negotiation, outcomes: Candidates):
-    """Merge the first mergeable candidate with its first partner. The
-    first one is the first member of its merge group, so its partner comes
-    after it."""
+    """Merge the first mergeable candidate with its first partner. No
+    result it can merge with comes before it, so its partner comes after
+    it (`merge_partner`)."""
     for n, r in outcomes.mergeable():
         return merge_step(neg, (n, r), (n, merge_partner(neg, (n, r))))
     return None

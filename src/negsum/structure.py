@@ -414,9 +414,9 @@ def execute_path(
     neg: Negotiation, path: list[tuple[str, str, str]], cap: int = DEFAULT_CAP
 ) -> Optional[list[Outcome]]:
     """Find an occurrence sequence from the initial marking executing the
-    given path of (atom, agent, result) triples: between path outcomes only
-    atoms outside the path may fire. Returns None if the guided search
-    fails (it cannot on sound deterministic diagrams)."""
+    given path of (atom, agent, result) triples: between path outcomes any
+    atom may fire, a path atom only with its path results. Returns None if
+    the guided search fails (it cannot on sound deterministic diagrams)."""
     if cap < 1:
         raise BudgetExceeded(cap)
     kernel = neg.marking_kernel

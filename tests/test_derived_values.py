@@ -23,16 +23,14 @@ from negsum.semantics import MarkingKernel, ReachabilityGraph
 from test_rule_traces import build_cases
 
 CACHED = [name for name, v in vars(Negotiation).items() if isinstance(v, cached_property)]
-# the indexes filled one entry at a time, by `atom_groups` and `sends`: a
-# working copy holds the entries asked for since the last change
-FILLED_ON_DEMAND = ("merge_groups", "sending")
+# the index filled one entry at a time, by `sends`: a working copy holds
+# the entries asked for since the last change
+FILLED_ON_DEMAND = ("sending",)
 
 
 def build_everything(neg: Negotiation) -> None:
     for name in CACHED:
         getattr(neg, name)
-    for atom in neg.atoms:
-        neg.atom_groups(atom)
     for o in neg.outcomes():
         neg.sends(o)
     reachability(neg)

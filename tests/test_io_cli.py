@@ -134,6 +134,24 @@ def two_atom_doc(initial="n0", result="r", parties=("a", "b")):
     }
 
 
+def test_reduce_keeps_a_final_name_the_site_result_has(tmp_path, capsys):
+    """Shortcutting n0's result f into the final atom, whose one result is
+    also f, prints the summary under f, the final result's own name."""
+    doc = {
+        "agents": ["a"],
+        "initial": "n0",
+        "final": "nf",
+        "atoms": [
+            {"id": "n0", "parties": ["a"], "results": [{"name": "f", "next": {"a": ["nf"]}}]},
+            {"id": "nf", "parties": ["a"], "results": [{"name": "f", "next": {"a": []}}]},
+        ],
+    }
+    path = tmp_path / "same_name.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["reduce", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "f: n0.f·nf.f"
+
+
 def assert_cli_rejects(tmp_path, capsys, doc, *argvs):
     """Each command exits 2 on the diagram, with one `error:` line."""
     path = tmp_path / "bad.json"

@@ -315,7 +315,7 @@ def test_trace_keeps_no_index_of_superseded_diagrams():
 
 INDEXES = ("arcs_into", "arrivals", "commitments")
 # every index a reduction builds on its working copy
-BUILT = (*INDEXES, "merge_groups", "sending")
+BUILT = (*INDEXES, "sending")
 
 
 def check_output(app):
@@ -349,10 +349,6 @@ def check_indexes(work, after):
     for name in INDEXES:
         if name in carried:
             assert carried[name] == getattr(fresh, name), name
-    for atom, groups in carried.get("merge_groups", {}).items():
-        for r in after.results(atom):
-            assert work.merge_group(atom, r) == fresh.merge_group(atom, r), (atom, r)
-        assert groups == fresh.merge_groups[atom], atom
     for o, found in carried.get("sending", {}).items():
         assert found == fresh.sends(o), o
     return set(carried)
@@ -364,7 +360,6 @@ def built_copy(neg):
     for name in INDEXES:
         getattr(work, name)
     for o in work.outcomes():
-        work.merge_group(*o)
         work.sends(o)
     return work
 

@@ -24,6 +24,7 @@ from negsum import (
     reducible_outcomes,
     reducible_outcomes_k,
     rels_equal,
+    run_auto,
     shortcut_guard,
     star_expr,
     summarize_by_states,
@@ -309,6 +310,25 @@ def test_shortcut_into_final_moves_the_final_atom():
     # fresh results adopt the final results' names unchanged
     assert after.results("n3") == ("f",)
     assert after.targets("n3", "A", "f") == frozenset()
+
+
+def same_name_into_final():
+    """n0 --f--> nf over the one agent a, where nf's only result is also f."""
+    return validate(
+        ("a",),
+        [AtomSpec("n0", ("a",), ("f",)), AtomSpec("nf", ("a",), ("f",))],
+        "n0",
+        "nf",
+        {("n0", "a", "f"): {"nf"}, ("nf", "a", "f"): set()},
+    )
+
+
+def test_shortcut_into_final_keeps_a_final_name_the_site_result_has():
+    neg = same_name_into_final()
+    assert apply_shortcut(neg, ("n0", "f"), "nf").after.results("n0") == ("f",)
+    summary = run_auto(neg).summary
+    assert set(summary) == set(neg.results("nf"))
+    assert set(summary) == set(summarize_by_states(neg).summary)
 
 
 def test_shortcut_wd_walkthrough_removes_private_atom():

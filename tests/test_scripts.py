@@ -99,6 +99,14 @@ def ab(m):
     rev_lines, tree_lines, delta = map(int, counts.groups())
     assert rev_lines > 0 and tree_lines > 0 and delta == tree_lines - rev_lines
     assert not [name for name in sys.modules if name.startswith("negsum_rev")]
+    # the demo job runs on expfam(1..5), and only there
+    texts, jobs = m.workload("expfam")
+    assert [texts[i] for i in jobs["demo"]] == [dumps(expfam(k)) for k in range(1, 6)]
+    none = dict.fromkeys(m.JOBS, ())
+    texts = [dumps(expfam(k)) for k in (1, 2)]
+    seconds, answers = m.run_side(m.negsum, texts, {**none, "demo": range(2)}, True)
+    assert seconds["demo"] > 0
+    assert [verdict for *_, verdict in answers] == ["summarized"] * 4
 
 
 SMOKE = {

@@ -4,10 +4,11 @@
     python3 scripts/markings_rate.py [k ...]      (default: 6 7)
 
 For each k it prints the number of markings and edges of the reachability
-graph, the process CPU time of one `reachability` call and the markings
-explored per CPU second. Each figure is the median of three calls, each
-on a freshly built diagram, so the per-diagram index that exploration
-builds on first use is paid in every call. Each call starts after a full
+graph, the process CPU time of one `reachability` call, the markings
+explored per CPU second, and the process CPU time of one `check_soundness`
+call (`check_s`), the walk included. Each time is the median of three
+calls, each on a freshly built diagram, so the per-diagram index that
+exploration builds on first use is paid in every call. Each call starts after a full
 garbage collection, with no earlier graph alive, so the collections that
 fall due inside it depend on its own allocations alone.
 
@@ -30,7 +31,7 @@ import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from negsum import expfam, reachability  # noqa: E402
+from negsum import check_soundness, expfam, reachability  # noqa: E402
 
 REPEATS = 3
 
@@ -47,6 +48,20 @@ def measure(k: int) -> tuple[int, int, float]:
         markings, edges = len(graph.nodes), len(graph.edges)
         del graph, neg
     return markings, edges, statistics.median(times)
+
+
+def check_seconds(k: int) -> float:
+    """Median CPU seconds of `check_soundness(expfam(k))`, each call on a
+    fresh diagram, so it explores the graph too."""
+    times = []
+    for _ in range(REPEATS):
+        neg = expfam(k)
+        gc.collect()
+        t0 = time.process_time()
+        check_soundness(neg)
+        times.append(time.process_time() - t0)
+        del neg
+    return statistics.median(times)
 
 
 def graph_mb(k: int) -> float:
@@ -74,7 +89,7 @@ def main(argv: list[str]) -> int:
         print(
             f"expfam({k}): markings {markings} edges {edges} "
             f"reachability_s {seconds:.4f} markings_per_s {rate:.0f} "
-            f"graph_mb {graph_mb(k):.3f}"
+            f"graph_mb {graph_mb(k):.3f} check_s {check_seconds(k):.4f}"
         )
     return 0
 

@@ -9,9 +9,13 @@ witness, reproducible.
 Every walk over markings runs on a diagram compiled once into integer
 tables (`MarkingKernel`, built on first use as `Negotiation.marking_kernel`).
 A marking is one int: agent i's ready set occupies bits [i·K, (i+1)·K),
-one bit per atom in atom-index order, K being the number of atoms. The
-`Marking` dataclass is what the public API shows; it is decoded from the
-int only where a caller asks for it.
+one bit per atom in atom-index order, K being the number of atoms; a set
+of atoms is a K-bit mask. The `Marking` dataclass is what the public API
+shows; it is decoded from the int only where a caller asks for it. The
+walk keeps each node's enabled atoms as a mask: after an outcome of atom
+a fires, only the atoms sharing a party with a can change, and only
+those the outcome sends a party to can become enabled. The soundness
+check and the oracle take the atoms that fire from the masks' union.
 
 The reachability graph is derived data of its diagram, like the marking
 kernel: a complete search keeps its graph on the diagram, and every later
@@ -73,38 +77,54 @@ class MarkingKernel:
     field, and a `keep` mask that clears the parties' fields; each of its
     results has a `put` mask, the parties' targets. The atom is enabled at
     m iff `m & need == need`, and firing a result gives `(m & keep) | put`.
-    The final marking is 0.
+    The final marking is 0. `touch[a]` masks the atoms sharing a party with
+    a, and `moves[o]` is (a, put, sent), `sent` masking o's target atoms.
     """
 
     def __init__(self, neg: Negotiation):
         k = len(neg.atoms)
         self.atoms: tuple[str, ...] = tuple(neg.atoms)
-        self.field = (1 << k) - 1
+        self.field = field = (1 << k) - 1
         self.shifts = tuple(i * k for i in range(len(neg.agents)))
         shift_of = dict(zip(neg.agents, self.shifts))
-        self._index = {atom: a for a, atom in enumerate(self.atoms)}
+        self._index = index = {atom: a for a, atom in enumerate(self.atoms)}
         everything = (1 << (k * len(neg.agents))) - 1
+        ones = sum(1 << sh for sh in self.shifts)  # bit 0 of every field
+        atoms_of = dict.fromkeys(neg.agents, 0)  # agent -> its atoms
+        for a, spec in enumerate(neg.atoms.values()):
+            for p in spec.parties:
+                atoms_of[p] |= 1 << a
         self.need: list[int] = []
         self.keep: list[int] = []
+        self.touch: list[int] = []
         # per atom, per result in declaration order: (outcome, put mask)
         self.fires: list[tuple[tuple[Outcome, int], ...]] = []
-        self._results: list[dict[str, int]] = []
+        self.moves: dict[Outcome, tuple[int, int, int]] = {}
+        mask_of: dict[frozenset[str], int] = {}  # target set -> its atoms
         for a, spec in enumerate(neg.atoms.values()):
-            shifts = [shift_of[p] for p in spec.parties]
-            self.need.append(sum(1 << (sh + a) for sh in shifts))
-            self.keep.append(everything ^ sum(self.field << sh for sh in shifts))
-            self.fires.append(tuple(
-                (
-                    (spec.id, r),
-                    sum(
-                        1 << (shift_of[p] + self._index[t])
-                        for p in spec.parties
-                        for t in neg.transition[(spec.id, p, r)]
-                    ),
-                )
-                for r in spec.results
-            ))
-            self._results.append({r: j for j, r in enumerate(spec.results)})
+            parties = touch = 0
+            for p in spec.parties:
+                parties |= field << shift_of[p]
+                touch |= atoms_of[p]
+            self.need.append(parties & ones << a)
+            self.keep.append(everything ^ parties)
+            self.touch.append(touch)
+            fires = []
+            for r in spec.results:
+                put = sent = 0
+                for p in spec.parties:
+                    targets = neg.transition[(spec.id, p, r)]
+                    t = mask_of.get(targets)
+                    if t is None:
+                        t = 0
+                        for atom in targets:
+                            t |= 1 << index[atom]
+                        mask_of[targets] = t
+                    put |= t << shift_of[p]
+                    sent |= t
+                fires.append(((spec.id, r), put))
+                self.moves[(spec.id, r)] = (a, put, sent)
+            self.fires.append(tuple(fires))
         self.initial = self.start(neg.initial)
         self._names: dict[int, tuple[str, ...]] = {}  # field -> its atom ids
 
@@ -134,44 +154,56 @@ class MarkingKernel:
             ready.append(ids)
         return Marking(tuple(ready))
 
-    def successors(self, m: int) -> list[tuple[Outcome, int]]:
-        """Every fireable outcome with the marking it leads to, ordered by
-        (atom index, result index). The candidates are the atoms some agent
+    def enabled(self, m: int) -> int:
+        """The mask of the atoms enabled at m, of the candidates some agent
         is ready for: the set bits of the union of the agent fields."""
         u = 0
         for sh in self.shifts:
             u |= m >> sh
-        u &= self.field
-        need, keep, fires = self.need, self.keep, self.fires
+        return self.enabled_among(m, u & self.field)
+
+    def enabled_among(self, m: int, atoms: int) -> int:
+        """The atoms of the mask `atoms` that are enabled at m."""
+        need, out = self.need, 0
+        while atoms:
+            low = atoms & -atoms
+            atoms ^= low
+            n = need[low.bit_length() - 1]
+            if m & n == n:
+                out |= low
+        return out
+
+    def successors(self, m: int, enabled: Optional[int] = None) -> list[tuple[Outcome, int]]:
+        """Every fireable outcome with the marking it leads to, ordered by
+        (atom index, result index). `enabled` is `self.enabled(m)`, passed
+        by a caller that has it."""
+        if enabled is None:
+            enabled = self.enabled(m)
+        keep, fires = self.keep, self.fires
         out = []
-        while u:
-            low = u & -u
-            u ^= low
+        while enabled:
+            low = enabled & -enabled
+            enabled ^= low
             a = low.bit_length() - 1
-            if m & need[a] == need[a]:
-                base = m & keep[a]
-                for o, put in fires[a]:
-                    out.append((o, base | put))
+            base = m & keep[a]
+            for o, put in fires[a]:
+                out.append((o, base | put))
         return out
 
     def fire(self, m: int, outcome: Outcome) -> int:
-        """The marking after the outcome; NotEnabled unless every party of
-        its atom is ready for it."""
-        atom, result = outcome
-        a = self._index[atom]
-        need = self.need[a]
-        if m & need != need:
+        """The marking after the outcome; NotEnabled unless the diagram has
+        it and every party of its atom is ready for it."""
+        move = self.moves.get(tuple(outcome))
+        if move is None or m & self.need[move[0]] != self.need[move[0]]:
             raise NotEnabled(outcome, self.decode(m))
-        return (m & self.keep[a]) | self.fires[a][self._results[a][result]][1]
+        return (m & self.keep[move[0]]) | move[1]
 
 
 def enabled(neg: Negotiation, marking: Marking) -> list[str]:
     """Atoms enabled at the marking: every party is ready to engage in
     them. Returned in atom declaration order."""
     kernel = neg.marking_kernel
-    outs = kernel.successors(kernel.encode(marking))
-    # every atom has a result, so each enabled atom heads some outcome
-    return list(dict.fromkeys(o[0] for o, _m in outs))
+    return [kernel.atoms[a] for a in bits(kernel.enabled(kernel.encode(marking)))]
 
 
 def successors(neg: Negotiation, marking: Marking) -> list[tuple[Outcome, Marking]]:
@@ -234,6 +266,7 @@ class ReachabilityGraph:
     codes: list[int]
     succ: list[tuple[tuple[Outcome, int], ...]]
     final_index: Optional[int]  # the all-empty marking's node, if reached
+    fired: int  # the mask of the atoms on some edge
 
     @property
     def initial(self) -> Marking:
@@ -293,27 +326,34 @@ def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
     codes: list[int] = []
     succ: list[tuple[tuple[Outcome, int], ...]] = []
     if cap < 1:
-        raise BudgetExceeded(cap, ReachabilityGraph(kernel, codes, succ, None))
+        raise BudgetExceeded(cap, ReachabilityGraph(kernel, codes, succ, None, 0))
     codes.append(kernel.initial)
     index = {kernel.initial: 0}
-    successors = kernel.successors
-    for m in codes:  # grows while it is walked: the BFS queue
+    masks = [kernel.enabled(kernel.initial)]  # per node, its enabled atoms
+    fired = 0
+    successors, moves = kernel.successors, kernel.moves
+    touch, enabled_among = kernel.touch, kernel.enabled_among
+    for m, e in zip(codes, masks):  # both grow while walked: the BFS queue
         out: list[tuple[Outcome, int]] = []
-        for o, m2 in successors(m):
+        for o, m2 in successors(m, e):
             j = index.get(m2)
             if j is None:
                 if len(codes) >= cap:
+                    fired |= sum({1 << moves[o2][0] for o2, _j in out})
                     succ.append(tuple(out))
                     succ.extend(() for _ in range(len(codes) - len(succ)))
-                    partial = ReachabilityGraph(kernel, codes, succ, None)
+                    partial = ReachabilityGraph(kernel, codes, succ, None, fired)
                     raise BudgetExceeded(cap, partial)
                 j = index[m2] = len(codes)
                 codes.append(m2)
+                a, _put, sent = moves[o]
+                masks.append(e & ~touch[a] | enabled_among(m2, sent))
             out.append((o, j))
+        fired |= e
         # tuples, not lists: the collector stops tracking a tuple of ints
         # and untracked tuples, so its full passes skip the edges
         succ.append(tuple(out))
-    graph = ReachabilityGraph(kernel, codes, succ, index.get(0))
+    graph = ReachabilityGraph(kernel, codes, succ, index.get(0), fired)
     neg.__dict__[KEPT_GRAPH] = graph
     return graph
 
@@ -369,30 +409,26 @@ def shortest_witness(
 def check_soundness(neg: Negotiation, cap: int = DEFAULT_CAP) -> SoundnessVerdict:
     """Decide soundness on the reachability graph.
 
-    (a) every atom occurs on some edge; (b) the final marking is reachable
-    from every node (checked by one reverse reachability pass). The stuck
-    witness is the shortest path to a node from which the final marking is
-    unreachable. It reads the graph `reachability` keeps on `neg`, and
-    takes the atoms that fire straight off its successor lists.
+    (a) every atom occurs on some edge (the graph's `fired` mask); (b) the
+    final marking is reachable from every node: a sweep in reverse BFS
+    order clears each node with a cleared successor, then `_clear_back`
+    any node left stuck. The stuck witness is the shortest path to a node
+    from which the final marking is unreachable, on the kept graph.
     """
     graph = reachability(neg, cap)
-    n = len(graph.codes)
-    fired = {o[0] for out in graph.succ for o, _j in out}
-    dead = frozenset(neg.atoms) - fired
-
+    kernel, succ, n = graph.kernel, graph.succ, len(graph.codes)
+    dead = frozenset(kernel.atoms[a] for a in bits(kernel.field & ~graph.fired))
     stuck = bytearray(b"\x01") * n  # cleared for every node that reaches nf
     if graph.final_index is not None:
-        preds: list[list[int]] = [[] for _ in range(n)]
-        for i, out in enumerate(graph.succ):
-            for _o, j in out:
-                preds[j].append(i)
         stuck[graph.final_index] = 0
-        stack = [graph.final_index]
-        while stack:
-            for p in preds[stack.pop()]:
-                if stuck[p]:
-                    stuck[p] = 0
-                    stack.append(p)
+        for i in range(n - 1, -1, -1):
+            if stuck[i]:
+                for _o, j in succ[i]:
+                    if not stuck[j]:
+                        stuck[i] = 0
+                        break
+        if 1 in stuck:
+            _clear_back(succ, stuck)
     witness = shortest_witness(graph, stuck) if 1 in stuck else None
     return SoundnessVerdict(
         sound=not dead and witness is None,
@@ -400,3 +436,18 @@ def check_soundness(neg: Negotiation, cap: int = DEFAULT_CAP) -> SoundnessVerdic
         stuck_witness=witness,
         state_count=n,
     )
+
+
+def _clear_back(succ: list[tuple[tuple[Outcome, int], ...]], stuck: bytearray) -> None:
+    """Clear each stuck node with a path to a cleared one, walking back."""
+    preds: dict[int, list[int]] = {}
+    for i, s in enumerate(stuck):
+        if s:
+            for _o, j in succ[i]:
+                preds.setdefault(j, []).append(i)
+    stack = [j for j in preds if not stuck[j]]
+    while stack:
+        for p in preds.get(stack.pop(), ()):
+            if stuck[p]:
+                stuck[p] = 0
+                stack.append(p)

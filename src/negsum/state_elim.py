@@ -460,17 +460,16 @@ def brute_force_summary(
     """Union of the transformers of all large steps, per final result,
     straight off the reachability graph `reachability` keeps on `neg`:
     `_denotation` walks the graph's own successor lists, keyed by outcome,
-    with one label per outcome on some edge (collected in one walk of
-    those lists), so each outcome that fires is evaluated and turned into
+    with one label per outcome of an atom in the graph's `fired` mask, in
+    outcome order, so each outcome that fires is evaluated and turned into
     moves once, and no labeled edge is built. The relations returned keep
     their kernel rows, so comparing a summary with them (`rels_equal`)
     does not convert them."""
     graph = reachability(neg, cap)
-    final = neg.final
-    fired = {o for out in graph.succ for o, _j in out}
+    final, fired, index = neg.final, graph.fired, neg.atom_index
     labels = {
         o: (neg.transformer(o), o[1] if o[0] == final else None)
         for o in neg.outcomes()
-        if o in fired
+        if fired >> index(o[0]) & 1
     }
     return _denotation(graph.succ, labels, 0, graph.final_index, interp, space)

@@ -29,7 +29,11 @@ def reversed_ties():
     way."""
     real = MarkingKernel.successors
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(MarkingKernel, "successors", lambda self, m: real(self, m)[::-1])
+        patch.setattr(
+            MarkingKernel,
+            "successors",
+            lambda self, m, enabled=None: real(self, m, enabled)[::-1],
+        )
         yield
 
 

@@ -36,9 +36,9 @@ def expansions(monkeypatch):
     asked = []
     real = MarkingKernel.successors
 
-    def successors(self, m):
+    def successors(self, m, enabled=None):
         asked.append(m)
-        return real(self, m)
+        return real(self, m, enabled)
 
     monkeypatch.setattr(MarkingKernel, "successors", successors)
     return asked

@@ -41,6 +41,15 @@ def markings_rate(m):
     markings, edges, seconds = m.measure(1)
     assert markings > 0 and edges > 0 and seconds >= 0
     assert 0 < m.graph_mb(1) < m.graph_mb(2)
+    assert m.check_seconds(1) >= 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert m.main(["1"]) == 0
+    assert re.fullmatch(
+        r"expfam\(1\): markings 7 edges \d+ reachability_s \d+\.\d{4} "
+        r"markings_per_s (\d+|inf) graph_mb \d+\.\d{3} check_s \d+\.\d{4}\n",
+        out.getvalue(),
+    ), out.getvalue()
 
 
 def cli_latency(m):

@@ -65,6 +65,14 @@ def test_step_not_enabled():
         step(neg, initial_marking(neg), ("n1", "yes"))
 
 
+def test_step_refuses_an_outcome_the_diagram_does_not_have():
+    neg = load_fixture("fdm_acyclic")
+    m = initial_marking(neg)
+    for outcome in ((neg.initial, "nope"), ("zz", "r")):
+        with pytest.raises(NotEnabled):
+            step(neg, m, outcome)
+
+
 def test_step_frame_property():
     # non-parties keep their sets on every edge of every fixture graph
     for name in fixture_names():

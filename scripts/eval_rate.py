@@ -8,9 +8,11 @@ k = 1..3, of one generated diagram whose state summary has labels with
 long shared tails (`generate_sound(200800, 32, 5, False, max_atoms=16)`:
 5 agents, K = 15, 40 markings), and of the bundled fixture
 `running_multi`, it prints the number of relation compositions one
-evaluation makes, the number of factors it puts in spread form
-(`Kernel.spread`: built once per evaluation for each factor and joint
-party tuple), and the CPU milliseconds of `eval_expr` over the summary's
+evaluation makes (one per distinct joint party tuple, factor value and
+value of the product of the rest: `Kernel.eval` interns the relations it
+meets by value), the number of factors it puts in spread form
+(`Kernel.spread`: built once per evaluation for each distinct factor
+value and joint party tuple), and the CPU milliseconds of `eval_expr` over the summary's
 expressions; those runs read each relation through the rows it keeps
 from the first, untimed one, so the conversions from pairs are timed in
 the cross-check row. The read-back columns time the path of a printed

@@ -395,8 +395,10 @@ def validate(
     rels = dict(rels or {})
     if states is not None:
         for agent in agents:
-            if agent not in states or not states[agent]:
+            if agent not in states:
                 violations.append(f"state space missing agent {agent!r}")
+            elif not states[agent]:
+                violations.append(f"state space lists no state for agent {agent!r}")
             elif len(set(states[agent])) != len(states[agent]):
                 violations.append(f"state space lists a state of agent {agent!r} twice")
     for (aid, r), rel in rels.items():

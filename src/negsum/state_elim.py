@@ -464,7 +464,7 @@ def brute_force_summary(
     outcome order, so each outcome that fires is evaluated and turned into
     moves once, and no labeled edge is built. The relations returned keep
     their kernel rows, so comparing a summary with them (`rels_equal`)
-    does not convert them."""
+    neither converts them nor builds their pairs."""
     graph = reachability(neg, cap)
     final, fired, index = neg.final, graph.fired, neg.atom_index
     labels = {

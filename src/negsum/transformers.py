@@ -351,11 +351,31 @@ class Rel:
     built for, in the instance dict, where they shadow the class's
     `_rows = None`. They are not a field, so `==`, `hash` and `repr` do
     not see them, and they are left out of pickles (`__reduce__`).
+
+    A `Rel` that `Kernel.rel` builds starts with its rows alone: its
+    `pairs` are built from them the first time they are read
+    (`__getattr__`), then kept, so a result that is only compared in
+    kernel form (`rels_equal`) never builds them. Everything that reads
+    `pairs` (`==`, `hash`, `repr`, pickling) sees what `Rel(parties,
+    pairs)` would hold.
     """
 
     parties: tuple[str, ...]
     pairs: frozenset[tuple[Assignment, Assignment]]
     _rows = None  # (state lists of the parties, Rows), once converted
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance dict lacks: the
+        # `pairs` of a `Rel` the kernel built
+        kept = self._rows
+        if name != "pairs" or kept is None:
+            raise AttributeError(name)
+        states, r = kept
+        assignments = list(itertools.product(*states))
+        pairs = self.__dict__["pairs"] = frozenset(
+            (assignments[i], assignments[j]) for i, row in enumerate(r.rows) for j in bits(row)
+        )
+        return pairs
 
     def __reduce__(self):
         return Rel, (self.parties, self.pairs)
@@ -400,9 +420,10 @@ def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:
 # the state lists of its parties. So a relation is converted from pairs
 # once per state space it is read under, not once per call, and a result
 # handed from one call to the next (`eval_expr` to `rels_equal`) is not
-# converted at all. Kept rows are shared by every later call that reads
-# the `Rel`, so no kernel operation writes into a `Rows` list it is
-# given: each one that changes rows builds a new list.
+# converted at all, nor are its pairs built unless read. Kept rows are
+# shared by every later call that reads the `Rel`, so no kernel operation
+# writes into a `Rows` list it is given: each one that changes rows builds
+# a new list.
 #
 # The left factor of a composition is read in spread form: the relation
 # expanded to the joint parties, as the list of the set-bit positions of
@@ -411,18 +432,22 @@ def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:
 # and lives as long as its memo (`_shared_concat`: one `Kernel.eval` call)
 # or its call (`Kernel.concat`).
 #
-# `Kernel.eval` shares suffix products. State elimination flattens each
-# new edge label into one `Concat`, so labels built from the same out-edge
-# end in the same factors. Within one call, the product of every suffix
-# of a concatenation is kept in the call's memo under (joint parties, id
-# of the factor's `Rows`, id of the product of the rest of the suffix),
-# and a suffix that several concatenations share is composed once. Each
-# factor's spread is kept there too, under (joint parties, id of the
-# factor's `Rows`). The ids stay valid keys because the memo holds every
-# object they name: each entry holds its factor and its product or
-# spread, and the product of the rest is held by the entry of the rest.
-# Nothing leaves a memo, so no id named by one of its keys is reused while
-# the memo lives, and a new memo starts with no products and no spreads.
+# `Kernel.eval` shares suffix products by value. State elimination
+# flattens each new edge label into one `Concat`, so labels built from the
+# same out-edge end in the same factors, and equal relations are often
+# reached through different subterms. Within one call, each subterm's
+# `Rows` and each suffix product are interned in the call's memo under
+# (parties, tuple of the rows) (`_interned`): the first `Rows` of a value
+# stands for every equal one met later. The product of every suffix of a
+# concatenation is kept there under (joint parties, id of the factor's
+# interned `Rows`, id of the interned product of the rest of the suffix),
+# so a (factor, product) pair met again by value, through whatever
+# subterms, is composed once. Each factor's spread is kept there too,
+# under (joint parties, id of the factor's `Rows`). The ids stay valid
+# keys because the memo holds every object they name: each interned
+# `Rows` is the value of its value's entry. Nothing leaves a memo, so no
+# id named by one of its keys is reused while the memo lives, and a new
+# memo starts with no values, no products and no spreads.
 
 
 class Rows(NamedTuple):
@@ -454,6 +479,12 @@ def _compose(spread: list[list[int]], rows: list[int]) -> list[int]:
             acc |= rows[j]
         out.append(acc)
     return out
+
+
+def _interned(r: Rows, memo: dict) -> Rows:
+    """The `Rows` of `r`'s value that `memo` met first, kept there under
+    (parties, tuple of the rows): `r` itself if no equal one was met."""
+    return memo.setdefault((r.parties, tuple(r.rows)), r)
 
 
 class Kernel:
@@ -505,7 +536,9 @@ class Kernel:
         its pairs, and kept. A pair whose entry or exit is not an
         assignment of `rel.parties` over the space (a state outside an
         agent's list, or a tuple of the wrong length) raises
-        `StateSpaceMismatch`, and nothing is kept."""
+        `StateSpaceMismatch`, and nothing is kept. A `Rel` whose pairs
+        are still to be built from the rows it keeps builds them in
+        `_convert`, before those rows are replaced."""
         states = self._states(rel.parties)
         kept = rel._rows
         if kept is None or kept[0] != states:
@@ -527,17 +560,10 @@ class Kernel:
         return Rows(rel.parties, rows)
 
     def rel(self, r: Rows) -> Rel:
-        """`r` as a `Rel`, which keeps `r`."""
-        assignments = self._frame(r.parties)[0]
-        out = Rel(
-            r.parties,
-            frozenset(
-                (assignments[i], assignments[j])
-                for i, row in enumerate(r.rows)
-                for j in bits(row)
-            ),
-        )
-        out.__dict__["_rows"] = (self._states(r.parties), r)
+        """`r` as a `Rel`, which keeps `r` and builds its pairs from it
+        the first time they are read."""
+        out = object.__new__(Rel)
+        out.__dict__.update(parties=r.parties, _rows=(self._states(r.parties), r))
         return out
 
     def merged(self, *parties: Iterable[str]) -> tuple[str, ...]:
@@ -660,32 +686,32 @@ class Kernel:
         return Rows(parties, [1] if rows is None else rows)
 
     def _shared_concat(self, rs: list[Rows], memo: dict) -> Rows:
-        """`concat(*rs)`, with each suffix product looked up in `memo`
-        and stored there as (factor, product) under (joint parties,
-        id(factor), id(product of the rest)). The last factor's key names
-        `id(None)`, which no product can have. Each factor's spread is
-        kept in `memo` too, as (factor, spread) under (joint parties,
+        """`concat(*rs)` of factors interned in `memo` (`_interned`), with
+        each suffix product interned too, and looked up in `memo` under
+        (joint parties, id(factor), id(product of the rest)). The last
+        factor's key names `id(None)`, which no product can have. Each
+        factor's spread is kept in `memo` under (joint parties,
         id(factor)), so it is built once per memo. The joint parties of
         each tuple of factor parties are computed once per kernel."""
         factors = tuple([r.parties for r in rs])
         parties = self._joints.get(factors)
         if parties is None:
             parties = self._joints[factors] = self.merged(*factors)
-        rows = None
+        product = None
         for r in reversed(rs):
-            key = (parties, id(r), id(rows))
+            key = (parties, id(r), id(product))
             hit = memo.get(key)
             if hit is None:
-                if rows is None:
-                    product = self.expand(r, parties).rows
+                if product is None:
+                    hit = self.expand(r, parties)
                 else:
                     spread = memo.get((parties, id(r)))
                     if spread is None:
-                        spread = memo[(parties, id(r))] = (r, self.spread(r, parties))
-                    product = _compose(spread[1], rows)
-                hit = memo[key] = (r, product)
-            rows = hit[1]
-        return Rows(parties, [1] if rows is None else rows)
+                        spread = memo[(parties, id(r))] = self.spread(r, parties)
+                    hit = Rows(parties, _compose(spread, product.rows))
+                hit = memo[key] = _interned(hit, memo)
+            product = hit
+        return Rows(parties, [1]) if product is None else product
 
     def union(self, *rs: Rows) -> Rows:
         if len(rs) == 1:
@@ -727,14 +753,16 @@ class Kernel:
     def eval(self, expr: TransformerExpr, interp: Mapping[Tag, Rel], memo: dict) -> Rows:
         """Structural fold of the expression, memoized in `memo`:
         subexpressions repeat heavily in eliminator output. `memo` maps
-        each expression evaluated to its `Rows`, and holds the suffix
-        products of its concatenations and their factors' spreads too
-        (`_shared_concat`), so a concatenation costs one composition per
-        suffix not met before in the memo's lifetime. Nodes keep their
-        hashes, so a lookup hashes in one step, and a node of a DAG met
-        again as the same object (as every node of one read back by
-        `parse_expr` is) is found by identity, without a structural
-        comparison."""
+        each expression evaluated to its `Rows`, interned by value
+        (`_interned`), so equal relations reached through different
+        subterms are one object. It holds the suffix products of its
+        concatenations and their factors' spreads too (`_shared_concat`),
+        so a concatenation costs one composition per (factor value,
+        value of the product of the rest) not met before in the memo's
+        lifetime. Nodes keep their hashes, so a lookup hashes in one step,
+        and a node of a DAG met again as the same object (as every node
+        of one read back by `parse_expr` is) is found by identity,
+        without a structural comparison."""
         hit = memo.get(expr)
         if hit is not None:
             return hit
@@ -754,7 +782,7 @@ class Kernel:
             out = self.star(self.eval(expr.inner, interp, memo))
         else:
             raise TypeError(f"not an expression: {expr!r}")
-        memo[expr] = out
+        out = memo[expr] = _interned(out, memo)
         return out
 
 
@@ -790,7 +818,8 @@ def eval_expr(
     fold stays in kernel form: each atom's relation is read through
     `Kernel.rows`, so it is converted from pairs only the first time it is
     read under these state lists, and the result is a `Rel` that keeps its
-    rows, so comparing it (`rels_equal`) converts nothing. An atomic
+    rows, so comparing it (`rels_equal`) converts nothing, and that builds
+    its pairs only if they are read. An atomic
     expression evaluates to its interpretation itself."""
     k = Kernel(space)
     out = k.eval(expr, interp, {})

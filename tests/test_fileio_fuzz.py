@@ -361,3 +361,17 @@ def test_state_space_without_an_agent_of_a_relation_is_a_validation_error():
     with pytest.raises(ValidationError) as err:
         loads(json.dumps(doc))
     assert "state space missing agent 'D'" in err.value.violations
+
+
+def test_state_space_with_no_state_for_an_agent_is_a_validation_error():
+    """An agent listed with an empty state list is not missing: it is
+    told apart from an agent the `states` object omits."""
+    doc = to_dict(load_fixture("fdm_acyclic"))
+    doc["states"]["D"] = []
+    for atom in doc["atoms"]:  # no relation may name a state of D
+        for result in atom["results"]:
+            del result["rel"]
+    with pytest.raises(ValidationError) as err:
+        loads(json.dumps(doc))
+    assert "state space lists no state for agent 'D'" in err.value.violations
+    assert not [v for v in err.value.violations if "missing agent" in v]

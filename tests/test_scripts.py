@@ -9,10 +9,13 @@ from __future__ import annotations
 import contextlib
 import importlib.util
 import io
+import json
 import pathlib
+import platform
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
 
@@ -86,8 +89,10 @@ def ab(m):
         pytest.skip("needs a git checkout")
     m.ROUNDS = 2
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert m.main(["HEAD", "fixtures"]) == 0
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(out):
+        path = pathlib.Path(tmp, "ab.json")
+        assert m.main(["HEAD", "fixtures", "--json", str(path)]) == 0
+        record = json.loads(path.read_text())
     lines = out.getvalue().splitlines()
     assert lines[0].startswith("HEAD (negsum_rev) against the working tree, 2 rounds")
     assert lines[1].split() == ["workload", "job", "median", "q1", "q3",
@@ -107,7 +112,20 @@ def ab(m):
     assert counts, lines[-1]
     rev_lines, tree_lines, delta = map(int, counts.groups())
     assert rev_lines > 0 and tree_lines > 0 and delta == tree_lines - rev_lines
-    assert not [name for name in sys.modules if name.startswith("negsum_rev")]
+    assert not [name for name in sys.modules if name.startswith(("negsum_rev", "negsum_tree"))]
+    # the JSON record holds the printed table and what it was measured on
+    head = subprocess.run(["git", "-C", str(SCRIPTS), "rev-parse", "HEAD"],
+                          capture_output=True, text=True).stdout.strip()
+    assert record["rev"] == {"name": "HEAD", "commit": head}
+    assert record["tree"]["commit"] == head and isinstance(record["tree"]["edited"], bool)
+    assert record["python"] == platform.python_version() and record["rounds"] == 2
+    assert record["lines"] == {"rev": rev_lines, "tree": tree_lines}
+    (fixtures,) = record["workloads"].values()
+    assert fixtures["answers_equal"] == lines[-2].endswith("equal")
+    assert [
+        [job, *(f"{r[q]:.3f}" for q in ("median", "q1", "q3")), str(r["tree_won"]), str(r["rev_won"])]
+        for job, r in fixtures["jobs"].items()
+    ] == [row[1:] for row in rows]
     # the demo job runs on expfam(1..5), and only there
     texts, jobs = m.workload("expfam")
     assert [texts[i] for i in jobs["demo"]] == [dumps(expfam(k)) for k in range(1, 6)]

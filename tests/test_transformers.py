@@ -40,7 +40,9 @@ from negsum import (
     union,
     union_expr,
 )
-from negsum.transformers import _RESERVED, Identity, Kernel, TransformerExpr, _tokenize, bits
+from negsum.transformers import (
+    _RESERVED, Identity, Kernel, Rows, TransformerExpr, _tokenize, bits,
+)
 
 from conftest import nodes, single_atom_negotiation, synthetic_interp
 
@@ -796,15 +798,21 @@ def shared_suffix_case(draw):
     come from a small pool of shared subterms: atoms over one, two and all
     agents, the identity, stars, and the star of an empty relation over
     the agents in reverse, which keeps that order when their state lists
-    match. The tail is drawn from the factors over fewer agents, so the
-    parties grow along the fold and one tail is met under several joint
-    party tuples."""
+    match. Some subterms are equal in value but not in structure: `twin`
+    is bound to a relation with the pairs of `one`'s, but another object,
+    `one ∪ twin` equals `one`, and `closed` is bound to the closure of
+    `two`'s relation, so it equals `two*`. The tail is drawn from the
+    factors over fewer agents, so the parties grow along the fold and one
+    tail is met under several joint party tuples."""
     order = tuple(draw(st.permutations(AGENTS))[: draw(st.integers(2, 3))])
     space = {a: tuple(str(i) for i in range(draw(st.integers(1, 3)))) for a in order}
     interp = {("n", str(i)): draw(relation_over_parties(space, order[: i + 1])) for i in range(3)}
     interp[("n", "rev")] = Rel(order[::-1], frozenset())
-    one, two, every, rev = (Atomic(tag) for tag in interp)
-    small = [one, two, IDENTITY, star_expr(one), concat_expr(one, two)]
+    interp[("n", "twin")] = Rel(order[:1], frozenset(set(interp[("n", "0")].pairs)))
+    interp[("n", "closed")] = ref_star(interp[("n", "1")], space)
+    one, two, every, rev, twin, closed = (Atomic(tag) for tag in interp)
+    small = [one, two, IDENTITY, star_expr(one), concat_expr(one, two),
+             twin, union_expr(one, twin), star_expr(two), closed]
     pool = small + [every, star_expr(rev), star_expr(every), union_expr(one, every)]
     tail = draw(st.lists(st.sampled_from(small), min_size=1, max_size=4))
     heads = draw(st.lists(st.lists(st.sampled_from(pool), min_size=1, max_size=4),
@@ -821,10 +829,17 @@ def ref_equal(a: Rel, b: Rel, space) -> bool:
 @given(shared_suffix_case())
 def test_shared_suffixes_match_the_reference(case):
     space, interp, exprs = case
+    one, twin, two, closed = (Atomic(("n", r)) for r in ("0", "twin", "1", "closed"))
     for ordered in (exprs, exprs[::-1]):  # a shared suffix first met in either
         k, memo = Kernel(space), {}
         for e in ordered:
             same(k.rel(k.eval(e, interp, memo)), ref_eval(e, interp, space))
+        # equal values are one object
+        values = [k.eval(e, interp, memo) for e in (one, twin, union_expr(one, twin))]
+        assert values[0] is values[1] is values[2]
+        assert k.eval(star_expr(two), interp, memo) is k.eval(closed, interp, memo)
+        rows = [v for e, v in memo.items() if isinstance(e, TransformerExpr)]
+        assert len({id(v) for v in rows}) == len({(v.parties, tuple(v.rows)) for v in rows})
     whole = union_expr(*exprs)
     same(eval_expr(whole, interp, space), ref_eval(whole, interp, space))
 
@@ -850,20 +865,15 @@ def test_shared_suffixes_do_not_outlive_their_memo(case, data):
         del memo
 
 
-def test_state_summary_composes_each_shared_suffix_once(monkeypatch):
-    """On the state-elimination summary of a generated diagram whose
-    labels share long tails (5 agents, K = 15, 40 markings), `Kernel.eval`
-    makes at most one composition per distinct (joint parties, suffix),
-    where the plain fold makes one per factor boundary of every
-    concatenation, and spreads each (joint parties, factor) at most once.
-    Each concatenation's value equals that plain fold through
-    `Kernel.concat`."""
+def shape4_state_summary():
+    """The state-elimination summary of a generated diagram whose labels
+    share long tails (5 agents, K = 15, 40 markings), seeded left-total
+    relations over two states per agent, and each concatenation in the
+    summary with the set of agents its value is over."""
     from negsum import generate_sound, summarize_by_states
-    import negsum.transformers as transformers
 
     neg = generate_sound(200800, 32, 5, False, max_atoms=16)
     (expr,) = summarize_by_states(neg).summary.values()
-    # seeded left-total relations over two states per agent
     space = {a: ("0", "1") for a in neg.agents}
     interp = {}
     for atom, result in neg.outcomes():
@@ -890,14 +900,18 @@ def test_state_summary_composes_each_shared_suffix_once(monkeypatch):
         return agents[e]
 
     over(expr)
-    concats = [e for e in agents if isinstance(e, Concat)]
-    suffixes = {(over(c), c.parts[i:]) for c in concats for i in range(len(c.parts) - 1)}
-    plain = sum(len(c.parts) - 1 for c in concats)
-    assert len(suffixes) < plain
+    concats = {e: parties for e, parties in agents.items() if isinstance(e, Concat)}
+    return expr, space, interp, concats
+
+
+def counted_eval(monkeypatch, k, expr, interp, memo):
+    """`k.eval(expr, interp, memo)`'s number of compositions, and the
+    (joint parties, id of the factor) of each spread it built."""
+    import negsum.transformers as transformers
 
     calls = [0]
     compose, spread = transformers._compose, Kernel.spread
-    spreads = []  # (joint parties, id of the factor) of each spread built
+    spreads = []
 
     def counted(a, b):
         calls[0] += 1
@@ -907,17 +921,77 @@ def test_state_summary_composes_each_shared_suffix_once(monkeypatch):
         spreads.append((parties, id(r)))
         return spread(self, r, parties)
 
-    k, memo = Kernel(space), {}
     monkeypatch.setattr(transformers, "_compose", counted)
     monkeypatch.setattr(Kernel, "spread", counted_spread)
     k.eval(expr, interp, memo)
     monkeypatch.setattr(transformers, "_compose", compose)
     monkeypatch.setattr(Kernel, "spread", spread)
-    assert calls[0] <= len(suffixes)
+    return calls[0], spreads
+
+
+def distinct_suffixes(concats) -> set:
+    """The distinct (agents, suffix of subterms) of the concatenations."""
+    return {(over, c.parts[i:]) for c, over in concats.items() for i in range(len(c.parts) - 1)}
+
+
+def test_state_summary_composes_each_shared_suffix_once(monkeypatch):
+    """On the state-elimination summary of a generated diagram whose
+    labels share long tails (5 agents, K = 15, 40 markings), `Kernel.eval`
+    makes at most one composition per distinct (joint parties, suffix),
+    where the plain fold makes one per factor boundary of every
+    concatenation, and spreads each (joint parties, factor) at most once.
+    Each concatenation's value equals that plain fold through
+    `Kernel.concat`."""
+    expr, space, interp, concats = shape4_state_summary()
+    suffixes = distinct_suffixes(concats)
+    plain = sum(len(c.parts) - 1 for c in concats)
+    assert len(suffixes) < plain
+
+    k, memo = Kernel(space), {}
+    calls, spreads = counted_eval(monkeypatch, k, expr, interp, memo)
+    assert calls <= len(suffixes)
     # the memo holds every factor, so no id above was reused
-    assert 0 < len(spreads) == len(set(spreads)) < calls[0]
+    assert 0 < len(spreads) == len(set(spreads)) < calls
     for c in concats:
         assert memo[c] == k.concat(*(memo[p] for p in c.parts)), c
+
+
+def test_state_summary_composes_each_distinct_product_once(monkeypatch):
+    """On the same summary, equal relations reached through different
+    subterms are one value in `Kernel.eval`'s memo, so it makes at most
+    one composition per distinct (joint parties, factor value, value of
+    the product of the rest), computed here by a plain fold, and fewer
+    than one per distinct (joint parties, suffix of subterms)."""
+    expr, space, interp, concats = shape4_state_summary()
+    fold, values = Kernel(space), {}
+
+    def value(e):  # the plain fold, one per subterm
+        if e not in values:
+            if isinstance(e, Identity):
+                values[e] = Rows((), [1])
+            elif isinstance(e, Atomic):
+                values[e] = fold.rows(interp[e.tag])
+            elif isinstance(e, Star):
+                values[e] = fold.star(value(e.inner))
+            elif isinstance(e, Union):
+                values[e] = fold.union(*map(value, e.parts))
+            else:
+                values[e] = fold.concat(*map(value, e.parts))
+        return values[e]
+
+    def key(r):
+        return r.parties, tuple(r.rows)
+
+    products = set()
+    for c, over in concats.items():
+        joint = fold.merged(over)
+        for i in range(len(c.parts) - 1):
+            rest = fold.expand(fold.concat(*map(value, c.parts[i + 1:])), joint)
+            products.add((joint, key(value(c.parts[i])), key(rest)))
+
+    calls, _ = counted_eval(monkeypatch, Kernel(space), expr, interp, {})
+    assert calls <= len(products)
+    assert calls < len(distinct_suffixes(concats))
 
 
 # ---------------------------------------------------------------------------
@@ -995,6 +1069,39 @@ def test_pickle_leaves_the_kept_rows_out():
     assert loaded == got and hash(loaded) == hash(got)
     assert kept(loaded) is None
     assert Kernel(SPACE).rows(loaded) == rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(space_and_relations(2), st.data())
+def test_a_rel_built_by_the_kernel_reads_like_one_built_from_its_pairs(case, data):
+    """A `Rel` that `Kernel.rel` returns builds its pairs only when they
+    are read. Each read below starts from a fresh one, so each way of
+    reading builds them: `pairs`, `==`, `hash`, `repr` and a pickle round
+    trip all give what `Rel(parties, pairs)` gives. One read under
+    another order of its states converts the pairs its rows stand for."""
+    space, (a, b) = case
+    other = {agent: tuple(data.draw(st.permutations(list(states))))
+             for agent, states in space.items()}
+    for want in (a, ref_concat(a, b, space), ref_star(b, space)):
+        plain = Rel(want.parties, want.pairs)
+        k = Kernel(space)
+
+        def built():
+            out = k.rel(k.rows(plain))
+            assert "pairs" not in vars(out)
+            return out
+
+        assert built().pairs == plain.pairs
+        assert built() == plain and plain == built()
+        assert hash(built()) == hash(plain)
+        assert repr(built()) == repr(plain)
+        loaded = pickle.loads(pickle.dumps(built()))
+        assert type(loaded) is Rel and kept(loaded) is None
+        assert (loaded.parties, loaded.pairs) == (plain.parties, plain.pairs)
+        assert built().is_left_total(space) == plain.is_left_total(space)
+        assert Kernel(other).rows(built()) == Kernel(other).rows(plain)
+        with pytest.raises(AttributeError):
+            built().nope
 
 
 def generated_cross_check_case():

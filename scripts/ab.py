@@ -22,6 +22,8 @@ text outside the timing, the jobs of a benchmark pass in its order:
   states      summarize_by_states
   crosscheck  brute_force_summary, then eval_expr and rels_equal for each
               result of the rules and states summaries
+  diag        target_of_atom of every atom, target_of_outcome of every
+              outcome, and find_loops
   demo        run_exponential_demo with both strategies, as `negsum demo`
               runs it
 
@@ -29,7 +31,7 @@ The jobs of a side share its diagram objects, so whatever a diagram keeps
 from one job is there for the next, as in a pass. Workloads:
 
   fixtures   the 18 bundled fixtures, each job on every one it covers
-             (the smallest)
+             (the smallest; the only workload with a diag)
   expfam     expfam(k): check k = 1..5, rules 1..8, states 1..3,
              crosscheck 1..4, demo 1..5 (the only workload with a demo)
   generated  eight generate_sound diagrams, one per shape, each with an
@@ -86,7 +88,7 @@ import negsum  # noqa: E402
 
 ROUNDS = 30
 REV_PACKAGE, TREE_PACKAGE = "negsum_rev", "negsum_tree"
-JOBS = ("check", "rules", "states", "crosscheck", "demo")
+JOBS = ("check", "rules", "states", "crosscheck", "diag", "demo")
 
 # (agents, inverse-rule steps, max atoms, acyclic), as the benchmark's
 # `generated` workload draws them
@@ -188,11 +190,12 @@ def workload(name: str) -> tuple[list[str], dict[str, list]]:
         texts = [negsum.dumps(negsum.expfam(k)) for k in range(1, 9)]
         return texts, {
             "check": range(0, 5), "rules": range(0, 8),
-            "states": range(0, 3), "crosscheck": range(0, 4), "demo": range(0, 5),
+            "states": range(0, 3), "crosscheck": range(0, 4), "diag": (),
+            "demo": range(0, 5),
         }
     if name == "generated":
         texts = _generated()
-        return texts, {**dict.fromkeys(JOBS, range(len(texts))), "demo": ()}
+        return texts, {**dict.fromkeys(JOBS, range(len(texts))), "diag": (), "demo": ()}
     raise SystemExit(f"unknown workload {name!r}: fixtures, expfam or generated")
 
 
@@ -270,6 +273,19 @@ def run_side(ns, texts: list[str], jobs: dict[str, list], answer: bool):
             ]
 
         answers.append(run("crosscheck", crosscheck))
+    for i in jobs["diag"]:
+        neg = negs[i]
+
+        def diag():
+            reports = [ns.target_of_atom(neg, a) for a in neg.atoms]
+            reports += [ns.target_of_outcome(neg, o) for o in neg.outcomes()]
+            return reports, ns.find_loops(neg)
+
+        reports, loops = run("diag", diag)
+        if answer:
+            answers.append([(str(r.target), r.conflict, sorted(r.explored_atoms))
+                            for r in reports])
+            answers.append([(loop.outcomes, str(loop.marking)) for loop in loops])
     for i in jobs["demo"]:
         for strategy in ("initial", "alternating"):
             trace = run("demo", lambda: ns.run_exponential_demo(negs[i], strategy))

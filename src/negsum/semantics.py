@@ -6,16 +6,23 @@ tested against. Exploration is breadth-first with outcomes ordered by
 (atom index, result index), which makes node and edge order, and every
 witness, reproducible.
 
-Every walk over markings runs on a diagram compiled once into integer
-tables (`MarkingKernel`, built on first use as `Negotiation.marking_kernel`).
+Markings are walked on a diagram compiled once into integer tables
+(`MarkingKernel`, built on first use as `Negotiation.marking_kernel`).
 A marking is one int: agent i's ready set occupies bits [i·K, (i+1)·K),
 one bit per atom in atom-index order, K being the number of atoms; a set
 of atoms is a K-bit mask. The `Marking` dataclass is what the public API
-shows; it is decoded from the int only where a caller asks for it. The
-walk keeps each node's enabled atoms as a mask: after an outcome of atom
-a fires, only the atoms sharing a party with a can change, and only
-those the outcome sends a party to can become enabled. The soundness
-check and the oracle take the atoms that fire from the masks' union.
+shows; it is decoded from the int only where a caller asks for it.
+
+One breadth-first walk (`walk`) explores every state space, from any
+marking, over a mask of allowed atoms, under one budget: `reachability`
+walks from the initial marking over every atom, the targets of maximal
+sequences (`structure`) and the outcome index (`strategies`) from a
+launch marking. Only `structure.execute_path`'s guided search, which
+stops at its first hit, walks on its own. The walk keeps each node's
+enabled atoms as a mask: after an outcome of atom a fires, only the
+atoms sharing a party with a can change, and only those the outcome
+sends a party to can become enabled. The soundness check and the oracle
+take the atoms that fire from the masks' union.
 
 The reachability graph is derived data of its diagram, like the marking
 kernel: a complete search keeps its graph on the diagram, and every later
@@ -35,8 +42,8 @@ from .errors import BudgetExceeded, NotEnabled
 from .model import KEPT_GRAPH, Negotiation, Outcome
 from .transformers import bits
 
-# The one exploration budget: every walk over markings stores at most this
-# many distinct markings unless its caller passes another cap.
+# The one exploration budget: a walk stores at most this many distinct
+# markings unless its caller passes another cap.
 DEFAULT_CAP = 1_000_000
 
 
@@ -173,12 +180,10 @@ class MarkingKernel:
                 out |= low
         return out
 
-    def successors(self, m: int, enabled: Optional[int] = None) -> list[tuple[Outcome, int]]:
-        """Every fireable outcome with the marking it leads to, ordered by
-        (atom index, result index). `enabled` is `self.enabled(m)`, passed
-        by a caller that has it."""
-        if enabled is None:
-            enabled = self.enabled(m)
+    def successors(self, m: int, enabled: int) -> list[tuple[Outcome, int]]:
+        """The outcomes of the atoms of the mask `enabled`, each with the
+        marking it leads to from m, ordered by (atom index, result index).
+        The mask is `self.enabled(m)`, or a part of it."""
         keep, fires = self.keep, self.fires
         out = []
         while enabled:
@@ -212,9 +217,8 @@ def successors(neg: Negotiation, marking: Marking) -> list[tuple[Outcome, Markin
     tie-breaking. Parties move to their transition targets, all other
     agents keep their sets (the frame property)."""
     kernel = neg.marking_kernel
-    return [
-        (o, kernel.decode(m2)) for o, m2 in kernel.successors(kernel.encode(marking))
-    ]
+    m = kernel.encode(marking)
+    return [(o, kernel.decode(m2)) for o, m2 in kernel.successors(m, kernel.enabled(m))]
 
 
 def step(neg: Negotiation, marking: Marking, outcome: Outcome) -> Marking:
@@ -258,11 +262,13 @@ class _Decoded(Sequence):
 @dataclass
 class ReachabilityGraph:
     """The explored graph, int-indexed: node i is the marking `codes[i]`
-    (node 0 is the initial marking, in BFS order), and `succ[i]` lists its
-    edges as (outcome, j) in exploration order. `nodes`, `node_index` and
-    `edges` show the same graph with `Marking`s, decoded on first use."""
+    (node 0 is `start`, the marking the walk started from, in BFS order),
+    and `succ[i]` lists its edges as (outcome, j) in exploration order.
+    `nodes`, `node_index` and `edges` show the same graph with `Marking`s,
+    decoded on first use."""
 
     kernel: MarkingKernel
+    start: int
     codes: list[int]
     succ: list[tuple[tuple[Outcome, int], ...]]
     final_index: Optional[int]  # the all-empty marking's node, if reached
@@ -270,7 +276,8 @@ class ReachabilityGraph:
 
     @property
     def initial(self) -> Marking:
-        return self.kernel.decode(self.kernel.initial)
+        """The walk's start, also when the graph is empty (`cap` < 1)."""
+        return self.kernel.decode(self.start)
 
     @property
     def final(self) -> Optional[Marking]:
@@ -304,32 +311,22 @@ class ReachabilityGraph:
         return _Decoded(sum(map(len, succ)), build)
 
 
-def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
-    """Breadth-first closure of the successor function from the initial
-    marking, taking each node's outcomes in `MarkingKernel.successors`
-    order.
+def walk(kernel: MarkingKernel, start: int, allowed: int, cap: int) -> ReachabilityGraph:
+    """Breadth-first closure of the successor function from the marking
+    `start`, firing only the atoms of the mask `allowed` and taking each
+    node's outcomes in `MarkingKernel.successors` order.
 
     Stores at most `cap` markings and raises BudgetExceeded (with the
     partial graph attached) on one more, rather than silently truncating:
     blowing up is a result, not a nuisance.
-
-    A complete graph is kept on `neg` (under `model.KEPT_GRAPH`) until
-    its tables change (`model.rewrite`), and a later call whose `cap` it
-    fits in returns it. A smaller cap searches afresh, so it raises
-    BudgetExceeded with the same partial graph as on a fresh copy. A
-    failed search keeps nothing.
     """
-    kept = neg.__dict__.get(KEPT_GRAPH)
-    if kept is not None and cap >= len(kept.codes):
-        return kept
-    kernel = neg.marking_kernel
     codes: list[int] = []
     succ: list[tuple[tuple[Outcome, int], ...]] = []
     if cap < 1:
-        raise BudgetExceeded(cap, ReachabilityGraph(kernel, codes, succ, None, 0))
-    codes.append(kernel.initial)
-    index = {kernel.initial: 0}
-    masks = [kernel.enabled(kernel.initial)]  # per node, its enabled atoms
+        raise BudgetExceeded(cap, ReachabilityGraph(kernel, start, codes, succ, None, 0))
+    codes.append(start)
+    index = {start: 0}
+    masks = [kernel.enabled(start) & allowed]  # per node, its enabled atoms
     fired = 0
     successors, moves = kernel.successors, kernel.moves
     touch, enabled_among = kernel.touch, kernel.enabled_among
@@ -342,18 +339,34 @@ def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
                     fired |= sum({1 << moves[o2][0] for o2, _j in out})
                     succ.append(tuple(out))
                     succ.extend(() for _ in range(len(codes) - len(succ)))
-                    partial = ReachabilityGraph(kernel, codes, succ, None, fired)
+                    partial = ReachabilityGraph(kernel, start, codes, succ, None, fired)
                     raise BudgetExceeded(cap, partial)
                 j = index[m2] = len(codes)
                 codes.append(m2)
                 a, _put, sent = moves[o]
-                masks.append(e & ~touch[a] | enabled_among(m2, sent))
+                masks.append(e & ~touch[a] | enabled_among(m2, sent & allowed))
             out.append((o, j))
         fired |= e
         # tuples, not lists: the collector stops tracking a tuple of ints
         # and untracked tuples, so its full passes skip the edges
         succ.append(tuple(out))
-    graph = ReachabilityGraph(kernel, codes, succ, index.get(0), fired)
+    return ReachabilityGraph(kernel, start, codes, succ, index.get(0), fired)
+
+
+def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
+    """The `walk` from the initial marking over every atom.
+
+    A complete graph is kept on `neg` (under `model.KEPT_GRAPH`) until
+    its tables change (`model.rewrite`), and a later call whose `cap` it
+    fits in returns it. A smaller cap searches afresh, so it raises
+    BudgetExceeded with the same partial graph as on a fresh copy. A
+    failed search keeps nothing.
+    """
+    kept = neg.__dict__.get(KEPT_GRAPH)
+    if kept is not None and cap >= len(kept.codes):
+        return kept
+    kernel = neg.marking_kernel
+    graph = walk(kernel, kernel.initial, kernel.field, cap)
     neg.__dict__[KEPT_GRAPH] = graph
     return graph
 

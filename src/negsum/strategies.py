@@ -64,12 +64,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import (
-    BudgetExceeded,
-    NotAcyclic,
-    NotDeterministic,
-    NotOneAgentOrReplication,
-)
+from .errors import NotAcyclic, NotDeterministic, NotOneAgentOrReplication
 from .model import Negotiation, Outcome, classify
 from .rules import (
     Reducible,
@@ -88,7 +83,7 @@ from .rules import (
     useless_arc_step,
     useless_arcs_at,
 )
-from .semantics import DEFAULT_CAP
+from .semantics import DEFAULT_CAP, walk
 from .transformers import TransformerExpr
 from .working import Log, working_copy
 
@@ -186,36 +181,27 @@ def outcome_index(neg: Negotiation, outcome: Outcome, cap: int = DEFAULT_CAP):
     the marking that holds exactly its parties, minus one; infinity when a
     reachable cycle pumps the sequences arbitrarily long.
 
-    A depth-first search with an explicit stack of (marking, successors
-    left, longest so far) frames: a successor on the stack closes a cycle.
+    A longest-path pass in topological order (Kahn's, taking a node once
+    every edge into it is taken) over the whole `walk` from the marking
+    after the outcome. A node on or behind a cycle is never taken. The
+    launch node starts the order only if no edge enters it: else it lies
+    on a cycle, and so does every node the walk reached.
     """
     kernel = neg.marking_kernel
-    start = kernel.fire(kernel.start(outcome[0]), outcome)
-    if cap < 1:
-        raise BudgetExceeded(cap)
-    longest: dict[int, int] = {}
-    on_stack = {start}
-    stack = [[start, iter(kernel.successors(start)), 0]]
-    while stack:
-        frame = stack[-1]
-        for _o, m in frame[1]:
-            if m in on_stack:
-                return math.inf
-            if m in longest:
-                frame[2] = max(frame[2], 1 + longest[m])
-                continue
-            if len(longest) + len(stack) >= cap:
-                raise BudgetExceeded(cap)
-            on_stack.add(m)
-            stack.append([m, iter(kernel.successors(m)), 0])
-            break
-        else:
-            stack.pop()
-            on_stack.discard(frame[0])
-            longest[frame[0]] = frame[2]
-            if stack:
-                stack[-1][2] = max(stack[-1][2], 1 + frame[2])
-    return longest[start]
+    succ = walk(kernel, kernel.fire(kernel.start(outcome[0]), outcome), kernel.field, cap).succ
+    into = [0] * len(succ)
+    for out in succ:
+        for _o, j in out:
+            into[j] += 1
+    longest = [0] * len(succ)
+    order = [] if into[0] else [0]
+    for i in order:  # grows while walked
+        for _o, j in succ[i]:
+            longest[j] = max(longest[j], longest[i] + 1)
+            into[j] -= 1
+            if not into[j]:
+                order.append(j)
+    return max(longest) if len(order) == len(succ) else math.inf
 
 
 def index(neg: Negotiation, cap: int = DEFAULT_CAP):

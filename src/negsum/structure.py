@@ -15,8 +15,8 @@ from typing import Iterable, Iterator, Optional
 
 from .errors import BudgetExceeded
 from .model import AtomSpec, Negotiation, Outcome, validate
-from .semantics import DEFAULT_CAP, Marking, reachability, step
-from .transformers import IDENTITY
+from .semantics import DEFAULT_CAP, Marking, reachability, step, walk
+from .transformers import IDENTITY, bits
 
 
 @dataclass
@@ -36,74 +36,62 @@ class TargetReport:
 
 
 def _explore_targets(
-    neg: Negotiation,
-    atom: str,
-    first: Optional[Outcome],
-    strict: bool,
-    cap: int,
+    neg: Negotiation, atom: str, first: Optional[Outcome], cap: int
 ) -> TargetReport:
-    """Walk all sequences from the atom's start marking. In strict mode
-    only atoms with strictly fewer parties than the launch atom may follow
-    the first outcome."""
+    """Walk all sequences from the atom's start marking or, given its
+    outcome `first`, from the marking after it. After `first` only atoms
+    with strictly fewer parties than the launch atom may fire."""
     kernel = neg.marking_kernel
-    launch_parties = set(neg.parties(atom))
-
-    def moves(m: int) -> list[tuple[Outcome, int]]:
-        outs = kernel.successors(m)
-        if strict:
-            outs = [
-                (o, m2) for o, m2 in outs if set(neg.parties(o[0])) < launch_parties
-            ]
-        return outs
-
-    x_start = kernel.start(atom)
-    if first is not None:
-        roots = [([first], kernel.fire(x_start, first))]
+    start, a = kernel.start(atom), kernel.atoms.index(atom)
+    if first is None:
+        graph = walk(kernel, start, kernel.field, cap)
     else:
-        roots = [([o], m) for o, m in kernel.successors(x_start)]
-
-    paths: dict[int, list[Outcome]] = {}
-    fired: set[str] = {atom}
-    dead: dict[int, list[Outcome]] = {}
-    stack = list(reversed(roots))
-    while stack:
-        path, m = stack.pop()
-        if m in paths:
-            continue
-        if len(paths) >= cap:
-            raise BudgetExceeded(cap)
-        paths[m] = path
-        nxt = moves(m)
-        if not nxt:
-            dead[m] = path
-            continue
-        for o, m2 in reversed(nxt):
-            fired.add(o[0])
-            stack.append((path + [o], m2))
-
-    explored = frozenset(fired)
-    targets = sorted(dead, key=lambda m: str(kernel.decode(m)))
-    if len(dead) == 1:
-        return TargetReport(atom, kernel.decode(targets[0]), explored_atoms=explored)
+        # strictly fewer parties: a keep mask that clears a strict subset
+        # of the fields the launch atom's clears
+        own = kernel.keep[a]
+        strict = sum(1 << b for b, k in enumerate(kernel.keep) if k | own == k and k != own)
+        graph = walk(kernel, kernel.fire(start, first), strict, cap)
+    explored = frozenset(kernel.atoms[b] for b in bits(graph.fired | 1 << a))
+    succ, codes = graph.succ, graph.codes
+    dead = [i for i, out in enumerate(succ) if not out]
     if not dead:
         # every branch loops forever: no maximal sequence exists
         return TargetReport(atom, None, explored_atoms=explored)
+    if len(dead) == 1:
+        return TargetReport(atom, kernel.decode(codes[dead[0]]), explored_atoms=explored)
+    roots = [([o], j) for o, j in succ[0]] if first is None else [([first], 0)]
+    paths = _first_paths(succ, roots)
+    dead = sorted((i for i in paths if not succ[i]), key=lambda i: str(kernel.decode(codes[i])))
     return TargetReport(
-        atom,
-        None,
-        conflict=(dead[targets[0]], dead[targets[1]]),
-        explored_atoms=explored,
+        atom, None, conflict=(paths[dead[0]], paths[dead[1]]), explored_atoms=explored
     )
 
 
+def _first_paths(
+    succ: list[tuple[tuple[Outcome, int], ...]], roots: list[tuple[list[Outcome], int]]
+) -> dict[int, list[Outcome]]:
+    """Per node, in order of visit, the path by which a depth-first search
+    over `succ` in outcome order first reaches it. The search starts from
+    the `roots`, (path, node) pairs, with nothing seen: a launch node not
+    among them is seen only when a path returns to it."""
+    paths: dict[int, list[Outcome]] = {}
+    stack = roots[::-1]
+    while stack:
+        path, j = stack.pop()
+        if j not in paths:
+            paths[j] = path
+            stack.extend((path + [o], k) for o, k in reversed(succ[j]))
+    return paths
+
+
 def target_of_atom(neg: Negotiation, atom: str, cap: int = DEFAULT_CAP) -> TargetReport:
-    return _explore_targets(neg, atom, None, strict=False, cap=cap)
+    return _explore_targets(neg, atom, None, cap)
 
 
 def target_of_outcome(
     neg: Negotiation, outcome: Outcome, cap: int = DEFAULT_CAP
 ) -> TargetReport:
-    return _explore_targets(neg, outcome[0], outcome, strict=True, cap=cap)
+    return _explore_targets(neg, outcome[0], outcome, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +420,7 @@ def execute_path(
         while qpos < len(queue):
             cur, seq = queue[qpos]
             qpos += 1
-            outs = kernel.successors(cur)
+            outs = kernel.successors(cur, kernel.enabled(cur))
             for o, nxt in outs:
                 if o == outcome:
                     return nxt, seq + [o]

@@ -32,7 +32,7 @@ def reversed_ties():
         patch.setattr(
             MarkingKernel,
             "successors",
-            lambda self, m, enabled=None: real(self, m, enabled)[::-1],
+            lambda self, m, enabled: real(self, m, enabled)[::-1],
         )
         yield
 

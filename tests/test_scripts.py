@@ -99,7 +99,7 @@ def ab(m):
                                 "tree", "won", "REV", "won"]
     rows = [line.split() for line in lines[2:-2]]
     assert [row[:2] for row in rows] == [
-        ["fixtures", job] for job in ("check", "rules", "states", "crosscheck", "pass")
+        ["fixtures", job] for job in ("check", "rules", "states", "crosscheck", "diag", "pass")
     ]
     for row in rows:
         median, q1, q3 = map(float, row[2:5])
@@ -129,6 +129,8 @@ def ab(m):
     # the demo job runs on expfam(1..5), and only there
     texts, jobs = m.workload("expfam")
     assert [texts[i] for i in jobs["demo"]] == [dumps(expfam(k)) for k in range(1, 6)]
+    # the diag job runs on the fixtures only
+    assert not jobs["diag"]
     none = dict.fromkeys(m.JOBS, ())
     texts = [dumps(expfam(k)) for k in (1, 2)]
     seconds, answers = m.run_side(m.negsum, texts, {**none, "demo": range(2)}, True)

@@ -4,9 +4,12 @@ the reduction strategies on the branch-diamond family.
 
     python3 scripts/rule_rate.py
 
-It runs `run_auto(expfam(k))` for k = 8, 16, 32, 64 and 128, and
-`run_exponential_demo(expfam(k), strategy)` for both strategies and
-k = 3..6. For each it prints the number of applications, the most
+It runs `run_auto(expfam(k))` and `run_general(expfam(k))` for k = 8,
+16, 32, 64 and 128, and `run_exponential_demo(expfam(k), strategy)` for
+both strategies and k = 3..6. `run_auto` sends the acyclic `expfam` to
+`run_acyclic`; `run_general` is the one algorithm for every sound
+deterministic diagram, and its rows show what that costs on the same
+inputs. For each it prints the number of applications, the most
 results the initial atom holds after an application (read from the
 changes the trace records), the CPU milliseconds per application, and
 the KB of memory the trace holds per application. The time is the median
@@ -41,7 +44,7 @@ import tracemalloc
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from negsum import expfam, run_auto  # noqa: E402
+from negsum import expfam, run_auto, run_general  # noqa: E402
 from negsum.strategies import run_exponential_demo  # noqa: E402
 
 REPEATS = 3
@@ -116,12 +119,19 @@ def interleaved_ratio(small: int, large: int) -> float:
     return statistics.median(ratios)
 
 
-def main() -> int:
-    runs = [("run_auto", k, run_auto) for k in AUTO_KS]
+def runs() -> list[tuple[str, int, object]]:
+    """(name, k, reduction) of every row, in the order they are printed."""
+    rows = [(name, k, reduce)
+            for name, reduce in (("run_auto", run_auto), ("run_general", run_general))
+            for k in AUTO_KS]
     for strategy in ("initial", "alternating"):
         demo = lambda neg, s=strategy: run_exponential_demo(neg, s)  # noqa: E731
-        runs += [(f"demo {strategy}", k, demo) for k in DEMO_KS]
-    for name, k, reduce in runs:
+        rows += [(f"demo {strategy}", k, demo) for k in DEMO_KS]
+    return rows
+
+
+def main() -> int:
+    for name, k, reduce in runs():
         total, peak, ms, kb = measure(k, reduce)
         print(
             f"{name} expfam({k}): applications {total} peak_initial_results {peak} "

@@ -50,8 +50,8 @@ def cmd_reach(args) -> int:
     if args.dot:
         print(fileio.reachability_dot(graph), end="")
     else:
-        print(f"nodes: {len(graph.nodes)}")
-        print(f"edges: {len(graph.edges)}")
+        print(f"nodes: {len(graph.codes)}")
+        print(f"edges: {sum(map(len, graph.succ))}")
         print(f"final reachable: {graph.final is not None}")
     return EXIT_OK
 

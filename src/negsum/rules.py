@@ -22,8 +22,10 @@ diagram, so a trace holds the changes, not the diagrams.
 
 Guards read the diagram's indexes (`Negotiation.arcs_into`, `arrivals`,
 `commitments`, `sends`), which every diagram builds on first use,
-instead of scanning the transition table; the merge guard reads the
-results of the outcome's own atom (`merge_partner`). Shortcut targets
+instead of scanning the transition table: the shortcut guard, `uniform`,
+`uniform_target` and `iteration_applicable` read the outcome's party
+counts per target atom (`sends`); the merge guard reads the results of
+the outcome's own atom (`merge_partner`). Shortcut targets
 are sought only among the outcome's transition targets. A reduction
 keeps R(N) in a `Reducible`, which after each application re-evaluates
 only the outcomes whose guards can have changed (`dirty_outcomes`),
@@ -145,21 +147,17 @@ def another_commits(neg: Negotiation, outcome: Outcome, n2: str) -> bool:
 
 def uniform(neg: Negotiation, outcome: Outcome) -> bool:
     """All parties move to the same target set (final outcomes included)."""
-    n, r = outcome
-    targets = [neg.targets(n, p, r) for p in neg.parties(n)]
-    return all(t == targets[0] for t in targets)
+    parties = len(neg.atoms[outcome[0]].parties)
+    return all(c == parties for c in neg.sends(outcome).arcs.values())
 
 
 def uniform_target(neg: Negotiation, outcome: Outcome) -> Optional[str]:
     """The unique atom a uniform non-final outcome moves everyone to."""
-    n, r = outcome
-    targets = {neg.targets(n, p, r) for p in neg.parties(n)}
-    if len(targets) != 1:
+    alone = neg.sends(outcome).alone
+    if len(alone) != 1:
         return None
-    only = next(iter(targets))
-    if len(only) != 1:
-        return None
-    return next(iter(only))
+    ((t, count),) = alone.items()
+    return t if count == len(neg.atoms[outcome[0]].parties) else None
 
 
 def shortcut_guard(neg: Negotiation, outcome: Outcome, n2: str) -> GuardReport:
@@ -481,8 +479,9 @@ def merge_partner(neg: Negotiation, outcome: Outcome) -> Optional[str]:
 
 
 def iteration_applicable(neg: Negotiation, outcome: Outcome) -> bool:
-    n, r = outcome
-    return all(neg.targets(n, p, r) == frozenset([n]) for p in neg.parties(n))
+    """The outcome sends every party back to its own atom alone."""
+    n = outcome[0]
+    return neg.sends(outcome).alone.get(n, 0) == len(neg.atoms[n].parties)
 
 
 def shortcut_candidates(neg: Negotiation, outcome: Outcome) -> tuple[str, ...]:

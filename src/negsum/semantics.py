@@ -228,37 +228,6 @@ def step(neg: Negotiation, marking: Marking, outcome: Outcome) -> Marking:
     return kernel.decode(kernel.fire(kernel.encode(marking), outcome))
 
 
-class _Decoded(Sequence):
-    """A list of known length, built on first access to its items."""
-
-    def __init__(self, length: int, build):
-        self._length = length
-        self._build = build
-        self._items = None
-
-    @property
-    def items(self) -> list:
-        if self._items is None:
-            self._items = self._build()
-        return self._items
-
-    def __len__(self):
-        return self._length
-
-    def __getitem__(self, i):
-        return self.items[i]
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-
 @dataclass
 class ReachabilityGraph:
     """The explored graph, int-indexed: node i is the marking `codes[i]`
@@ -285,30 +254,18 @@ class ReachabilityGraph:
             return None
         return self.kernel.decode(self.codes[self.final_index])
 
-    # the views' build functions hold the graph's parts, not the graph, so
-    # that a graph is freed by reference counting, with no cycle
     @cached_property
-    def nodes(self) -> Sequence[Marking]:
-        codes, decode = self.codes, self.kernel.decode
-        return _Decoded(len(codes), lambda: [decode(m) for m in codes])
+    def nodes(self) -> list[Marking]:
+        return list(map(self.kernel.decode, self.codes))
 
     @cached_property
     def node_index(self) -> dict[Marking, int]:
         return {m: i for i, m in enumerate(self.nodes)}
 
     @cached_property
-    def edges(self) -> Sequence[tuple[Marking, Outcome, Marking]]:
-        nodes, succ = self.nodes, self.succ
-
-        def build():
-            markings = nodes.items
-            return [
-                (markings[i], o, markings[j])
-                for i, out in enumerate(succ)
-                for o, j in out
-            ]
-
-        return _Decoded(sum(map(len, succ)), build)
+    def edges(self) -> list[tuple[Marking, Outcome, Marking]]:
+        nodes = self.nodes
+        return [(nodes[i], o, nodes[j]) for i, out in enumerate(self.succ) for o, j in out]
 
 
 def walk(kernel: MarkingKernel, start: int, allowed: int, cap: int) -> ReachabilityGraph:

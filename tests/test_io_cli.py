@@ -21,6 +21,7 @@ from negsum import (
     classify,
     export_dot,
     expfam,
+    fixture_names,
     format_expr,
     generate_sound,
     load_fixture,
@@ -463,12 +464,21 @@ def test_cli_check_sound_and_unsound(tmp_path, capsys):
     assert "witness: (n0,st) (n1,yes)" in out
 
 
-def test_cli_reach(tmp_path, capsys):
-    ladder = write_fixture(tmp_path, "ladder")
-    assert main(["reach", ladder]) == 0
-    out = capsys.readouterr().out
-    assert "nodes: 7" in out and "edges: 9" in out
-    assert main(["reach", ladder, "--dot"]) == 0
+@pytest.mark.parametrize("name", fixture_names())
+def test_cli_reach(tmp_path, capsys, name):
+    """`reach` prints the counts of the int graph; they are the lengths of
+    the decoded views."""
+    path = write_fixture(tmp_path, name)
+    assert main(["reach", path]) == 0
+    graph = reachability(load_fixture(name))
+    assert capsys.readouterr().out == (
+        f"nodes: {len(graph.nodes)}\n"
+        f"edges: {len(graph.edges)}\n"
+        f"final reachable: {graph.final is not None}\n"
+    )
+    if name == "ladder":
+        assert (len(graph.nodes), len(graph.edges)) == (7, 9)
+    assert main(["reach", path, "--dot"]) == 0
     assert "digraph reachability" in capsys.readouterr().out
 
 

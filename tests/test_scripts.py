@@ -19,7 +19,7 @@ import tempfile
 
 import pytest
 
-from negsum import dumps, expfam, fixture_text, run_auto
+from negsum import dumps, expfam, fixture_text, run_auto, run_general
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -35,8 +35,12 @@ def rule_rate(m):
     # one round of the fewest calls: each call collects garbage first,
     # which in the test process costs more than the reduction
     m.ROUNDS, m.MIN_APPLICATIONS = 1, 0
-    total, peak, ms, kb = m.measure(2, run_auto)
-    assert total > 0 and peak >= 1 and ms >= 0 and kb > 0
+    for reduce in (run_auto, run_general):
+        total, peak, ms, kb = m.measure(2, reduce)
+        assert total > 0 and peak >= 1 and ms >= 0 and kb > 0
+    rows = [(name, k) for name, k, _reduce in m.runs()]
+    for name in ("run_auto", "run_general"):
+        assert [row for row in rows if row[0] == name] == [(name, k) for k in m.AUTO_KS]
     assert m.interleaved_ratio(1, 2) > 0
 
 

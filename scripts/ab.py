@@ -152,7 +152,7 @@ def _small(neg) -> bool:
         graph = negsum.reachability(neg, cap=GEN_MAX_MARKINGS)
     except negsum.BudgetExceeded:
         return False
-    return len(graph.edges) <= GEN_MAX_EDGES
+    return sum(map(len, graph.succ)) <= GEN_MAX_EDGES
 
 
 def _generated() -> list:

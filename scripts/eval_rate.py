@@ -26,9 +26,8 @@ cross-check sequence: `brute_force_summary`, then `eval_expr` and
 `rels_equal` for each result of both engines, on relations built anew for
 each run, as every benchmark pass builds them; it also prints the number
 of pair-to-rows conversions (`Kernel._convert`) one such run makes.
-`expfam(4)` (627 markings, n = 16) and `expfam(5)` (3,127 markings,
-n = 32) get only the oracle row: the state summary of `expfam(4)` alone
-prints as about 19 MB of text. Each time is the median of three runs,
+`scripts/scaling.py` times the oracle on larger diagrams, `expfam(1..6)`,
+under the same relations. Each time is the median of three runs,
 each after a full garbage collection. A diagram keeps its reachability
 graph once explored, and each input is explored before its first timed
 run, so the oracle and cross-check rows time the oracle's own work, not
@@ -74,7 +73,6 @@ INPUTS = (
     ("shape 4", lambda: generate_sound(200800, 32, 5, False, max_atoms=16)),
     ("running_multi", lambda: load_fixture("running_multi")),
 )
-ORACLE_ONLY = tuple((f"expfam({k})", lambda k=k: expfam(k)) for k in (4, 5))
 
 
 def relations(neg):
@@ -203,11 +201,6 @@ def oracle(neg) -> tuple[int, int, float]:
     return markings, n, median_ms(lambda: brute_force_summary(neg, interp, space))
 
 
-def print_oracle(name, neg) -> None:
-    markings, n, ms = oracle(neg)
-    print(f"{name} oracle: markings {markings} n {n} brute_force_ms {ms:.3f}")
-
-
 def main() -> int:
     for name, build in INPUTS:
         neg = build()
@@ -222,9 +215,8 @@ def main() -> int:
             )
         conversions, ms = crosscheck(neg)
         print(f"{name} crosscheck: conversions {conversions} crosscheck_ms {ms:.3f}")
-        print_oracle(name, neg)
-    for name, build in ORACLE_ONLY:
-        print_oracle(name, build())
+        markings, n, ms = oracle(neg)
+        print(f"{name} oracle: markings {markings} n {n} brute_force_ms {ms:.3f}")
     return 0
 
 

@@ -246,7 +246,7 @@ class Pool:
 
 class EveryOutcome:
     """The candidates of a step in `run_acyclic_wd`: every outcome, in
-    outcome order."""
+    outcome order, until the diagram is atomic."""
 
     def __init__(self, neg: Negotiation):
         self.neg = neg
@@ -255,7 +255,7 @@ class EveryOutcome:
         return self.neg.outcomes()
 
     def __bool__(self) -> bool:
-        return True
+        return not self.neg.is_atomic()
 
     def mergeable(self) -> Iterator[Outcome]:
         return (o for o in self.neg.outcomes() if merge_partner(self.neg, o) is not None)
@@ -347,17 +347,17 @@ def _backward_shortcut(increasing: bool = False) -> Select:
 def _reduce(
     trace: ReductionTrace,
     steps: Sequence[Step],
-    candidates: Callable[[Negotiation], Candidates],
+    outcomes: Candidates,
     bound: int,
     stage: Optional[int] = None,
 ) -> Optional[str]:
-    """While `candidates(trace.work)` is non-empty, apply the first step in
-    priority order whose select applies a rule to the working diagram, and
-    record it. Returns why the loop stopped: None (no candidates left),
-    "bound" (`trace.total` reached `bound` first) or "guard-exhausted" (no
-    step applies)."""
+    """While the live candidates `outcomes` are non-empty, apply the first
+    step in priority order whose select applies a rule to the working
+    diagram, record it and, with `stage`, run the stage check. Returns why
+    the loop stopped: None (no candidates left), "bound" (`trace.total`
+    reached `bound` first) or "guard-exhausted" (no step applies)."""
     current = trace.work
-    while outcomes := candidates(current):
+    while outcomes:
         if trace.total >= bound:
             return "bound"
         for line, select in steps:
@@ -368,6 +368,10 @@ def _reduce(
             return "guard-exhausted"
         app.line, app.stage = line, stage
         trace.record(app)
+        if stage is not None:
+            lowest = trace.reducible.outcomes.lowest()
+            if lowest is not None and lowest < stage:
+                raise AssertionError(f"stage {stage} created a {lowest}-reducible outcome")
     return None
 
 
@@ -376,7 +380,7 @@ def _run_bounded(neg: Negotiation, steps: Sequence[Step], bound: int, overflow: 
     and passing the bound breaks the strategy's own theorem."""
     trace = ReductionTrace(initial=neg)
     reducible = trace.track_reducible()
-    stop = _reduce(trace, steps, lambda current: Pool(reducible), bound)
+    stop = _reduce(trace, steps, Pool(reducible), bound)
     if stop == "bound":
         raise AssertionError(overflow)
     if stop is not None:
@@ -465,21 +469,10 @@ def run_general(neg: Negotiation) -> ReductionTrace:
         ("d_shortcut", _d_shortcut),
     )
     trace = ReductionTrace(initial=neg)
-    # each stage's pool and the invariant check (no outcome of a lower
-    # stage is reducible) read the R(N) that the trace keeps up to date
+    # the stage pools and the stage check read the R(N) the trace keeps
     reducible = trace.track_reducible()
-
-    def pool(current: Negotiation) -> Pool:
-        # the check, once per application: every call but a stage's first
-        # follows one
-        if trace.total > trace.stage_ends.get(stage - 1, 0):
-            lowest = reducible.outcomes.lowest()
-            if lowest is not None and lowest < stage:
-                raise AssertionError(f"stage {stage} created a {lowest}-reducible outcome")
-        return Pool(reducible, stage)
-
     for stage in range(1, len(neg.agents) + 1):
-        stop = _reduce(trace, steps, pool, cap, stage)
+        stop = _reduce(trace, steps, Pool(reducible, stage), cap, stage)
         if stop is not None:
             trace.verdict = "unsound"
             trace.reason = "counter-exceeded" if stop == "bound" else stop
@@ -500,13 +493,15 @@ def run_acyclic_wd(neg: Negotiation) -> ReductionTrace:
     shortcut. Complete for acyclic weakly deterministic inputs: irreducible
     and non-atomic means unsound there. On inputs outside that class a
     non-atomic residue proves nothing, so the verdict is "unknown", and so
-    it is ("budget-exhausted") after `WD_BUDGET` applications."""
+    it is ("budget-exhausted") when `WD_BUDGET` applications leave it
+    non-atomic, even if the residue is irreducible by then: telling that
+    apart would take a scan of every guard."""
     cls = classify(neg)
     if not cls.acyclic:
         raise NotAcyclic("run_acyclic_wd requires an acyclic negotiation")
     steps = (("merge", _merge), ("useless_arc", _useless_arc), ("shortcut", _shortcut))
     trace = ReductionTrace(initial=neg)
-    stop = _reduce(trace, steps, EveryOutcome, WD_BUDGET)
+    stop = _reduce(trace, steps, EveryOutcome(trace.work), WD_BUDGET)
     if stop == "bound":
         trace.verdict, trace.reason = "unknown", "budget-exhausted"
     elif not trace.work.is_atomic() and not cls.weakly_deterministic:

@@ -43,6 +43,7 @@ from negsum import (
 )
 
 from conftest import all_rule_applications, interp_for
+from test_rule_traces import build_cases
 
 
 def report(number: int, label: str):
@@ -204,6 +205,28 @@ def test_criterion_6_general_algorithm():
     k, l = len(neg.atoms), neg.num_outcomes()
     assert trace.total <= 2 * k**3 + k**2 + k * l + l
     report(6, "staged reduction matches the walkthrough and the counter bound")
+
+
+def test_criterion_6_general_algorithm_on_every_deterministic_case():
+    """`run_general` gives `run_auto`'s verdict on every deterministic case
+    of the rule-trace corpus within 2K^3+K^2+KL+L, and within `run_acyclic`'s
+    K*L on the acyclic ones."""
+    deterministic = acyclic = 0
+    for case, neg in build_cases().items():
+        cls = classify(neg)
+        if not cls.deterministic:
+            continue
+        k, l = len(neg.atoms), neg.num_outcomes()
+        trace = run_general(neg)
+        assert trace.verdict == run_auto(neg).verdict, case
+        assert trace.total <= 2 * k**3 + k**2 + k * l + l, case
+        deterministic += 1
+        if cls.acyclic:
+            assert trace.total <= k * l, case
+            acyclic += 1
+    assert deterministic > acyclic > 0
+    report(6, f"run_general agrees with run_auto on {deterministic} deterministic cases, "
+              f"within K*L on the {acyclic} acyclic ones")
 
 
 def test_criterion_7_exponential_family():

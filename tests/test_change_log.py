@@ -188,4 +188,4 @@ def test_general_strategy_checks_its_stages_after_every_application(monkeypatch)
     trace = run_general(neg)
     assert trace.total > 1
     assert len(readers) == trace.total
-    assert set(readers) == {"pool"}  # run_general's stage pools
+    assert set(readers) == {"_reduce"}  # the stage check after each application

@@ -19,7 +19,7 @@ import tempfile
 
 import pytest
 
-from negsum import dumps, expfam, fixture_text, run_auto, run_general
+from negsum import dumps, expfam, fixture_text
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -31,32 +31,45 @@ def load(name):
     return module
 
 
-def rule_rate(m):
-    # one round of the fewest calls: each call collects garbage first,
-    # which in the test process costs more than the reduction
-    m.ROUNDS, m.MIN_APPLICATIONS = 1, 0
-    for reduce in (run_auto, run_general):
-        total, peak, ms, kb = m.measure(2, reduce)
-        assert total > 0 and peak >= 1 and ms >= 0 and kb > 0
-    rows = [(name, k) for name, k, _reduce in m.runs()]
-    for name in ("run_auto", "run_general"):
-        assert [row for row in rows if row[0] == name] == [(name, k) for k in m.AUTO_KS]
-    assert m.interleaved_ratio(1, 2) > 0
-
-
-def markings_rate(m):
-    markings, edges, seconds = m.measure(1)
-    assert markings > 0 and edges > 0 and seconds >= 0
-    assert 0 < m.graph_mb(1) < m.graph_mb(2)
-    assert m.check_seconds(1) >= 0
+def scaling(m):
+    # the smallest points, one call each: each call collects garbage
+    # first, which in the test process costs more than the call
+    m.REPEATS, m.MIN_APPLICATIONS, m.ROUNDS = 1, 0, 1
+    m.STATE_KS = m.ORACLE_KS = m.ELIMINATION_KS = m.RULE_KS = m.DEMO_KS = m.RATIO_KS = (1, 2)
+    m.SWEEP_KS = (3, 6)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert m.main(["1"]) == 0
-    assert re.fullmatch(
-        r"expfam\(1\): markings 7 edges \d+ reachability_s \d+\.\d{4} "
-        r"markings_per_s (\d+|inf) graph_mb \d+\.\d{3} check_s \d+\.\d{4}\n",
-        out.getvalue(),
-    ), out.getvalue()
+        m.main()
+    record = json.loads(out.getvalue())
+    assert set(record) == {"rev", "edited", "python", "machine", "cpus", "expfam", "rules",
+                           "demo", "ratio", "sweep", "slopes"}
+    assert record["python"] == platform.python_version()
+    assert [row["k"] for row in record["expfam"]] == [1, 2]
+    assert record["expfam"][0]["markings"] == 7 and record["expfam"][0]["K"] == 6
+    for row in record["expfam"]:
+        assert set(row) == {"k", "K", "L", "markings", "edges", "reachability_s",
+                            "markings_per_s", "graph_mb", "check_s", "oracle_s",
+                            "oracle_peak_mb", "elimination_s"}
+        assert min(v for v in row.values() if v is not None) > 0
+    columns = {"K", "L", "applications", "peak_initial_results", "rules_s",
+               "ms_per_application", "trace_kb_per_application"}
+    bounded = columns | {"strategy", "bound", "applications_per_bound"}
+    assert list(record["rules"]) == ["run_auto", "run_general"]
+    assert list(record["demo"]) == ["initial", "alternating"]
+    assert list(record["sweep"]) == ["acyclic", "cyclic"]
+    for rows in record["demo"].values():
+        assert [row["k"] for row in rows] == [1, 2]
+        assert all(set(row) == columns | {"k"} for row in rows)
+    for rows in [*record["rules"].values(), *record["sweep"].values()]:
+        assert len(rows) == 2
+        for row in rows:
+            assert bounded <= set(row)
+            assert 0 < row["applications"] <= row["bound"], row
+    assert {row["strategy"] for row in record["rules"]["run_auto"]} == {"run_acyclic"}
+    assert {row["strategy"] for row in record["sweep"]["cyclic"]} == {"run_general"}
+    assert record["ratio"]["ms_per_application_ratio"] > 0
+    assert record["slopes"]["expfam markings"] > 0
+    assert all(isinstance(v, float) for v in record["slopes"].values())
 
 
 def cli_latency(m):
@@ -77,7 +90,6 @@ def eval_rate(m):
     assert conversions == expfam(1).num_outcomes() and ms >= 0
     markings, n, ms = m.oracle(expfam(1))
     assert (markings, n) == (7, 2) and ms >= 0
-    assert [name for name, _ in m.ORACLE_ONLY] == ["expfam(4)", "expfam(5)"]
 
 
 def build_fixtures(m):
@@ -144,7 +156,7 @@ def ab(m):
 
 SMOKE = {
     f.__name__: f
-    for f in (rule_rate, markings_rate, cli_latency, eval_rate, build_fixtures, ab)
+    for f in (scaling, cli_latency, eval_rate, build_fixtures, ab)
 }
 
 

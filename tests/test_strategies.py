@@ -24,6 +24,7 @@ from negsum import (
     run_one_agent,
     validate,
 )
+from negsum import strategies
 from negsum.strategies import is_replication
 
 from conftest import interp_for, single_atom_negotiation
@@ -315,6 +316,22 @@ def test_run_acyclic_wd_outside_class_reports_unknown_or_summarizes():
     trace2 = run_acyclic_wd(load_fixture("shortcut_problem"))
     assert trace2.verdict == "summarized"
     assert trace2.final.is_atomic()
+
+
+@pytest.mark.parametrize(
+    "name, total",
+    [("fdm_wd_summary", 14), ("fdm_acyclic", 8), ("useless_demo", 5), ("shortcut_problem", 6)],
+)
+def test_run_acyclic_wd_summarizes_at_exactly_its_budget(monkeypatch, name, total):
+    """A reduction that reaches the atomic diagram with its `WD_BUDGET`-th
+    application is done; one application fewer leaves it unknown."""
+    monkeypatch.setattr(strategies, "WD_BUDGET", total)
+    trace = run_acyclic_wd(load_fixture(name))
+    assert (trace.verdict, trace.total) == ("summarized", total)
+    monkeypatch.setattr(strategies, "WD_BUDGET", total - 1)
+    trace = run_acyclic_wd(load_fixture(name))
+    assert (trace.verdict, trace.reason) == ("unknown", "budget-exhausted")
+    assert trace.total == total - 1
 
 
 # ---------------------------------------------------------------------------

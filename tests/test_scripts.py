@@ -1,6 +1,8 @@
 """Smoke tests of the measuring scripts: each script under `scripts/` is
 loaded by path and its measuring function runs once on its smallest
 input, so a change to the API they call cannot leave them broken unseen.
+Besides the whole record of `scaling.py`, its state-space half
+(`markings_rate`) and its rules half (`rule_rate`) have a case each.
 `build_fixtures.py` builds the fixture corpus without writing it, and
 every built fixture must equal its bundled file."""
 
@@ -16,6 +18,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from functools import partial
 
 import pytest
 
@@ -70,6 +73,34 @@ def scaling(m):
     assert record["ratio"]["ms_per_application_ratio"] > 0
     assert record["slopes"]["expfam markings"] > 0
     assert all(isinstance(v, float) for v in record["slopes"].values())
+
+
+def markings_rate(m):
+    m.REPEATS = 1
+    one, two = m.state_row(1), m.state_row(2)
+    assert (one["markings"], one["K"], one["L"]) == (7, 6, expfam(1).num_outcomes())
+    assert one["edges"] > 0
+    assert one["reachability_s"] >= 0 and one["check_s"] >= 0
+    assert 0 < one["graph_mb"] < two["graph_mb"]
+    assert two["markings"] > one["markings"]
+    assert one["oracle_s"] >= 0 and one["oracle_peak_mb"] > 0 and one["elimination_s"] >= 0
+
+
+def rule_rate(m):
+    # the fewest calls: each call collects garbage first, which in the
+    # test process costs more than the reduction
+    m.REPEATS, m.MIN_APPLICATIONS, m.ROUNDS = 1, 0, 1
+    for name, strategy in (("run_auto", "run_acyclic"), ("run_general", "run_general")):
+        row = m.rules_row(partial(expfam, 2), name)
+        assert row["strategy"] == strategy
+        assert 0 < row["applications"] <= row["bound"]
+        assert row["peak_initial_results"] >= 1 and row["trace_kb_per_application"] > 0
+        assert row["ms_per_application"] >= 0
+    for demo in ("initial", "alternating"):
+        row = m.rules_row(partial(expfam, 2), demo)
+        assert "bound" not in row and row["applications"] > 0
+    m.RATIO_KS = (1, 2)
+    assert m.interleaved_ratio()["ms_per_application_ratio"] > 0
 
 
 def cli_latency(m):
@@ -156,15 +187,16 @@ def ab(m):
 
 SMOKE = {
     f.__name__: f
-    for f in (scaling, cli_latency, eval_rate, build_fixtures, ab)
+    for f in (scaling, markings_rate, rule_rate, cli_latency, eval_rate, build_fixtures, ab)
 }
+SCRIPT = {"markings_rate": "scaling", "rule_rate": "scaling"}  # the script a case loads
 
 
 def test_every_script_has_a_smoke_test():
     names = {p.stem for p in SCRIPTS.glob("*.py")}
-    assert names == set(SMOKE)
+    assert names == {SCRIPT.get(case, case) for case in SMOKE}
 
 
 @pytest.mark.parametrize("name", sorted(SMOKE))
 def test_script_measures_its_smallest_input(name):
-    SMOKE[name](load(name))
+    SMOKE[name](load(SCRIPT.get(name, name)))

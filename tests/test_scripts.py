@@ -2,7 +2,8 @@
 loaded by path and its measuring function runs once on its smallest
 input, so a change to the API they call cannot leave them broken unseen.
 Besides the whole record of `scaling.py`, its state-space half
-(`markings_rate`) and its rules half (`rule_rate`) have a case each.
+(`markings_rate`), its rules half (`rule_rate`), its relation-evaluation
+half (`eval_rate`) and its CLI half (`cli_latency`) have a case each.
 `build_fixtures.py` builds the fixture corpus without writing it, and
 every built fixture must equal its bundled file."""
 
@@ -22,7 +23,7 @@ from functools import partial
 
 import pytest
 
-from negsum import dumps, expfam, fixture_text
+from negsum import dumps, expfam, fixture_text, rules, strategies
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 
@@ -40,12 +41,29 @@ def scaling(m):
     m.REPEATS, m.MIN_APPLICATIONS, m.ROUNDS = 1, 0, 1
     m.STATE_KS = m.ORACLE_KS = m.ELIMINATION_KS = m.RULE_KS = m.DEMO_KS = m.RATIO_KS = (1, 2)
     m.SWEEP_KS = (3, 6)
+    # one fixture, command and input: the `cli_latency` and `eval_rate`
+    # cases run the rest of those sections
+    m.FIXTURE_NAMES, m.COMMANDS = ["atomic"], m.COMMANDS[:1]
+    m.EVAL_INPUTS = [("expfam(1)", partial(expfam, 1))]
+    guards = {(module, name): getattr(module, name)
+              for module in (rules, strategies) for name in m.GUARDS if hasattr(module, name)}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         m.main()
     record = json.loads(out.getvalue())
-    assert set(record) == {"rev", "edited", "python", "machine", "cpus", "expfam", "rules",
-                           "demo", "ratio", "sweep", "slopes"}
+    assert all(getattr(module, name) is f for (module, name), f in guards.items())
+    assert set(record) == {"rev", "edited", "python", "machine", "cpus", "cli", "evaluation",
+                           "expfam", "rules", "demo", "ratio", "sweep", "slopes"}
+    assert record["cli"]["fixtures"] == 1 and record["cli"]["peak_rss_mb"] > 0
+    assert list(record["cli"]["median_s"]) == [
+        "load", *(name for name, _ in m.COMMANDS), "all commands"]
+    assert list(record["evaluation"]) == ["expfam(1)"]
+    evaluation = record["evaluation"]["expfam(1)"]
+    assert set(evaluation) == {"states", "rules", "conversions", "crosscheck_s", "markings",
+                               "n", "oracle_s"}
+    for engine in ("states", "rules"):
+        assert set(evaluation[engine]) == {"compositions", "spreads", "eval_s", "read_back"}
+        assert set(evaluation[engine]["read_back"]) == {"parse_s", "eval_s", "format_s"}
     assert record["python"] == platform.python_version()
     assert [row["k"] for row in record["expfam"]] == [1, 2]
     assert record["expfam"][0]["markings"] == 7 and record["expfam"][0]["K"] == 6
@@ -54,8 +72,8 @@ def scaling(m):
                             "markings_per_s", "graph_mb", "check_s", "oracle_s",
                             "oracle_peak_mb", "elimination_s"}
         assert min(v for v in row.values() if v is not None) > 0
-    columns = {"K", "L", "applications", "peak_initial_results", "rules_s",
-               "ms_per_application", "trace_kb_per_application"}
+    columns = {"K", "L", "applications", "guard_calls_per_application", "peak_initial_results",
+               "rules_s", "ms_per_application", "trace_kb_per_application"}
     bounded = columns | {"strategy", "bound", "applications_per_bound"}
     assert list(record["rules"]) == ["run_auto", "run_general"]
     assert list(record["demo"]) == ["initial", "alternating"]
@@ -68,6 +86,9 @@ def scaling(m):
         for row in rows:
             assert bounded <= set(row)
             assert 0 < row["applications"] <= row["bound"], row
+    for family in ("rules", "demo", "sweep"):
+        for rows in record[family].values():
+            assert all(row["guard_calls_per_application"] > 0 for row in rows)
     assert {row["strategy"] for row in record["rules"]["run_auto"]} == {"run_acyclic"}
     assert {row["strategy"] for row in record["sweep"]["cyclic"]} == {"run_general"}
     assert record["ratio"]["ms_per_application_ratio"] > 0
@@ -106,21 +127,21 @@ def rule_rate(m):
 def cli_latency(m):
     m.run_cli(["validate", str(m.FIXTURES / "atomic.json")])
     assert m.peak_rss_mb() > 0
+    m.REPEATS, m.FIXTURE_NAMES = 1, ["atomic"]
+    section = m.cli_latency()
+    assert section["fixtures"] == 1 and section["peak_rss_mb"] > 0
+    assert len(section["median_s"]) == 11 and min(section["median_s"].values()) >= 0
 
 
 def eval_rate(m):
-    rows = m.measure(expfam(1))
-    assert [engine for engine, *_ in rows] == ["states", "rules"]
-    assert all(
-        0 < spreads <= compositions and ms >= 0 for _, compositions, spreads, ms in rows
-    )
-    rows = m.read_back(expfam(1))
-    assert [engine for engine, *_ in rows] == ["states", "rules"]
-    assert all(min(times) >= 0 for _, *times in rows)
-    conversions, ms = m.crosscheck(expfam(1))
-    assert conversions == expfam(1).num_outcomes() and ms >= 0
-    markings, n, ms = m.oracle(expfam(1))
-    assert (markings, n) == (7, 2) and ms >= 0
+    m.REPEATS = 1
+    row = m.evaluation_row(expfam(1))
+    assert list(row)[:2] == ["states", "rules"]
+    rows = [row[engine] for engine in ("states", "rules")]
+    assert all(0 < r["spreads"] <= r["compositions"] and r["eval_s"] >= 0 for r in rows)
+    assert all(min(r["read_back"].values()) >= 0 for r in rows)
+    assert row["conversions"] == expfam(1).num_outcomes() and row["crosscheck_s"] >= 0
+    assert (row["markings"], row["n"]) == (7, 2) and row["oracle_s"] >= 0
 
 
 def build_fixtures(m):
@@ -189,7 +210,10 @@ SMOKE = {
     f.__name__: f
     for f in (scaling, markings_rate, rule_rate, cli_latency, eval_rate, build_fixtures, ab)
 }
-SCRIPT = {"markings_rate": "scaling", "rule_rate": "scaling"}  # the script a case loads
+SCRIPT = {  # the script a case loads
+    "markings_rate": "scaling", "rule_rate": "scaling", "eval_rate": "scaling",
+    "cli_latency": "scaling",
+}
 
 
 def test_every_script_has_a_smoke_test():

@@ -130,8 +130,11 @@ ROUNDS = 7
 SWEEP_KS = (25, 50, 100)
 REDUCTIONS = {"run_auto": run_auto, "run_general": run_general, **{
     demo: partial(run_exponential_demo, strategy=demo) for demo in ("initial", "alternating")}}
-GUARDS = ("merge_partner", "iteration_applicable", "uniform", "uniform_target",
-          "shortcut_guard", "is_useless_arc")
+# one call, one guard evaluation: `shortcut_check` is the shortcut guard
+# (`shortcut_guard` wraps it), and `_reducible_unmerged` checks the
+# iteration guard inline first
+GUARDS = ("merge_partner", "iteration_applicable", "_reducible_unmerged", "uniform",
+          "uniform_target", "shortcut_check", "is_useless_arc")
 SLOPE_COLUMNS = ("markings", "reachability_s", "check_s", "oracle_s", "elimination_s",
                  "applications", "guard_calls_per_application", "rules_s")
 relations = partial(ab.relations, negsum)  # (space, interp) of a diagram

@@ -73,9 +73,7 @@ from .rules import (
     uniform_target,
     useless_arcs_at,
     shortcut_candidates,
-    shortcut_targets,
     reducible_outcomes,
-    reducible_outcomes_k,
     shortcut_guard,
     unconditionally_enables,
     uniform,

@@ -18,10 +18,10 @@ classification (`classify`), the reachability graph, which
 and the indexes the rule guards read (`arcs_into`, `arrivals`,
 `commitments`, `sending`). Loaded and generated diagrams are never
 changed. `copy` starts without any derived value. `rewrite` is the one
-place that keeps a rewritten diagram current (`_keep_current`): it drops
-the marking kernel, the classification and the graph, and brings every
-index built so far up to date from the change alone, so a rewritten
-diagram never answers from its old tables.
+place that keeps a rewritten diagram current: it drops the marking
+kernel, the classification and the graph, and, in the one pass that
+writes the change, brings every index built so far up to date from the
+change alone, so a rewritten diagram never answers from its old tables.
 
 Rule outputs are made by `rewrite`, without re-validation: the rules map
 negotiations to negotiations, so their outputs are valid by construction.
@@ -69,8 +69,8 @@ Targets = tuple[frozenset[str], ...]  # an outcome's target sets, one per party
 
 class Change(NamedTuple):
     """What one rule application changed in a diagram (`rewrite`): enough
-    to make it again on an equal diagram (`arguments`) and to bring the
-    diagram's indexes up to date (`rewrite` does, by `_keep_current`)."""
+    to make it again on an equal diagram (`arguments`) and to tell which
+    guards it can have changed (`rules.dirty_outcomes`)."""
 
     # the rewritten atom as it became, the results it dropped, and the atom
     # removed with them (None if none)
@@ -173,7 +173,8 @@ class Negotiation:
         return self.atoms[atom].results.index(result)
 
     def transformer(self, outcome: Outcome) -> TransformerExpr:
-        return self.transformers.get(outcome, Atomic(outcome))
+        found = self.transformers.get(outcome)
+        return Atomic(outcome) if found is None else found
 
     def is_atomic(self) -> bool:
         return len(self.atoms) == 1
@@ -222,7 +223,8 @@ class Negotiation:
         the target."""
         index: dict[tuple[str, str], set[Outcome]] = {}
         for (atom, agent, result), targets in self.transition.items():
-            _link(index, (atom, result), agent, targets)
+            for t in targets:
+                index.setdefault((t, agent), set()).add((atom, result))
         return index
 
     @cached_property
@@ -242,7 +244,7 @@ class Negotiation:
         for spec in self.atoms.values():
             for r in spec.results:
                 targets = [self.transition[(spec.id, p, r)] for p in spec.parties]
-                for t in commit_targets(targets):
+                for t in {t for ts in targets if len(ts) == 1 for t in ts}:
                     index[t] = index.get(t, 0) + 1
         return index
 
@@ -484,113 +486,87 @@ def rewrite(
 
     Only these outcomes are written. The new triples go at the end of the
     transition table. A removed atom keeps its rank (`atom_index`), so the
-    atoms left keep their order. What `neg` derived from its old tables is
-    dropped or brought up to date from the change (`_keep_current`)."""
+    atoms left keep their order. The one pass that pops and writes the
+    triples also counts the change's arcs and commitments and brings up to
+    date every index `neg` has built (`arcs_into`, `sending`, `arrivals`,
+    `commitments`); the marking kernel, the classification and the kept
+    reachability graph are dropped."""
     n = spec.id
     atoms, transition, named = neg.atoms, neg.transition, neg.transformers
+    built = neg.__dict__
+    for name in ("marking_kernel", "classification", KEPT_GRAPH):
+        built.pop(name, None)
+    into, sending = built.get("arcs_into"), built.get("sending")
+    arrivals: dict[str, int] = {}
+    commitments: dict[str, int] = {}
+    committed: dict[str, Outcome] = {}  # atom -> the last outcome counted committing to it
+
+    def count(o: Outcome, parties: tuple[str, ...], targets: Targets, side: int) -> None:
+        """Count the arcs of `o` and the atoms it commits to, taken out
+        (`side` -1) or put in (+1), and index its arcs likewise."""
+        for p, ts in zip(parties, targets):
+            for t in ts:
+                arrivals[t] = arrivals.get(t, 0) + side
+                if into is None:
+                    continue
+                outs = into.get((t, p))
+                if side < 0:
+                    outs.discard(o)
+                    if not outs:
+                        del into[(t, p)]
+                elif outs is None:
+                    into[(t, p)] = {o}
+                else:
+                    outs.add(o)
+            if len(ts) == 1:
+                (t,) = ts
+                if committed.get(t) is not o:
+                    committed[t] = o
+                    commitments[t] = commitments.get(t, 0) + side
+
     old_specs = (atoms[n],) if removed is None else (atoms[n], atoms[removed])
     old: dict[Outcome, Targets] = {}
-    for a, results in ((n, dropped), (removed, atoms[removed].results if removed else ())):
-        parties = atoms[a].parties if results else ()
+    # the site atom loses the dropped results, a removed atom all of its own
+    for its, results in zip(old_specs, (dropped, old_specs[-1].results)):
         for r in results:
-            old[(a, r)] = tuple([transition.pop((a, p, r)) for p in parties])
-            del named[(a, r)]
+            o = (its.id, r)
+            old[o] = targets = tuple([transition.pop((its.id, p, r)) for p in its.parties])
+            del named[o]
+            count(o, its.parties, targets, -1)
+            if sending is not None:
+                sending.pop(o, None)
     atoms[n] = spec
     if removed is not None:
         del atoms[removed]
     new: dict[Outcome, Targets] = {}
     for r, targets in added.items():
+        o = (n, r)
         for p, ts in zip(spec.parties, targets):
             transition[(n, p, r)] = ts
-        new[(n, r)] = targets
+        new[o] = targets
+        count(o, spec.parties, targets, 1)
     for r, expr in transformers.items():
         named[(n, r)] = expr
     final = neg.final
     if removed == final:
         neg.final = n
-    arrivals, commitments = _count_change(old, new)
-    change = Change(
-        spec, dropped, removed, old, new, transformers, arrivals, commitments,
-        old_specs, final,
-    )
-    _keep_current(neg, change)
-    return change
+    deltas = []  # the nonzero counts, each added to its index if built
+    for name, delta in (("arrivals", arrivals), ("commitments", commitments)):
+        delta = {t: d for t, d in delta.items() if d}
+        counts = built.get(name)
+        if counts is not None:
+            for t, d in delta.items():
+                counts[t] = c = counts.get(t, 0) + d
+                if not c:
+                    del counts[t]
+        deltas.append(delta)
+    return Change(spec, dropped, removed, old, new, transformers, *deltas, old_specs, final)
 
 
 def redo(neg: Negotiation, change: Change) -> Change:
     """Make a recorded change again, through `rewrite`, on a diagram equal
     to the one it was made on."""
     return rewrite(neg, *change.arguments())
-
-
-def _keep_current(neg: Negotiation, change: Change) -> None:
-    """Bring the values `neg` derived from its tables before `change` up
-    to date: drop its marking kernel, its classification and its kept
-    reachability graph, and update each index built so far from the
-    change alone: the outcomes taken out leave it and those put in join
-    it."""
-    built = neg.__dict__
-    for name in ("marking_kernel", "classification", KEPT_GRAPH):
-        built.pop(name, None)
-    spec, old, new = change.spec, change.removed, change.added
-    n = spec.id
-    into = built.get("arcs_into")
-    if into is not None:
-        for o, targets in old.items():
-            its = change.old_specs[0] if o[0] == n else change.old_specs[1]
-            for p, ts in zip(its.parties, targets):
-                for t in ts:
-                    outs = into[(t, p)]
-                    outs.discard(o)
-                    if not outs:
-                        del into[(t, p)]
-        for o, targets in new.items():
-            for p, ts in zip(spec.parties, targets):
-                _link(into, o, p, ts)
-    for name, delta in (("arrivals", change.arrivals), ("commitments", change.commitments)):
-        counts = built.get(name)
-        if counts is not None:
-            for t, d in delta.items():
-                counts[t] = counts.get(t, 0) + d
-                if not counts[t]:
-                    del counts[t]
-    sending = built.get("sending")
-    if sending is not None:
-        for o in old:
-            sending.pop(o, None)
-
-
-def _link(into: dict, o: Outcome, p: str, targets: frozenset[str]) -> None:
-    """Put the arcs of party `p` from `o` into `targets` in `into`."""
-    for t in targets:
-        into.setdefault((t, p), set()).add(o)
-
-
-def _count_change(
-    old: dict[Outcome, Targets], new: dict[Outcome, Targets]
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Per atom, the arcs into it and the outcomes committing to it that an
-    application putting in `new` adds, minus those it takes out with
-    `old`; atoms where the two balance are left out."""
-    arrivals: dict[str, int] = {}
-    commitments: dict[str, int] = {}
-    for side, outcomes in ((-1, old), (1, new)):
-        for targets in outcomes.values():
-            for ts in targets:
-                for t in ts:
-                    arrivals[t] = arrivals.get(t, 0) + side
-            for t in commit_targets(targets):
-                commitments[t] = commitments.get(t, 0) + side
-    return (
-        {t: d for t, d in arrivals.items() if d},
-        {t: d for t, d in commitments.items() if d},
-    )
-
-
-def commit_targets(targets: Iterable[frozenset[str]]) -> set[str]:
-    """The atoms an outcome with these target sets commits to: those it
-    sends some party to and nowhere else."""
-    return {t for ts in targets if len(ts) == 1 for t in ts}
 
 
 @dataclass

@@ -13,7 +13,7 @@ construction and are not re-validated, except for the path condition
 that is the useless-arc guard. The site of an application is the set of
 outcomes it removes and adds: a rule writes only those, and
 `model.rewrite` brings the indexes the diagram has built up to date from
-them alone.
+them alone, in the one pass that writes them.
 
 Each application is recorded as its `model.Change` in the log of the
 diagram it rewrote (`working.Log`). `RuleApplication.before` and `.after`
@@ -25,13 +25,16 @@ Guards read the diagram's indexes (`Negotiation.arcs_into`, `arrivals`,
 instead of scanning the transition table: the shortcut guard, `uniform`,
 `uniform_target` and `iteration_applicable` read the outcome's party
 counts per target atom (`sends`); the merge guard reads the results of
-the outcome's own atom (`merge_partner`). Shortcut targets
-are sought only among the outcome's transition targets. A reduction
-keeps R(N) in a `Reducible`, which after each application re-evaluates
-only the outcomes whose guards can have changed (`dirty_outcomes`),
-starting from the targets of the removed and added outcomes, and keeps
-R(N) in outcome order (`OrderedOutcomes`), so an application costs
-about the size of its site, not of the diagram.
+the outcome's own atom (`merge_partner`). Shortcut targets are sought
+only among the outcome's transition targets. The engine checks the
+shortcut guard by `shortcut_check`, which reads a `sends` its caller
+fetched once and answers a constant (holds, bullet) pair;
+`shortcut_guard` wraps that pair in a `GuardReport`. A reduction keeps
+R(N) in a `Reducible`, which after each application re-evaluates only
+the outcomes whose guards can have changed (`dirty_outcomes`), starting
+from the targets of the removed and added outcomes, and keeps R(N) in
+one outcome order (`OrderedOutcomes`), so an application costs about the
+size of its site, not of the diagram.
 
 Fresh result naming: a merge of r1 and r2 produces "r1+r2", a shortcut of
 r with a target result r' produces "r>r'" (with a numeric suffix on
@@ -44,7 +47,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import merge
 from typing import Iterator, Optional
 
 from .errors import GuardFailed, ValidationError
@@ -53,6 +55,7 @@ from .model import (
     Change,
     Negotiation,
     Outcome,
+    Sends,
     Targets,
     classify,
     is_acyclic,
@@ -160,34 +163,43 @@ def uniform_target(neg: Negotiation, outcome: Outcome) -> Optional[str]:
     return t if count == len(neg.atoms[outcome[0]].parties) else None
 
 
-def shortcut_guard(neg: Negotiation, outcome: Outcome, n2: str) -> GuardReport:
-    """The shortcut rule's guard, with the failing bullet named."""
-    n, r = outcome
-    site = (outcome, n2)
+# the shortcut guard's verdicts, (whether it holds, the bullet that decides)
+_SAME_ATOM = (False, "target equals the source atom")
+_NOT_ENABLED = (False, "does not unconditionally enable")
+_EXCLUSIVE = (True, "exclusive access")
+_ANOTHER_COMMITS = (True, "another outcome commits")
+_NEITHER = (False, "no exclusive access and no other outcome commits to the target")
+_FINAL_SHARED = (False, "final target without exclusive access")
+_FINAL_NOT_SOLE = (False, "final target but the outcome is not the atom's only result")
+_FINAL = (True, "final target, exclusive, sole result")
+
+
+def shortcut_check(neg: Negotiation, outcome: Outcome, n2: str, sends: Sends) -> tuple[bool, str]:
+    """The shortcut rule's guard, as one of the constant verdicts above, so
+    a check allocates nothing; `sends` is `neg.sends(outcome)`. Past the
+    first bullet the outcome sends every party of n2 to n2 alone, so it has
+    exclusive access when no other arc enters n2, and commits to n2
+    itself."""
+    n = outcome[0]
     if n2 == n:
-        return GuardReport(site, "shortcut", False, "target equals the source atom")
-    if not unconditionally_enables(neg, outcome, n2):
-        return GuardReport(site, "shortcut", False, "does not unconditionally enable")
-    excl = exclusive_access(neg, outcome, n2)
+        return _SAME_ATOM
+    parties = len(neg.atoms[n2].parties)
+    if sends.alone.get(n2, 0) != parties:  # `unconditionally_enables`
+        return _NOT_ENABLED
+    excl = neg.arrivals.get(n2, 0) == parties  # `exclusive_access`
     if n2 != neg.final:
         if excl:
-            return GuardReport(site, "shortcut", True, "exclusive access")
-        if another_commits(neg, outcome, n2):
-            return GuardReport(site, "shortcut", True, "another outcome commits")
-        return GuardReport(
-            site, "shortcut", False,
-            "no exclusive access and no other outcome commits to the target",
-        )
+            return _EXCLUSIVE
+        return _ANOTHER_COMMITS if neg.commitments.get(n2, 0) > 1 else _NEITHER
     if not excl:
-        return GuardReport(
-            site, "shortcut", False, "final target without exclusive access"
-        )
-    if len(neg.results(n)) != 1:
-        return GuardReport(
-            site, "shortcut", False,
-            "final target but the outcome is not the atom's only result",
-        )
-    return GuardReport(site, "shortcut", True, "final target, exclusive, sole result")
+        return _FINAL_SHARED
+    return _FINAL if len(neg.atoms[n].results) == 1 else _FINAL_NOT_SOLE
+
+
+def shortcut_guard(neg: Negotiation, outcome: Outcome, n2: str) -> GuardReport:
+    """The shortcut rule's guard, with the failing bullet named."""
+    holds, detail = shortcut_check(neg, outcome, n2, neg.sends(outcome))
+    return GuardReport((outcome, n2), "shortcut", holds, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -466,14 +478,22 @@ def apply_d_shortcut(neg: Negotiation, outcome: Outcome, n2: str) -> RuleApplica
 
 def merge_partner(neg: Negotiation, outcome: Outcome) -> Optional[str]:
     """The first other result of the outcome's atom, in declaration order,
-    that sends every party where the outcome does: the one it merges with."""
+    that sends every party where the outcome does: the one it merges with.
+    A result is compared in full only if it sends the first party there."""
     n, r = outcome
     if n == neg.final:
         return None
     spec, transition = neg.atoms[n], neg.transition
-    targets = [transition[(n, p, r)] for p in spec.parties]
+    parties = spec.parties
+    first = parties[0]
+    there = transition[(n, first, r)]
     for r2 in spec.results:
-        if r2 != r and [transition[(n, p, r2)] for p in spec.parties] == targets:
+        if (
+            r2 != r
+            and transition[(n, first, r2)] == there
+            and [transition[(n, p, r2)] for p in parties]
+            == [transition[(n, p, r)] for p in parties]
+        ):
             return r2
     return None
 
@@ -505,15 +525,6 @@ def d_shortcut_candidates(neg: Negotiation, outcome: Outcome) -> list[str]:
     ]
 
 
-def shortcut_targets(neg: Negotiation, outcome: Outcome) -> list[str]:
-    """Atoms the outcome may be shortcut with, in declaration order."""
-    return [
-        n2
-        for n2 in shortcut_candidates(neg, outcome)
-        if shortcut_guard(neg, outcome, n2).holds
-    ]
-
-
 def useless_arcs_at(neg: Negotiation, outcome: Outcome, acyclic: Optional[bool] = None):
     n, r = outcome
     arcs = []
@@ -531,12 +542,10 @@ def _reducible_unmerged(neg: Negotiation, outcome: Outcome, acyclic: bool, forks
     and `forks` whether it has a fork, without which that guard never
     holds: its witness is a second target."""
     n, r = outcome
+    sends = neg.sends(outcome)
     return (
-        iteration_applicable(neg, outcome)
-        or any(
-            shortcut_guard(neg, outcome, n2).holds
-            for n2 in neg.sends(outcome).others
-        )
+        sends.alone.get(n, 0) == len(neg.atoms[n].parties)  # `iteration_applicable`
+        or any(shortcut_check(neg, outcome, n2, sends)[0] for n2 in sends.others)
         or forks and any(
             is_useless_arc(neg, (n, p, r, n2), acyclic=acyclic)
             for p in neg.parties(n)
@@ -589,8 +598,9 @@ def dirty_outcomes(neg: Negotiation, change: Change) -> set[Outcome]:
         shared.update(change.added.values())
         parties, transition = change.spec.parties, neg.transition
         for m in change.spec.results:
-            if tuple([transition[(n, p, m)] for p in parties]) in shared:
-                dirty.add((n, m))
+            o = (n, m)
+            if o not in dirty and tuple([transition[(n, p, m)] for p in parties]) in shared:
+                dirty.add(o)
     now = neg.results(n)
     for results in (change.old_specs[0].results, now):
         if len(results) == 1 and results[0] in now:
@@ -618,8 +628,8 @@ def dirty_outcomes(neg: Negotiation, change: Change) -> set[Outcome]:
 class OrderedOutcomes:
     """A set of outcomes of a reduction's working diagram that also keeps
     them in outcome order (by atom, then by result, each in declaration
-    order), bucketed by the party count of their atom. It changes only
-    through `add` and `discard`, which keep the order.
+    order), also bucketed by the party count of their atom. It changes
+    only through `add` and `discard`, which keep both orders.
 
     Rules only remove atoms, and put the results they add where the
     results they remove were, so outcome order never moves a member: an
@@ -634,6 +644,7 @@ class OrderedOutcomes:
         self.rank = neg.atom_index
         self._set: set[Outcome] = set()
         self._members: dict[str, list[str]] = {}  # atom -> results, in order
+        self._order: list[str] = []  # the atoms, in order
         self._atoms: dict[int, list[str]] = {}  # party count -> atoms, in order
         self._parties: dict[str, int] = {}  # atom -> its party count
 
@@ -660,6 +671,7 @@ class OrderedOutcomes:
         if members is None:
             self._members[a] = [r]
             k = self._parties[a] = len(self.neg.parties(a))
+            insort(self._order, a, key=self.rank)
             insort(self._atoms.setdefault(k, []), a, key=self.rank)
         else:
             insort(members, r, key=self.neg.results(a).index)
@@ -674,18 +686,16 @@ class OrderedOutcomes:
         if not members:
             del self._members[a]
             k = self._parties.pop(a)
-            bucket = self._atoms[k]
-            del bucket[bisect_left(bucket, self.rank(a), key=self.rank)]
+            rank, bucket = self.rank(a), self._atoms[k]
+            del self._order[bisect_left(self._order, rank, key=self.rank)]
+            del bucket[bisect_left(bucket, rank, key=self.rank)]
             if not bucket:
                 del self._atoms[k]
 
     def in_order(self, parties: Optional[int] = None) -> Iterator[Outcome]:
         """The members in outcome order; only those whose atom has
         `parties` parties, if given."""
-        if parties is None:
-            atoms = merge(*self._atoms.values(), key=self.rank)
-        else:
-            atoms = self._atoms.get(parties, ())
+        atoms = self._order if parties is None else self._atoms.get(parties, ())
         for a in atoms:
             for r in self._members[a]:
                 yield a, r
@@ -737,11 +747,8 @@ class Reducible:
         neg = self.neg
         mergeable = merge_partner(neg, o) is not None
         reducible = mergeable or _reducible_unmerged(neg, o, self.acyclic, self.forks)
-        for members, holds in ((self.outcomes, reducible), (self.mergeable, mergeable)):
-            if holds:
-                members.add(o)
-            else:
-                members.discard(o)
+        (self.outcomes.add if reducible else self.outcomes.discard)(o)
+        (self.mergeable.add if mergeable else self.mergeable.discard)(o)
 
     def advance(self, app: RuleApplication) -> None:
         """Follow `app`, which has just rewritten the working diagram."""
@@ -755,10 +762,6 @@ class Reducible:
         for o in dirty:
             self._evaluate(o)
         self.evaluated += len(dirty)
-
-
-def reducible_outcomes_k(neg: Negotiation, k: int) -> set[Outcome]:
-    return {o for o in reducible_outcomes(neg) if len(neg.parties(o[0])) == k}
 
 
 def preserves_class(app: RuleApplication) -> bool:

@@ -76,7 +76,7 @@ from .rules import (
     merge_partner,
     merge_step,
     shortcut_candidates,
-    shortcut_guard,
+    shortcut_check,
     shortcut_step,
     uniform,
     uniform_target,
@@ -289,8 +289,9 @@ def _shortcut(neg: Negotiation, outcomes: Iterable[Outcome], d_restricted=False)
     candidates = d_shortcut_candidates if d_restricted else shortcut_candidates
     kind = "d_shortcut" if d_restricted else "shortcut"
     for o in outcomes:
+        sends = neg.sends(o)
         for n2 in candidates(neg, o):
-            if shortcut_guard(neg, o, n2).holds:
+            if shortcut_check(neg, o, n2, sends)[0]:
                 return shortcut_step(neg, o, n2, kind)
     return None
 
@@ -328,7 +329,7 @@ def _backward_shortcut(increasing: bool = False) -> Select:
             if (target := uniform_target(neg, o)) is not None
             and target != neg.final
             and rank[target] < rank[o[0]]
-            and shortcut_guard(neg, o, target).holds
+            and shortcut_check(neg, o, target, neg.sends(o))[0]
         ]
         if not hits:
             return None

@@ -15,6 +15,7 @@ from negsum import (
     Union,
     fixture_names,
     load_fixture,
+    reducible_outcomes,
     validate,
 )
 from negsum.semantics import MarkingKernel
@@ -119,6 +120,11 @@ def interp_for(neg, seed=0):
     if neg.states is not None and neg.rels:
         return neg.states, dict(neg.rels)
     return synthetic_interp(neg, seed)
+
+
+def reducible_outcomes_k(neg, k: int) -> set:
+    """The outcomes of R(N) whose atom has `k` parties."""
+    return {o for o in reducible_outcomes(neg) if len(neg.parties(o[0])) == k}
 
 
 def all_rule_applications(neg):

@@ -59,8 +59,8 @@ from negsum import (
     reducible_outcomes,
     run_auto,
     run_general,
+    shortcut_candidates,
     shortcut_guard,
-    shortcut_targets,
     unconditionally_enables,
     validate,
 )
@@ -126,6 +126,15 @@ def shortcut_guard_ref(neg, outcome, n2):
             "final target but the outcome is not the atom's only result",
         )
     return GuardReport(site, "shortcut", True, "final target, exclusive, sole result")
+
+
+def shortcut_targets(neg, outcome):
+    """The atoms the outcome may be shortcut with, in declaration order:
+    the shortcut candidates whose guard holds."""
+    return [
+        n2 for n2 in shortcut_candidates(neg, outcome)
+        if shortcut_guard(neg, outcome, n2).holds
+    ]
 
 
 def shortcut_targets_ref(neg, outcome):
@@ -472,6 +481,45 @@ def test_every_rule_instance_updates_reducible_outcomes_exactly():
             final_moves += app.after.final != neg.final
     assert kinds == {"merge", "iteration", "useless_arc", "shortcut"}
     assert final_moves
+
+
+def nonzero_change(before: dict, after: dict) -> dict:
+    """The counts of `after` minus those of `before`, where they differ."""
+    return {
+        t: d for t in before.keys() | after.keys()
+        if (d := after.get(t, 0) - before.get(t, 0))
+    }
+
+
+def test_changes_count_the_arcs_and_commitments_they_move():
+    """`model.rewrite` counts a change's arcs and commitments in the pass
+    that writes it. On every application of `run_auto` over the
+    golden-trace cases, and of both demo strategies on expfam(1..5),
+    `Change.arrivals` and `.commitments` are the nonzero differences of
+    `arrivals` and `commitments` built afresh on the diagrams before and
+    after it."""
+    traces = []
+    for neg in build_cases().values():
+        try:
+            traces.append(run_auto(neg))
+        except NegsumError:
+            continue
+    traces += [
+        run_exponential_demo(expfam(k), strategy)
+        for k in range(1, 6)
+        for strategy in ("initial", "alternating")
+    ]
+    kinds = set()
+    for trace in traces:
+        for app in trace.applications:
+            before, after = app.before.copy(), app.after.copy()
+            change = app.change
+            assert change.arrivals == nonzero_change(before.arrivals, after.arrivals), app
+            assert change.commitments == nonzero_change(
+                before.commitments, after.commitments
+            ), app
+            kinds.add(app.kind)
+    assert kinds == {"merge", "iteration", "useless_arc", "shortcut", "d_shortcut"}
 
 
 def test_diagrams_without_forks_have_no_useless_arc_and_make_none():

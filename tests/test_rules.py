@@ -22,7 +22,6 @@ from negsum import (
     index,
     load_fixture,
     reducible_outcomes,
-    reducible_outcomes_k,
     rels_equal,
     run_auto,
     shortcut_guard,
@@ -36,7 +35,12 @@ from negsum import (
 from negsum.rules import preserves_class
 from negsum.transformers import Atomic
 
-from conftest import all_rule_applications, interp_for, single_atom_negotiation
+from conftest import (
+    all_rule_applications,
+    interp_for,
+    reducible_outcomes_k,
+    single_atom_negotiation,
+)
 
 WITH_RELS = ["fdm_acyclic", "fdm_cyclic", "ladder", "merge_demo", "iter_demo"]
 

@@ -27,7 +27,7 @@ from negsum import (
 from negsum import strategies
 from negsum.strategies import is_replication
 
-from conftest import interp_for, single_atom_negotiation
+from conftest import interp_for, reducible_outcomes_k, single_atom_negotiation
 
 
 def acyclic_bound(neg):
@@ -221,8 +221,6 @@ def test_run_general_running_multi_stages():
 
 
 def test_run_general_k_reducible_after_two_stages():
-    from negsum import reducible_outcomes_k
-
     trace = run_general(load_fixture("running_multi"))
     s2 = trace.stage_snapshots[2]
     assert reducible_outcomes_k(s2, 1) == set()
@@ -462,22 +460,23 @@ def test_outcome_index_finds_a_cycle_at_the_end_of_a_long_chain():
     ids=["expfam(8)", "dfs_example", "running_multi", "fdm_wd_summary"],
 )
 def test_a_selected_shortcut_evaluates_its_guard_once(monkeypatch, make):
-    """The strategies establish a shortcut's guard while they select it,
-    then rewrite without checking it again. Guard calls that keep R(N) up
-    to date (`rules._reducible_unmerged`) are not counted. The strategies
+    """The strategies establish a shortcut's guard while they select it
+    (`rules.shortcut_check`), then rewrite without checking it again.
+    Guard calls that keep R(N) up to date (`rules._reducible_unmerged`)
+    are not counted. The strategies
     rewrite one working diagram, so a call is keyed by the number of
     applications its log holds: the index of the application selected."""
     from negsum import rules, strategies
 
     calls: dict = {}
     upkeep = [0]
-    guard, unmerged = rules.shortcut_guard, rules._reducible_unmerged
+    guard, unmerged = rules.shortcut_check, rules._reducible_unmerged
 
-    def counted(neg, outcome, n2):
+    def counted(neg, outcome, n2, sends):
         if not upkeep[0]:
             site = (len(neg.log.changes), outcome, n2)
             calls[site] = calls.get(site, 0) + 1
-        return guard(neg, outcome, n2)
+        return guard(neg, outcome, n2, sends)
 
     def uncounted(*args):
         upkeep[0] += 1
@@ -486,8 +485,8 @@ def test_a_selected_shortcut_evaluates_its_guard_once(monkeypatch, make):
         finally:
             upkeep[0] -= 1
 
-    monkeypatch.setattr(rules, "shortcut_guard", counted)
-    monkeypatch.setattr(strategies, "shortcut_guard", counted)
+    monkeypatch.setattr(rules, "shortcut_check", counted)
+    monkeypatch.setattr(strategies, "shortcut_check", counted)
     monkeypatch.setattr(rules, "_reducible_unmerged", uncounted)
     trace = run_auto(make())
     shortcuts = [a for a in trace.applications if a.kind in ("shortcut", "d_shortcut")]

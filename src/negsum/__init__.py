@@ -36,11 +36,7 @@ from .semantics import (
     ReachabilityGraph,
     SoundnessVerdict,
     check_soundness,
-    classify_marking,
     enabled,
-    final_marking,
-    initial_marking,
-    make_marking,
     reachability,
     step,
     successors,
@@ -80,8 +76,6 @@ from .rules import (
 )
 from .strategies import (
     ReductionTrace,
-    index,
-    outcome_index,
     run_acyclic,
     run_acyclic_wd,
     run_auto,
@@ -116,11 +110,7 @@ from .transformers import (
     concat,
     concat_expr,
     eval_expr,
-    expr_equal,
     format_expr,
-    full_identity,
-    globalize,
-    identity_rel,
     parse_expr,
     rels_equal,
     star,
@@ -129,7 +119,7 @@ from .transformers import (
     union_expr,
 )
 from .generator import expfam, generate_sound, mutate_unsound
-from .fileio import dump, dumps, export_dot, load, loads
+from .fileio import dump, dumps, load, loads
 from .fixtures import (
     CLASSIFICATIONS,
     WITH_RELATIONS,

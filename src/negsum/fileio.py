@@ -283,43 +283,6 @@ def _dot_quote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _port(agent: str) -> str:
-    return "p_" + "".join(c if c.isalnum() else "_" for c in agent)
-
-
-def negotiation_dot(neg: Negotiation) -> str:
-    """Atoms as record boxes with one port per party; proper hyperarcs go
-    through an intermediate fork point."""
-    lines = ["digraph negotiation {", "  rankdir=TB;"]
-    for spec in neg.atoms.values():
-        ports = "|".join(f"<{_port(p)}>{p}" for p in spec.parties)
-        label = f"{{{spec.id}|{{{ports}}}}}"
-        lines.append(f"  {_dot_quote(spec.id)} [shape=record, label={_dot_quote(label)}];")
-    for spec in neg.atoms.values():
-        for r in spec.results:
-            for p in spec.parties:
-                targets = sorted(neg.targets(spec.id, p, r), key=neg.atom_index)
-                src = f"{_dot_quote(spec.id)}:{_port(p)}"
-                if len(targets) == 1:
-                    dst = f"{_dot_quote(targets[0])}:{_port(p)}"
-                    lines.append(f"  {src} -> {dst} [label={_dot_quote(r)}];")
-                elif len(targets) > 1:
-                    fork = f"fork_{spec.id}_{p}_{r}"
-                    lines.append(
-                        f"  {_dot_quote(fork)} [shape=point, width=0.05];"
-                    )
-                    lines.append(
-                        f"  {src} -> {_dot_quote(fork)} "
-                        f"[label={_dot_quote(r)}, arrowhead=none];"
-                    )
-                    for t in targets:
-                        lines.append(
-                            f"  {_dot_quote(fork)} -> {_dot_quote(t)}:{_port(p)};"
-                        )
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 def reachability_dot(graph: ReachabilityGraph) -> str:
     lines = ["digraph reachability {", "  rankdir=TB;"]
     for i, m in enumerate(graph.nodes):
@@ -335,11 +298,3 @@ def reachability_dot(graph: ReachabilityGraph) -> str:
             )
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def export_dot(obj) -> str:
-    if isinstance(obj, Negotiation):
-        return negotiation_dot(obj)
-    if isinstance(obj, ReachabilityGraph):
-        return reachability_dot(obj)
-    raise TypeError(f"cannot export {type(obj).__name__} to DOT")

@@ -61,22 +61,6 @@ class Marking:
         return "|".join(",".join(s) if s else "-" for s in self.ready)
 
 
-def make_marking(neg: Negotiation, ready: dict[str, set[str]]) -> Marking:
-    return Marking(
-        tuple(
-            tuple(sorted(ready.get(a, ()), key=neg.atom_index)) for a in neg.agents
-        )
-    )
-
-
-def initial_marking(neg: Negotiation) -> Marking:
-    return Marking(tuple((neg.initial,) for _ in neg.agents))
-
-
-def final_marking(neg: Negotiation) -> Marking:
-    return Marking(tuple(() for _ in neg.agents))
-
-
 class MarkingKernel:
     """A diagram compiled for walks over int-encoded markings.
 
@@ -326,15 +310,6 @@ def reachability(neg: Negotiation, cap: int = DEFAULT_CAP) -> ReachabilityGraph:
     graph = walk(kernel, kernel.initial, kernel.field, cap)
     neg.__dict__[KEPT_GRAPH] = graph
     return graph
-
-
-def classify_marking(neg: Negotiation, marking: Marking) -> str:
-    """'final' | 'deadlock' | 'live' (the caller vouches reachability)."""
-    if marking == final_marking(neg):
-        return "final"
-    if not enabled(neg, marking):
-        return "deadlock"
-    return "live"
 
 
 @dataclass

@@ -60,7 +60,6 @@ reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
@@ -83,7 +82,6 @@ from .rules import (
     useless_arc_step,
     useless_arcs_at,
 )
-from .semantics import DEFAULT_CAP, walk
 from .transformers import TransformerExpr
 from .working import Log, working_copy
 
@@ -170,53 +168,6 @@ class ReductionTrace:
                 f"total={len(lines) + 1}"
             )
         return lines
-
-
-# ---------------------------------------------------------------------------
-# The index measure
-# ---------------------------------------------------------------------------
-
-def outcome_index(neg: Negotiation, outcome: Outcome, cap: int = DEFAULT_CAP):
-    """Length of a longest maximal sequence launched by the outcome from
-    the marking that holds exactly its parties, minus one; infinity when a
-    reachable cycle pumps the sequences arbitrarily long.
-
-    A longest-path pass in topological order (Kahn's, taking a node once
-    every edge into it is taken) over the whole `walk` from the marking
-    after the outcome. A node on or behind a cycle is never taken. The
-    launch node starts the order only if no edge enters it: else it lies
-    on a cycle, and so does every node the walk reached.
-    """
-    kernel = neg.marking_kernel
-    succ = walk(kernel, kernel.fire(kernel.start(outcome[0]), outcome), kernel.field, cap).succ
-    into = [0] * len(succ)
-    for out in succ:
-        for _o, j in out:
-            into[j] += 1
-    longest = [0] * len(succ)
-    order = [] if into[0] else [0]
-    for i in order:  # grows while walked
-        for _o, j in succ[i]:
-            longest[j] = max(longest[j], longest[i] + 1)
-            into[j] -= 1
-            if not into[j]:
-                order.append(j)
-    return max(longest) if len(order) == len(succ) else math.inf
-
-
-def index(neg: Negotiation, cap: int = DEFAULT_CAP):
-    """Sum of the indices of all non-final outcomes; the termination
-    measure that merge and d-shortcut strictly decrease on acyclic
-    diagrams."""
-    total = 0
-    for o in neg.outcomes():
-        if o[0] == neg.final:
-            continue
-        value = outcome_index(neg, o, cap)
-        if math.isinf(value):
-            return math.inf
-        total += value
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -389,21 +389,6 @@ class Rel:
         return f"Rel({list(self.parties)}, {len(self.pairs)} pairs)"
 
 
-def identity_rel() -> Rel:
-    """The identity over no parties: the neutral element of concatenation
-    (the all-agents identity once expanded). `full_identity` is the
-    identity over a nonempty party set."""
-    return Rel((), frozenset({((), ())}))
-
-
-def full_identity(space: StateSpace, parties: Iterable[str]) -> Rel:
-    parties = tuple(parties)
-    pairs = frozenset(
-        (tuple(q), tuple(q)) for q in itertools.product(*(space[a] for a in parties))
-    )
-    return Rel(parties, pairs)
-
-
 # ---------------------------------------------------------------------------
 # The relation kernel
 # ---------------------------------------------------------------------------
@@ -805,12 +790,6 @@ def star(a: Rel, space: StateSpace) -> Rel:
     return k.rel(k.star(k.rows(a)))
 
 
-def globalize(rel: Rel, space: StateSpace) -> Rel:
-    """Expand a local relation to the full agent set of the space."""
-    k = Kernel(space)
-    return k.rel(k.expand(k.rows(rel), tuple(space)))
-
-
 def eval_expr(
     expr: TransformerExpr, interp: Mapping[Tag, Rel], space: StateSpace
 ) -> Rel:
@@ -835,18 +814,3 @@ def rels_equal(a: Rel, b: Rel, space: StateSpace) -> bool:
     converted again."""
     k = Kernel(space)
     return k.equal(k.rows(a), k.rows(b))
-
-
-def expr_equal(
-    a: TransformerExpr,
-    b: TransformerExpr,
-    spaces: Iterable[tuple[StateSpace, Mapping[Tag, Rel]]],
-) -> bool:
-    """True iff the two expressions evaluate to the same relation under
-    every provided interpretation. Evidence of equality, not a proof."""
-    for space, interp in spaces:
-        k = Kernel(space)
-        memo: dict = {}
-        if not k.equal(k.eval(a, interp, memo), k.eval(b, interp, memo)):
-            return False
-    return True

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from contextlib import contextmanager
 
@@ -10,6 +11,7 @@ import pytest
 from negsum import (
     AtomSpec,
     Concat,
+    Marking,
     Rel,
     Star,
     Union,
@@ -18,7 +20,7 @@ from negsum import (
     reducible_outcomes,
     validate,
 )
-from negsum.semantics import MarkingKernel
+from negsum.semantics import DEFAULT_CAP, MarkingKernel, walk
 from negsum.state_elim import LEdge, _labeled_edges
 from negsum.transformers import TransformerExpr
 
@@ -125,6 +127,67 @@ def interp_for(neg, seed=0):
 def reducible_outcomes_k(neg, k: int) -> set:
     """The outcomes of R(N) whose atom has `k` parties."""
     return {o for o in reducible_outcomes(neg) if len(neg.parties(o[0])) == k}
+
+
+def make_marking(neg, ready: dict[str, set[str]]) -> Marking:
+    """The marking in which each agent is ready for the atoms `ready`
+    gives it (none if it gives none), in atom-index order."""
+    return Marking(
+        tuple(
+            tuple(sorted(ready.get(a, ()), key=neg.atom_index)) for a in neg.agents
+        )
+    )
+
+
+def initial_marking(neg) -> Marking:
+    return Marking(tuple((neg.initial,) for _ in neg.agents))
+
+
+def final_marking(neg) -> Marking:
+    return Marking(tuple(() for _ in neg.agents))
+
+
+def outcome_index(neg, outcome, cap: int = DEFAULT_CAP):
+    """Length of a longest maximal sequence launched by the outcome from
+    the marking that holds exactly its parties, minus one; infinity when a
+    reachable cycle pumps the sequences arbitrarily long.
+
+    A longest-path pass in topological order (Kahn's, taking a node once
+    every edge into it is taken) over the whole `walk` from the marking
+    after the outcome. A node on or behind a cycle is never taken. The
+    launch node starts the order only if no edge enters it: else it lies
+    on a cycle, and so does every node the walk reached.
+    """
+    kernel = neg.marking_kernel
+    succ = walk(kernel, kernel.fire(kernel.start(outcome[0]), outcome), kernel.field, cap).succ
+    into = [0] * len(succ)
+    for out in succ:
+        for _o, j in out:
+            into[j] += 1
+    longest = [0] * len(succ)
+    order = [] if into[0] else [0]
+    for i in order:  # grows while walked
+        for _o, j in succ[i]:
+            longest[j] = max(longest[j], longest[i] + 1)
+            into[j] -= 1
+            if not into[j]:
+                order.append(j)
+    return max(longest) if len(order) == len(succ) else math.inf
+
+
+def index(neg, cap: int = DEFAULT_CAP):
+    """Sum of the indices of all non-final outcomes; the termination
+    measure that merge and d-shortcut strictly decrease on acyclic
+    diagrams."""
+    total = 0
+    for o in neg.outcomes():
+        if o[0] == neg.final:
+            continue
+        value = outcome_index(neg, o, cap)
+        if math.isinf(value):
+            return math.inf
+        total += value
+    return total
 
 
 def all_rule_applications(neg):

@@ -19,7 +19,6 @@ from negsum import (
     eval_expr,
     exclusive_access,
     fixture_names,
-    index,
     load_fixture,
     reducible_outcomes,
     rels_equal,
@@ -37,7 +36,9 @@ from negsum.transformers import Atomic
 
 from conftest import (
     all_rule_applications,
+    index,
     interp_for,
+    outcome_index,
     reducible_outcomes_k,
     single_atom_negotiation,
 )
@@ -481,8 +482,6 @@ def test_index_values():
     # infinite sites are the outcomes whose launch marking reaches the
     # cycle with every party on board (sequences launched by (n1, tm)
     # stop immediately because the next atom needs the third agent)
-    from negsum import outcome_index
-
     cyc = load_fixture("fdm_cyclic")
     assert math.isinf(outcome_index(cyc, ("n0", "yes")))
     assert math.isinf(outcome_index(cyc, ("n2", "r")))

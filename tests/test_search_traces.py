@@ -33,13 +33,13 @@ from negsum import (
     NegsumError,
     check_soundness,
     find_loops,
-    outcome_index,
     reachability,
     target_of_atom,
 )
 from negsum.cli import main
 from negsum.fileio import reachability_dot
 
+from conftest import outcome_index
 from test_rule_traces import build_cases, digest
 
 EXPECTED_PATH = Path(__file__).with_name("search_traces.json")

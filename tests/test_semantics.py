@@ -6,13 +6,9 @@ from negsum import (
     BudgetExceeded,
     NotEnabled,
     check_soundness,
-    classify_marking,
     enabled,
-    final_marking,
     fixture_names,
-    initial_marking,
     load_fixture,
-    make_marking,
     reachability,
     step,
     CLASSIFICATIONS,
@@ -20,7 +16,13 @@ from negsum import (
 from negsum.generator import generate_sound
 from negsum.semantics import successors
 
-from conftest import reversed_ties, single_atom_negotiation
+from conftest import (
+    final_marking,
+    initial_marking,
+    make_marking,
+    reversed_ties,
+    single_atom_negotiation,
+)
 
 
 def test_enabled_initially_only_initial_atom():
@@ -172,6 +174,15 @@ def test_one_agent_negotiations_always_sound():
     for seed in range(8):
         neg = generate_sound(seed, steps=4, num_agents=1)
         assert check_soundness(neg).sound
+
+
+def classify_marking(neg, marking) -> str:
+    """'final' | 'deadlock' | 'live' (the caller vouches reachability)."""
+    if marking == final_marking(neg):
+        return "final"
+    if not enabled(neg, marking):
+        return "deadlock"
+    return "live"
 
 
 def test_classify_marking():

@@ -28,13 +28,12 @@ from negsum import (
     fixture_names,
     generate_sound,
     load_fixture,
-    make_marking,
     reachability,
     step,
     successors,
 )
 
-from conftest import reversed_ties
+from conftest import make_marking, reversed_ties
 from test_differential import BENCH_SHAPES, random_deterministic
 
 

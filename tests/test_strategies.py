@@ -27,7 +27,7 @@ from negsum import (
 from negsum import strategies
 from negsum.strategies import is_replication
 
-from conftest import interp_for, reducible_outcomes_k, single_atom_negotiation
+from conftest import interp_for, outcome_index, reducible_outcomes_k, single_atom_negotiation
 
 
 def acyclic_bound(neg):
@@ -416,7 +416,7 @@ def test_trace_lines_cover_all_rule_kinds():
 
 def test_outcome_index_budget():
     import pytest as _pytest
-    from negsum import BudgetExceeded, outcome_index
+    from negsum import BudgetExceeded
 
     neg = load_fixture("running_multi")
     with _pytest.raises(BudgetExceeded):
@@ -439,16 +439,12 @@ def _one_agent_chain(length, loop_at_end=False):
 
 
 def test_outcome_index_of_a_long_chain_does_not_overflow_the_stack():
-    from negsum import outcome_index
-
     assert outcome_index(_one_agent_chain(50), ("c0", "r")) == 50
     assert outcome_index(_one_agent_chain(1100), ("c0", "r")) == 1100
 
 
 def test_outcome_index_finds_a_cycle_at_the_end_of_a_long_chain():
     import math
-
-    from negsum import outcome_index
 
     assert math.isinf(outcome_index(_one_agent_chain(1100, True), ("c0", "r")))
 

@@ -9,15 +9,12 @@ from negsum import (
     classify,
     dominating_atom,
     execute_path,
-    final_marking,
     find_loops,
     find_minimal_loop,
     fragment,
     generate_sound,
-    initial_marking,
     k_fragment,
     load_fixture,
-    make_marking,
     mutate_unsound,
     segment,
     step,
@@ -28,7 +25,7 @@ from negsum import (
 )
 from negsum.structure import Loop, exit_name
 
-from conftest import negotiation_graph
+from conftest import final_marking, initial_marking, make_marking, negotiation_graph
 
 SOUND_DET = ["fdm_cyclic", "running_multi", "multifragment", "ladder",
              "dfs_example", "regen", "pingpong", "cyclic_two_outcomes",

@@ -28,11 +28,7 @@ from negsum import (
     concat,
     concat_expr,
     eval_expr,
-    expr_equal,
     format_expr,
-    full_identity,
-    globalize,
-    identity_rel,
     parse_expr,
     rels_equal,
     star,
@@ -51,6 +47,39 @@ SPACE = {"x": ("0", "1"), "y": ("0", "1"), "z": ("0", "1")}
 
 def rel(parties, pairs):
     return Rel(tuple(parties), frozenset(pairs))
+
+
+def identity_rel() -> Rel:
+    """The identity over no parties: the neutral element of concatenation
+    (the all-agents identity once expanded). `full_identity` is the
+    identity over a nonempty party set."""
+    return Rel((), frozenset({((), ())}))
+
+
+def full_identity(space, parties) -> Rel:
+    parties = tuple(parties)
+    pairs = frozenset(
+        (tuple(q), tuple(q)) for q in itertools.product(*(space[a] for a in parties))
+    )
+    return Rel(parties, pairs)
+
+
+def globalize(rel: Rel, space) -> Rel:
+    """Expand a local relation to the full agent set of the space."""
+    k = Kernel(space)
+    return k.rel(k.expand(k.rows(rel), tuple(space)))
+
+
+def expr_equal(a, b, spaces) -> bool:
+    """True iff the two expressions evaluate to the same relation under
+    every provided (space, interpretation). Evidence of equality, not a
+    proof."""
+    for space, interp in spaces:
+        k = Kernel(space)
+        memo: dict = {}
+        if not k.equal(k.eval(a, interp, memo), k.eval(b, interp, memo)):
+            return False
+    return True
 
 
 def brute_concat(a: Rel, b: Rel, space) -> Rel:

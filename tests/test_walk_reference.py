@@ -25,9 +25,7 @@ from negsum import (
     fixture_names,
     generate_sound,
     load_fixture,
-    make_marking,
     mutate_unsound,
-    outcome_index,
     step,
     successors,
     target_of_atom,
@@ -35,6 +33,7 @@ from negsum import (
     validate,
 )
 
+from conftest import make_marking, outcome_index
 from test_rule_traces import build_cases
 
 
